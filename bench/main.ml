@@ -182,13 +182,7 @@ let sweep_point (name : string) (mk : p:int -> Hpf_lang.Ast.program)
         exit 1
   in
   let lower_ms = Phpf_driver.Pipeline.pass_time_ms trace "lower-spmd" in
-  let ir_ops =
-    match c.Compiler.sir with
-    | Some sir -> Phpf_ir.Sir.op_counts sir
-    | None ->
-        Fmt.epr "bench %s: compiler recorded no lowered program@." name;
-        exit 1
-  in
+  let ir_ops = Phpf_ir.Sir.op_counts (Compiler.sir_exn c) in
   let census =
     List.filter_map
       (fun pass ->
@@ -203,13 +197,7 @@ let sweep_point (name : string) (mk : p:int -> Hpf_lang.Ast.program)
     { Decisions.default_options with Decisions.optimize = false }
   in
   let cb = Compiler.compile_exn ~options:base_options (mk ~p) in
-  let base_ir_ops =
-    match cb.Compiler.sir with
-    | Some sir -> Phpf_ir.Sir.op_counts sir
-    | None ->
-        Fmt.epr "bench %s: --no-opt leg recorded no lowered program@." name;
-        exit 1
-  in
+  let base_ir_ops = Phpf_ir.Sir.op_counts (Compiler.sir_exn cb) in
   let spmd, base_spmd =
     if p > spmd_threshold then (None, None)
     else
@@ -221,12 +209,12 @@ let sweep_point (name : string) (mk : p:int -> Hpf_lang.Ast.program)
   let r, _ =
     Trace_sim.run
       ~init:(Init.init c.Compiler.prog)
-      ?comm_stats:(Option.map fst spmd) ?sir:c.Compiler.sir c
+      ?comm_stats:(Option.map fst spmd) c
   in
   let base_r, _ =
     Trace_sim.run
       ~init:(Init.init cb.Compiler.prog)
-      ?comm_stats:base_spmd ?sir:cb.Compiler.sir cb
+      ?comm_stats:base_spmd cb
   in
   let wall_ms = (Unix.gettimeofday () -. wall0) *. 1000.0 in
   {
@@ -266,10 +254,7 @@ let recovery_bench () : recovery_bench =
   let wall0 = Unix.gettimeofday () in
   let c = Compiler.compile_exn (Tomcatv.program ~n:66 ~niter:1 ~p:measured_p) in
   let faults = Fault.make ~seed:1 ~oneshots:[ (Fault.Crash, 0) ] [] in
-  let st =
-    Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~faults
-      ?sir:c.Compiler.sir c
-  in
+  let st = Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~faults c in
   (match Spmd_interp.validate st with
   | [] -> ()
   | m :: _ ->
@@ -290,19 +275,13 @@ let recovery_bench () : recovery_bench =
   let c2 =
     Compiler.compile_exn (Tomcatv.program ~n:66 ~niter:1 ~p:analytic_p)
   in
-  let r, _ =
-    Trace_sim.run ~init:(Init.init c2.Compiler.prog) ?sir:c2.Compiler.sir c2
-  in
-  let sir, plan =
-    match c2.Compiler.sir with
-    | Some sir -> (
-        match sir.Phpf_ir.Sir.recovery with
-        | Some plan -> (sir, plan)
-        | None ->
-            Fmt.epr "bench recovery: no recovery plan recorded@.";
-            exit 1)
+  let r, _ = Trace_sim.run ~init:(Init.init c2.Compiler.prog) c2 in
+  let sir = Compiler.sir_exn c2 in
+  let plan =
+    match sir.Phpf_ir.Sir.recovery with
+    | Some plan -> plan
     | None ->
-        Fmt.epr "bench recovery: no lowered program recorded@.";
+        Fmt.epr "bench recovery: no recovery plan recorded@.";
         exit 1
   in
   let analytic =

@@ -53,14 +53,6 @@ let guarded (f : unit -> int) : int =
       render_diags ds;
       exit_mismatch
 
-(* Parse + compile through the pass manager, returning the pipeline
-   trace alongside the result. *)
-let compile_program ?grid_override ?options ?after path =
-  let prog = Parser.parse_file path in
-  match Compiler.compile_traced ?grid_override ?options ?after prog with
-  | Ok res -> res
-  | Error ds -> raise (Diag.Fatal ds)
-
 (* Run the static verifier over a compiled program: findings on stderr
    (the shared renderer), the one-line summary on stdout, instrumentation
    like the compiler's own passes.  Returns the exit code. *)
@@ -264,19 +256,10 @@ let no_aggregate_arg =
     value & flag
     & info [ "no-aggregate" ]
         ~doc:
-          "Ship every element of a vectorized communication as its own \
-           packet instead of one block per (src, dst) pair — the \
-           per-element escape hatch for A/B comparisons against the \
-           aggregated runtime.")
-
-let no_lower_arg =
-  Arg.(
-    value & flag
-    & info [ "no-lower" ]
-        ~doc:
-          "Execute with the legacy AST-walking SPMD interpreter instead \
-           of the lowered-IR executor — the differential escape hatch, \
-           kept for one release.")
+          "Ship every element of a block transfer as its own packet \
+           instead of one block per (src, dst) pair — the same program \
+           under a per-element transport, for A/B comparisons against \
+           the aggregated runtime.")
 
 let fuel_arg =
   Arg.(
@@ -286,47 +269,6 @@ let fuel_arg =
         ~doc:
           "Statement-instance budget for the interpreter runs; \
            exhausting it is a located E0704 runtime failure (exit 3).")
-
-(* One SPMD execution under either runtime, reduced to the accessors the
-   commands need.  With the lowered path the compiler's recorded IR is
-   executed directly (re-lowered only when --no-aggregate changes the
-   packet shapes). *)
-type spmd_outcome = {
-  mismatches : string list;
-  report : unit -> Recover.report;
-  net : unit -> Msg.stats;
-  transfers : int;
-}
-
-let exec_spmd ~no_lower ?init ?faults ?recover_config ?fuel ~aggregate
-    (c : Compiler.compiled) : spmd_outcome =
-  if no_lower then begin
-    let st = Ast_interp.run ?init ?faults ?recover_config ~aggregate ?fuel c in
-    {
-      mismatches =
-        List.map
-          (Fmt.str "%a" Ast_interp.pp_mismatch)
-          (Ast_interp.validate st);
-      report = (fun () -> Ast_interp.fault_report st);
-      net = (fun () -> Ast_interp.comm_stats st);
-      transfers = st.Ast_interp.transfers;
-    }
-  end
-  else begin
-    let sir = if aggregate then c.Compiler.sir else None in
-    let st =
-      Spmd_interp.run ?init ?faults ?recover_config ~aggregate ?fuel ?sir c
-    in
-    {
-      mismatches =
-        List.map
-          (Fmt.str "%a" Spmd_interp.pp_mismatch)
-          (Spmd_interp.validate st);
-      report = (fun () -> Spmd_interp.fault_report st);
-      net = (fun () -> Spmd_interp.comm_stats st);
-      transfers = st.Spmd_interp.transfers;
-    }
-  end
 
 let report_comm_arg =
   Arg.(
@@ -400,74 +342,82 @@ let dump_after_hook (which : string option) (name : string)
     Fmt.pr "=== end %s ===@." name
   end
 
-(* Reject an unknown --dump-after pass name before doing any work —
-   the one resolution path shared by compile, lint and simulate.
-   [extra] admits the verifier's own passes where they run (lint, and
-   compile --verify). *)
-let check_dump_after ?(extra = []) arg =
-  let known = Compiler.pass_names @ extra in
-  match arg with
-  | Some p when not (List.mem p known) ->
+(* The arguments every compiling subcommand shares. *)
+type common = {
+  file : string;
+  procs : int list option;  (** grid override *)
+  options : Decisions.options;
+  verbose : bool;
+}
+
+let common_term ?(procs = procs_arg) () : common Term.t =
+  Term.(
+    const (fun file procs options verbose -> { file; procs; options; verbose })
+    $ file_arg $ procs $ opt_flags $ verbose_arg)
+
+(* Parse + compile through the pass manager, returning the pipeline
+   trace alongside the result. *)
+let compile_program ?after (co : common) =
+  let prog = Parser.parse_file co.file in
+  match
+    Compiler.compile_traced ?grid_override:co.procs ~options:co.options
+      ?after prog
+  with
+  | Ok res -> res
+  | Error ds -> raise (Diag.Fatal ds)
+
+(* The one E0501 check: the first of [names] outside [known] is a usage
+   error listing the [shown] registered names. *)
+let known_passes ~known ~shown names =
+  match List.find_opt (fun p -> not (List.mem p known)) names with
+  | None -> true
+  | Some p ->
       render_diags
         [
           Diag.errorf ~code:"E0501" "unknown pass %s (registered: %s)" p
-            (String.concat ", " known);
+            (String.concat ", " shown);
         ];
       false
-  | _ -> true
 
-(* Reject an unknown --opt pass selection the same way. *)
-let check_opt_passes (options : Decisions.options) =
-  match options.Decisions.opt_passes with
-  | Some ps
-    when List.exists
-           (fun p -> not (List.mem p Phpf_ir.Sir_opt.pass_names))
-           ps ->
-      let bad =
-        List.find
-          (fun p -> not (List.mem p Phpf_ir.Sir_opt.pass_names))
-          ps
-      in
-      render_diags
-        [
-          Diag.errorf ~code:"E0501" "unknown pass %s (registered: %s)" bad
-            (String.concat ", "
-               (List.map (( ^ ) "sir-opt.") Phpf_ir.Sir_opt.pass_names));
-        ];
-      false
-  | _ -> true
+(* Run a compiling command: set up logging, reject an unknown
+   --dump-after pass ([extra] admits the verifier's passes where they
+   run) or --opt selection before doing any work (exit 1), then run [f]
+   under the shared diagnostic guard. *)
+let run_compiling ?(extra = []) ?dump_after (co : common) (f : unit -> int) :
+    int =
+  setup_logs co.verbose;
+  let pipeline = Compiler.pass_names @ extra in
+  let opt = Phpf_ir.Sir_opt.pass_names in
+  if
+    known_passes ~known:pipeline ~shown:pipeline (Option.to_list dump_after)
+    && known_passes ~known:opt
+         ~shown:(List.map (( ^ ) "sir-opt.") opt)
+         (Option.value co.options.Decisions.opt_passes ~default:[])
+  then guarded f
+  else exit_usage
 
 (* ---------------- commands ---------------- *)
 
 let compile_cmd =
-  let run file procs options annotate verify time_passes stats dump_after
-      list_passes_flag verbose =
-    setup_logs verbose;
+  let run co annotate verify time_passes stats dump_after list_passes_flag =
     if list_passes_flag then begin
+      setup_logs co.verbose;
       list_passes ();
       exit_ok
     end
-    else if
-      not
-        (check_dump_after
-           ~extra:
-             (if verify then Phpf_verify.Verifier.pass_names else [])
-           dump_after
-        && check_opt_passes options)
-    then exit_usage
     else
-      guarded @@ fun () ->
-      let c, trace =
-        compile_program ?grid_override:procs ~options
-          ~after:(dump_after_hook dump_after) file
-      in
+      run_compiling
+        ~extra:(if verify then Phpf_verify.Verifier.pass_names else [])
+        ?dump_after co
+      @@ fun () ->
+      let c, trace = compile_program ~after:(dump_after_hook dump_after) co in
       if annotate then Fmt.pr "%a@?" Report.pp_annotated c
       else Fmt.pr "%a@?" Report.pp_compiled c;
       if time_passes then
         Fmt.pr "%a@?" Phpf_driver.Pipeline.pp_timing trace;
       if stats then Fmt.pr "%a@?" Phpf_driver.Pipeline.pp_stats trace;
       if verify then
-        run_verifier ~opts:options ~time_passes ~stats ~strict:false
+        run_verifier ~opts:co.options ~time_passes ~stats ~strict:false
           ?dump_after c
       else exit_ok
   in
@@ -491,22 +441,15 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile and report mapping decisions.")
     Term.(
-      const run $ file_arg $ procs_arg $ opt_flags $ annotate_arg
-      $ verify_arg $ time_passes_arg $ stats_arg $ dump_after_arg
-      $ list_passes_arg $ verbose_arg)
+      const run $ common_term () $ annotate_arg $ verify_arg $ time_passes_arg
+      $ stats_arg $ dump_after_arg $ list_passes_arg)
 
 let lint_cmd =
-  let run file procs options strict time_passes stats dump_after verbose =
-    setup_logs verbose;
-    if
-      not
-        (check_dump_after ~extra:Phpf_verify.Verifier.pass_names dump_after
-        && check_opt_passes options)
-    then exit_usage
-    else
-      guarded @@ fun () ->
-      let c, _trace = compile_program ?grid_override:procs ~options file in
-      run_verifier ~opts:options ~time_passes ~stats ~strict ?dump_after c
+  let run co strict time_passes stats dump_after =
+    run_compiling ~extra:Phpf_verify.Verifier.pass_names ?dump_after co
+    @@ fun () ->
+    let c, _trace = compile_program co in
+    run_verifier ~opts:co.options ~time_passes ~stats ~strict ?dump_after c
   in
   let strict_arg =
     Arg.(
@@ -524,17 +467,14 @@ let lint_cmd =
           $(b,--dump-after) verify-flow renders the per-block dataflow \
           states.")
     Term.(
-      const run $ file_arg $ procs_arg $ opt_flags $ strict_arg
-      $ time_passes_arg $ stats_arg $ dump_after_arg $ verbose_arg)
+      const run $ common_term () $ strict_arg $ time_passes_arg $ stats_arg
+      $ dump_after_arg)
 
 let simulate_cmd =
-  let run file procs options stats faults fault_seed report_faults report_comm
-      recovery_mode max_retries checkpoint_interval heartbeat_timeout
-      no_aggregate no_lower fuel topology dump_after verbose =
-    setup_logs verbose;
-    if not (check_dump_after dump_after && check_opt_passes options) then
-      exit_usage
-    else
+  let run co stats faults fault_seed report_faults report_comm recovery_mode
+      max_retries checkpoint_interval heartbeat_timeout no_aggregate fuel
+      topology dump_after =
+    run_compiling ?dump_after co @@ fun () ->
     let model =
       Hpf_comm.Cost_model.with_topology Hpf_comm.Cost_model.sp2 topology
     in
@@ -563,16 +503,13 @@ let simulate_cmd =
         render_diags [ Diag.errorf ~code:"E0702" "invalid fault spec: %s" m ];
         exit_usage
     | Ok schedule -> (
-        guarded @@ fun () ->
         let c, _trace =
-          compile_program ?grid_override:procs ~options
-            ~after:(dump_after_hook dump_after) file
+          compile_program ~after:(dump_after_hook dump_after) co
         in
         let sim_stats =
           if stats then Some (Phpf_driver.Stats.create ()) else None
         in
         let init = Init.init c.Compiler.prog in
-        let aggregate = not no_aggregate in
         (* under fault injection (and for --report-comm's measured
            traffic), the SPMD interpreter runs first: either it recovers
            (validation clean, recovery priced into the simulation) or
@@ -581,16 +518,20 @@ let simulate_cmd =
         let spmd_run =
           if (not (Fault.active schedule)) && not report_comm then `Skipped
           else begin
-            let o =
-              exec_spmd ~no_lower ~init ~faults:schedule ~recover_config
-                ?fuel ~aggregate c
+            let st =
+              Spmd_interp.run ~init ~faults:schedule ~recover_config ?fuel
+                ~aggregate:(not no_aggregate) c
             in
-            match o.mismatches with [] -> `Ran o | ms -> `Diverged ms
+            match Spmd_interp.validate st with
+            | [] -> `Ran st
+            | ms -> `Diverged ms
           end
         in
         match spmd_run with
         | `Diverged ms ->
-            List.iter (fun m -> Fmt.epr "MISMATCH %s@." m) ms;
+            List.iter
+              (fun m -> Fmt.epr "MISMATCH %a@." Spmd_interp.pp_mismatch m)
+              ms;
             render_diags
               [
                 (if Fault.active schedule then
@@ -608,18 +549,18 @@ let simulate_cmd =
         | (`Skipped | `Ran _) as ok ->
             let recovery =
               match ok with
-              | `Ran o when Fault.active schedule -> Some (o.report ())
+              | `Ran st when Fault.active schedule ->
+                  Some (Spmd_interp.fault_report st)
               | _ -> None
             in
             let comm_stats =
               match ok with
-              | `Ran o -> Some (o.net ())
+              | `Ran st -> Some (Spmd_interp.comm_stats st)
               | `Skipped -> None
             in
-            let sir = if no_lower then None else c.Compiler.sir in
             let result, _mem =
               Trace_sim.run ~model ?stats:sim_stats ?recovery ?comm_stats
-                ?sir ?fuel ~init c
+                ?fuel ~init c
             in
             Fmt.pr "%a@." Trace_sim.pp_result result;
             (match comm_stats with
@@ -721,31 +662,31 @@ let simulate_cmd =
          "Run on the SP2-like timing simulator and report times, \
           optionally under fault injection.")
     Term.(
-      const run $ file_arg $ procs_arg $ opt_flags $ stats_arg $ faults_arg
-      $ fault_seed_arg $ report_faults_arg $ report_comm_arg
-      $ recovery_arg $ max_retries_arg $ checkpoint_interval_arg
-      $ heartbeat_timeout_arg $ no_aggregate_arg $ no_lower_arg $ fuel_arg
-      $ topology_arg $ dump_after_arg $ verbose_arg)
+      const run $ common_term () $ stats_arg $ faults_arg $ fault_seed_arg
+      $ report_faults_arg $ report_comm_arg $ recovery_arg $ max_retries_arg
+      $ checkpoint_interval_arg $ heartbeat_timeout_arg $ no_aggregate_arg
+      $ fuel_arg $ topology_arg $ dump_after_arg)
 
 let validate_cmd =
-  let run file procs options no_aggregate no_lower verbose =
-    setup_logs verbose;
-    guarded @@ fun () ->
-    let c, _trace = compile_program ?grid_override:procs ~options file in
-    let o =
-      exec_spmd ~no_lower
+  let run co no_aggregate =
+    run_compiling co @@ fun () ->
+    let c, _trace = compile_program co in
+    let st =
+      Spmd_interp.run
         ~init:(Init.init c.Compiler.prog)
         ~aggregate:(not no_aggregate) c
     in
-    match o.mismatches with
+    match Spmd_interp.validate st with
     | [] ->
         Fmt.pr
           "OK: SPMD execution matches sequential reference (%d element \
            transfers)@."
-          o.transfers;
+          st.Spmd_interp.transfers;
         exit_ok
     | ms ->
-        List.iter (fun m -> Fmt.pr "MISMATCH %s@." m) ms;
+        List.iter
+          (fun m -> Fmt.pr "MISMATCH %a@." Spmd_interp.pp_mismatch m)
+          ms;
         exit_mismatch
   in
   Cmd.v
@@ -753,14 +694,11 @@ let validate_cmd =
        ~doc:
          "Execute per-processor with explicit data movement and check \
           owned data against the sequential reference.")
-    Term.(
-      const run $ file_arg $ procs_arg $ opt_flags $ no_aggregate_arg
-      $ no_lower_arg $ verbose_arg)
+    Term.(const run $ common_term () $ no_aggregate_arg)
 
 let sweep_cmd =
-  let run file procs_list options topology verbose =
-    setup_logs verbose;
-    guarded @@ fun () ->
+  let run co procs_list topology =
+    run_compiling co @@ fun () ->
     let model =
       Hpf_comm.Cost_model.with_topology Hpf_comm.Cost_model.sp2 topology
     in
@@ -769,13 +707,9 @@ let sweep_cmd =
     let base = ref None in
     List.iter
       (fun p ->
-        let c, _trace = compile_program ~grid_override:[ p ] ~options file in
-        let r, _ =
-          Hpf_spmd.Trace_sim.run ~model
-            ~init:(Hpf_spmd.Init.init c.Compiler.prog)
-            c
-        in
-        let t = r.Hpf_spmd.Trace_sim.time in
+        let c, _trace = compile_program { co with procs = Some [ p ] } in
+        let r, _ = Trace_sim.run ~model ~init:(Init.init c.Compiler.prog) c in
+        let t = r.Trace_sim.time in
         let t1 =
           match !base with
           | None ->
@@ -785,7 +719,7 @@ let sweep_cmd =
         in
         Fmt.pr "%6d %12.4f %10.2f %11.0f%% %10.4f@." p t (t1 /. t)
           (100.0 *. t1 /. t /. float_of_int p)
-          r.Hpf_spmd.Trace_sim.comm_time)
+          r.Trace_sim.comm_time)
       procs_list;
     exit_ok
   in
@@ -800,8 +734,9 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:"Simulate across processor counts and print a scaling table.")
     Term.(
-      const run $ file_arg $ procs_list $ opt_flags $ topology_arg
-      $ verbose_arg)
+      const run
+      $ common_term ~procs:(Term.const None) ()
+      $ procs_list $ topology_arg)
 
 let serve_cmd =
   let run socket batch replay_dir requests domains timing verbose =

@@ -194,7 +194,7 @@ let passes : (Decisions.options, context) Pass.t list =
       (fun (ctx : context) st ->
         let d = decisions_exn ctx in
         let sir =
-          Lower_spmd.lower ~strict:true ~aggregate:true ~prog:ctx.prog
+          Lower_spmd.lower ~strict:true ~prog:ctx.prog
             ~decisions:d ~comms:ctx.comms ()
         in
         let k = Phpf_ir.Sir.op_counts sir in
@@ -316,6 +316,11 @@ let compile_exn ?grid_override ?options (input : Ast.program) : compiled =
   match compile ?grid_override ?options input with
   | Ok c -> c
   | Error ds -> raise (Diag.Fatal ds)
+
+let sir_exn (c : compiled) : Phpf_ir.Sir.program =
+  match c.sir with
+  | Some sir -> sir
+  | None -> invalid_arg "Compiler.sir_exn: no lowered program recorded"
 
 (** Estimated communication time under a machine model (the mapping
     algorithm's view of the program; the timing simulator in

@@ -84,6 +84,11 @@ val compile_exn :
   Ast.program ->
   compiled
 
+(** The lowered program recorded by [lower-spmd]: the one program the
+    SPMD executor runs and the timing simulator prices.
+    @raise Invalid_argument on a record that carries none. *)
+val sir_exn : compiled -> Phpf_ir.Sir.program
+
 (** Estimated communication time of the schedule under a machine model
     (static view; {!Hpf_spmd.Trace_sim} gives the measured view). *)
 val estimated_comm_cost : ?model:Cost_model.t -> compiled -> float

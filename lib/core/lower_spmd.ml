@@ -10,11 +10,10 @@
     expression, which the executor evaluates against the lockstep
     reference memory.
 
-    [strict] turns silent legacy fallbacks into diagnostics (the
-    E0801–E0806 range): the compiler pass lowers strictly, while the
-    executor's internal re-lowering stays permissive so deliberately
-    corrupted schedules (verifier test fixtures) still run and fail
-    dynamically, exactly as the legacy interpreter would. *)
+    [strict] turns silent fallbacks into diagnostics (the E0801–E0806
+    range): the compiler pass lowers strictly, while the fidelity
+    audit's re-lowering stays permissive so a deliberately corrupted
+    schedule still lowers to exactly the data movement it describes. *)
 
 open Hpf_lang
 open Hpf_analysis
@@ -379,7 +378,7 @@ let aggregation_plan (d : Decisions.t) (cm : Comm.t) :
 
 (* --- communication lowering ---------------------------------------- *)
 
-let lower_comm (cx : ctx) ~(aggregate : bool) ~(pos : int) (cm : Comm.t) :
+let lower_comm (cx : ctx) ~(pos : int) (cm : Comm.t) :
     (Ast.stmt_id * Sir.comm_op) option =
   let d = cx.d in
   let prog = cx.prog in
@@ -401,7 +400,7 @@ let lower_comm (cx : ctx) ~(aggregate : bool) ~(pos : int) (cm : Comm.t) :
           "cannot lower communication of %s: anchor statement s%d does not \
            exist"
           data.Aref.base sid
-      else None (* the legacy runtime silently never fired it *)
+      else None (* permissive: an anchorless op never fires *)
   | Some s ->
       if cx.strict then begin
         let depth = List.length (Nest.enclosing_loops d.Decisions.nest sid) in
@@ -427,7 +426,7 @@ let lower_comm (cx : ctx) ~(aggregate : bool) ~(pos : int) (cm : Comm.t) :
       let xfer =
         if cm.Comm.kind = Comm.Reduce then Sir.Reduce_xfer
         else
-          match if aggregate then aggregation_plan d cm else None with
+          match aggregation_plan d cm with
           | Some (crossed, prefix_vars) ->
               Sir.Block_xfer
                 { data = xdata (); dests = dests (); crossed; prefix_vars }
@@ -622,12 +621,11 @@ let lower_validate_plan (cx : ctx) : Sir.vcheck list =
 
 (* --- entry point ---------------------------------------------------- *)
 
-(** Lower a compiled program's components to a {!Sir.program}.
-    [aggregate] materializes block transfers for provably aggregable
-    vectorized communications (runtime [--no-aggregate] lowers without).
+(** Lower a compiled program's components to a {!Sir.program}, with
+    block transfers for provably aggregable vectorized communications.
     [strict] raises [E0801]–[E0806] diagnostics on unloweable constructs
-    instead of reproducing the legacy runtime's silent fallbacks. *)
-let lower ?(strict = false) ?(aggregate = true) ~(prog : Ast.program)
+    instead of dropping them silently. *)
+let lower ?(strict = false) ~(prog : Ast.program)
     ~(decisions : Decisions.t) ~(comms : Comm.t list) () : Sir.program =
   let cx = { d = decisions; prog; strict } in
   let env = decisions.Decisions.env in
@@ -639,7 +637,7 @@ let lower ?(strict = false) ?(aggregate = true) ~(prog : Ast.program)
   in
   List.iteri
     (fun pos cm ->
-      match lower_comm cx ~aggregate ~pos cm with
+      match lower_comm cx ~pos cm with
       | None -> ()
       | Some (sid, op) ->
           let cur =
@@ -680,7 +678,6 @@ let lower ?(strict = false) ?(aggregate = true) ~(prog : Ast.program)
     Sir.source = prog;
     grid;
     nprocs = Grid.size grid;
-    aggregate;
     allocs = lower_allocs cx;
     reductions;
     stmts;

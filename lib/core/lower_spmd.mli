@@ -18,18 +18,13 @@ open Hpf_lang
     @param strict raise [E0801]–[E0806] diagnostics on unloweable
     constructs (cyclic alignment chains, dangling communications,
     out-of-range placement levels or grid dimensions) instead of
-    reproducing the legacy runtime's silent fallbacks.  The compiler
-    pass lowers strictly; the executor's internal re-lowering is
-    permissive, so corrupted schedules (verifier test fixtures) still
-    run and fail dynamically.  Default [false].
-    @param aggregate materialize {!Phpf_ir.Sir.Block_xfer} ops for
-    provably aggregable vectorized communications; [false] lowers
-    everything per-element (the runtime [--no-aggregate] mode).
-    Default [true].
+    dropping them silently.  The compiler pass lowers strictly; the
+    fidelity audit ({!Phpf_verify.Sir_check}) re-lowers permissively,
+    so a corrupted schedule still lowers to the data movement it
+    describes.  Default [false].
     @raise Diag.Fatal in strict mode on unloweable constructs. *)
 val lower :
   ?strict:bool ->
-  ?aggregate:bool ->
   prog:Ast.program ->
   decisions:Decisions.t ->
   comms:Hpf_comm.Comm.t list ->

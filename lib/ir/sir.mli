@@ -228,8 +228,6 @@ type program = {
   source : Ast.program;  (** control skeleton the executor walks *)
   grid : Grid.t;
   nprocs : int;
-  aggregate : bool;
-      (** whether vectorized communications were lowered to blocks *)
   allocs : alloc list;
   reductions : reduce array;
   stmts : (Ast.stmt_id, stmt_ops) Hashtbl.t;

@@ -188,9 +188,8 @@ let pp_plan ppf (p : Sir.program) =
         plan.Sir.entries
 
 let pp ppf (p : Sir.program) =
-  Fmt.pf ppf "spmd program %s on grid %a (P=%d, %s)@."
-    p.Sir.source.Ast.pname Hpf_mapping.Grid.pp p.Sir.grid p.Sir.nprocs
-    (if p.Sir.aggregate then "aggregated" else "per-element");
+  Fmt.pf ppf "spmd program %s on grid %a (P=%d)@." p.Sir.source.Ast.pname
+    Hpf_mapping.Grid.pp p.Sir.grid p.Sir.nprocs;
   if p.Sir.allocs <> [] then begin
     Fmt.pf ppf "allocs:@.";
     List.iter

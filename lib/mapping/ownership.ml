@@ -148,25 +148,6 @@ let owner_of_element (env : Layout.env) (base : string) (idx : int array) :
           C_one (Dist.owner_coord m.fmt ~nprocs:m.nprocs pos))
     l.bindings
 
-(** Linear processor ids owning the element (cartesian product over
-    dimensions). *)
-let owner_pids (env : Layout.env) (base : string) (idx : int array) :
-    int list =
-  let dims = owner_of_element env base idx in
-  let grid = env.grid in
-  let rec expand g (coord : int list) =
-    if g = Array.length dims then
-      [ Grid.linearize grid (Array.of_list (List.rev coord)) ]
-    else
-      match dims.(g) with
-      | C_one c -> expand (g + 1) (c :: coord)
-      | C_all ->
-          List.concat
-            (List.init (Grid.extent grid g) (fun c ->
-                 expand (g + 1) (c :: coord)))
-  in
-  expand 0 []
-
 (* ------------------------------------------------------------------ *)
 (* Closed-form owned index intervals                                    *)
 (* ------------------------------------------------------------------ *)

@@ -3,8 +3,8 @@
     Compile-time view: {!owner_spec} gives, per grid dimension, the owner
     coordinate as an affine position pushed through a distribution
     format; {!relate} compares producer and consumer owners and drives
-    communication classification.  Runtime view: {!owner_pids} resolves
-    concrete elements for the simulator. *)
+    communication classification.  Runtime view: {!owner_of_element}
+    resolves concrete elements for the simulator. *)
 
 open Hpf_lang
 open Hpf_analysis
@@ -57,9 +57,6 @@ type concrete_dim = C_all | C_one of int
     vector [idx]. *)
 val owner_of_element :
   Layout.env -> string -> int array -> concrete_dim array
-
-(** Linear processor ids owning the element. *)
-val owner_pids : Layout.env -> string -> int array -> int list
 
 (** Closed-form owned index interval along one [Layout.Mapped] binding:
     the distribution format's position-space span pulled back through a

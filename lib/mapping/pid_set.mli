@@ -1,8 +1,8 @@
 (** Closed-form processor sets over a grid: a rectangle (per dimension a
     fixed coordinate or the whole axis) or an explicit sorted pid list.
     Counting is O(rank) closed-form, membership is O(rank), and
-    iteration yields ascending linear ids — the same order as the legacy
-    cartesian expansion in {!Ownership.owner_pids}. *)
+    iteration yields ascending linear ids — the same order as a
+    lexicographic cartesian expansion of the coordinates. *)
 
 type dim = D_one of int | D_all
 

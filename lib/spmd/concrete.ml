@@ -120,87 +120,11 @@ let set_of_dims (env : Layout.env) (dims : dims) : Pid_set.t =
          | Ownership.C_all -> Pid_set.D_all)
        dims)
 
-(** Expand per-dimension coordinates into linear processor ids. *)
-let pids (env : Layout.env) (dims : dims) : int list =
-  let grid = env.Layout.grid in
-  let rec expand g coord =
-    if g = Array.length dims then
-      [ Grid.linearize grid (Array.of_list (List.rev coord)) ]
-    else
-      match dims.(g) with
-      | Ownership.C_one c -> expand (g + 1) (c :: coord)
-      | Ownership.C_all ->
-          List.concat
-            (List.init (Grid.extent grid g) (fun c ->
-                 expand (g + 1) (c :: coord)))
-  in
-  expand 0 []
-
-let owner_pids (d : Decisions.t) (m : Memory.t) ?as_def (r : Aref.t) :
-    int list =
-  pids d.Decisions.env (owner d m ?as_def r)
-
 (** Processors executing statement [s] in the current iteration ([m]
-    holds the loop indices).  [G_union] resolves to the union over the
-    sibling statements of the innermost enclosing loop. *)
-let executing_pids (d : Decisions.t) (m : Memory.t) (s : Ast.stmt) :
-    int list =
-  let env = d.Decisions.env in
-  match Decisions.guard_of_stmt d s with
-  | Decisions.G_all -> pids env (all_dims env)
-  | Decisions.G_ref r -> pids env (owner d m ~as_def:true r)
-  | Decisions.G_ref_repl (r, repl) ->
-      pids env (owner d m ~skip_dims:repl r)
-  | Decisions.G_union -> (
-      match Nest.innermost_loop d.Decisions.nest s.sid with
-      | None -> pids env (all_dims env)
-      | Some li ->
-          let sibs =
-            Decisions.all_stmts_in li.Nest.loop.body
-            |> List.filter (fun (st : Ast.stmt) ->
-                   st.sid <> s.sid
-                   &&
-                   match Decisions.guard_of_stmt d st with
-                   | Decisions.G_union -> false
-                   | _ -> true)
-          in
-          (* indices in scope at [s]: a sibling nested deeper ranges over
-             extra loops whose contribution is the union over their
-             iterations — widen the dims they drive *)
-          let scope = Nest.enclosing_indices d.Decisions.nest s.sid in
-          let sets =
-            List.map
-              (fun (st : Ast.stmt) ->
-                let widen_var v =
-                  Nest.is_enclosing_index d.Decisions.nest st.sid v
-                  && not (List.mem v scope)
-                in
-                match Decisions.guard_of_stmt d st with
-                | Decisions.G_all -> pids env (all_dims env)
-                | Decisions.G_ref r ->
-                    pids env (owner d m ~as_def:true ~widen_var r)
-                | Decisions.G_ref_repl (r, repl) ->
-                    pids env (owner d m ~widen_var ~skip_dims:repl r)
-                | Decisions.G_union -> [])
-              sibs
-          in
-          let union =
-            List.fold_left
-              (fun acc l ->
-                List.fold_left
-                  (fun acc p -> if List.mem p acc then acc else p :: acc)
-                  acc l)
-              [] sets
-          in
-          if union = [] then pids env (all_dims env)
-          else List.sort compare union)
-
-(** Closed-form counterpart of {!executing_pids}: the same set as a
-    {!Pid_set.t}, without materializing the cartesian product.  The
-    legacy enumerative path above is kept verbatim as the differential
-    oracle; this one feeds the hot paths ({!Trace_sim},
-    {!Spmd_interp}).  Iteration order of the result matches the legacy
-    expansion (ascending linear ids). *)
+    holds the loop indices), as a closed-form {!Pid_set.t}: no cartesian
+    expansion.  [G_union] resolves to the union over the sibling
+    statements of the innermost enclosing loop.  Iteration order of the
+    result is ascending linear ids. *)
 let executing_set (d : Decisions.t) (m : Memory.t) (s : Ast.stmt) :
     Pid_set.t =
   let env = d.Decisions.env in
@@ -246,8 +170,3 @@ let executing_set (d : Decisions.t) (m : Memory.t) (s : Ast.stmt) :
           in
           if Pid_set.is_empty union then Pid_set.all env.Layout.grid
           else union)
-
-(** Does processor [pid] execute statement [s] in the current iteration? *)
-let executes (d : Decisions.t) (m : Memory.t) (s : Ast.stmt) (pid : int) :
-    bool =
-  Pid_set.mem (executing_set d m s) pid

@@ -26,23 +26,11 @@ val owner :
   Aref.t ->
   dims
 
-(** Expand per-dimension coordinates into linear processor ids. *)
-val pids : Layout.env -> dims -> int list
-
 (** Closed-form processor set of per-dimension coordinates (no cartesian
     expansion). *)
 val set_of_dims : Layout.env -> dims -> Pid_set.t
 
-val owner_pids :
-  Decisions.t -> Memory.t -> ?as_def:bool -> Aref.t -> int list
-
 (** Processors executing a statement in the current iteration ([G_union]
-    resolves against the iteration's sibling statements).  This is the
-    legacy enumerative path, kept as the differential oracle. *)
-val executing_pids : Decisions.t -> Memory.t -> Ast.stmt -> int list
-
-(** Closed-form counterpart of {!executing_pids} feeding the hot paths;
-    iteration order matches the legacy expansion (ascending ids). *)
+    resolves against the iteration's sibling statements); iteration
+    order is ascending linear ids. *)
 val executing_set : Decisions.t -> Memory.t -> Ast.stmt -> Pid_set.t
-
-val executes : Decisions.t -> Memory.t -> Ast.stmt -> int -> bool

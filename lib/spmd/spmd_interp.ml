@@ -30,6 +30,7 @@ module Sir = Phpf_ir.Sir
 type t = {
   compiled : Compiler.compiled;
   sir : Sir.program;  (** the lowered program being executed *)
+  aggregate : bool;  (** transport mode: one packet per block or element *)
   mutable reference : Memory.t;  (** lockstep reference memory *)
   procs : Memory.t array;  (** one shadow memory per processor *)
   mutable transfers : int;  (** elements copied between processors *)
@@ -98,8 +99,9 @@ let set_exists (f : int -> bool) (set : Pid_set.t) : bool =
 (* --- per-(src, dst) element buffers ------------------------------- *)
 
 (* Ordered accumulation of element transfers, flushed as one
-   {!Msg.Block} per pair: one sequence number, one checksum, one
-   startup latency for a loop's worth of elements. *)
+   {!Msg.Block} per pair in the aggregated transport: one sequence
+   number, one checksum, one startup latency for a loop's worth of
+   elements. *)
 type buffers = {
   tbl : (int * int, (int list * Value.t) list ref) Hashtbl.t;
   mutable order : (int * int) list;  (** first-touch order, reversed *)
@@ -115,29 +117,29 @@ let buffers_add (b : buffers) ~src ~dst entry =
       Hashtbl.replace b.tbl key (ref [ entry ]);
       b.order <- key :: b.order
 
-(* Flush every pair's buffer as a single packet.  A one-element buffer
-   keeps the single-element packet format so degenerate regions look
-   exactly like the per-element path on the wire. *)
+(* Flush every pair's buffer as a single packet, or — in the
+   per-element transport mode — each entry as its own single-element
+   packet at the same program point.  A one-element buffer keeps the
+   single-element packet format either way. *)
 let buffers_flush (st : t) ~(scalar_base : bool) ~(base : string)
     (b : buffers) =
+  let single ~src ~dst (idx, v) =
+    Recover.transmit st.runtime ~src ~dst
+      (if scalar_base then Msg.Scalar { var = base; value = v }
+       else Msg.Elem { base; index = idx; value = v })
+  in
   List.iter
     (fun ((src, dst) as key) ->
       match List.rev !(Hashtbl.find b.tbl key) with
-      | [] -> ()
-      | [ (idx, v) ] ->
-          let payload =
-            if scalar_base then Msg.Scalar { var = base; value = v }
-            else Msg.Elem { base; index = idx; value = v }
-          in
-          Recover.transmit st.runtime ~src ~dst payload
-      | entries ->
+      | _ :: _ :: _ as entries when st.aggregate ->
           Recover.transmit st.runtime ~src ~dst
             (Msg.Block
                {
                  base;
                  indices = List.map fst entries;
                  values = List.map snd entries;
-               }))
+               })
+      | entries -> List.iter (single ~src ~dst) entries)
     (List.rev b.order)
 
 (* --- lowered transfer ops ------------------------------------------ *)
@@ -191,14 +193,10 @@ let whole_transfer (st : t) (m_ref : Memory.t) ~(base : string)
             (fun p ->
               if p <> src then begin
                 st.transfers <- st.transfers + 1;
-                if st.sir.Sir.aggregate then
-                  buffers_add bufs ~src ~dst:p (idx, v)
-                else
-                  Recover.transmit st.runtime ~src ~dst:p
-                    (Msg.Elem { base; index = idx; value = v })
+                buffers_add bufs ~src ~dst:p (idx, v)
               end)
             dests);
-  if st.sir.Sir.aggregate then buffers_flush st ~scalar_base:false ~base bufs
+  buffers_flush st ~scalar_base:false ~base bufs
 
 (* Ship one placement instance of a block transfer: walk the crossed
    region exactly as {!Seq_interp} would (bounds evaluated at entry,
@@ -278,22 +276,14 @@ let block_transfer (st : t) (m_ref : Memory.t) ~(data : Sir.xdata)
     data is assumed globally available, as the paper's benchmarks read
     their input on every node).
 
-    [sir] supplies the lowered program to execute; without it the
-    compiled components are (re-)lowered permissively with the requested
-    [aggregate] mode — so schedules mutated after compilation
-    (verifier fixtures) execute under exactly the decisions they
-    describe, as the legacy interpreter did. *)
+    The program is the compiler's recorded lowering unless [sir]
+    overrides it; [aggregate] only picks the transport of its block
+    transfers. *)
 let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
     ?recover_config ?(aggregate = true)
     ?(fuel = Seq_interp.default_fuel) ?(sir : Sir.program option)
     (c : Compiler.compiled) : t =
-  let sir =
-    match sir with
-    | Some s -> s
-    | None ->
-        Lower_spmd.lower ~aggregate ~prog:c.Compiler.prog
-          ~decisions:c.Compiler.decisions ~comms:c.Compiler.comms ()
-  in
+  let sir = match sir with Some s -> s | None -> Compiler.sir_exn c in
   let grid = sir.Sir.grid in
   let nprocs = sir.Sir.nprocs in
   let reference = Memory.create c.Compiler.prog in
@@ -310,7 +300,9 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
     Recover.create ?config:recover_config ~faults ?plan:sir.Sir.recovery
       ?init procs c.Compiler.prog
   in
-  let st = { compiled = c; sir; reference; procs; transfers = 0; runtime } in
+  let st =
+    { compiled = c; sir; aggregate; reference; procs; transfers = 0; runtime }
+  in
   (* per-op block-transfer state: placement instance already shipped *)
   let last_prefix : (int, int list) Hashtbl.t = Hashtbl.create 8 in
   (* reduction dirty flags: combine lazily on first consumption *)

@@ -5,9 +5,9 @@
     destinations, aggregation plans and reduction combine lines were all
     resolved at lowering time ({!Phpf_core.Lower_spmd}); this module only
     evaluates the subscript expressions embedded in IR coordinates
-    against the lockstep reference memory and moves the values.  The
-    legacy AST-walking interpreter survives as {!Ast_interp} behind
-    [phpfc --no-lower]. *)
+    against the lockstep reference memory and moves the values.  It is
+    the only SPMD executor: every front end runs the compiler's recorded
+    lowering ([compiled.sir]) through it. *)
 
 open Phpf_core
 module Sir = Phpf_ir.Sir
@@ -15,6 +15,7 @@ module Sir = Phpf_ir.Sir
 type t = {
   compiled : Compiler.compiled;
   sir : Sir.program;  (** the lowered program being executed *)
+  aggregate : bool;  (** transport mode: one packet per block or element *)
   mutable reference : Memory.t;  (** the sequential reference memory *)
   procs : Memory.t array;  (** one shadow memory per processor *)
   mutable transfers : int;  (** elements copied between processors *)
@@ -29,14 +30,20 @@ type t = {
     deterministic fault campaign that {!Recover} detects and repairs
     (raising {!Recover.Unrecoverable} when its retry budget dies).
 
-    [sir] supplies the lowered program to execute; without it the
-    compiled components are (re-)lowered permissively with the requested
-    [aggregate] mode, so communication schedules mutated after
-    compilation execute under exactly the decisions they describe.  With
-    [aggregate] (the default) vectorized communications ship each
-    placement instance as one {!Msg.Block} per (src, dst) pair — same
-    elements, same order, same [transfers] count as the per-element
-    path, but one packet per pair instead of one per element.
+    The executed program is [c.sir], the compiler's recorded lowering
+    (sir-opt rewrites and recovery plan included); [sir] overrides it
+    with another lowering of the same compiled program.
+
+    [aggregate] picks the transport, never the program.  With [true]
+    (the default) every block transfer ships each placement instance as
+    one {!Msg.Block} per (src, dst) pair; with [false] (the
+    [--no-aggregate] mode) it ships each buffered element as its own
+    single-element packet at the same program point — same elements,
+    same [transfers] count, one packet per element instead of one per
+    pair.
+
+    @raise Invalid_argument when [sir] is omitted and [c] carries no
+    lowered program.
 
     [fuel] bounds the number of executed statement instances
     ({!Seq_interp.Fuel_exhausted} when exceeded). *)

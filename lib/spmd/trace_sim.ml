@@ -5,11 +5,11 @@
     at every statement instance the set of executing processors is
     resolved concretely from the computation-partitioning guards, and the
     statement's arithmetic cost is charged to each of their clocks.
-    Communication time is charged from the compiler's communication
-    schedule, with instance counts and message sizes {e measured} from
-    the same trace (distinct enclosing-iteration prefixes at the
-    placement level), so triangular loops and early exits are priced
-    exactly rather than from static bound guesses.
+    Communication time is charged from the lowered program's
+    communication ops, with instance counts and message sizes
+    {e measured} from the same trace (distinct enclosing-iteration
+    prefixes at the placement level), so triangular loops and early
+    exits are priced exactly rather than from static bound guesses.
 
     The reported time is [max over processors of compute + total
     communication] — a bulk-synchronous approximation that preserves the
@@ -67,6 +67,7 @@ let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats
     ?(recovery : Recover.report option) ?(comm_stats : Msg.stats option)
     ?(sir : Phpf_ir.Sir.program option) ?(fuel = Seq_interp.default_fuel)
     (c : Compiler.compiled) : result * Memory.t =
+  let sir = match sir with Some s -> s | None -> Compiler.sir_exn c in
   let d = c.Compiler.decisions in
   let prog = c.Compiler.prog in
   let nest = d.Decisions.nest in
@@ -158,17 +159,13 @@ let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats
   in
   let config = { Seq_interp.fuel; on_stmt = Some on_stmt } in
   let mem = Seq_interp.run ~config ?init prog in
-  (* price the communication schedule from the measured trace; with a
-     lowered program, price its communication ops in schedule order (the
-     ops carry their source schedule entries, so the cost model sees the
-     same kinds, levels and scales — minus any op lowering dropped) *)
+  (* price the lowered program's communication ops, in schedule order,
+     from the measured trace (the ops carry their source schedule
+     entries, so the cost model sees their kinds, levels and scales) *)
   let comms_to_price =
-    match sir with
-    | Some s ->
-        List.map
-          (fun (op : Phpf_ir.Sir.comm_op) -> op.Phpf_ir.Sir.cm)
-          (Phpf_ir.Sir.schedule s)
-    | None -> c.Compiler.comms
+    List.map
+      (fun (op : Phpf_ir.Sir.comm_op) -> op.Phpf_ir.Sir.cm)
+      (Phpf_ir.Sir.schedule sir)
   in
   let comm_time = ref 0.0 in
   let comm_messages = ref 0 in

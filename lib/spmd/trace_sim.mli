@@ -3,8 +3,9 @@
 
     The program executes once with reference semantics; every statement
     instance is charged to the processors its computation-partitioning
-    guard selects, and the communication schedule is priced with instance
-    counts and message sizes measured from the same trace.  Reported time
+    guard selects, and the lowered program's communication ops are
+    priced with instance counts and message sizes measured from the same
+    trace.  Reported time
     is [max-processor compute + total communication] — a bulk-synchronous
     approximation that preserves the paper's relative comparisons. *)
 
@@ -45,12 +46,15 @@ val pp_result : Format.formatter -> result -> unit
     [sim.faults-*], [sim.retries], [sim.checkpoints], [sim.restores]
     and [sim.recovery-time-us].  [comm_stats] substitutes measured
     network traffic (from {!Spmd_interp.comm_stats}) for the schedule
-    estimate behind [sim.packets]/[sim.bytes].  [sir] prices the
-    lowered program's communication ops (in schedule order) instead of
-    the raw schedule, so ops dropped at lowering are not charged.
-    [fuel] bounds interpreted statement instances
-    ({!Seq_interp.Fuel_exhausted} when exceeded).  Returns the timing
-    result and the final (reference) memory. *)
+    estimate behind [sim.packets]/[sim.bytes].  The priced program is
+    [c.sir], the compiler's recorded lowering — the one {!Spmd_interp}
+    executes — unless [sir] overrides it; its communication ops are
+    charged in schedule order, so ops dropped at lowering or deleted by
+    sir-opt cost nothing.  [fuel] bounds interpreted statement
+    instances ({!Seq_interp.Fuel_exhausted} when exceeded).  Returns
+    the timing result and the final (reference) memory.
+    @raise Invalid_argument when [sir] is omitted and [c] carries no
+    lowered program. *)
 val run :
   ?model:Hpf_comm.Cost_model.t ->
   ?init:(Memory.t -> unit) ->

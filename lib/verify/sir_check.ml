@@ -72,8 +72,7 @@ let check (c : Compiler.compiled) : Diag.t list =
   | None -> []
   | Some recorded ->
       let fresh =
-        Lower_spmd.lower ~aggregate:recorded.Sir.aggregate
-          ~prog:c.Compiler.prog ~decisions:c.Compiler.decisions
+        Lower_spmd.lower ~prog:c.Compiler.prog ~decisions:c.Compiler.decisions
           ~comms:c.Compiler.comms ()
       in
       (* an optimized recording is compared against an identically

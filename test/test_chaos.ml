@@ -37,19 +37,12 @@ let seeds = [ 1; 2; 3 ]
 (* every kind, each injected on its own so a failure names the culprit *)
 let kinds = Fault.all_kinds
 
-(* Mirror the CLI: the stored lowered program — carrying the compile-time
-   recovery plan — drives the run whenever the aggregated wire format is
-   in effect; the per-element format re-lowers and runs plan-less. *)
-let sir_of ?aggregate (c : Compiler.compiled) =
-  match aggregate with Some false -> None | _ -> c.Compiler.sir
-
 let run_campaign ?aggregate prog ~kind ~seed =
   let c = Compiler.compile_exn prog in
   let spec = [ (kind, 0.2) ] in
   let faults = Fault.make ~seed spec in
-  let sir = sir_of ?aggregate c in
   match
-    Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~faults ?aggregate ?sir c
+    Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~faults ?aggregate c
   with
   | exception Recover.Unrecoverable ds ->
       if ds = [] then fail "Unrecoverable carried no diagnostics";
@@ -217,8 +210,7 @@ let test_retries_and_checkpoints () =
     { Recover.default_config with Recover.mode = Recover.Checkpoint }
   in
   let st =
-    Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~faults ~recover_config
-      ?sir:c.Compiler.sir c
+    Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~faults ~recover_config c
   in
   check (Alcotest.list Alcotest.reject) "validates clean" []
     (Spmd_interp.validate st);
@@ -236,10 +228,7 @@ let test_crash_restores () =
   let prog = Fig_examples.fig1 ~n:40 ~p:4 () in
   let c = Compiler.compile_exn prog in
   let faults = Fault.make ~seed:2 [ (Fault.Crash, 0.1) ] in
-  let st =
-    Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~faults
-      ?sir:c.Compiler.sir c
-  in
+  let st = Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~faults c in
   check (Alcotest.list Alcotest.reject) "validates clean" []
     (Spmd_interp.validate st);
   let r = Spmd_interp.fault_report st in
@@ -278,8 +267,7 @@ let crash_at prog ~window ~mode =
   let faults = Fault.make ~seed:1 ~oneshots:[ (Fault.Crash, window) ] [] in
   let recover_config = { Recover.default_config with Recover.mode } in
   let st =
-    Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~faults ~recover_config
-      ?sir:c.Compiler.sir c
+    Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~faults ~recover_config c
   in
   (match Spmd_interp.validate st with
   | [] -> ()
@@ -331,7 +319,7 @@ let test_tomcatv_crash_bit_identical () =
   let mk () = Tomcatv.program ~n:10 ~niter:2 ~p:4 in
   let fault_free =
     let c = Compiler.compile_exn (mk ()) in
-    Spmd_interp.run ~init:(Init.init c.Compiler.prog) ?sir:c.Compiler.sir c
+    Spmd_interp.run ~init:(Init.init c.Compiler.prog) c
   in
   check (Alcotest.list Alcotest.reject) "fault-free validates" []
     (Spmd_interp.validate fault_free);
@@ -355,7 +343,7 @@ let test_crash_window_sweep () =
   let mk () = Fig_examples.fig1 ~n:24 ~p:4 () in
   let fault_free =
     let c = Compiler.compile_exn (mk ()) in
-    Spmd_interp.run ~init:(Init.init c.Compiler.prog) ?sir:c.Compiler.sir c
+    Spmd_interp.run ~init:(Init.init c.Compiler.prog) c
   in
   for window = 0 to 11 do
     let st = crash_at (mk ()) ~window ~mode:Recover.Plan in

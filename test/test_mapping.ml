@@ -263,13 +263,13 @@ let fig1_env () =
 let test_ownership_concrete () =
   let _, env = fig1_env () in
   check (Alcotest.list Alcotest.int) "a(1) on p0" [ 0 ]
-    (Ownership.owner_pids env "a" [| 1 |]);
+    (Oracles.element_owner_pids env "a" [| 1 |]);
   check (Alcotest.list Alcotest.int) "a(26) on p1" [ 1 ]
-    (Ownership.owner_pids env "a" [| 26 |]);
+    (Oracles.element_owner_pids env "a" [| 26 |]);
   check (Alcotest.list Alcotest.int) "a(100) on p3" [ 3 ]
-    (Ownership.owner_pids env "a" [| 100 |]);
+    (Oracles.element_owner_pids env "a" [| 100 |]);
   check (Alcotest.list Alcotest.int) "e replicated" [ 0; 1; 2; 3 ]
-    (Ownership.owner_pids env "e" [| 7 |])
+    (Oracles.element_owner_pids env "e" [| 7 |])
 
 let test_ownership_spec_affine () =
   let _, env = fig1_env () in

@@ -266,7 +266,8 @@ let test_merge_fuses_adjacent_elements () =
     after.Sir.block_xfers;
   check Alcotest.int "merge is locally idempotent" 0 (Sir_opt.merge sir);
   (* the fused schedule still executes: the block walks its synthetic
-     %m index without clobbering program state *)
+     %m index without clobbering program state; the per-element
+     transport ships the same program with no block on the wire *)
   List.iter
     (fun aggregate ->
       let st =
@@ -277,7 +278,11 @@ let test_merge_fuses_adjacent_elements () =
       check Alcotest.int
         (Fmt.str "fused schedule validates clean (aggregate=%b)" aggregate)
         0
-        (List.length (Spmd_interp.validate st)))
+        (List.length (Spmd_interp.validate st));
+      let blocks = (Spmd_interp.comm_stats st).Msg.blocks in
+      check Alcotest.bool
+        (Fmt.str "fused schedule ships blocks iff aggregate=%b" aggregate)
+        aggregate (blocks > 0))
     [ true; false ]
 
 (* ---------------------- unit: hoist ---------------------- *)

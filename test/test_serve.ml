@@ -190,6 +190,26 @@ let test_cache_poisoning_guard () =
   check Alcotest.string "and still carries the original body" warmed
     o.Engine.body
 
+(* A simulate request prices the compiler's recorded lowering — the
+   program the CLI's simulate prices, sir-opt rewrites included. *)
+let test_simulate_prices_compiled_sir () =
+  let src = List.assoc "tomcatv" programs in
+  let e = Engine.create () in
+  let body = Jsonx.of_string (body_of e (req ~action:Proto.Simulate src)) in
+  let c = Phpf_core.Compiler.compile_exn (Parser.parse_string src) in
+  let r, _ =
+    Hpf_spmd.Trace_sim.run
+      ~init:(Hpf_spmd.Init.init c.Phpf_core.Compiler.prog)
+      ~sir:(Phpf_core.Compiler.sir_exn c) c
+  in
+  check (Alcotest.option Alcotest.int) "comm_messages"
+    (Some r.Hpf_spmd.Trace_sim.comm_messages)
+    (Option.bind (Jsonx.member "comm_messages" body) Jsonx.to_int_opt);
+  check (Alcotest.option Alcotest.string) "comm_time"
+    (Some (Jsonx.float_to_string r.Hpf_spmd.Trace_sim.comm_time))
+    (Option.map Jsonx.float_to_string
+       (Option.bind (Jsonx.member "comm_time" body) Jsonx.to_float_opt))
+
 (* ------------------------------------------------------------------ *)
 (* Batch driver semantics                                              *)
 (* ------------------------------------------------------------------ *)
@@ -373,6 +393,11 @@ let () =
             test_cache_keys_separate;
           Alcotest.test_case "poisoning guard" `Quick
             test_cache_poisoning_guard;
+        ] );
+      ( "simulate",
+        [
+          Alcotest.test_case "prices the compiled Sir" `Quick
+            test_simulate_prices_compiled_sir;
         ] );
       ( "batch",
         [

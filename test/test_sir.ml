@@ -1,14 +1,13 @@
 (* The lowered SPMD IR (Phpf_ir.Sir) and its consumers.
 
-   Four layers: (1) the differential A/B suite — the Sir executor
-   (Spmd_interp) and the legacy AST-walking interpreter (Ast_interp, the
-   --no-lower escape hatch) must produce identical validate results,
-   transfer counts, packet/byte counters and per-processor memories on
-   every benchmark, in both aggregation modes and under fault
-   injection; (2) strict-lowering diagnostics — corrupted compiler
-   artifacts must produce the specific E0801-E0806 code; (3) the
-   verifier's lowered-IR fidelity pass (E0610/E0611/W0605); (4) fuel
-   exhaustion and simulator parity. *)
+   Four layers: (1) the one-program contract — the Sir executor runs the
+   compiler's recorded lowering, pinned by traffic goldens in both
+   transports, a corrupted schedule diverging identically in both, and
+   the closed-form guard sets checked against the enumerative oracle at
+   every statement instance; (2) strict-lowering diagnostics — corrupted
+   compiler artifacts must produce the specific E0801-E0806 code; (3)
+   the verifier's lowered-IR fidelity pass (E0610/E0611/W0605); (4) fuel
+   exhaustion. *)
 
 open Hpf_lang
 open Hpf_analysis
@@ -41,154 +40,112 @@ let benchmarks =
     ("appsp1d", fun () -> Appsp.program_1d ~n:8 ~niter:1 ~p:2);
   ]
 
-(* ---------------- differential A/B ---------------- *)
-
-let mem_equal (prog : Ast.program) (m1 : Memory.t) (m2 : Memory.t) : bool =
-  List.for_all
-    (fun (dcl : Ast.decl) ->
-      if dcl.Ast.shape = [] then
-        (try Some (Memory.get_scalar m1 dcl.Ast.dname) with _ -> None)
-        = (try Some (Memory.get_scalar m2 dcl.Ast.dname) with _ -> None)
-      else begin
-        let ok = ref true in
-        Memory.iter_elems m1 dcl.Ast.dname (fun idx v ->
-            if Memory.get_elem m2 dcl.Ast.dname idx <> v then ok := false);
-        !ok
-      end)
-    prog.Ast.decls
+(* ---------------- one program, two transports ---------------- *)
 
 type observed = {
   mismatches : string list;
   transfers : int;
   net : Msg.stats;
-  report : Recover.report option;
-  reference : Memory.t;
-  procs : Memory.t array;
 }
 
-(* Each side gets its own fault schedule built from the same (spec,
-   seed) pair — Fault.t is stateful, the pair names the campaign. *)
-let run_legacy ~aggregate ~faults c : [ `Ok of observed | `Failed ] =
-  let init = Init.init c.Compiler.prog in
-  match Ast_interp.run ~init ~faults ~aggregate c with
-  | exception Recover.Unrecoverable _ -> `Failed
-  | st ->
-      `Ok
-        {
-          mismatches =
-            List.map
-              (Fmt.str "%a" Ast_interp.pp_mismatch)
-              (Ast_interp.validate st);
-          transfers = st.Ast_interp.transfers;
-          net = Ast_interp.comm_stats st;
-          report =
-            (if Fault.active faults then Some (Ast_interp.fault_report st)
-             else None);
-          reference = st.Ast_interp.reference;
-          procs = st.Ast_interp.procs;
-        }
+let run_sir ?sir ~aggregate c : observed =
+  let st =
+    Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~aggregate ?sir c
+  in
+  {
+    mismatches =
+      List.map (Fmt.str "%a" Spmd_interp.pp_mismatch) (Spmd_interp.validate st);
+    transfers = st.Spmd_interp.transfers;
+    net = Spmd_interp.comm_stats st;
+  }
 
-let run_lowered ~aggregate ~faults c : [ `Ok of observed | `Failed ] =
-  let init = Init.init c.Compiler.prog in
-  match Spmd_interp.run ~init ~faults ~aggregate c with
-  | exception Recover.Unrecoverable _ -> `Failed
-  | st ->
-      `Ok
-        {
-          mismatches =
-            List.map
-              (Fmt.str "%a" Spmd_interp.pp_mismatch)
-              (Spmd_interp.validate st);
-          transfers = st.Spmd_interp.transfers;
-          net = Spmd_interp.comm_stats st;
-          report =
-            (if Fault.active faults then Some (Spmd_interp.fault_report st)
-             else None);
-          reference = st.Spmd_interp.reference;
-          procs = st.Spmd_interp.procs;
-        }
+(* (transfers, packets, blocks, elems, bytes) of the fault-free run, per
+   benchmark and transport.  The per-element transport ships the same
+   elements as the aggregated one, one packet each. *)
+let goldens =
+  [
+    ("fig1", true, (9, 9, 0, 9, 360));
+    ("fig1", false, (9, 9, 0, 9, 360));
+    ("fig2", true, (62, 26, 12, 62, 1328));
+    ("fig2", false, (62, 62, 0, 62, 2480));
+    ("fig7", true, (0, 0, 0, 0, 0));
+    ("fig7", false, (0, 0, 0, 0, 0));
+    ("tomcatv", true, (576, 48, 48, 576, 6144));
+    ("tomcatv", false, (576, 576, 0, 576, 23040));
+    ("dgefa", true, (660, 282, 29, 660, 14304));
+    ("dgefa", false, (660, 660, 0, 660, 26400));
+    ("appsp2d", true, (144, 12, 12, 144, 1536));
+    ("appsp2d", false, (144, 144, 0, 144, 5760));
+    ("appsp1d", true, (252, 5, 5, 252, 2176));
+    ("appsp1d", false, (252, 252, 0, 252, 10080));
+  ]
 
-let compare_runs name prog ~aggregate ~mk_faults =
-  let c = Compiler.compile_exn prog in
-  let legacy = run_legacy ~aggregate ~faults:(mk_faults ()) c in
-  let lowered = run_lowered ~aggregate ~faults:(mk_faults ()) c in
-  match (legacy, lowered) with
-  | `Failed, `Failed -> ()
-  | `Failed, `Ok _ ->
-      fail (Fmt.str "%s: legacy failed where the lowered executor ran" name)
-  | `Ok _, `Failed ->
-      fail (Fmt.str "%s: lowered executor failed where legacy ran" name)
-  | `Ok a, `Ok b ->
-      check (Alcotest.list Alcotest.string)
-        (name ^ ": validate mismatches")
-        a.mismatches b.mismatches;
-      check Alcotest.int (name ^ ": element transfers") a.transfers
-        b.transfers;
-      check Alcotest.int (name ^ ": packets") a.net.Msg.packets
-        b.net.Msg.packets;
-      check Alcotest.int (name ^ ": blocks") a.net.Msg.blocks
-        b.net.Msg.blocks;
-      check Alcotest.int (name ^ ": elems") a.net.Msg.elems b.net.Msg.elems;
-      check Alcotest.int (name ^ ": bytes") a.net.Msg.bytes b.net.Msg.bytes;
-      if a.report <> b.report then
-        fail (Fmt.str "%s: fault reports differ" name);
-      if not (mem_equal c.Compiler.prog a.reference b.reference) then
-        fail (Fmt.str "%s: reference memories differ" name);
-      Array.iteri
-        (fun p m ->
-          if not (mem_equal c.Compiler.prog m b.procs.(p)) then
-            fail (Fmt.str "%s: processor %d memories differ" name p))
-        a.procs
-
-let test_differential_clean () =
+let test_traffic_goldens () =
   List.iter
-    (fun (name, mk) ->
-      List.iter
-        (fun aggregate ->
-          compare_runs
-            (Fmt.str "%s/aggregate=%b" name aggregate)
-            (mk ()) ~aggregate
-            ~mk_faults:(fun () -> Fault.none))
-        [ true; false ])
-    benchmarks
+    (fun (name, aggregate, (transfers, packets, blocks, elems, bytes)) ->
+      let c = Compiler.compile_exn ((List.assoc name benchmarks) ()) in
+      let o = run_sir ~aggregate c in
+      let label what = Fmt.str "%s/aggregate=%b: %s" name aggregate what in
+      check (Alcotest.list Alcotest.string) (label "validates") []
+        o.mismatches;
+      check Alcotest.int (label "element transfers") transfers o.transfers;
+      check Alcotest.int (label "packets") packets o.net.Msg.packets;
+      check Alcotest.int (label "blocks") blocks o.net.Msg.blocks;
+      check Alcotest.int (label "elems") elems o.net.Msg.elems;
+      check Alcotest.int (label "bytes") bytes o.net.Msg.bytes)
+    goldens
 
-let test_differential_faults () =
-  let spec = List.map (fun k -> (k, 0.05)) Fault.all_kinds in
-  List.iter
-    (fun (name, mk) ->
-      List.iter
-        (fun seed ->
-          compare_runs
-            (Fmt.str "%s/faults seed=%d" name seed)
-            (mk ()) ~aggregate:true
-            ~mk_faults:(fun () -> Fault.make ~seed spec))
-        [ 1; 2; 3 ])
-    benchmarks
-
-(* validate must also agree when a comm is knocked out post-compile: the
-   executor re-lowers the corrupted schedule permissively, so both
-   runtimes see the same (broken) data movement and report the same
-   divergence *)
-let test_differential_corrupted_schedule () =
+(* A comm knocked out post-compile runs through a fresh lowering of the
+   broken schedule: both transports must run it to validation and
+   report the same divergence. *)
+let test_corrupted_schedule () =
   let c = Compiler.compile_exn (Fig_examples.fig1 ~n:40 ~p:4 ()) in
   check Alcotest.bool "fig1 has comms" true (c.Compiler.comms <> []);
   let broken = { c with Compiler.comms = [] } in
-  let a = run_legacy ~aggregate:true ~faults:Fault.none broken in
-  let b = run_lowered ~aggregate:true ~faults:Fault.none broken in
-  match (a, b) with
-  | `Ok a, `Ok b ->
-      check Alcotest.bool "legacy diverges without comms" true
-        (a.mismatches <> []);
-      check (Alcotest.list Alcotest.string) "identical divergence"
-        a.mismatches b.mismatches
-  | _ -> fail "corrupted schedule must still run to validation"
+  let sir = Oracles.relower broken in
+  let agg = run_sir ~sir ~aggregate:true broken in
+  let one = run_sir ~sir ~aggregate:false broken in
+  check Alcotest.bool "diverges without comms" true (agg.mismatches <> []);
+  check (Alcotest.list Alcotest.string) "identical divergence"
+    agg.mismatches one.mismatches
+
+(* The closed-form executing set agrees with the enumerative oracle at
+   every statement instance: the guard coverage an end-to-end
+   differential would otherwise provide. *)
+let test_executing_set_oracle () =
+  List.iter
+    (fun (name, mk) ->
+      let c = Compiler.compile_exn (mk ()) in
+      let d = c.Compiler.decisions in
+      let instances = ref 0 in
+      let on_stmt (s : Ast.stmt) (m : Memory.t) =
+        incr instances;
+        let expected = Oracles.executing_pids d m s in
+        let got = Hpf_mapping.Pid_set.to_list (Concrete.executing_set d m s) in
+        if got <> expected then
+          fail
+            (Fmt.str "%s: s%d executes on [%a], oracle says [%a]" name
+               s.Ast.sid
+               Fmt.(list ~sep:comma int)
+               got
+               Fmt.(list ~sep:comma int)
+               expected)
+      in
+      let config =
+        { Seq_interp.fuel = Seq_interp.default_fuel; on_stmt = Some on_stmt }
+      in
+      ignore
+        (Seq_interp.run ~config ~init:(Init.init c.Compiler.prog)
+           c.Compiler.prog);
+      if !instances = 0 then fail (name ^ ": no statement instance ran"))
+    benchmarks
 
 (* ---------------- strict lowering diagnostics ---------------- *)
 
 let lower_codes ?(mutate = fun c -> c) prog =
   let c = mutate (Compiler.compile_exn prog) in
   match
-    Lower_spmd.lower ~strict:true ~aggregate:true ~prog:c.Compiler.prog
+    Lower_spmd.lower ~strict:true ~prog:c.Compiler.prog
       ~decisions:c.Compiler.decisions ~comms:c.Compiler.comms ()
   with
   | exception Diag.Fatal ds -> List.map (fun (d : Diag.t) -> d.Diag.code) ds
@@ -383,8 +340,8 @@ let test_e0806_bad_grid_dim () =
   check Alcotest.bool "out-of-range grid dimension is E0806" true
     (has "E0806" codes)
 
-(* permissive lowering (the executor's internal mode) must swallow the
-   same corruptions silently, like the legacy runtime did *)
+(* permissive lowering (the fidelity audit's mode) must swallow the same
+   corruptions silently *)
 let test_permissive_swallows () =
   let c = Compiler.compile_exn (Fig_examples.fig1 ~n:40 ~p:4 ()) in
   let ghost =
@@ -413,14 +370,9 @@ let verify_exn c =
 
 let codes_of ds = List.map (fun (d : Diag.t) -> d.Diag.code) ds
 
-let recorded_sir c =
-  match c.Compiler.sir with
-  | Some sir -> sir
-  | None -> fail "compiler should have recorded a lowered program"
-
 let test_e0610_missing_op () =
   let c = Compiler.compile_exn (Fig_examples.fig1 ~n:40 ~p:4 ()) in
-  let sir = recorded_sir c in
+  let sir = Compiler.sir_exn c in
   let stmts = Hashtbl.copy sir.Sir.stmts in
   let gutted = ref false in
   Hashtbl.iter
@@ -451,7 +403,7 @@ let test_w0605_extra_op () =
 
 let test_e0611_mutated_allocs () =
   let c = Compiler.compile_exn (Fig_examples.fig1 ~n:40 ~p:4 ()) in
-  let sir = recorded_sir c in
+  let sir = Compiler.sir_exn c in
   check Alcotest.bool "fig1 has lowered allocs" true (sir.Sir.allocs <> []);
   let broken = { c with Compiler.sir = Some { sir with Sir.allocs = [] } } in
   let errs = Verifier.errors (verify_exn broken) in
@@ -471,48 +423,30 @@ let test_clean_artifacts_pass_fidelity () =
         fail (Fmt.str "%s: fidelity findings on a clean artifact" name))
     benchmarks
 
-(* ---------------- fuel and simulator parity ---------------- *)
+(* ---------------- fuel ---------------- *)
 
 let test_fuel_exhausted () =
   let prog = Tomcatv.program ~n:14 ~niter:2 ~p:4 in
   let c = Compiler.compile_exn prog in
-  (match
-     Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~fuel:50 c
-   with
+  match Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~fuel:50 c with
   | exception Seq_interp.Fuel_exhausted { budget; _ } ->
       check Alcotest.int "budget reported" 50 budget
-  | _ -> fail "lowered executor must run out of fuel");
-  match Ast_interp.run ~init:(Init.init c.Compiler.prog) ~fuel:50 c with
-  | exception Seq_interp.Fuel_exhausted _ -> ()
-  | _ -> fail "legacy interpreter must run out of fuel"
-
-let test_trace_sim_sir_parity () =
-  List.iter
-    (fun (name, mk) ->
-      let c = Compiler.compile_exn (mk ()) in
-      let init = Init.init c.Compiler.prog in
-      let plain, _ = Trace_sim.run ~init c in
-      let priced, _ = Trace_sim.run ~init ?sir:c.Compiler.sir c in
-      check Alcotest.int
-        (name ^ ": comm messages")
-        plain.Trace_sim.comm_messages priced.Trace_sim.comm_messages;
-      check Alcotest.int (name ^ ": comm elems") plain.Trace_sim.comm_elems
-        priced.Trace_sim.comm_elems;
-      check (Alcotest.float 0.0) (name ^ ": time") plain.Trace_sim.time
-        priced.Trace_sim.time)
-    benchmarks
+  | _ -> fail "lowered executor must run out of fuel"
 
 let () =
   Alcotest.run "sir"
     [
       ( "differential",
         [
-          Alcotest.test_case "lowered == legacy on all benchmarks" `Quick
-            test_differential_clean;
-          Alcotest.test_case "lowered == legacy under fault injection"
-            `Quick test_differential_faults;
           Alcotest.test_case "identical divergence on corrupted schedules"
-            `Quick test_differential_corrupted_schedule;
+            `Quick test_corrupted_schedule;
+        ] );
+      ( "one-program",
+        [
+          Alcotest.test_case "traffic goldens in both transports" `Quick
+            test_traffic_goldens;
+          Alcotest.test_case "executing_set == enumerative oracle" `Quick
+            test_executing_set_oracle;
         ] );
       ( "strict-lowering",
         [
@@ -546,7 +480,5 @@ let () =
         [
           Alcotest.test_case "fuel exhaustion raises located exception"
             `Quick test_fuel_exhausted;
-          Alcotest.test_case "trace-sim prices Sir ops identically" `Quick
-            test_trace_sim_sir_parity;
         ] );
     ]

@@ -143,7 +143,10 @@ let test_whole_array_transfer () =
   let prog = Sema.check (Fig_examples.fig1 ~n:16 ~p:4 ()) in
   let c = Compiler.compile_exn prog in
   let base_transfers =
-    let st = Spmd_interp.run ~init:(Init.init c.Compiler.prog) c in
+    let st =
+      Spmd_interp.run ~init:(Init.init c.Compiler.prog)
+        ~sir:(Oracles.relower c) c
+    in
     st.Spmd_interp.transfers
   in
   let sid =
@@ -175,7 +178,10 @@ let test_whole_array_transfer () =
     }
   in
   let c' = { c with Compiler.comms = whole :: c.Compiler.comms } in
-  let st = Spmd_interp.run ~init:(Init.init c'.Compiler.prog) c' in
+  let st =
+    Spmd_interp.run ~init:(Init.init c'.Compiler.prog)
+      ~sir:(Oracles.relower c') c'
+  in
   (match Spmd_interp.validate st with
   | [] -> ()
   | m :: _ ->
@@ -190,7 +196,10 @@ let test_missing_comm_detected () =
   let c = Compiler.compile_exn prog in
   check Alcotest.bool "fig1 has communication" true (c.Compiler.comms <> []);
   let broken = { c with Compiler.comms = [] } in
-  let st = Spmd_interp.run ~init:(Init.init broken.Compiler.prog) broken in
+  let st =
+    Spmd_interp.run ~init:(Init.init broken.Compiler.prog)
+      ~sir:(Oracles.relower broken) broken
+  in
   match Spmd_interp.validate st with
   | [] -> fail "validation must detect missing communication"
   | _ -> ()

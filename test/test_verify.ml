@@ -390,7 +390,10 @@ let corruptions =
    does exactly that when its communication is dropped).  Both count. *)
 let dynamic_fails (c : Compiler.compiled) : bool =
   try
-    let st = Spmd_interp.run ~init:(Init.init c.Compiler.prog) c in
+    let st =
+      Spmd_interp.run ~init:(Init.init c.Compiler.prog)
+        ~sir:(Oracles.relower c) c
+    in
     Spmd_interp.validate st <> []
   with Memory.Runtime_error _ -> true
 
