@@ -1,10 +1,9 @@
 (* Benchmark harness: regenerates the paper's Tables 1-3 on the machine
-   simulator, and runs Bechamel microbenchmarks of the compiler passes.
+   simulator, and writes the deterministic count record BENCH_phpf.json.
 
    Usage:
      bench/main.exe                  -- all three tables, scaled sizes
      bench/main.exe table1|table2|table3 [--full]
-     bench/main.exe micro            -- bechamel compiler-pass benches
      bench/main.exe ablation         -- design-choice ablations
      bench/main.exe --json [--out=F] -- machine-readable benchmark run
                                         (writes BENCH_phpf.json)
@@ -90,7 +89,12 @@ let run_table3 args =
    cheap even at P=1024); at small P the full SPMD interpreter also runs
    in both aggregation modes and validates against the sequential
    reference — validation failures are hard errors, a benchmark that no
-   longer matches the reference must not publish numbers. *)
+   longer matches the reference must not publish numbers.  The record
+   holds counts and simulated times only, so it is a pure function of
+   the code and CI diffs it against the committed BENCH_phpf.json;
+   wall-clock timing is perfbench's job (BENCHMARK.json). *)
+
+module J = Phpf_serve.Jsonx
 
 let json_benchmarks =
   [
@@ -141,8 +145,6 @@ type sweep_point = {
   r : Hpf_spmd.Trace_sim.result;
   spmd : (Hpf_spmd.Msg.stats * Hpf_spmd.Msg.stats) option;
       (** (aggregated, per-element) measured traffic, optimized *)
-  wall_ms : float;
-  lower_ms : float;
   ir_ops : Phpf_ir.Sir.op_counts;
   census : (string * (string * int) list) list;
       (** per sir-opt pass: its recorded counters (rewrites, deltas) *)
@@ -173,7 +175,6 @@ let sweep_point (name : string) (mk : p:int -> Hpf_lang.Ast.program)
     (p : int) : sweep_point =
   let open Phpf_core in
   let open Hpf_spmd in
-  let wall0 = Unix.gettimeofday () in
   let c, trace =
     match Compiler.compile_traced (mk ~p) with
     | Ok res -> res
@@ -181,7 +182,6 @@ let sweep_point (name : string) (mk : p:int -> Hpf_lang.Ast.program)
         Fmt.epr "bench %s (P=%d): %a@." name p Hpf_lang.Diag.pp_list ds;
         exit 1
   in
-  let lower_ms = Phpf_driver.Pipeline.pass_time_ms trace "lower-spmd" in
   let ir_ops = Phpf_ir.Sir.op_counts (Compiler.sir_exn c) in
   let census =
     List.filter_map
@@ -216,19 +216,91 @@ let sweep_point (name : string) (mk : p:int -> Hpf_lang.Ast.program)
       ~init:(Init.init cb.Compiler.prog)
       ?comm_stats:base_spmd cb
   in
-  let wall_ms = (Unix.gettimeofday () -. wall0) *. 1000.0 in
-  {
-    p;
-    r;
-    spmd;
-    wall_ms;
-    lower_ms;
-    ir_ops;
-    census;
-    base_r;
-    base_spmd;
-    base_ir_ops;
-  }
+  { p; r; spmd; ir_ops; census; base_r; base_spmd; base_ir_ops }
+
+let point_json (pt : sweep_point) : J.t =
+  let open Hpf_spmd in
+  let r = pt.r and base = pt.base_r in
+  let measured =
+    match pt.spmd with
+    | None -> []
+    | Some (agg, one) ->
+        let reduction =
+          if agg.Msg.packets = 0 then 1.0
+          else float_of_int one.Msg.packets /. float_of_int agg.Msg.packets
+        in
+        [
+          ("elems", J.Int agg.Msg.elems);
+          ("blocks", J.Int agg.Msg.blocks);
+          ("spmd_packets", J.Int agg.Msg.packets);
+          ("spmd_bytes", J.Int agg.Msg.bytes);
+          ("packets_no_aggregate", J.Int one.Msg.packets);
+          ("bytes_no_aggregate", J.Int one.Msg.bytes);
+          ("packet_reduction", J.Float reduction);
+        ]
+  in
+  let base_measured =
+    match pt.base_spmd with
+    | None -> []
+    | Some bagg ->
+        [
+          ("spmd_packets_no_opt", J.Int bagg.Msg.packets);
+          ("spmd_bytes_no_opt", J.Int bagg.Msg.bytes);
+        ]
+  in
+  J.Obj
+    ([
+       ("nprocs", J.Int r.Trace_sim.nprocs);
+       ("simulated_time", J.Float r.Trace_sim.time);
+       ("compute_max", J.Float r.Trace_sim.compute_max);
+       ("comm_time", J.Float r.Trace_sim.comm_time);
+       ("comm_messages", J.Int r.Trace_sim.comm_messages);
+       ("packets", J.Int r.Trace_sim.packets);
+       ("bytes", J.Int r.Trace_sim.bytes);
+       ("mem_elems_max", J.Int r.Trace_sim.mem_elems_max);
+       ("simulated_time_no_opt", J.Float base.Trace_sim.time);
+       ("comm_messages_no_opt", J.Int base.Trace_sim.comm_messages);
+       ("packets_no_opt", J.Int base.Trace_sim.packets);
+       ("bytes_no_opt", J.Int base.Trace_sim.bytes);
+       ("spmd_measured", J.Bool (pt.spmd <> None));
+     ]
+    @ measured @ base_measured)
+
+(* One IR op census and optimizer census per benchmark, taken at the
+   first sweep point. *)
+let benchmark_json ((name, points) : string * sweep_point list) : J.t =
+  let first = List.hd points in
+  let ops = first.ir_ops and base = first.base_ir_ops in
+  let census_entry (pass, stats) =
+    let get key =
+      J.Int (Option.value ~default:0 (List.assoc_opt key stats))
+    in
+    J.Obj
+      [
+        ("pass", J.Str pass);
+        ("rewrites", get "rewrites");
+        ("delta_elem_xfers", get "delta.elem-xfers");
+        ("delta_whole_xfers", get "delta.whole-xfers");
+        ("delta_block_xfers", get "delta.block-xfers");
+        ("delta_reduce_ops", get "delta.reduce-ops");
+      ]
+  in
+  J.Obj
+    [
+      ("name", J.Str name);
+      ("ir_assigns", J.Int ops.Phpf_ir.Sir.assigns);
+      ("ir_elem_xfers", J.Int ops.elem_xfers);
+      ("ir_whole_xfers", J.Int ops.whole_xfers);
+      ("ir_block_xfers", J.Int ops.block_xfers);
+      ("ir_reduce_ops", J.Int ops.reduce_ops);
+      ("ir_allocs", J.Int ops.alloc_ops);
+      ("ir_elem_xfers_no_opt", J.Int base.Phpf_ir.Sir.elem_xfers);
+      ("ir_whole_xfers_no_opt", J.Int base.whole_xfers);
+      ("ir_block_xfers_no_opt", J.Int base.block_xfers);
+      ("ir_reduce_ops_no_opt", J.Int base.reduce_ops);
+      ("opt_census", J.List (List.map census_entry first.census));
+      ("sweep", J.List (List.map point_json points));
+    ]
 
 (* The mapping-aware recovery scenario (one crash pinned to the first
    heartbeat window of TOMCATV).  Measured leg: the SPMD executor at
@@ -236,22 +308,11 @@ let sweep_point (name : string) (mk : p:int -> Hpf_lang.Ast.program)
    failover only, zero full restores — and still validates bit-for-bit.
    Analytic leg: at P=1024 the trace simulator prices the fault-free run
    and {!Sir_recovery.estimate_failover} prices the worst-interval
-   failover from the plan alone, all in well under a second. *)
-type recovery_bench = {
-  measured_p : int;
-  report : Hpf_spmd.Recover.report;
-  measured_wall_ms : float;
-  analytic_p : int;
-  analytic : Phpf_ir.Sir_recovery.estimate;
-  simulated_time : float;
-  analytic_wall_ms : float;
-}
-
-let recovery_bench () : recovery_bench =
+   failover from the plan alone. *)
+let recovery_json () : J.t =
   let open Phpf_core in
   let open Hpf_spmd in
   let measured_p = 64 and analytic_p = 1024 in
-  let wall0 = Unix.gettimeofday () in
   let c = Compiler.compile_exn (Tomcatv.program ~n:66 ~niter:1 ~p:measured_p) in
   let faults = Fault.make ~seed:1 ~oneshots:[ (Fault.Crash, 0) ] [] in
   let st = Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~faults c in
@@ -261,17 +322,15 @@ let recovery_bench () : recovery_bench =
       Fmt.epr "bench recovery (P=%d): %a@." measured_p Spmd_interp.pp_mismatch
         m;
       exit 1);
-  let report = Spmd_interp.fault_report st in
-  if report.Recover.restores > 0 then begin
+  let rr = Spmd_interp.fault_report st in
+  if rr.Recover.restores > 0 then begin
     Fmt.epr "bench recovery: crash fell back to a full restore@.";
     exit 1
   end;
-  if report.Recover.plan_refetch + report.Recover.plan_reexec = 0 then begin
+  if rr.Recover.plan_refetch + rr.Recover.plan_reexec = 0 then begin
     Fmt.epr "bench recovery: plan never fired@.";
     exit 1
   end;
-  let measured_wall_ms = (Unix.gettimeofday () -. wall0) *. 1000.0 in
-  let wall1 = Unix.gettimeofday () in
   let c2 =
     Compiler.compile_exn (Tomcatv.program ~n:66 ~niter:1 ~p:analytic_p)
   in
@@ -284,41 +343,48 @@ let recovery_bench () : recovery_bench =
         Fmt.epr "bench recovery: no recovery plan recorded@.";
         exit 1
   in
-  let analytic =
+  let est =
     Phpf_ir.Sir_recovery.estimate_failover
       ~heartbeat_timeout:Recover.default_config.Recover.heartbeat_timeout sir
       plan
   in
-  let analytic_wall_ms = (Unix.gettimeofday () -. wall1) *. 1000.0 in
-  {
-    measured_p;
-    report;
-    measured_wall_ms;
-    analytic_p;
-    analytic;
-    simulated_time = r.Trace_sim.time;
-    analytic_wall_ms;
-  }
+  J.Obj
+    [
+      ( "scenario",
+        J.Str "tomcatv n=66, one crash at heartbeat window 0, plan regime" );
+      ( "measured",
+        J.Obj
+          [
+            ("nprocs", J.Int measured_p);
+            ("crashes", J.Int rr.Recover.crashes);
+            ("suspects", J.Int rr.Recover.suspects);
+            ("plan_refetch", J.Int rr.Recover.plan_refetch);
+            ("plan_reexec", J.Int rr.Recover.plan_reexec);
+            ("restores", J.Int rr.Recover.restores);
+            ("escalations", J.Int rr.Recover.escalations);
+            ("recovery_time", J.Float rr.Recover.recovery_time);
+          ] );
+      ( "analytic",
+        J.Obj
+          [
+            ("nprocs", J.Int analytic_p);
+            ( "replica_refetches",
+              J.Int est.Phpf_ir.Sir_recovery.replica_refetches );
+            ("region_replays", J.Int est.region_replays);
+            ("checkpoint_restores", J.Int est.checkpoint_restores);
+            ("detect_time", J.Float est.detect_time);
+            ("failover_time", J.Float (Phpf_ir.Sir_recovery.total_time est));
+            ("simulated_time", J.Float r.Trace_sim.time);
+          ] );
+    ]
 
-(* The serve bench: replay >= 1000 generated requests (programs x
-   option sets x actions) through the phpfc-serve engine on 1, 2 and 8
-   domains — fresh engine and cache per leg.  The result digests of all
-   legs must agree (the determinism gate: a mismatch is always fatal);
-   the throughput ratio is reported honestly, and the >= 2x scaling
-   expectation is enforced only where the host can physically deliver
-   it (recommended_domain_count >= 2) and --check-serve asks for it. *)
-module Srv = Phpf_serve.Serve
-
-type serve_bench = {
-  serve_requests : int;
-  distinct_points : int;
-  legs : (int * Srv.replay_summary) list;
-  deterministic : bool;
-  ratio_8_vs_1 : float;
-  recommended_domains : int;
-}
-
-let serve_bench ~(requests : int) : serve_bench =
+(* The serve replay: >= 1000 generated requests (programs x option sets
+   x actions) through the phpfc-serve engine on one domain, fresh engine
+   and cache.  Any error response is fatal; the digest pins every
+   response body.  Determinism across domain counts is tested by
+   test_serve and the CI serve job, serve throughput by perfbench. *)
+let serve_json ~(requests : int) : J.t =
+  let module Srv = Phpf_serve.Serve in
   let programs =
     List.map
       (fun (name, mk) -> (name, Hpf_lang.Pp.program_to_string (mk ~p:4)))
@@ -326,231 +392,27 @@ let serve_bench ~(requests : int) : serve_bench =
   in
   let reqs = Srv.workload ~programs ~n:requests in
   let distinct_points =
-    List.sort_uniq compare (List.map Phpf_serve.Engine.cache_key reqs)
-    |> List.length
+    List.length
+      (List.sort_uniq compare (List.map Phpf_serve.Engine.cache_key reqs))
   in
-  let legs = List.map (fun d -> (d, Srv.replay ~domains:d reqs)) [ 1; 2; 8 ] in
-  List.iter
-    (fun ((d, s) : int * Srv.replay_summary) ->
-      if s.Srv.errors > 0 then begin
-        Fmt.epr "bench serve: %d error response(s) at %d domain(s)@."
-          s.Srv.errors d;
-        exit 1
-      end)
-    legs;
-  let digests =
-    List.sort_uniq compare (List.map (fun (_, s) -> s.Srv.digest) legs)
-  in
-  let throughput d = (List.assoc d legs).Srv.throughput_rps in
-  {
-    serve_requests = requests;
-    distinct_points;
-    legs;
-    deterministic = List.length digests = 1;
-    ratio_8_vs_1 =
-      (if throughput 1 > 0.0 then throughput 8 /. throughput 1 else 0.0);
-    recommended_domains = Domain.recommended_domain_count ();
-  }
-
-let run_json args =
-  let open Hpf_spmd in
-  let path = out_of_args ~default:"BENCH_phpf.json" args in
-  let procs = procs_of_args ~default:[ 8; 64; 256; 1024 ] args in
-  let selected =
-    match bench_of_args args with
-    | None -> json_benchmarks
-    | Some names ->
-        List.filter (fun (n, _) -> List.mem n names) json_benchmarks
-  in
-  if selected = [] then begin
-    Fmt.epr "bench: --bench matched no benchmark@.";
-    exit 2
+  let s = Srv.replay ~domains:1 reqs in
+  if s.Srv.errors > 0 then begin
+    Fmt.epr "bench serve: %d error response(s)@." s.Srv.errors;
+    exit 1
   end;
-  let entries =
-    List.map
-      (fun (name, mk) -> (name, List.map (sweep_point name mk) procs))
-      selected
-  in
-  let recov = recovery_bench () in
-  (* --no-serve skips the replay legs (the wall-clock-budgeted `scale`
-     CI job); everything else runs them and enforces determinism. *)
-  let srv =
-    if List.mem "--no-serve" args then None
-    else begin
-      let s = serve_bench ~requests:1000 in
-      if not s.deterministic then begin
-        Fmt.epr
-          "bench serve: NONDETERMINISM — replay digests differ across \
-           domain counts@.";
-        List.iter
-          (fun (d, (l : Srv.replay_summary)) ->
-            Fmt.epr "bench serve: domains=%d digest=%s@." d l.Srv.digest)
-          s.legs;
-        exit 1
-      end;
-      Some s
-    end
-  in
-  let buf = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "{\n";
-  pf "  \"schema\": \"phpf-bench/6\",\n";
-  pf "  \"procs\": [%s],\n"
-    (String.concat ", " (List.map string_of_int procs));
-  pf "  \"spmd_threshold\": %d,\n" spmd_threshold;
-  pf "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i (name, points) ->
-      let first = List.hd points in
-      let ir_ops = first.ir_ops in
-      let base = first.base_ir_ops in
-      pf "    {\n";
-      pf "      \"name\": %S,\n" name;
-      pf "      \"ir_assigns\": %d,\n" ir_ops.Phpf_ir.Sir.assigns;
-      pf "      \"ir_elem_xfers\": %d,\n" ir_ops.Phpf_ir.Sir.elem_xfers;
-      pf "      \"ir_whole_xfers\": %d,\n" ir_ops.Phpf_ir.Sir.whole_xfers;
-      pf "      \"ir_block_xfers\": %d,\n" ir_ops.Phpf_ir.Sir.block_xfers;
-      pf "      \"ir_reduce_ops\": %d,\n" ir_ops.Phpf_ir.Sir.reduce_ops;
-      pf "      \"ir_allocs\": %d,\n" ir_ops.Phpf_ir.Sir.alloc_ops;
-      pf "      \"ir_elem_xfers_no_opt\": %d,\n" base.Phpf_ir.Sir.elem_xfers;
-      pf "      \"ir_whole_xfers_no_opt\": %d,\n" base.Phpf_ir.Sir.whole_xfers;
-      pf "      \"ir_block_xfers_no_opt\": %d,\n" base.Phpf_ir.Sir.block_xfers;
-      pf "      \"ir_reduce_ops_no_opt\": %d,\n" base.Phpf_ir.Sir.reduce_ops;
-      pf "      \"opt_census\": [\n";
-      List.iteri
-        (fun k (pass, stats) ->
-          let get key =
-            match List.assoc_opt key stats with Some v -> v | None -> 0
-          in
-          pf
-            "        {\"pass\": %S, \"rewrites\": %d, \"delta_elem_xfers\": \
-             %d, \"delta_whole_xfers\": %d, \"delta_block_xfers\": %d, \
-             \"delta_reduce_ops\": %d}%s\n"
-            pass (get "rewrites")
-            (get "delta.elem-xfers")
-            (get "delta.whole-xfers")
-            (get "delta.block-xfers")
-            (get "delta.reduce-ops")
-            (if k = List.length first.census - 1 then "" else ","))
-        first.census;
-      pf "      ],\n";
-      pf "      \"sweep\": [\n";
-      List.iteri
-        (fun j (pt : sweep_point) ->
-          let r = pt.r in
-          pf "        {\n";
-          pf "          \"nprocs\": %d,\n" r.Trace_sim.nprocs;
-          pf "          \"simulated_time\": %.6f,\n" r.Trace_sim.time;
-          pf "          \"compute_max\": %.6f,\n" r.Trace_sim.compute_max;
-          pf "          \"comm_time\": %.6f,\n" r.Trace_sim.comm_time;
-          pf "          \"comm_messages\": %d,\n" r.Trace_sim.comm_messages;
-          pf "          \"packets\": %d,\n" r.Trace_sim.packets;
-          pf "          \"bytes\": %d,\n" r.Trace_sim.bytes;
-          pf "          \"mem_elems_max\": %d,\n" r.Trace_sim.mem_elems_max;
-          pf "          \"simulated_time_no_opt\": %.6f,\n"
-            pt.base_r.Trace_sim.time;
-          pf "          \"comm_messages_no_opt\": %d,\n"
-            pt.base_r.Trace_sim.comm_messages;
-          pf "          \"packets_no_opt\": %d,\n" pt.base_r.Trace_sim.packets;
-          pf "          \"bytes_no_opt\": %d,\n" pt.base_r.Trace_sim.bytes;
-          pf "          \"spmd_measured\": %b,\n" (pt.spmd <> None);
-          (match pt.spmd with
-          | Some ((agg : Msg.stats), (one : Msg.stats)) ->
-              let ratio =
-                if agg.Msg.packets = 0 then 1.0
-                else
-                  float_of_int one.Msg.packets
-                  /. float_of_int agg.Msg.packets
-              in
-              pf "          \"elems\": %d,\n" agg.Msg.elems;
-              pf "          \"blocks\": %d,\n" agg.Msg.blocks;
-              pf "          \"spmd_packets\": %d,\n" agg.Msg.packets;
-              pf "          \"spmd_bytes\": %d,\n" agg.Msg.bytes;
-              pf "          \"packets_no_aggregate\": %d,\n" one.Msg.packets;
-              pf "          \"bytes_no_aggregate\": %d,\n" one.Msg.bytes;
-              pf "          \"packet_reduction\": %.2f,\n" ratio
-          | None -> ());
-          (match pt.base_spmd with
-          | Some (bagg : Msg.stats) ->
-              pf "          \"spmd_packets_no_opt\": %d,\n" bagg.Msg.packets;
-              pf "          \"spmd_bytes_no_opt\": %d,\n" bagg.Msg.bytes
-          | None -> ());
-          pf "          \"lower_ms\": %.3f,\n" pt.lower_ms;
-          pf "          \"wall_ms\": %.2f\n" pt.wall_ms;
-          pf "        }%s\n" (if j = List.length points - 1 then "" else ",")
-        )
-        points;
-      pf "      ]\n";
-      pf "    }%s\n" (if i = List.length entries - 1 then "" else ",")
-    )
-    entries;
-  pf "  ],\n";
-  let rr = recov.report in
-  let est = recov.analytic in
-  pf "  \"recovery\": {\n";
-  pf "    \"scenario\": \"tomcatv n=66, one crash at heartbeat window 0, plan regime\",\n";
-  pf "    \"measured\": {\n";
-  pf "      \"nprocs\": %d,\n" recov.measured_p;
-  pf "      \"crashes\": %d,\n" rr.Recover.crashes;
-  pf "      \"suspects\": %d,\n" rr.Recover.suspects;
-  pf "      \"plan_refetch\": %d,\n" rr.Recover.plan_refetch;
-  pf "      \"plan_reexec\": %d,\n" rr.Recover.plan_reexec;
-  pf "      \"restores\": %d,\n" rr.Recover.restores;
-  pf "      \"escalations\": %d,\n" rr.Recover.escalations;
-  pf "      \"recovery_time\": %.6f,\n" rr.Recover.recovery_time;
-  pf "      \"wall_ms\": %.2f\n" recov.measured_wall_ms;
-  pf "    },\n";
-  pf "    \"analytic\": {\n";
-  pf "      \"nprocs\": %d,\n" recov.analytic_p;
-  pf "      \"replica_refetches\": %d,\n"
-    est.Phpf_ir.Sir_recovery.replica_refetches;
-  pf "      \"region_replays\": %d,\n" est.Phpf_ir.Sir_recovery.region_replays;
-  pf "      \"checkpoint_restores\": %d,\n"
-    est.Phpf_ir.Sir_recovery.checkpoint_restores;
-  pf "      \"detect_time\": %.6f,\n" est.Phpf_ir.Sir_recovery.detect_time;
-  pf "      \"failover_time\": %.6f,\n"
-    (Phpf_ir.Sir_recovery.total_time est);
-  pf "      \"simulated_time\": %.6f,\n" recov.simulated_time;
-  pf "      \"wall_ms\": %.2f\n" recov.analytic_wall_ms;
-  pf "    }\n";
-  pf "  },\n";
-  (match srv with
-  | None -> pf "  \"serve\": null\n"
-  | Some srv ->
-      pf "  \"serve\": {\n";
-      pf "    \"requests\": %d,\n" srv.serve_requests;
-      pf "    \"distinct_points\": %d,\n" srv.distinct_points;
-      pf "    \"recommended_domains\": %d,\n" srv.recommended_domains;
-      pf "    \"deterministic\": %b,\n" srv.deterministic;
-      pf "    \"digest\": %S,\n" (snd (List.hd srv.legs)).Srv.digest;
-      pf "    \"throughput_ratio_8_vs_1\": %.3f,\n" srv.ratio_8_vs_1;
-      pf "    \"legs\": [\n";
-      List.iteri
-        (fun i (d, (s : Srv.replay_summary)) ->
-          let c = s.Srv.cache in
-          pf
-            "      {\"domains\": %d, \"ok\": %d, \"errors\": %d, \
-             \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"mean_ms\": %.3f, \
-             \"wall_s\": %.3f, \"throughput_rps\": %.1f, \"cache_hits\": \
-             %d, \"cache_misses\": %d, \"cache_hit_rate\": %.4f, \
-             \"computed\": %d}%s\n"
-            d s.Srv.ok s.Srv.errors s.Srv.p50_ms s.Srv.p99_ms s.Srv.mean_ms
-            s.Srv.wall_s s.Srv.throughput_rps c.Phpf_driver.Memo.hits
-            c.Phpf_driver.Memo.misses s.Srv.cache_hit_rate s.Srv.computed
-            (if i = List.length srv.legs - 1 then "" else ","))
-        srv.legs;
-      pf "    ]\n";
-      pf "  }\n");
-  pf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "wrote %s (%d benchmarks x %d procs)@." path (List.length entries)
-    (List.length procs);
-  (* the optimizer gate: the optimized schedule must never ship more
-     than phpf's verbatim one — in the analytic pricing at every P, and
-     in the measured SPMD traffic where it runs.  --check-opt makes a
-     violation fatal (the CI `opt` job). *)
+  J.Obj
+    [
+      ("requests", J.Int requests);
+      ("distinct_points", J.Int distinct_points);
+      ("computed", J.Int s.Srv.computed);
+      ("digest", J.Str s.Srv.digest);
+    ]
+
+(* The optimizer gate: the optimized schedule must never ship more than
+   phpf's verbatim one — in the analytic pricing at every P, and in the
+   measured SPMD traffic where it runs.  Returns the violation count. *)
+let opt_regressions (entries : (string * sweep_point list) list) : int =
+  let open Hpf_spmd in
   let violations = ref 0 in
   List.iter
     (fun (name, points) ->
@@ -580,34 +442,52 @@ let run_json args =
           | _ -> ())
         points)
     entries;
-  if !violations > 0 then begin
-    Fmt.epr "bench: %d optimizer regression(s)@." !violations;
-    if List.mem "--check-opt" args then exit 1
+  !violations
+
+let run_json args =
+  let path = out_of_args ~default:"BENCH_phpf.json" args in
+  let procs = procs_of_args ~default:[ 8; 64; 256; 1024 ] args in
+  let selected =
+    match bench_of_args args with
+    | None -> json_benchmarks
+    | Some names ->
+        List.filter (fun (n, _) -> List.mem n names) json_benchmarks
+  in
+  if selected = [] then begin
+    Fmt.epr "bench: --bench matched no benchmark@.";
+    exit 2
+  end;
+  let entries =
+    List.map
+      (fun (name, mk) -> (name, List.map (sweep_point name mk) procs))
+      selected
+  in
+  let record =
+    J.Obj
+      [
+        ("schema", J.Str "phpf-bench/7");
+        ("procs", J.List (List.map (fun p -> J.Int p) procs));
+        ("spmd_threshold", J.Int spmd_threshold);
+        ("benchmarks", J.List (List.map benchmark_json entries));
+        ("recovery", recovery_json ());
+        (* --no-serve skips the replay (the wall-clock-budgeted `scale`
+           CI job) *)
+        ( "serve",
+          if List.mem "--no-serve" args then J.Null
+          else serve_json ~requests:1000 );
+      ]
+  in
+  let oc = open_out path in
+  output_string oc (J.pretty record);
+  output_char oc '\n';
+  close_out oc;
+  Fmt.pr "wrote %s (%d benchmarks x %d procs)@." path (List.length entries)
+    (List.length procs);
+  let violations = opt_regressions entries in
+  if violations > 0 then begin
+    Fmt.epr "bench: %d optimizer regression(s)@." violations;
+    exit 1
   end
-  else if List.mem "--check-opt" args then
-    Fmt.pr "check-opt: optimized traffic <= --no-opt on every point@.";
-  (* the serve gate: determinism is already fatal above; the >= 2x
-     domain-scaling expectation only binds where the host has cores to
-     scale onto — a 1-core container reports the honest ratio without
-     failing. *)
-  match (srv, List.mem "--check-serve" args) with
-  | None, true ->
-      Fmt.epr "bench: --check-serve is incompatible with --no-serve@.";
-      exit 2
-  | Some srv, true ->
-      if srv.recommended_domains >= 2 && srv.ratio_8_vs_1 < 2.0 then begin
-        Fmt.epr
-          "bench serve: throughput ratio %.2f < 2.0 at 8 vs 1 domains on a \
-           host with %d recommended domains@."
-          srv.ratio_8_vs_1 srv.recommended_domains;
-        exit 1
-      end
-      else
-        Fmt.pr
-          "check-serve: deterministic across 1/2/8 domains, throughput \
-           ratio %.2f (host recommends %d domains)@."
-          srv.ratio_8_vs_1 srv.recommended_domains
-  | _, false -> ()
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -624,9 +504,8 @@ let () =
   | [ "table1" ] -> run_table1 args
   | [ "table2" ] -> run_table2 args
   | [ "table3" ] -> run_table3 args
-  | [ "micro" ] -> Micro.run ()
   | [ "ablation" ] -> Ablation.run ()
   | _ ->
       prerr_endline
-        "usage: main.exe [table1|table2|table3|micro|ablation] [--full|--medium] [--procs=8,64,256,1024] [--json [--out=FILE] [--bench=NAME,..]]";
+        "usage: main.exe [table1|table2|table3|ablation] [--full|--medium] [--procs=8,64,256,1024] [--json [--out=FILE] [--bench=NAME,..] [--no-serve]]";
       exit 2

@@ -90,7 +90,7 @@ let run_verifier ~opts ~time_passes ~stats ~strict ?dump_after
 let file_arg =
   Arg.(
     required
-    & pos 0 (some file) None
+    & pos 0 (some non_dir_file) None
     & info [] ~docv:"FILE" ~doc:"Kernel-language source file (.hpfk).")
 
 let procs_arg =
@@ -741,35 +741,40 @@ let sweep_cmd =
 let serve_cmd =
   let run socket batch replay_dir requests domains timing verbose =
     setup_logs verbose;
+    let usage_error fmt =
+      Fmt.kstr
+        (fun msg ->
+          render_diags [ Diag.error ~code:"E0901" msg ];
+          exit_usage)
+        fmt
+    in
     let domains =
       match domains with
       | Some d when d >= 1 -> d
-      | Some _ ->
-          render_diags
-            [ Diag.error ~code:"E0901" "--domains must be at least 1" ];
-          exit exit_usage
+      | Some _ -> exit (usage_error "--domains must be at least 1")
       | None -> Domain.recommended_domain_count ()
     in
     guarded @@ fun () ->
     match (batch, replay_dir, socket) with
-    | Some batch_file, None, None ->
+    | Some batch_file, None, None -> (
         (* one-shot driver: requests from a file or stdin, responses in
            input order on stdout, summary on stderr *)
-        let lines =
+        match
           if batch_file = "-" then Phpf_serve.Serve.read_lines stdin
-          else begin
-            let ic = open_in batch_file in
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () -> Phpf_serve.Serve.read_lines ic)
-          end
-        in
-        let r = Phpf_serve.Serve.run_batch ~timing ~domains lines in
-        List.iter print_endline r.Phpf_serve.Serve.responses;
-        Fmt.epr "serve: %d request(s), %d ok, %d failed, %d malformed@."
-          r.Phpf_serve.Serve.requests r.Phpf_serve.Serve.succeeded
-          r.Phpf_serve.Serve.failed r.Phpf_serve.Serve.rejected;
-        r.Phpf_serve.Serve.exit_code
+          else
+            In_channel.with_open_text batch_file Phpf_serve.Serve.read_lines
+        with
+        | exception Sys_error msg ->
+            usage_error "cannot read --batch %s: %s" batch_file msg
+        | lines ->
+            let r = Phpf_serve.Serve.run_batch ~timing ~domains lines in
+            List.iter print_endline r.Phpf_serve.Serve.responses;
+            Fmt.epr "serve: %d request(s), %d ok, %d failed, %d malformed@."
+              r.Phpf_serve.Serve.requests r.Phpf_serve.Serve.succeeded
+              r.Phpf_serve.Serve.failed r.Phpf_serve.Serve.rejected;
+            r.Phpf_serve.Serve.exit_code)
+    | None, Some _, None when requests < 1 ->
+        usage_error "--requests must be at least 1 (got %d)" requests
     | None, Some dir, None ->
         (* replay harness: deterministic generated workload over every
            .hpfk program in the directory *)
@@ -785,13 +790,7 @@ let serve_cmd =
                  close_in ic;
                  (Filename.remove_extension f, src))
         in
-        if programs = [] then begin
-          render_diags
-            [
-              Diag.errorf ~code:"E0901" "no .hpfk programs under %s" dir;
-            ];
-          exit_usage
-        end
+        if programs = [] then usage_error "no .hpfk programs under %s" dir
         else begin
           let reqs = Phpf_serve.Serve.workload ~programs ~n:requests in
           let s = Phpf_serve.Serve.replay ~domains reqs in
@@ -801,18 +800,19 @@ let serve_cmd =
           if s.Phpf_serve.Serve.errors > 0 then exit_compile_error
           else exit_ok
         end
-    | None, None, Some socket ->
-        Fmt.epr "serve: listening on %s with %d domain(s)@." socket domains;
-        Phpf_serve.Serve.daemon ~socket ~domains ();
-        exit_ok
+    | None, None, Some socket -> (
+        let ready () =
+          Fmt.epr "serve: listening on %s with %d domain(s)@." socket domains
+        in
+        match Phpf_serve.Serve.daemon ~ready ~socket ~domains () with
+        | () -> exit_ok
+        | exception Unix.Unix_error (err, fn, _) ->
+            usage_error "cannot serve on --socket %s: %s (%s)" socket
+              (Unix.error_message err) fn)
     | _ ->
-        render_diags
-          [
-            Diag.error ~code:"E0901"
-              "serve needs exactly one of --batch FILE, --replay DIR or \
-               --socket PATH";
-          ];
-        exit_usage
+        usage_error
+          "serve needs exactly one of --batch FILE, --replay DIR or \
+           --socket PATH"
   in
   let socket_arg =
     Arg.(

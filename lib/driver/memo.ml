@@ -60,13 +60,14 @@ let find_opt (t : 'a t) (k : string) : 'a option =
   Mutex.unlock s.lock;
   r
 
-let add (t : 'a t) (k : string) (v : 'a) : unit =
+let add (t : 'a t) (k : string) (v : 'a) : bool =
   let s = shard_of t k in
   Mutex.lock s.lock;
   if Hashtbl.length s.tbl >= t.shard_capacity then Hashtbl.reset s.tbl;
-  if not (Hashtbl.mem s.tbl k) then Hashtbl.add s.tbl k v;
+  let inserted = not (Hashtbl.mem s.tbl k) in
+  if inserted then Hashtbl.add s.tbl k v;
   Mutex.unlock s.lock;
-  ()
+  inserted
 
 (** [find_or_add t k f] returns the cached value for [k], computing it
     with [f] on a miss.  [f] runs {e outside} the shard lock, so a slow
@@ -79,7 +80,7 @@ let find_or_add (t : 'a t) (k : string) (f : unit -> 'a) : 'a =
   | Some v -> v
   | None ->
       let v = f () in
-      add t k v;
+      ignore (add t k v);
       v
 
 type counters = { hits : int; misses : int; entries : int }

@@ -22,8 +22,9 @@ val key : source:string -> options:string -> grid:string -> pass:string -> strin
 (** Lookup; counts a hit or a miss. *)
 val find_opt : 'a t -> string -> 'a option
 
-(** Insert if absent (first insertion wins). *)
-val add : 'a t -> string -> 'a -> unit
+(** Insert if absent (first insertion wins); [true] iff this call
+    inserted. *)
+val add : 'a t -> string -> 'a -> bool
 
 (** [find_or_add t k f] returns the cached value for [k], computing it
     with [f] on a miss.  [f] runs outside the shard lock; two domains

@@ -42,13 +42,6 @@ let stats_of (tr : trace) name =
     (fun e -> if String.equal e.pass name then Some e.stats else None)
     tr.entries
 
-(** Wall time one pass spent, in milliseconds; 0 when it did not run. *)
-let pass_time_ms (tr : trace) name =
-  List.fold_left
-    (fun acc e ->
-      if String.equal e.pass name then acc +. (1000.0 *. e.time_s) else acc)
-    0.0 tr.entries
-
 (** All counters of the trace merged into one set. *)
 let total_stats (tr : trace) : Stats.t =
   Stats.merge_all (List.map (fun e -> Stats.of_list e.stats) tr.entries)

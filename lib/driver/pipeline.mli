@@ -31,9 +31,6 @@ val executed : trace -> string list
 (** Stats of one executed pass, if it ran. *)
 val stats_of : trace -> string -> (string * int) list option
 
-(** Wall time one pass spent, in milliseconds; 0 when it did not run. *)
-val pass_time_ms : trace -> string -> float
-
 (** All counters of the trace merged into one set. *)
 val total_stats : trace -> Stats.t
 

@@ -12,8 +12,9 @@
 
     The engine owns a {!Phpf_driver.Memo} cache keyed
     source⊕options⊕grid⊕action, and an aggregate {!Phpf_driver.Stats}
-    counter set merged from every non-cached compile's pipeline trace
-    (the serve counterpart of [phpfc compile --stats]). *)
+    counter set merged from the pipeline trace of each compile whose
+    result entered the cache (the serve counterpart of
+    [phpfc compile --stats]). *)
 
 open Hpf_lang
 open Phpf_core
@@ -23,7 +24,7 @@ type t = {
   cache : (bool * string) Memo.t;
       (** payload cache: [ok] flag and rendered body *)
   agg_lock : Mutex.t;
-  agg : Stats.t;  (** merged pass counters of non-cached computes *)
+  agg : Stats.t;  (** merged pass counters of cache-inserting computes *)
   mutable computed : int;  (** cache misses that ran the compiler *)
 }
 
@@ -173,8 +174,9 @@ let simulate_body (c : Compiler.compiled)
 
 (* Run the compiler for a request; every failure mode lands as a
    structured-diagnostic error payload, never as an exception escaping
-   the pool worker. *)
-let compute (e : t) (r : Proto.request) : bool * string =
+   the pool worker.  When the compiler ran, [ran] receives the
+   pipeline's merged counters. *)
+let compute (ran : Stats.t option ref) (r : Proto.request) : bool * string =
   try
     match Parser.parse_string_result ~file:"<request>" r.program with
     | Error ds -> error_body r.Proto.action ds
@@ -185,10 +187,7 @@ let compute (e : t) (r : Proto.request) : bool * string =
         with
         | Error ds -> error_body r.Proto.action ds
         | Ok (c, trace) -> (
-            Mutex.lock e.agg_lock;
-            Stats.merge_into ~into:e.agg (Pipeline.total_stats trace);
-            e.computed <- e.computed + 1;
-            Mutex.unlock e.agg_lock;
+            ran := Some (Pipeline.total_stats trace);
             match r.Proto.action with
             | Proto.Compile -> compile_body c trace
             | Proto.Lint -> (
@@ -237,8 +236,18 @@ let handle (e : t) (r : Proto.request) : outcome =
   match Memo.find_opt e.cache key with
   | Some cached -> finish ~cached:true cached
   | None ->
-      let v = compute e r in
+      let ran = ref None in
+      let v = compute ran r in
       (* first insertion wins: a racing domain that also computed this
-         key inserts an identical (deterministic) payload *)
-      Memo.add e.cache key v;
+         key inserts an identical (deterministic) payload.  Only the
+         winner's counters enter the aggregate, so it does not depend
+         on the domain count; [computed] still counts every run. *)
+      let inserted = Memo.add e.cache key v in
+      Option.iter
+        (fun s ->
+          Mutex.lock e.agg_lock;
+          e.computed <- e.computed + 1;
+          if inserted then Stats.merge_into ~into:e.agg s;
+          Mutex.unlock e.agg_lock)
+        !ran;
       finish ~cached:false v

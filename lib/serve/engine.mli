@@ -39,8 +39,11 @@ val cache_hit_rate : t -> float
     legs). *)
 val clear_cache : t -> unit
 
-(** Merged pass-counter snapshot over every non-cached compile
-    ({!Phpf_driver.Stats.merge} aggregation). *)
+(** Merged pass-counter snapshot over the compiles whose results
+    entered the cache ({!Phpf_driver.Stats.merge} aggregation): a
+    domain that loses a race to compute the same fresh key adds to
+    {!computed_count} only, so the snapshot does not depend on the
+    domain count. *)
 val stats_snapshot : t -> Stats.t
 
 (** Cache misses that actually ran the compiler. *)

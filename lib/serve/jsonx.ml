@@ -1,5 +1,5 @@
 (** Minimal JSON: the line-delimited request/response codec of
-    [phpfc serve].
+    [phpfc serve], and the writer of [bench/main.exe --json].
 
     Hand-rolled on purpose — the build depends on no JSON package, and
     the server needs {e canonical} output: object fields print in the
@@ -7,7 +7,7 @@
     response rendered twice is bit-identical and safe to digest.  The
     parser accepts standard JSON (objects, arrays, strings with the
     usual escapes, numbers, booleans, null); it exists for requests and
-    for the tests that read responses back. *)
+    for the tests that read responses and bench records back. *)
 
 type t =
   | Null
@@ -78,6 +78,49 @@ let rec write (b : Buffer.t) (v : t) : unit =
 let to_string (v : t) : string =
   let b = Buffer.create 256 in
   write b v;
+  Buffer.contents b
+
+(** Indented rendering for committed, line-diffed files: one object
+    field or nested array element per line, two spaces per level;
+    arrays of scalars stay on one line.  Scalars print exactly as in
+    {!to_string}. *)
+let pretty (v : t) : string =
+  let b = Buffer.create 4096 in
+  let scalar = function List _ | Obj _ -> false | _ -> true in
+  let rec go indent v =
+    match v with
+    | List vs when List.for_all scalar vs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_string b ", ";
+            write b v)
+          vs;
+        Buffer.add_char b ']'
+    | List vs -> block indent '[' ']' (List.map (fun v -> (None, v)) vs)
+    | Obj [] -> Buffer.add_string b "{}"
+    | Obj fs -> block indent '{' '}' (List.map (fun (k, v) -> (Some k, v)) fs)
+    | v -> write b v
+  and block indent opening closing items =
+    let inner = indent ^ "  " in
+    Buffer.add_char b opening;
+    List.iteri
+      (fun i (k, v) ->
+        Buffer.add_string b (if i > 0 then ",\n" else "\n");
+        Buffer.add_string b inner;
+        Option.iter
+          (fun k ->
+            Buffer.add_char b '"';
+            escape b k;
+            Buffer.add_string b "\": ")
+          k;
+        go inner v)
+      items;
+    Buffer.add_char b '\n';
+    Buffer.add_string b indent;
+    Buffer.add_char b closing
+  in
+  go "" v;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)

@@ -1,4 +1,5 @@
-(** Minimal JSON codec for the [phpfc serve] wire protocol.
+(** Minimal JSON codec for the [phpfc serve] wire protocol and the
+    [bench/main.exe --json] record.
 
     No external JSON dependency, and canonical output: object fields
     print in build order, every float through one fixed format
@@ -20,6 +21,11 @@ type t =
 val float_to_string : float -> string
 
 val to_string : t -> string
+
+(** Indented rendering for committed, line-diffed files: one object
+    field or nested array element per line; arrays of scalars on one
+    line.  Parses back to the same value wherever {!to_string} does. *)
+val pretty : t -> string
 
 exception Parse_error of string
 

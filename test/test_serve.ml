@@ -46,11 +46,17 @@ let test_jsonx_roundtrip () =
       ]
   in
   let s = Jsonx.to_string v in
+  check Alcotest.string "to_string is byte-stable"
+    "{\"s\":\"line\\n\\\"quoted\\\"\\ttab\\\\slash\",\"i\":-42,\"f\":1.5,\
+     \"whole\":3.0,\"b\":true,\"n\":null,\"l\":[1,\"x\",{}]}"
+    s;
   (match Jsonx.of_string_result s with
   | Error m -> fail ("roundtrip parse failed: " ^ m)
   | Ok v' ->
       check Alcotest.string "print . parse . print is stable" s
         (Jsonx.to_string v'));
+  check Alcotest.bool "of_string (pretty v) = v" true
+    (Jsonx.of_string (Jsonx.pretty v) = v);
   check Alcotest.string "whole floats keep a decimal point" "3.0"
     (Jsonx.float_to_string 3.0);
   (match Jsonx.of_string_result "{\"a\":1} trailing" with
@@ -59,6 +65,67 @@ let test_jsonx_roundtrip () =
   match Jsonx.of_string_result "{\"a\":" with
   | Ok _ -> fail "truncated input must be rejected"
   | Error _ -> ()
+
+(* A value shaped like a bench record: nested objects, arrays of
+   scalars (one line), arrays of objects (one element per line), empty
+   containers and null. *)
+let test_jsonx_pretty () =
+  let point p t =
+    Jsonx.Obj
+      [
+        ("nprocs", Jsonx.Int p);
+        ("simulated_time", Jsonx.Float t);
+        ("spmd_measured", Jsonx.Bool (p <= 8));
+      ]
+  in
+  let v =
+    Jsonx.Obj
+      [
+        ("schema", Jsonx.Str "phpf-bench/7");
+        ("procs", Jsonx.List [ Jsonx.Int 8; Jsonx.Int 64 ]);
+        ( "benchmarks",
+          Jsonx.List
+            [
+              Jsonx.Obj
+                [
+                  ("name", Jsonx.Str "fig1");
+                  ("opt_census", Jsonx.List []);
+                  ("sweep", Jsonx.List [ point 8 0.000319; point 64 2.5 ]);
+                ];
+            ] );
+        ("recovery", Jsonx.Obj []);
+        ("serve", Jsonx.Null);
+      ]
+  in
+  let text = Jsonx.pretty v in
+  check Alcotest.bool "of_string (pretty v) = v" true
+    (Jsonx.of_string text = v);
+  check Alcotest.string "one field per line, scalar arrays inline"
+    "{\n\
+    \  \"schema\": \"phpf-bench/7\",\n\
+    \  \"procs\": [8, 64],\n\
+    \  \"benchmarks\": [\n\
+    \    {\n\
+    \      \"name\": \"fig1\",\n\
+    \      \"opt_census\": [],\n\
+    \      \"sweep\": [\n\
+    \        {\n\
+    \          \"nprocs\": 8,\n\
+    \          \"simulated_time\": 0.000319,\n\
+    \          \"spmd_measured\": true\n\
+    \        },\n\
+    \        {\n\
+    \          \"nprocs\": 64,\n\
+    \          \"simulated_time\": 2.5,\n\
+    \          \"spmd_measured\": false\n\
+    \        }\n\
+    \      ]\n\
+    \    }\n\
+    \  ],\n\
+    \  \"recovery\": {},\n\
+    \  \"serve\": null\n\
+     }"
+    text
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -265,10 +332,15 @@ let test_stress_8_domains_bit_identical () =
     seq.Serve.computed;
   check Alcotest.bool "cache hit rate reflects the replay" true
     (seq.Serve.cache_hit_rate > 0.6);
-  (* aggregated pass counters merge per-run stats; both runs computed
-     the same distinct points, racing duplicates aside *)
   check Alcotest.bool "aggregate stats are recorded" true
-    (Phpf_driver.Stats.get seq.Serve.stats "program.stmts" > 0)
+    (Phpf_driver.Stats.get seq.Serve.stats "program.stmts" > 0);
+  (* a domain that loses the race to compute a fresh key does not add
+     its counters to the aggregate *)
+  check
+    Alcotest.(list (pair string int))
+    "aggregate stats equal at 1 and 8 domains"
+    (Phpf_driver.Stats.to_sorted_list seq.Serve.stats)
+    (Phpf_driver.Stats.to_sorted_list par.Serve.stats)
 
 let test_batch_output_domain_independent () =
   let lines =
@@ -381,6 +453,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "jsonx roundtrip" `Quick test_jsonx_roundtrip;
+          Alcotest.test_case "jsonx pretty" `Quick test_jsonx_pretty;
           Alcotest.test_case "request parsing" `Quick test_proto_requests;
         ] );
       ( "pool",
