@@ -88,17 +88,24 @@ let index_defined_at (g : t) (i : int) : string option =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Nodes live in a doubling array indexed by id, so an edge looks its
+   endpoints up in O(1). *)
 type builder = {
-  mutable rev_nodes : node list;
+  mutable buf : node array;
   mutable count : int;
   b_by_sid : (Ast.stmt_id, int list) Hashtbl.t;
 }
 
 let new_node (b : builder) kind : int =
   let id = b.count in
-  b.count <- id + 1;
   let n = { id; kind; succs = []; preds = [] } in
-  b.rev_nodes <- n :: b.rev_nodes;
+  if id = Array.length b.buf then begin
+    let grown = Array.make (max 16 (2 * id)) n in
+    Array.blit b.buf 0 grown 0 id;
+    b.buf <- grown
+  end;
+  b.buf.(id) <- n;
+  b.count <- id + 1;
   (match kind with
   | Entry | Exit_node | Join None -> ()
   | Simple s | Branch s | Loop_init s | Loop_head s | Loop_step s ->
@@ -115,9 +122,7 @@ let new_node (b : builder) kind : int =
       Hashtbl.replace b.b_by_sid sid (id :: cur));
   id
 
-let get_node (b : builder) (id : int) : node =
-  (* rev_nodes is in reverse id order *)
-  List.nth b.rev_nodes (b.count - 1 - id)
+let get_node (b : builder) (id : int) : node = b.buf.(id)
 
 let add_edge (b : builder) (src : int) (dst : int) =
   let s = get_node b src and d = get_node b dst in
@@ -139,7 +144,7 @@ let find_loop_ctx env name =
 exception Malformed of string
 
 let build (p : Sir.program) : t =
-  let b = { rev_nodes = []; count = 0; b_by_sid = Hashtbl.create 64 } in
+  let b = { buf = [||]; count = 0; b_by_sid = Hashtbl.create 64 } in
   let entry = new_node b Entry in
   let rec seq (stmts : Ast.stmt list) (cur : int option) env : int option =
     List.fold_left (fun cur s -> stmt s cur env) cur stmts
@@ -202,9 +207,13 @@ let build (p : Sir.program) : t =
   let last = seq p.Sir.source.Ast.body (Some entry) [] in
   let exit_ = new_node b Exit_node in
   (match last with Some n -> add_edge b n exit_ | None -> ());
-  let nodes = Array.make b.count (get_node b entry) in
-  List.iter (fun n -> nodes.(n.id) <- n) b.rev_nodes;
-  { program = p; nodes; entry; exit_; by_sid = b.b_by_sid }
+  {
+    program = p;
+    nodes = Array.sub b.buf 0 b.count;
+    entry;
+    exit_;
+    by_sid = b.b_by_sid;
+  }
 
 (** Reverse postorder of reachable nodes from entry. *)
 let reverse_postorder (g : t) : int list =

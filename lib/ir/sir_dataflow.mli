@@ -17,8 +17,9 @@
       classified op is {e individually} deletable.
 
     The verifier renders these classes as warnings; the optimizer turns
-    them into deletions, re-running {!summarize} after each rewrite so
-    mutually-covering transfers are never both removed. *)
+    them into deletions, re-running both fixpoints on a {!prepared}
+    context after each rewrite so mutually-covering transfers are never
+    both removed. *)
 
 open Hpf_lang
 
@@ -91,47 +92,9 @@ val op_base : Sir.comm_op -> string option
 
 val dests_of_xfer : Sir.xfer -> Sir.dests option
 
-module Avail : sig
-  type t = Top | Facts of fact list  (** sorted and deduplicated *)
-
-  val equal : t -> t -> bool
-  val join : t -> t -> t  (** MUST intersection; [Top] is identity *)
-end
-
-(** Replay the pre-execution ops of a statement instance (mirror,
-    reduction steps, communications) on an availability state;
-    [skip_op] excludes one transfer by uid. *)
-val pre_exec :
-  Sir_cfg.t -> Sir.stmt_ops -> ?skip_op:int -> Avail.t -> Avail.t
-
 (** Facts from the identical initialization of every per-processor
     memory: each declared variable is valid everywhere until written. *)
 val initial_facts : Sir.program -> fact list
-
-(** Is [key] valid at [need] in the given state?  [excluding] ignores
-    facts contributed by the given op uid. *)
-val covered :
-  Avail.t -> ?excluding:int -> key:dkey -> need:Sir.dests -> unit -> bool
-
-(** {2 Per-processor liveness (the backward MAY domain)} *)
-
-module Live : sig
-  type t = string list
-  (** sorted base names whose per-processor copies may be read
-      downstream *)
-
-  val equal : t -> t -> bool
-  val join : t -> t -> t  (** MAY union *)
-end
-
-(** Walk one node's events backward from its live-out state, announcing
-    the liveness just after each comm op to [on_op]. *)
-val live_node_backward :
-  Sir_cfg.t ->
-  int ->
-  ?on_op:(Sir.comm_op -> live:Live.t -> unit) ->
-  Live.t ->
-  Live.t
 
 (** Arrays the final validation reads (a [V_skip] array is dead at
     exit). *)
@@ -140,10 +103,53 @@ val validated_arrays : Sir.program -> string list
 (** The unique instance node of a statement (where its ops fire). *)
 val instance_node : Sir_cfg.t -> Ast.stmt_id -> int option
 
+(** {2 The lattices}
+
+    Both domains are bitsets over ids interned once per program: every
+    fact a node can generate (initial, mirror, combine, transfer —
+    block regions expanded — loop-index and guarded-assign writes) and
+    every name a node can make live.  Ids follow [compare] order, so a
+    state listed by ascending id is exactly the sorted fact or name
+    list of the specification.  Each node's transfer is precomposed
+    into one [(keep, gen)] word mask per direction, so a worklist visit
+    costs one pass over the words. *)
+
+(** The interning table of one program: built eagerly by {!prepare} and
+    never mutated afterwards. *)
+type universe
+
+module Avail : sig
+  type t
+  (** [Top] (not yet reached: unreachable nodes keep it) or a set of
+      facts *)
+
+  val equal : t -> t -> bool
+  val join : t -> t -> t  (** MUST intersection; [Top] is identity *)
+
+  (** The facts in [compare] order; [None] for [Top]. *)
+  val facts : universe -> t -> fact list option
+end
+
+module Live : sig
+  type t
+  (** base names whose per-processor copies may be read downstream *)
+
+  val equal : t -> t -> bool
+  val join : t -> t -> t  (** MAY union *)
+
+  (** The names in [compare] order. *)
+  val names : universe -> t -> string list
+end
+
 (** {2 The classification} *)
+
+(** One node's precomposed transfers and transfer-op facts. *)
+type plan
 
 type summary = {
   cfg : Sir_cfg.t;
+  universe : universe;
+  plans : plan array;  (** per node, as analyzed *)
   avail : Avail.t Flow.result;
   live : Live.t Flow.result;
   dead : (Ast.stmt_id * Sir.comm_op) list;  (** [W0606] class *)
@@ -155,11 +161,37 @@ type summary = {
     kept disjoint (dead wins). *)
 val removable : summary -> Sir.comm_op list
 
-(** Build the CFG, run both fixpoints, classify. *)
+(** Is [key] valid at [need] in the state the statement at node [i]
+    reads: the node's in-state replayed through its mirror, reduction
+    and communication ops? *)
+val covered_at : summary -> int -> key:dkey -> need:Sir.dests -> bool
+
+(** {2 Prepared analyses}
+
+    A deletion loop re-runs both fixpoints after every single deletion
+    but builds the CFG, the interning table and the node plans once:
+    deleting an op can only remove facts and names, so the table of the
+    original program stays a superset, and only the touched statement's
+    plan changes. *)
+
+type prepared
+
+(** Build the CFG, intern the program's facts and names, and plan every
+    node. *)
+val prepare : Sir.program -> prepared
+
+(** Re-plan the nodes of a statement after ops were deleted from its
+    [comms] (the only rewrite a prepared context supports). *)
+val replan : prepared -> Ast.stmt_id -> unit
+
+(** Run both fixpoints over the program as it stands and classify. *)
+val analyze : prepared -> summary
+
+(** [analyze (prepare p)]. *)
 val summarize : Sir.program -> summary
 
 (** {2 Rendering} *)
 
 val pp_fact : Format.formatter -> fact -> unit
-val pp_avail : Format.formatter -> Avail.t -> unit
-val pp_live : Format.formatter -> Live.t -> unit
+val pp_avail : universe -> Format.formatter -> Avail.t -> unit
+val pp_live : universe -> Format.formatter -> Live.t -> unit

@@ -15,9 +15,10 @@
       provably clean on every path.
 
     Soundness discipline: [dte]/[rte] delete {e one} op at a time and
-    re-run the fixpoints before the next deletion, so mutually-covering
-    transfers are never both removed and the post-optimization
-    [verify-flow] audit reports zero [W0606]/[W0607] by construction.
+    re-run the fixpoints (on a {!Sir_dataflow.prepared} context) before
+    the next deletion, so mutually-covering transfers are never both
+    removed and the post-optimization [verify-flow] audit reports zero
+    [W0606]/[W0607] by construction.
     The applied pass names are recorded in the program's
     [opt_applied] field — the replay recipe
     {!Phpf_verify.Sir_check} uses to re-audit an optimized lowering
@@ -31,8 +32,9 @@ let replace_comms (p : Sir.program) (sid : Ast.stmt_id)
   | None -> ()
   | Some ops -> Hashtbl.replace p.Sir.stmts sid { ops with Sir.comms }
 
-(* Delete one comm op (by uid) from the statement table. *)
-let delete_uid (p : Sir.program) (uid : int) : unit =
+(* Delete one comm op (by uid) from the statement table; returns the
+   statements it touched. *)
+let delete_uid (p : Sir.program) (uid : int) : Ast.stmt_id list =
   let touched =
     Hashtbl.fold
       (fun sid (ops : Sir.stmt_ops) acc ->
@@ -43,7 +45,8 @@ let delete_uid (p : Sir.program) (uid : int) : unit =
         else acc)
       p.Sir.stmts []
   in
-  List.iter (fun (sid, comms) -> replace_comms p sid comms) touched
+  List.iter (fun (sid, comms) -> replace_comms p sid comms) touched;
+  List.map fst touched
 
 (* ------------------------------------------------------------------ *)
 (* dte / rte: certified deletions, one at a time                       *)
@@ -52,20 +55,23 @@ let delete_uid (p : Sir.program) (uid : int) : unit =
 (* Deleting a transfer changes both fixpoints (its facts disappear, its
    source-copy read disappears), so the class is recomputed after every
    deletion: two transfers that each cover the other are flagged
-   together but only one survives the loop. *)
+   together but only one survives the loop.  The CFG, the interning
+   table and the node plans are prepared once; a deletion re-plans only
+   the statement it touched. *)
 let delete_classified (select : Sir_dataflow.summary -> Sir.comm_op list)
     (p : Sir.program) : int =
-  let deleted = ref 0 in
-  let rec go () =
-    match select (Sir_dataflow.summarize p) with
-    | [] -> ()
-    | op :: _ ->
-        delete_uid p op.Sir.uid;
-        incr deleted;
-        go ()
+  let ctx = Sir_dataflow.prepare p in
+  let rec go deleted =
+    match select (Sir_dataflow.analyze ctx) with
+    | [] -> deleted
+    | op :: _ -> (
+        match delete_uid p op.Sir.uid with
+        | [] -> invalid_arg "Sir_opt: the analysis selected a deleted op"
+        | touched ->
+            List.iter (Sir_dataflow.replan ctx) touched;
+            go (deleted + 1))
   in
-  go ();
-  !deleted
+  go 0
 
 let dte = delete_classified (fun s -> List.map snd s.Sir_dataflow.dead)
 

@@ -13,8 +13,9 @@
     suite in [test_opt]):
 
     - [dte]/[rte] delete one op at a time and re-run the
-      {!Sir_dataflow} fixpoints before the next deletion, so
-      mutually-covering transfers are never both removed;
+      {!Sir_dataflow} fixpoints (on a context prepared once per pass)
+      before the next deletion, so mutually-covering transfers are
+      never both removed;
     - [merge] preserves ship timing (the merged block's prefix is the
       statement's full mirror) and its region expands back to exactly
       the fused element keys under {!Sir_dataflow.facts_of_op};

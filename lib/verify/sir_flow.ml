@@ -197,6 +197,7 @@ let check_guards (sir : Sir.program) : Diag.t list =
 
 type analysis = {
   cfg : Sir_cfg.t;
+  universe : universe;
   avail : Avail.t Flow.result;
   live : Live.t Flow.result;
   dead : Sir.comm_op list;  (** ops flagged W0606 *)
@@ -216,20 +217,12 @@ let analyze (c : Compiler.compiled) : analysis option =
   | Some sir ->
       let s = summarize sir in
       let cfg = s.Phpf_ir.Sir_dataflow.cfg in
-      let avail = s.Phpf_ir.Sir_dataflow.avail in
       (* E0612: every schedule-acknowledged requirement must be covered
          at its consumer by the in-state plus the node's own deliveries *)
-      let reqs = requirements c cfg in
       let stale =
         List.filter
-          (fun r ->
-            let st =
-              match Sir_cfg.ops_at cfg r.node with
-              | Some ops -> pre_exec cfg ops avail.Flow.input.(r.node)
-              | None -> avail.Flow.input.(r.node)
-            in
-            not (covered st ~key:r.key ~need:r.need ()))
-          reqs
+          (fun r -> not (covered_at s r.node ~key:r.key ~need:r.need))
+          (requirements c cfg)
       in
       let dead = s.Phpf_ir.Sir_dataflow.dead
       and redundant = s.Phpf_ir.Sir_dataflow.redundant in
@@ -264,7 +257,8 @@ let analyze (c : Compiler.compiled) : analysis option =
       Some
         {
           cfg;
-          avail;
+          universe = s.Phpf_ir.Sir_dataflow.universe;
+          avail = s.Phpf_ir.Sir_dataflow.avail;
           live = s.Phpf_ir.Sir_dataflow.live;
           dead = List.map snd dead;
           redundant = List.map snd redundant;
@@ -286,11 +280,14 @@ let pp_analysis ppf (a : analysis) =
     (a.avail.Flow.iterations + a.live.Flow.iterations);
   Array.iter
     (fun (n : Sir_cfg.node) ->
-      Fmt.pf ppf "b%d [%a]@." n.Sir_cfg.id Sir_cfg.pp_kind n.Sir_cfg.kind;
-      Fmt.pf ppf "  avail in : %a@." pp_avail a.avail.Flow.input.(n.Sir_cfg.id);
-      Fmt.pf ppf "  avail out: %a@." pp_avail a.avail.Flow.output.(n.Sir_cfg.id);
-      Fmt.pf ppf "  live out : %a@." pp_live a.live.Flow.input.(n.Sir_cfg.id);
-      Fmt.pf ppf "  live in  : %a@." pp_live a.live.Flow.output.(n.Sir_cfg.id))
+      let i = n.Sir_cfg.id
+      and pp_avail = pp_avail a.universe
+      and pp_live = pp_live a.universe in
+      Fmt.pf ppf "b%d [%a]@." i Sir_cfg.pp_kind n.Sir_cfg.kind;
+      Fmt.pf ppf "  avail in : %a@." pp_avail a.avail.Flow.input.(i);
+      Fmt.pf ppf "  avail out: %a@." pp_avail a.avail.Flow.output.(i);
+      Fmt.pf ppf "  live out : %a@." pp_live a.live.Flow.input.(i);
+      Fmt.pf ppf "  live in  : %a@." pp_live a.live.Flow.output.(i))
     a.cfg.Sir_cfg.nodes
 
 let dump (c : Compiler.compiled) : string option =

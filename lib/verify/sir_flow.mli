@@ -46,12 +46,18 @@ type req = {
   node : int;  (** instance node of the consumer statement *)
 }
 
+(** The requirements the [E0612] audit checks: re-derived from the
+    decisions, restricted to those the schedule acknowledges, each at
+    its consumer's instance node in [cfg]. *)
+val requirements : Compiler.compiled -> Sir_cfg.t -> req list
+
 (** The [W0608] guard audit alone (statically empty or subsumed
     predicates). *)
 val check_guards : Sir.program -> Diag.t list
 
 type analysis = {
   cfg : Sir_cfg.t;
+  universe : universe;  (** renders the two lattices *)
   avail : Avail.t Flow.result;
   live : Live.t Flow.result;
   dead : Sir.comm_op list;  (** ops flagged [W0606] *)
@@ -72,9 +78,6 @@ val analyze : Compiler.compiled -> analysis option
 val check : Compiler.compiled -> Diag.t list
 
 (** {2 Rendering ([--dump-after verify-flow])} *)
-
-val pp_fact : Format.formatter -> fact -> unit
-val pp_avail : Format.formatter -> Avail.t -> unit
 
 (** Per-block availability in/out and liveness in/out sets. *)
 val pp_analysis : Format.formatter -> analysis -> unit

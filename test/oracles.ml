@@ -1,4 +1,4 @@
-(* Test-side references for the runtime's closed-form fast paths.
+(* Test-side references for the library's fast paths.
 
    The enumerative ownership oracles expand per-dimension owner
    coordinates into explicit, ascending pid lists by cartesian product —
@@ -6,7 +6,9 @@
    closed-form sets ({!Hpf_mapping.Pid_set}, {!Hpf_spmd.Concrete})
    must agree with.  [relower] lowers a compiled record's (possibly
    mutated) decisions and schedule afresh, for corruption tests that
-   execute exactly the data movement they describe. *)
+   execute exactly the data movement they describe.  [List_flow] is
+   the dataflow core on its specification lattices (sorted lists), the
+   reference for {!Phpf_ir.Sir_dataflow}'s interned bitsets. *)
 
 open Hpf_lang
 open Hpf_analysis
@@ -85,3 +87,274 @@ let executing_pids (d : Decisions.t) (m : Memory.t) (s : Ast.stmt) :
 let relower (c : Compiler.compiled) : Phpf_ir.Sir.program =
   Lower_spmd.lower ~prog:c.Compiler.prog ~decisions:c.Compiler.decisions
     ~comms:c.Compiler.comms ()
+
+(* ------------------------------------------------------------------ *)
+(* The sorted-list dataflow lattice                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference for {!Phpf_ir.Sir_dataflow}'s interned bitsets: both
+   fixpoints on their specification domains — sorted, deduplicated
+   fact and name lists compared structurally — with every node's
+   events replayed on each worklist visit and a fresh CFG per call. *)
+module List_flow = struct
+  module Df = Phpf_ir.Sir_dataflow
+  module Sir = Phpf_ir.Sir
+  module Sir_cfg = Phpf_ir.Sir_cfg
+  module Flow = Phpf_ir.Flow
+
+  let coord_vars = function
+    | Sir.C_all | Sir.C_fixed _ -> []
+    | Sir.C_affine { sub; _ } -> Ast.expr_vars sub
+
+  let place_vars (p : Sir.place) = Array.to_list p |> List.concat_map coord_vars
+
+  let dests_vars = function
+    | Sir.D_all | Sir.D_pred Sir.P_all -> []
+    | Sir.D_pred (Sir.P_place p) -> place_vars p
+    | Sir.D_pred (Sir.P_union ps) -> List.concat_map place_vars ps
+
+  let key_vars = function
+    | Df.K_scalar b | Df.K_whole b -> [ b ]
+    | Df.K_elem (b, subs) -> b :: List.concat_map Ast.expr_vars subs
+
+  module Avail = struct
+    type t = Top | Facts of Df.fact list  (** sorted and deduplicated *)
+
+    let equal (a : t) (b : t) = a = b
+
+    let join a b =
+      match (a, b) with
+      | Top, x | x, Top -> x
+      | Facts xs, Facts ys -> Facts (List.filter (fun f -> List.mem f ys) xs)
+
+    let add (f : Df.fact) = function
+      | Top -> Top
+      | Facts fs -> Facts (List.sort_uniq compare (f :: fs))
+
+    let filter p = function Top -> Top | Facts fs -> Facts (List.filter p fs)
+
+    let kill_var (x : string) =
+      filter (fun (f : Df.fact) ->
+          (not (List.mem x (key_vars f.Df.key)))
+          && not (List.mem x (dests_vars f.Df.dests)))
+
+    let kill_base (b : string) =
+      filter (fun (f : Df.fact) -> Df.key_base f.Df.key <> b)
+  end
+
+  module Avail_engine = Flow.Make (Avail)
+
+  let write sid v : Df.fact =
+    { Df.src = Df.F_write sid; key = Df.K_scalar v; dests = Sir.D_all }
+
+  let pre_exec (g : Sir_cfg.t) (ops : Sir.stmt_ops) ?(skip_op : int option)
+      (st : Avail.t) : Avail.t =
+    let st =
+      List.fold_left
+        (fun st v -> Avail.add (write ops.Sir.sid v) (Avail.kill_base v st))
+        st ops.Sir.mirror
+    in
+    let st =
+      List.fold_left
+        (fun st (step : Sir.red_step) ->
+          match step with
+          | Sir.R_mark _ -> st
+          | Sir.R_combine ix ->
+              let r = g.Sir_cfg.program.Sir.reductions.(ix) in
+              List.fold_left
+                (fun st v ->
+                  Avail.add (write ops.Sir.sid v)
+                    (Avail.kill_var v (Avail.kill_base v st)))
+                st
+                (r.Sir.rvar :: r.Sir.loc_vars))
+        st ops.Sir.red_steps
+    in
+    List.fold_left
+      (fun st (op : Sir.comm_op) ->
+        if skip_op = Some op.Sir.uid then st
+        else List.fold_left (fun st f -> Avail.add f st) st (Df.facts_of_op op))
+      st ops.Sir.comms
+
+  let exec_effect sid (exec : Sir.exec) (st : Avail.t) : Avail.t =
+    match exec with
+    | Sir.Nop -> st
+    | Sir.Loop_head { index; _ } ->
+        Avail.add (write sid index) (Avail.kill_var index st)
+    | Sir.Guarded_assign { lhs; computes; _ } ->
+        let base, key =
+          match lhs with
+          | Ast.LVar v -> (v, Df.K_scalar v)
+          | Ast.LArr (a, subs) -> (a, Df.K_elem (a, subs))
+        in
+        Avail.add
+          { Df.src = Df.F_write sid; key; dests = Sir.D_pred computes }
+          (Avail.kill_var base (Avail.kill_base base st))
+
+  let avail_transfer (g : Sir_cfg.t) (i : int) (st : Avail.t) : Avail.t =
+    let st =
+      match Sir_cfg.index_defined_at g i with
+      | Some x -> Avail.kill_var x st
+      | None -> st
+    in
+    match Sir_cfg.ops_at g i with
+    | None -> st
+    | Some ops -> exec_effect ops.Sir.sid ops.Sir.exec (pre_exec g ops st)
+
+  let covered (st : Avail.t) ?(excluding : int option) ~(key : Df.dkey)
+      ~(need : Sir.dests) () : bool =
+    match st with
+    | Avail.Top -> true
+    | Avail.Facts fs ->
+        List.exists
+          (fun (f : Df.fact) ->
+            (match (excluding, f.Df.src) with
+            | Some uid, Df.F_op uid' -> uid <> uid'
+            | _ -> true)
+            && Df.key_covers ~have:f.Df.key ~need:key
+            && Df.dests_covers ~have:f.Df.dests ~need)
+          fs
+
+  module Live = struct
+    type t = string list  (** sorted names possibly read downstream *)
+
+    let equal (a : t) (b : t) = a = b
+    let join a b = List.sort_uniq compare (a @ b)
+  end
+
+  module Live_engine = Flow.Make (Live)
+
+  let union vs live = List.sort_uniq compare (vs @ live)
+  let diff vs live = List.filter (fun v -> not (List.mem v vs)) live
+
+  let live_node_backward (g : Sir_cfg.t) (i : int)
+      ?(on_op = fun (_ : Sir.comm_op) ~(live : Live.t) -> ignore live)
+      (live : Live.t) : Live.t =
+    match Sir_cfg.ops_at g i with
+    | None -> live
+    | Some ops ->
+        let live =
+          match ops.Sir.exec with
+          | Sir.Nop -> live
+          | Sir.Loop_head { index; _ } -> diff [ index ] live
+          | Sir.Guarded_assign { lhs; rhs; computes } ->
+              let kills =
+                match lhs with
+                | Ast.LVar v when Df.pred_is_all computes -> [ v ]
+                | _ -> []
+              in
+              union (Ast.expr_vars rhs) (diff kills live)
+        in
+        let live =
+          List.fold_left
+            (fun live op ->
+              match Df.op_base op with
+              | None -> live
+              | Some b ->
+                  on_op op ~live;
+                  union [ b ] live)
+            live (List.rev ops.Sir.comms)
+        in
+        let live =
+          List.fold_left
+            (fun live (step : Sir.red_step) ->
+              match step with
+              | Sir.R_mark _ -> live
+              | Sir.R_combine ix ->
+                  let r = g.Sir_cfg.program.Sir.reductions.(ix) in
+                  union (r.Sir.rvar :: r.Sir.loc_vars) live)
+            live (List.rev ops.Sir.red_steps)
+        in
+        diff ops.Sir.mirror live
+
+  type summary = {
+    cfg : Sir_cfg.t;
+    avail : Avail.t Flow.result;
+    live : Live.t Flow.result;
+    dead : (Ast.stmt_id * Sir.comm_op) list;
+    redundant : (Ast.stmt_id * Sir.comm_op) list;
+  }
+
+  let summarize (sir : Sir.program) : summary =
+    let cfg = Sir_cfg.build sir in
+    let avail =
+      Avail_engine.fixpoint ~cfg ~direction:Flow.Forward
+        ~boundary:(Avail.Facts (Df.initial_facts sir))
+        ~init:Avail.Top ~transfer:(avail_transfer cfg)
+    in
+    let live =
+      Live_engine.fixpoint ~cfg ~direction:Flow.Backward
+        ~boundary:(Df.validated_arrays sir) ~init:[]
+        ~transfer:(fun i l -> live_node_backward cfg i l)
+    in
+    let redundant = ref [] in
+    Array.iteri
+      (fun i _ ->
+        match Sir_cfg.ops_at cfg i with
+        | None -> ()
+        | Some ops ->
+            List.iter
+              (fun (op : Sir.comm_op) ->
+                match Df.facts_of_op op with
+                | [] -> ()
+                | fs ->
+                    let st =
+                      pre_exec cfg ops ~skip_op:op.Sir.uid avail.Flow.input.(i)
+                    in
+                    if
+                      List.for_all
+                        (fun (f : Df.fact) ->
+                          covered st ~excluding:op.Sir.uid ~key:f.Df.key
+                            ~need:f.Df.dests ())
+                        fs
+                    then redundant := (ops.Sir.sid, op) :: !redundant)
+              ops.Sir.comms)
+      cfg.Sir_cfg.nodes;
+    let dead = ref [] in
+    Array.iteri
+      (fun i _ ->
+        ignore
+          (live_node_backward cfg i
+             ~on_op:(fun op ~live ->
+               match Df.op_base op with
+               | Some b when not (List.mem b live) ->
+                   let sid =
+                     match Sir_cfg.sid_of_node cfg i with
+                     | Some s -> s
+                     | None -> -1
+                   in
+                   dead := (sid, op) :: !dead
+               | _ -> ())
+             live.Flow.input.(i)))
+      cfg.Sir_cfg.nodes;
+    let by_pos (_, (a : Sir.comm_op)) (_, (b : Sir.comm_op)) =
+      compare a.Sir.pos b.Sir.pos
+    in
+    let dead = List.sort by_pos !dead in
+    let redundant =
+      List.sort by_pos !redundant
+      |> List.filter (fun (_, (op : Sir.comm_op)) ->
+             not
+               (List.exists
+                  (fun (_, (d : Sir.comm_op)) -> d.Sir.uid = op.Sir.uid)
+                  dead))
+    in
+    { cfg; avail; live; dead; redundant }
+
+  (* The E0612 test: [key] valid at [need] in the state the statement at
+     node [i] reads. *)
+  let covered_at (s : summary) (i : int) ~key ~need : bool =
+    let st =
+      match Sir_cfg.ops_at s.cfg i with
+      | Some ops -> pre_exec s.cfg ops s.avail.Flow.input.(i)
+      | None -> s.avail.Flow.input.(i)
+    in
+    covered st ~key ~need ()
+
+  let pp_avail ppf = function
+    | Avail.Top -> Fmt.string ppf "<unreached>"
+    | Avail.Facts fs ->
+        Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any "; ") Df.pp_fact) fs
+
+  let pp_live ppf (l : Live.t) =
+    Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any "; ") string) l
+end

@@ -516,6 +516,140 @@ let test_oracle (name, prog) () =
   if !live + !dead = 0 && name <> "fig7" then
     fail (name ^ ": no transfer ops exercised")
 
+(* ---------------- the sorted-list reference ---------------- *)
+
+module Lf = Oracles.List_flow
+
+let examples_dir =
+  List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ]
+
+let examples () =
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".hpfk")
+  |> List.sort compare
+  |> List.map (fun f ->
+         ( Filename.chop_suffix f ".hpfk",
+           fun () ->
+             parse
+               (In_channel.with_open_bin (Filename.concat examples_dir f)
+                  In_channel.input_all) ))
+
+(* The six kernels at the sizes the count record compiles them. *)
+let bench_kernels =
+  [
+    ("fig1@4", fun () -> Fig_examples.fig1 ~n:64 ~p:4 ());
+    ("fig2@4", fun () -> Fig_examples.fig2 ~n:32 ~np:4 ());
+    ("fig7@4", fun () -> Fig_examples.fig7 ~n:48 ~p:4 ());
+    ("tomcatv@4", fun () -> Tomcatv.program ~n:66 ~niter:1 ~p:4);
+    ("dgefa@4", fun () -> Dgefa.program ~n:64 ~p:4);
+    ("appsp_2d@4", fun () -> Appsp.program_2d ~n:18 ~niter:1 ~p1:2 ~p2:2);
+  ]
+
+let tomcatv_x2 () = Prog_gen.compose 2 (Tomcatv.program ~n:66 ~niter:1 ~p:4)
+
+(* Every node's four states, rendered. *)
+let render_states pp_avail pp_live n (avail : _ Flow.result)
+    (live : _ Flow.result) =
+  String.concat ""
+    (List.init n (fun i ->
+         Fmt.str "b%d in %a out %a live-out %a live-in %a\n" i pp_avail
+           avail.Flow.input.(i) pp_avail avail.Flow.output.(i) pp_live
+           live.Flow.input.(i) pp_live live.Flow.output.(i)))
+
+(* Every node's four states as fact and name lists, sources included
+   (the rendering omits them). *)
+let all_states avail_facts live_names n (avail : _ Flow.result)
+    (live : _ Flow.result) =
+  List.init n (fun i ->
+      ( List.map avail_facts [ avail.Flow.input.(i); avail.Flow.output.(i) ],
+        List.map live_names [ live.Flow.input.(i); live.Flow.output.(i) ] ))
+
+let pairs l = List.map (fun (sid, (o : Sir.comm_op)) -> (sid, o.Sir.uid)) l
+
+let render_reqs (rs : Sir_flow.req list) =
+  List.map
+    (fun (r : Sir_flow.req) ->
+      Fmt.str "b%d %a" r.Sir_flow.node Hpf_analysis.Aref.pp
+        r.Sir_flow.cm.Hpf_comm.Comm.data)
+    rs
+
+(* The interned-bitset core against the sorted-list reference: the
+   dead, redundant and stale classes, every node's rendered and actual
+   states, and the iteration counts of both fixpoints. *)
+let agree name (c : Compiler.compiled) =
+  let sir = sir_of name c in
+  let s = Sir_dataflow.summarize sir and o = Lf.summarize sir in
+  let u = s.Sir_dataflow.universe and n = Sir_cfg.n_nodes o.Lf.cfg in
+  let ids = Alcotest.(list (pair int int)) in
+  check ids (name ^ ": dead class") (pairs o.Lf.dead)
+    (pairs s.Sir_dataflow.dead);
+  check ids (name ^ ": redundant class") (pairs o.Lf.redundant)
+    (pairs s.Sir_dataflow.redundant);
+  check Alcotest.int (name ^ ": avail iterations")
+    o.Lf.avail.Flow.iterations s.Sir_dataflow.avail.Flow.iterations;
+  check Alcotest.int (name ^ ": live iterations")
+    o.Lf.live.Flow.iterations s.Sir_dataflow.live.Flow.iterations;
+  check Alcotest.string (name ^ ": rendered states")
+    (render_states Lf.pp_avail Lf.pp_live n o.Lf.avail o.Lf.live)
+    (render_states (Sir_dataflow.pp_avail u) (Sir_dataflow.pp_live u) n
+       s.Sir_dataflow.avail s.Sir_dataflow.live);
+  check Alcotest.bool (name ^ ": states agree, sources included") true
+    (all_states
+       (function Lf.Avail.Top -> None | Lf.Avail.Facts fs -> Some fs)
+       Fun.id n o.Lf.avail o.Lf.live
+    = all_states (Sir_dataflow.Avail.facts u) (Sir_dataflow.Live.names u) n
+        s.Sir_dataflow.avail s.Sir_dataflow.live);
+  let stale_ref =
+    List.filter
+      (fun (r : Sir_flow.req) ->
+        not
+          (Lf.covered_at o r.Sir_flow.node ~key:r.Sir_flow.key
+             ~need:r.Sir_flow.need))
+      (Sir_flow.requirements c o.Lf.cfg)
+  in
+  check
+    Alcotest.(list string)
+    (name ^ ": stale class") (render_reqs stale_ref)
+    (render_reqs (analysis_of name c).Sir_flow.stale)
+
+let option_sets = Phpf_serve.Serve.workload_option_sets
+
+let agree_under_options name prog =
+  List.iter
+    (fun (oname, options) ->
+      match Compiler.compile ~options (prog ()) with
+      | Ok c -> agree (name ^ "/" ^ oname) c
+      | Error ds ->
+          fail (Fmt.str "%s does not compile: %a" name Diag.pp_list ds))
+    option_sets
+
+let test_oracle_programs programs () =
+  List.iter (fun (name, prog) -> agree_under_options name prog) programs
+
+(* The stale class is empty on every clean compile: corrupt programs
+   exercise it. *)
+let test_oracle_corrupted () =
+  let c = compiled_of "fig1" (Fig_examples.fig1 ~n:40 ~p:4 ()) in
+  let sir = sir_of "fig1" c in
+  List.iter
+    (fun ((_, op) : _ * Sir.comm_op) ->
+      agree
+        (Fmt.str "fig1 without uid %d" op.Sir.uid)
+        (with_sir c (delete_op sir op.Sir.uid)))
+    (transfer_ops sir)
+
+let prop_oracle_generated =
+  QCheck2.Test.make ~name:"generated programs agree with the list lattice"
+    ~count:40
+    ~print:(fun p -> Pp.program_to_string p)
+    Prog_gen.gen_checked_program
+    (fun p ->
+      List.iter
+        (fun (oname, options) ->
+          agree ("generated/" ^ oname) (Compiler.compile_exn ~options p))
+        option_sets;
+      true)
+
 let () =
   Alcotest.run "flow"
     [
@@ -557,4 +691,17 @@ let () =
             Alcotest.test_case ("delete-and-diff " ^ name) `Quick
               (test_oracle (name, prog)))
           benchmarks );
+      ( "list-lattice",
+        [
+          Alcotest.test_case "examples" `Quick
+            (test_oracle_programs (examples ()));
+          Alcotest.test_case "bench kernels" `Quick
+            (test_oracle_programs bench_kernels);
+          Alcotest.test_case "tomcatv x2" `Quick
+            (test_oracle_programs [ ("tomcatv_x2", tomcatv_x2) ]);
+          Alcotest.test_case "corrupted fig1" `Quick test_oracle_corrupted;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 12075110 |])
+            prop_oracle_generated;
+        ] );
     ]

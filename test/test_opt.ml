@@ -225,6 +225,73 @@ let test_msg_stats_repeatable () =
   check Alcotest.int "bytes repeat" a.Msg.bytes b.Msg.bytes;
   check Alcotest.bool "the run actually communicated" true (a.Msg.packets > 0)
 
+(* ------- prepared deletion loop = fresh summarize per deletion ------- *)
+
+(* The reference loop: a fresh CFG, interning table and plans for
+   every deletion. *)
+let fresh_loop
+    (select : Sir_dataflow.summary -> (Ast.stmt_id * Sir.comm_op) list)
+    (sir : Sir.program) : int =
+  let rec go deleted =
+    match select (Sir_dataflow.summarize sir) with
+    | [] -> deleted
+    | (_, (op : Sir.comm_op)) :: _ ->
+        Hashtbl.filter_map_inplace
+          (fun _ (ops : Sir.stmt_ops) ->
+            Some
+              {
+                ops with
+                Sir.comms =
+                  List.filter
+                    (fun (o : Sir.comm_op) -> o.Sir.uid <> op.Sir.uid)
+                    ops.Sir.comms;
+              })
+          sir.Sir.stmts;
+        go (deleted + 1)
+  in
+  go 0
+
+let copy (sir : Sir.program) =
+  { sir with Sir.stmts = Hashtbl.copy sir.Sir.stmts }
+
+let test_prepared_matches_fresh () =
+  let total = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun (oname, options) ->
+          let tag = name ^ "/" ^ oname in
+          let c =
+            match Compiler.compile ~options (prog ()) with
+            | Ok c -> c
+            | Error ds -> fail (Fmt.str "%s: %a" tag Diag.pp_list ds)
+          in
+          (* the schedule as lowered, before any rewrite *)
+          let lowered = Oracles.relower c in
+          let prepared = copy lowered and fresh = copy lowered in
+          let k_dte = Sir_opt.dte prepared in
+          let k_rte = Sir_opt.rte prepared in
+          total := !total + k_dte + k_rte;
+          check Alcotest.int (tag ^ ": dte deletions") k_dte
+            (fresh_loop (fun s -> s.Sir_dataflow.dead) fresh);
+          check Alcotest.int (tag ^ ": rte deletions") k_rte
+            (fresh_loop (fun s -> s.Sir_dataflow.redundant) fresh);
+          check Alcotest.string (tag ^ ": same Sir") (Sir_pp.to_string fresh)
+            (Sir_pp.to_string prepared))
+        Phpf_serve.Serve.workload_option_sets)
+    (benchmarks
+    @ [
+        ( "tomcatv@4",
+          fun () -> Tomcatv.program ~n:66 ~niter:1 ~p:4 );
+        ( "appsp_2d@4",
+          fun () -> Appsp.program_2d ~n:18 ~niter:1 ~p1:2 ~p2:2 );
+        ( "tomcatv_x2",
+          fun () -> Prog_gen.compose 2 (Tomcatv.program ~n:66 ~niter:1 ~p:4) );
+      ]);
+  check Alcotest.bool
+    (Fmt.str "the loops deleted transfers (%d)" !total)
+    true (!total > 0)
+
 (* ---------------------- unit: merge ---------------------- *)
 
 (* Two reads of the same shifted row differing only in a constant
@@ -512,6 +579,8 @@ let () =
             `Quick test_optimized_crash_failover;
           Alcotest.test_case "Msg.stats repeats across runs" `Quick
             test_msg_stats_repeatable;
+          Alcotest.test_case "prepared dte/rte = fresh summarize loop" `Quick
+            test_prepared_matches_fresh;
         ] );
       ( "oracle",
         List.map
