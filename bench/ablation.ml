@@ -17,30 +17,6 @@ let time_with model prog options =
   let r, _ = Trace_sim.run ~model ~init:(Init.init c.Compiler.prog) c in
   r.Trace_sim.time
 
-(* Ablation 4: global message combining *)
-let run_combining () =
-  let p = 8 in
-  let prog = Tomcatv.program ~n:66 ~niter:10 ~p in
-  Fmt.pr
-    "@.Ablation 4: TOMCATV (P=%d) — global message combining (the optimization@." p;
-  Fmt.pr "the paper notes phpf lacked) applied to each mapping variant@.";
-  List.iter
-    (fun (name, options) ->
-      let plain = time_with Cost_model.sp2 prog options in
-      let combined =
-        time_with Cost_model.sp2 prog
-          (Variants.with_message_combining options)
-      in
-      Fmt.pr "  %-20s : %.4fs -> %.4fs with combining (%.1fx)@." name plain
-        combined (plain /. combined))
-    [
-      ("producer", Variants.producer_alignment);
-      ("selected", Variants.selected);
-    ];
-  Fmt.pr
-    "  combining rescues some of the producer variant's latency, but the@.";
-  Fmt.pr "  paper's mapping choice still dominates by a wide margin.@."
-
 (* Ablation 5: privatization vs scalar expansion (paper section 6) *)
 let run_expansion () =
   let prog = Fig_examples.fig1 ~n:100 ~p:8 () in
@@ -121,6 +97,5 @@ let run () =
       ("default", Variants.no_reduction_alignment);
       ("aligned", Variants.selected);
     ];
-  run_combining ();
   run_expansion ()
 

@@ -125,68 +125,22 @@ let topology_arg =
            tree) or $(b,torus) (2D torus: Manhattan hop distances and \
            bisection contention on congesting collectives).")
 
+(* Every boolean knob's flag comes from the one table in [Decisions];
+   -O and --opt are the two flags that are not a single knob's flip. *)
 let opt_flags =
-  let no_scalar =
-    Arg.(
-      value & flag
-      & info [ "no-scalar-priv" ]
-          ~doc:"Disable scalar privatization (replicate all scalars).")
+  let knob acc (k : Decisions.knob) =
+    let flip flipped o =
+      if flipped then
+        k.Decisions.set o (not (k.Decisions.get Decisions.default_options))
+      else o
+    in
+    let flag =
+      Arg.(value & flag & info [ k.Decisions.flag ] ~doc:k.Decisions.doc)
+    in
+    Term.(const flip $ flag $ acc)
   in
-  let producer =
-    Arg.(
-      value & flag
-      & info [ "producer-align" ]
-          ~doc:
-            "Always align privatized scalars with a producer reference \
-             (skip consumer selection).")
-  in
-  let no_red =
-    Arg.(
-      value & flag
-      & info [ "no-reduction-align" ]
-          ~doc:"Disable the reduction-accumulator mapping of paper §2.3.")
-  in
-  let no_arr =
-    Arg.(
-      value & flag
-      & info [ "no-array-priv" ] ~doc:"Disable array privatization.")
-  in
-  let no_partial =
-    Arg.(
-      value & flag
-      & info [ "no-partial-priv" ] ~doc:"Disable partial privatization.")
-  in
-  let no_ctrl =
-    Arg.(
-      value & flag
-      & info [ "no-ctrl-priv" ]
-          ~doc:"Disable privatized execution of control flow.")
-  in
-  let auto_arr =
-    Arg.(
-      value & flag
-      & info [ "auto-array-priv" ]
-          ~doc:
-            "Enable automatic (directive-free) array privatization — the \
-             paper's future-work extension.")
-  in
-  let combine =
-    Arg.(
-      value & flag
-      & info [ "combine-messages" ]
-          ~doc:
-            "Enable global message combining (communications sharing a \
-             placement point pay the startup latency once) — the \
-             optimization the paper notes phpf lacked.")
-  in
-  let no_opt =
-    Arg.(
-      value & flag
-      & info [ "no-opt" ]
-          ~doc:
-            "Disable the Sir optimizer suite and the emitter's \
-             no-op-transfer elision: ship the paper-faithful phpf \
-             communication schedule verbatim.")
+  let knobs =
+    List.fold_left knob (Term.const Decisions.default_options) Decisions.knobs
   in
   let olevel =
     Arg.(
@@ -207,35 +161,13 @@ let opt_flags =
              $(b,--list-passes) for the $(b,sir-opt.)$(i,PASS) names); \
              they still run in canonical order.")
   in
-  let mk no_scalar producer no_red no_arr no_partial no_ctrl auto_arr
-      combine no_opt olevel opt_passes =
-    (* accept both the bare pass name and the registered
-       sir-opt.<pass> form *)
-    let opt_passes =
-      Option.map
-        (List.map (fun p ->
-             match String.index_opt p '.' with
-             | Some i when String.sub p 0 i = "sir-opt" ->
-                 String.sub p (i + 1) (String.length p - i - 1)
-             | _ -> p))
-        opt_passes
+  let mk o olevel opt_passes =
+    let o =
+      if olevel = Some 0 then { o with Decisions.optimize = false } else o
     in
-    {
-      Decisions.privatize_scalars = not no_scalar;
-      force_producer_alignment = producer;
-      reduction_alignment = not no_red;
-      privatize_arrays = not no_arr;
-      partial_privatization = not no_partial;
-      privatize_control = not no_ctrl;
-      auto_array_priv = auto_arr;
-      combine_messages = combine;
-      optimize = (not no_opt) && olevel <> Some 0;
-      opt_passes;
-    }
+    { o with Decisions.opt_passes }
   in
-  Term.(
-    const mk $ no_scalar $ producer $ no_red $ no_arr $ no_partial $ no_ctrl
-    $ auto_arr $ combine $ no_opt $ olevel $ opt_passes)
+  Term.(const mk $ knobs $ olevel $ opt_passes)
 
 (* ---------------- pipeline instrumentation flags ---------------- *)
 
@@ -366,35 +298,45 @@ let compile_program ?after (co : common) =
   | Ok res -> res
   | Error ds -> raise (Diag.Fatal ds)
 
-(* The one E0501 check: the first of [names] outside [known] is a usage
-   error listing the [shown] registered names. *)
-let known_passes ~known ~shown names =
-  match List.find_opt (fun p -> not (List.mem p known)) names with
-  | None -> true
-  | Some p ->
-      render_diags
-        [
-          Diag.errorf ~code:"E0501" "unknown pass %s (registered: %s)" p
-            (String.concat ", " shown);
-        ];
-      false
-
-(* Run a compiling command: set up logging, reject an unknown
-   --dump-after pass ([extra] admits the verifier's passes where they
-   run) or --opt selection before doing any work (exit 1), then run [f]
-   under the shared diagnostic guard. *)
-let run_compiling ?(extra = []) ?dump_after (co : common) (f : unit -> int) :
-    int =
+(* Run a compiling command: set up logging and, before doing any work,
+   reject as E0501 usage errors (exit 1) an unknown --dump-after pass
+   ([extra] admits the verifier's passes where they run), an unknown
+   --opt selection, and a --dump-after pass the options switch off (it
+   would dump nothing).  [f] gets [co] with its selection normalized
+   and runs under the shared diagnostic guard. *)
+let run_compiling ?(extra = []) ?dump_after (co : common)
+    (f : common -> int) : int =
   setup_logs co.verbose;
+  let usage fmt =
+    Fmt.kstr
+      (fun msg ->
+        render_diags [ Diag.error ~code:"E0501" msg ];
+        exit_usage)
+      fmt
+  in
   let pipeline = Compiler.pass_names @ extra in
-  let opt = Phpf_ir.Sir_opt.pass_names in
-  if
-    known_passes ~known:pipeline ~shown:pipeline (Option.to_list dump_after)
-    && known_passes ~known:opt
-         ~shown:(List.map (( ^ ) "sir-opt.") opt)
-         (Option.value co.options.Decisions.opt_passes ~default:[])
-  then guarded f
-  else exit_usage
+  let selection =
+    match co.options.Decisions.opt_passes with
+    | None -> Ok None
+    | Some names ->
+        Result.map Option.some (Decisions.normalize_opt_passes names)
+  in
+  match (dump_after, selection) with
+  | Some p, _ when not (List.mem p pipeline) ->
+      usage "unknown pass %s (registered: %s)" p (String.concat ", " pipeline)
+  | _, Error msg -> usage "%s" msg
+  | _, Ok opt_passes -> (
+      let options = { co.options with Decisions.opt_passes } in
+      let switched_off p =
+        List.exists
+          Phpf_driver.Pass.(fun q -> q.name = p && not (q.enabled options))
+          Compiler.passes
+      in
+      match dump_after with
+      | Some p when switched_off p ->
+          usage "pass %s does not run under these options (nothing to dump)"
+            p
+      | _ -> guarded (fun () -> f { co with options }))
 
 (* ---------------- commands ---------------- *)
 
@@ -409,7 +351,7 @@ let compile_cmd =
       run_compiling
         ~extra:(if verify then Phpf_verify.Verifier.pass_names else [])
         ?dump_after co
-      @@ fun () ->
+      @@ fun co ->
       let c, trace = compile_program ~after:(dump_after_hook dump_after) co in
       if annotate then Fmt.pr "%a@?" Report.pp_annotated c
       else Fmt.pr "%a@?" Report.pp_compiled c;
@@ -447,7 +389,7 @@ let compile_cmd =
 let lint_cmd =
   let run co strict time_passes stats dump_after =
     run_compiling ~extra:Phpf_verify.Verifier.pass_names ?dump_after co
-    @@ fun () ->
+    @@ fun co ->
     let c, _trace = compile_program co in
     run_verifier ~opts:co.options ~time_passes ~stats ~strict ?dump_after c
   in
@@ -474,7 +416,7 @@ let simulate_cmd =
   let run co stats faults fault_seed report_faults report_comm recovery_mode
       max_retries checkpoint_interval heartbeat_timeout no_aggregate fuel
       topology dump_after =
-    run_compiling ?dump_after co @@ fun () ->
+    run_compiling ?dump_after co @@ fun co ->
     let model =
       Hpf_comm.Cost_model.with_topology Hpf_comm.Cost_model.sp2 topology
     in
@@ -587,7 +529,7 @@ let simulate_cmd =
              $(i,KIND)[:$(i,RATE)] items with kinds drop, dup, reorder, \
              corrupt, delay, stall, crash or all (default rate 0.05), or \
              $(i,KIND)@$(i,EVENT) one-shots pinning a stall or crash to \
-             one exact heartbeat window (e.g. $(b,crash\\@0)).  Rates \
+             one exact heartbeat window (e.g. $(b,crash@0)).  Rates \
              outside [0, 1], duplicate kinds and duplicate one-shots are \
              rejected.  The run must either recover (validation clean) \
              or fail with a structured diagnostic — exit 3.")
@@ -669,7 +611,7 @@ let simulate_cmd =
 
 let validate_cmd =
   let run co no_aggregate =
-    run_compiling co @@ fun () ->
+    run_compiling co @@ fun co ->
     let c, _trace = compile_program co in
     let st =
       Spmd_interp.run
@@ -698,7 +640,7 @@ let validate_cmd =
 
 let sweep_cmd =
   let run co procs_list topology =
-    run_compiling co @@ fun () ->
+    run_compiling co @@ fun co ->
     let model =
       Hpf_comm.Cost_model.with_topology Hpf_comm.Cost_model.sp2 topology
     in

@@ -30,8 +30,3 @@ let no_array_priv : Decisions.options =
 (** Table 3: full-array privatization only (no partial privatization). *)
 let no_partial_priv : Decisions.options =
   { selected with Decisions.partial_privatization = false }
-
-(** Add the global-message-combining extension (the optimization the
-    paper notes phpf lacked) to any configuration. *)
-let with_message_combining (o : Decisions.options) : Decisions.options =
-  { o with Decisions.combine_messages = true }

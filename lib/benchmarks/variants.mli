@@ -21,7 +21,3 @@ val no_array_priv : Decisions.options
 
 (** Table 3: full-array privatization only (no partial privatization). *)
 val no_partial_priv : Decisions.options
-
-(** Add the global-message-combining extension (the optimization the
-    paper notes phpf lacked, §5.3) to any configuration. *)
-val with_message_combining : Decisions.options -> Decisions.options

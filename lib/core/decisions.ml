@@ -81,12 +81,6 @@ type options = {
       (** run the automatic (directive-free) array privatization analysis
           of {!Hpf_analysis.Auto_priv} — the paper's future-work item;
           off by default to stay faithful to phpf *)
-  combine_messages : bool;
-      (** global message combining: communications sharing a placement
-          point pay the startup latency once.  The paper names this as
-          the optimization phpf lacked ("considerable scope for improving
-          ... by global message combining across loop nests", §5.3); off
-          by default to stay faithful *)
   optimize : bool;
       (** run the {!Phpf_ir.Sir_opt} pass suite after [lower-spmd] and
           elide compile-time-provable no-op transfers in the emitter;
@@ -107,7 +101,6 @@ let default_options : options =
     partial_privatization = true;
     privatize_control = true;
     auto_array_priv = false;
-    combine_messages = false;
     optimize = true;
     opt_passes = None;
   }
@@ -564,8 +557,104 @@ let array_priv_summary (d : t) (base : string) :
     `None (array_mappings d)
 
 (* ------------------------------------------------------------------ *)
-(* Canonical option signature                                          *)
+(* The knob table: one declaration per boolean option                   *)
 (* ------------------------------------------------------------------ *)
+
+type knob = {
+  key : string;
+  flag : string;
+  doc : string;
+  get : options -> bool;
+  set : options -> bool -> options;
+}
+
+let knobs : knob list =
+  [
+    {
+      key = "privatize_scalars";
+      flag = "no-scalar-priv";
+      doc = "Disable scalar privatization (replicate all scalars).";
+      get = (fun o -> o.privatize_scalars);
+      set = (fun o b -> { o with privatize_scalars = b });
+    };
+    {
+      key = "force_producer_alignment";
+      flag = "producer-align";
+      doc =
+        "Always align privatized scalars with a producer reference (skip \
+         consumer selection).";
+      get = (fun o -> o.force_producer_alignment);
+      set = (fun o b -> { o with force_producer_alignment = b });
+    };
+    {
+      key = "reduction_alignment";
+      flag = "no-reduction-align";
+      doc = "Disable the reduction-accumulator mapping of paper §2.3.";
+      get = (fun o -> o.reduction_alignment);
+      set = (fun o b -> { o with reduction_alignment = b });
+    };
+    {
+      key = "privatize_arrays";
+      flag = "no-array-priv";
+      doc = "Disable array privatization.";
+      get = (fun o -> o.privatize_arrays);
+      set = (fun o b -> { o with privatize_arrays = b });
+    };
+    {
+      key = "partial_privatization";
+      flag = "no-partial-priv";
+      doc = "Disable partial privatization.";
+      get = (fun o -> o.partial_privatization);
+      set = (fun o b -> { o with partial_privatization = b });
+    };
+    {
+      key = "privatize_control";
+      flag = "no-ctrl-priv";
+      doc = "Disable privatized execution of control flow.";
+      get = (fun o -> o.privatize_control);
+      set = (fun o b -> { o with privatize_control = b });
+    };
+    {
+      key = "auto_array_priv";
+      flag = "auto-array-priv";
+      doc =
+        "Enable automatic (directive-free) array privatization — the \
+         paper's future-work extension.";
+      get = (fun o -> o.auto_array_priv);
+      set = (fun o b -> { o with auto_array_priv = b });
+    };
+    {
+      key = "optimize";
+      flag = "no-opt";
+      doc =
+        "Disable the Sir optimizer suite and the emitter's no-op-transfer \
+         elision: ship the paper-faithful phpf communication schedule \
+         verbatim.";
+      get = (fun o -> o.optimize);
+      set = (fun o b -> { o with optimize = b });
+    };
+  ]
+
+(** The one reading of an optimizer pass selection: bare and
+    [sir-opt.]-prefixed names alike, returned in canonical order without
+    duplicates, so equivalent selections compare (and sign) equal. *)
+let normalize_opt_passes (names : string list) : (string list, string) result
+    =
+  let registered = Phpf_ir.Sir_opt.pass_names in
+  let prefix = "sir-opt." in
+  let bare n =
+    if String.starts_with ~prefix n then
+      String.sub n (String.length prefix)
+        (String.length n - String.length prefix)
+    else n
+  in
+  let names = List.map bare names in
+  match List.find_opt (fun n -> not (List.mem n registered)) names with
+  | Some n ->
+      Error
+        (Printf.sprintf "unknown pass %s (registered: %s)" n
+           (String.concat ", " (List.map (( ^ ) prefix) registered)))
+  | None -> Ok (List.filter (fun n -> List.mem n names) registered)
 
 (** Canonical one-line rendering of an option record, used as the
     options component of content-addressed cache keys
@@ -573,17 +662,8 @@ let array_priv_summary (d : t) (base : string) :
     they are structurally equal, so requests differing in any knob can
     never share a cache entry. *)
 let options_signature (o : options) : string =
-  let b bit = if bit then "1" else "0" in
-  Printf.sprintf "ps=%s;fpa=%s;ra=%s;pa=%s;pp=%s;pc=%s;aap=%s;cm=%s;opt=%s;passes=%s"
-    (b o.privatize_scalars)
-    (b o.force_producer_alignment)
-    (b o.reduction_alignment)
-    (b o.privatize_arrays)
-    (b o.partial_privatization)
-    (b o.privatize_control)
-    (b o.auto_array_priv)
-    (b o.combine_messages)
-    (b o.optimize)
-    (match o.opt_passes with
-    | None -> "*"
-    | Some ps -> String.concat "," ps)
+  String.concat ";"
+    (List.map (fun k -> k.key ^ if k.get o then "=1" else "=0") knobs)
+  ^ ";opt_passes="
+  ^
+  match o.opt_passes with None -> "*" | Some ps -> String.concat "," ps

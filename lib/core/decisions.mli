@@ -50,16 +50,13 @@ type options = {
   auto_array_priv : bool;
       (** the future-work extension ({!Hpf_analysis.Auto_priv}); off by
           default to stay faithful to phpf *)
-  combine_messages : bool;
-      (** global message combining — the optimization the paper names as
-          missing from phpf (§5.3); communications sharing a placement
-          point pay the startup latency once.  Off by default *)
   optimize : bool;
       (** run the {!Phpf_ir.Sir_opt} suite after [lower-spmd] and elide
           provably no-op transfers in the emitter; on by default
           ([--no-opt] / [-O0] = the paper-faithful phpf schedule) *)
   opt_passes : string list option;
-      (** restrict the suite to the named passes; [None] = all *)
+      (** restrict the suite to the named passes, kept in the canonical
+          form of {!normalize_opt_passes}; [None] = all *)
 }
 
 (** Everything on — the paper's "Selected Alignment" compiler. *)
@@ -203,6 +200,29 @@ val ctrl_count : t -> int
     loop fully privatizes the array, otherwise the union of the partial
     privatization grid dims, [`None] when no decision mentions it. *)
 val array_priv_summary : t -> string -> [ `Full | `Partial of int list | `None ]
+
+(** {2 One options path}
+
+    The CLI flags, the serve request keys and the cache signature are
+    all derived from {!knobs}; a boolean option is declared there and
+    nowhere else. *)
+
+type knob = {
+  key : string;  (** serve request key and cache-signature tag *)
+  flag : string;  (** CLI flag (without dashes) that flips the default *)
+  doc : string;  (** the flag's [--help] line *)
+  get : options -> bool;
+  set : options -> bool -> options;
+}
+
+(** Every boolean field of {!options}, in record order. *)
+val knobs : knob list
+
+(** Read an optimizer pass selection: accepts bare ([rte]) and
+    [sir-opt.]-prefixed names and returns the passes in canonical
+    {!Phpf_ir.Sir_opt.pass_names} order without duplicates.  An unknown
+    name is [Error "unknown pass NAME (registered: sir-opt.dte, ...)"]. *)
+val normalize_opt_passes : string list -> (string list, string) result
 
 (** Canonical one-line rendering of an option record — the options
     component of content-addressed cache keys ({!Phpf_driver.Memo.key}).

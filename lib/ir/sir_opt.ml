@@ -456,10 +456,8 @@ let apply (name : string) (p : Sir.program) : int =
       p.Sir.opt_applied <- p.Sir.opt_applied @ [ name ];
       k
 
-let run ?(passes = pass_names) (p : Sir.program) : (string * int) list =
-  List.filter_map
-    (fun n -> if List.mem n passes then Some (n, apply n p) else None)
-    pass_names
+let run (p : Sir.program) : (string * int) list =
+  List.map (fun n -> (n, apply n p)) pass_names
 
 let replay (names : string list) (p : Sir.program) : unit =
   List.iter (fun n -> ignore (apply n p)) names

@@ -41,11 +41,9 @@ val descr_of : string -> string option
     rewrite count.  @raise Invalid_argument on an unknown name. *)
 val apply : string -> Sir.program -> int
 
-(** Run the selected passes (default: all) in canonical order,
-    returning [(pass, rewrite count)] per pass run.  Selection never
-    reorders: passes execute in {!pass_names} order regardless of the
-    order given. *)
-val run : ?passes:string list -> Sir.program -> (string * int) list
+(** Run every pass in {!pass_names} order, returning
+    [(pass, rewrite count)] per pass. *)
+val run : Sir.program -> (string * int) list
 
 (** Re-apply a recorded [opt_applied] recipe verbatim (used by
     {!Phpf_verify.Sir_check} on the fresh re-lowering). *)

@@ -43,123 +43,71 @@ type reject = { rid : int option; reason : string }
 
 let code_malformed = "E0901"
 
-(* Per-knob option parsing: unknown keys are rejected (a typo silently
-   compiling with default options would poison determinism comparisons
-   between clients). *)
+(* Option decoding folds over the knob table.  Unknown keys are
+   rejected (a typo silently compiling with default options would poison
+   determinism comparisons between clients), and the pass selection is
+   normalized, so equivalent selections share one cache key. *)
 let known_option_keys =
-  [
-    "privatize_scalars";
-    "force_producer_alignment";
-    "reduction_alignment";
-    "privatize_arrays";
-    "partial_privatization";
-    "privatize_control";
-    "auto_array_priv";
-    "combine_messages";
-    "optimize";
-    "opt_passes";
-  ]
+  List.map (fun (k : Decisions.knob) -> k.Decisions.key) Decisions.knobs
+  @ [ "opt_passes" ]
 
 let options_of_json (j : Jsonx.t) : (Decisions.options, string) result =
+  let ( let* ) = Result.bind in
   match j with
   | Jsonx.Obj fields -> (
-      let bad =
+      match
         List.find_opt
           (fun (k, _) -> not (List.mem k known_option_keys))
           fields
-      in
-      match bad with
+      with
       | Some (k, _) ->
           Error
             (Printf.sprintf "unknown option %S (known: %s)" k
                (String.concat ", " known_option_keys))
-      | None -> (
-          let bool_of k dflt =
-            match Jsonx.member k j with
-            | None -> Ok dflt
+      | None ->
+          let knob acc (k : Decisions.knob) =
+            let* o = acc in
+            match Jsonx.member k.Decisions.key j with
+            | None -> Ok o
             | Some v -> (
                 match Jsonx.to_bool_opt v with
-                | Some b -> Ok b
-                | None -> Error (Printf.sprintf "option %S must be a bool" k))
+                | Some b -> Ok (k.Decisions.set o b)
+                | None ->
+                    Error
+                      (Printf.sprintf "option %S must be a bool"
+                         k.Decisions.key))
           in
-          let ( let* ) = Result.bind in
-          let* privatize_scalars =
-            bool_of "privatize_scalars"
-              Decisions.default_options.Decisions.privatize_scalars
-          in
-          let* force_producer_alignment =
-            bool_of "force_producer_alignment"
-              Decisions.default_options.Decisions.force_producer_alignment
-          in
-          let* reduction_alignment =
-            bool_of "reduction_alignment"
-              Decisions.default_options.Decisions.reduction_alignment
-          in
-          let* privatize_arrays =
-            bool_of "privatize_arrays"
-              Decisions.default_options.Decisions.privatize_arrays
-          in
-          let* partial_privatization =
-            bool_of "partial_privatization"
-              Decisions.default_options.Decisions.partial_privatization
-          in
-          let* privatize_control =
-            bool_of "privatize_control"
-              Decisions.default_options.Decisions.privatize_control
-          in
-          let* auto_array_priv =
-            bool_of "auto_array_priv"
-              Decisions.default_options.Decisions.auto_array_priv
-          in
-          let* combine_messages =
-            bool_of "combine_messages"
-              Decisions.default_options.Decisions.combine_messages
-          in
-          let* optimize =
-            bool_of "optimize" Decisions.default_options.Decisions.optimize
+          let* o =
+            List.fold_left knob (Ok Decisions.default_options) Decisions.knobs
           in
           let* opt_passes =
             match Jsonx.member "opt_passes" j with
             | None | Some Jsonx.Null -> Ok None
             | Some (Jsonx.List vs) -> (
                 let strs = List.filter_map Jsonx.to_str_opt vs in
-                if List.length strs = List.length vs then Ok (Some strs)
-                else Error "opt_passes must be a list of strings")
+                if List.length strs <> List.length vs then
+                  Error "opt_passes must be a list of strings"
+                else
+                  match Decisions.normalize_opt_passes strs with
+                  | Ok ps -> Ok (Some ps)
+                  | Error m -> Error ("option \"opt_passes\": " ^ m))
             | Some _ -> Error "opt_passes must be a list of strings"
           in
-          Ok
-            {
-              Decisions.privatize_scalars;
-              force_producer_alignment;
-              reduction_alignment;
-              privatize_arrays;
-              partial_privatization;
-              privatize_control;
-              auto_array_priv;
-              combine_messages;
-              optimize;
-              opt_passes;
-            }))
+          Ok { o with Decisions.opt_passes })
   | _ -> Error "options must be an object"
 
 let options_to_json (o : Decisions.options) : Jsonx.t =
   Jsonx.Obj
-    [
-      ("privatize_scalars", Jsonx.Bool o.Decisions.privatize_scalars);
-      ( "force_producer_alignment",
-        Jsonx.Bool o.Decisions.force_producer_alignment );
-      ("reduction_alignment", Jsonx.Bool o.Decisions.reduction_alignment);
-      ("privatize_arrays", Jsonx.Bool o.Decisions.privatize_arrays);
-      ("partial_privatization", Jsonx.Bool o.Decisions.partial_privatization);
-      ("privatize_control", Jsonx.Bool o.Decisions.privatize_control);
-      ("auto_array_priv", Jsonx.Bool o.Decisions.auto_array_priv);
-      ("combine_messages", Jsonx.Bool o.Decisions.combine_messages);
-      ("optimize", Jsonx.Bool o.Decisions.optimize);
-      ( "opt_passes",
-        match o.Decisions.opt_passes with
-        | None -> Jsonx.Null
-        | Some ps -> Jsonx.List (List.map (fun p -> Jsonx.Str p) ps) );
-    ]
+    (List.map
+       (fun (k : Decisions.knob) ->
+         (k.Decisions.key, Jsonx.Bool (k.Decisions.get o)))
+       Decisions.knobs
+    @ [
+        ( "opt_passes",
+          match o.Decisions.opt_passes with
+          | None -> Jsonx.Null
+          | Some ps -> Jsonx.List (List.map (fun p -> Jsonx.Str p) ps) );
+      ])
 
 (** Parse one request line.  [default_id] numbers requests that carry
     no explicit ["id"] (the batch driver passes the line number). *)

@@ -26,8 +26,11 @@ type reject = {
 (** ["E0901"] — the malformed-serve-request diagnostic code. *)
 val code_malformed : string
 
-(** Option object → knob record; unknown keys and ill-typed values are
-    errors (a typo must not silently compile with defaults). *)
+(** Option object → knob record, folding over {!Decisions.knobs};
+    unknown keys and ill-typed values are errors (a typo must not
+    silently compile with defaults).  [opt_passes] goes through
+    {!Decisions.normalize_opt_passes}, so an unknown pass is an error and
+    equivalent selections decode equal. *)
 val options_of_json : Jsonx.t -> (Decisions.options, string) result
 
 val options_to_json : Decisions.options -> Jsonx.t

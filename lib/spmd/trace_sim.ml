@@ -170,37 +170,6 @@ let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats
   let comm_time = ref 0.0 in
   let comm_messages = ref 0 in
   let comm_elems = ref 0 in
-  (* global message combining (when enabled): communications anchored at
-     the same placement point share one startup latency — members after
-     the first are priced under a zero-latency model *)
-  let combine = d.Decisions.options.Decisions.combine_messages in
-  let zero_alpha = { model with Cost_model.alpha = 0.0 } in
-  let groups : (int * int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let kind_tag = function
-    | Comm.Shift _ -> 0
-    | Comm.Broadcast -> 1
-    | Comm.Reduce -> 2
-    | Comm.Point_to_point -> 3
-    | Comm.Gather -> 4
-  in
-  let model_for (cm : Comm.t) =
-    if not combine then model
-    else begin
-      let anchor =
-        match Nest.loop_at_level nest cm.Comm.data.Aref.sid
-                cm.Comm.placement_level
-        with
-        | Some li -> li.Nest.loop_sid
-        | None -> 0
-      in
-      let key = (cm.Comm.placement_level, anchor, kind_tag cm.Comm.kind) in
-      if Hashtbl.mem groups key then zero_alpha
-      else begin
-        Hashtbl.replace groups key ();
-        model
-      end
-    end
-  in
   List.iter
     (fun (cm : Comm.t) ->
       let sid = cm.Comm.data.Aref.sid in
@@ -234,7 +203,7 @@ let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats
           let cm' =
             { cm with Comm.instances; elems_per_instance = elems }
           in
-          comm_time := !comm_time +. Comm.cost (model_for cm) ~nprocs cm';
+          comm_time := !comm_time +. Comm.cost model ~nprocs cm';
           comm_messages := !comm_messages + instances;
           comm_elems := !comm_elems + (instances * elems))
     comms_to_price;

@@ -10,6 +10,11 @@ module Decisions = Phpf_core.Decisions
 let check = Alcotest.check
 let fail = Alcotest.fail
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* The benchmark corpus (7 programs, rendered to source text)          *)
 (* ------------------------------------------------------------------ *)
@@ -170,6 +175,100 @@ let test_proto_requests () =
        "{\"action\":\"compile\",\"program\":\"x\",\
         \"options\":{\"privatize_arays\":true}}")
 
+(* The option codec is a fold over [Decisions.knobs]: every knob
+   round-trips under both values, and an ill-typed value is rejected
+   naming its key. *)
+let test_proto_knobs () =
+  let decode j = Proto.options_of_json (Jsonx.of_string j) in
+  List.iter
+    (fun (k : Decisions.knob) ->
+      List.iter
+        (fun b ->
+          let o = k.Decisions.set Decisions.default_options b in
+          check Alcotest.bool
+            (Fmt.str "%s=%b round-trips" k.Decisions.key b)
+            true
+            (Proto.options_of_json (Proto.options_to_json o) = Ok o))
+        [ true; false ];
+      match decode (Fmt.str "{%S: 1}" k.Decisions.key) with
+      | Ok _ -> fail (k.Decisions.key ^ ": a non-bool value was accepted")
+      | Error m ->
+          check Alcotest.bool
+            (Fmt.str "the error names %s" k.Decisions.key)
+            true (contains m k.Decisions.key))
+    Decisions.knobs;
+  match decode "{\"optimise\": true}" with
+  | Ok _ -> fail "unknown option accepted"
+  | Error m ->
+      check Alcotest.bool "unknown option named" true
+        (contains m "unknown option \"optimise\"")
+
+(* opt_passes goes through [Decisions.normalize_opt_passes], as
+   [phpfc --opt] does: equivalent selections decode to one value and so
+   share one cache key, and an unknown pass is rejected with the list of
+   registered ones. *)
+let test_proto_opt_passes () =
+  let decode sel =
+    Proto.options_of_json
+      (Jsonx.of_string (Fmt.str "{\"opt_passes\": %s}" sel))
+  in
+  let key sel =
+    match decode sel with
+    | Ok options ->
+        Engine.cache_key
+          { Proto.id = 1; action = Proto.Compile; program = "x"; grid = None;
+            options }
+    | Error m -> fail (sel ^ ": " ^ m)
+  in
+  let same a b =
+    check Alcotest.bool (Fmt.str "%s decodes like %s" a b) true
+      (decode a = decode b);
+    check Alcotest.string (Fmt.str "%s keys like %s" a b) (key a) (key b)
+  in
+  same "[\"sir-opt.rte\"]" "[\"rte\"]";
+  same "[\"rte\", \"rte\"]" "[\"rte\"]";
+  same "[\"rte\", \"dte\"]" "[\"dte\", \"rte\"]";
+  check Alcotest.bool "canonical order" true
+    (decode "[\"rte\", \"dte\"]"
+    = Ok { Decisions.default_options with opt_passes = Some [ "dte"; "rte" ] });
+  check Alcotest.bool "a selection is not the full suite" true
+    (key "[\"rte\"]" <> key "null");
+  match decode "[\"bogus\"]" with
+  | Ok _ -> fail "unknown pass accepted"
+  | Error m ->
+      check Alcotest.bool "names the unknown pass" true (contains m "bogus");
+      check Alcotest.bool "lists the registered passes" true
+        (contains m
+           (String.concat ", "
+              (List.map (( ^ ) "sir-opt.") Phpf_ir.Sir_opt.pass_names)))
+
+(* Different options never share a cache entry: the signature is
+   injective over every knob setting and several pass selections. *)
+let test_options_signature_injective () =
+  let selections =
+    [ None; Some []; Some [ "rte" ]; Some Phpf_ir.Sir_opt.pass_names ]
+  in
+  let settings =
+    List.fold_left
+      (fun acc (k : Decisions.knob) ->
+        List.concat_map
+          (fun o -> [ k.Decisions.set o false; k.Decisions.set o true ])
+          acc)
+      [ Decisions.default_options ] Decisions.knobs
+  in
+  let all =
+    List.concat_map
+      (fun o ->
+        List.map (fun opt_passes -> { o with Decisions.opt_passes }) selections)
+      settings
+  in
+  let sigs =
+    List.sort_uniq compare (List.map Decisions.options_signature all)
+  in
+  check Alcotest.int "one signature per record"
+    (4 * (1 lsl List.length Decisions.knobs))
+    (List.length sigs)
+
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -300,11 +399,6 @@ let test_batch_exit_codes () =
   check Alcotest.int "malformed dominates -> exit 1" 1 r.Serve.exit_code;
   check Alcotest.int "one reject counted" 1 r.Serve.rejected;
   let line = List.nth r.Serve.responses 1 in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   check Alcotest.bool "reject rendered as E0901" true
     (contains line "E0901")
 
@@ -455,6 +549,12 @@ let () =
           Alcotest.test_case "jsonx roundtrip" `Quick test_jsonx_roundtrip;
           Alcotest.test_case "jsonx pretty" `Quick test_jsonx_pretty;
           Alcotest.test_case "request parsing" `Quick test_proto_requests;
+          Alcotest.test_case "every knob round-trips" `Quick
+            test_proto_knobs;
+          Alcotest.test_case "opt_passes normalized" `Quick
+            test_proto_opt_passes;
+          Alcotest.test_case "options signature injective" `Quick
+            test_options_signature_injective;
         ] );
       ( "pool",
         [

@@ -193,28 +193,6 @@ let test_time_decreases_with_procs () =
   let t1 = time 1 and t4 = time 4 in
   check Alcotest.bool "t4 < t1" true (t4 < t1)
 
-let test_message_combining () =
-  (* combining shares the startup latency among communications anchored
-     at the same placement point: the producer-aligned TOMCATV (many
-     same-point inner-loop messages) improves a lot, the selected
-     mapping (few, already-vectorized messages) barely changes, and
-     combining never makes anything slower *)
-  let time options =
-    let prog = Hpf_benchmarks.Tomcatv.program ~n:34 ~niter:3 ~p:4 in
-    let c = Compiler.compile_exn ~options prog in
-    let r, _ = Trace_sim.run ~init:(Init.init c.Compiler.prog) c in
-    r.Trace_sim.time
-  in
-  let open Hpf_benchmarks in
-  let prod = time Variants.producer_alignment in
-  let prod_c = time (Variants.with_message_combining Variants.producer_alignment) in
-  let sel = time Variants.selected in
-  let sel_c = time (Variants.with_message_combining Variants.selected) in
-  check Alcotest.bool "producer improves >= 3x" true (prod /. prod_c >= 3.0);
-  check Alcotest.bool "selected within 20%" true (sel /. sel_c < 1.2);
-  check Alcotest.bool "never slower" true (prod_c <= prod && sel_c <= sel);
-  check Alcotest.bool "mapping still dominates" true (prod_c > 5.0 *. sel_c)
-
 let test_memory_accounting () =
   (* fig1 at P=4: a,b,c,d block-aligned (25 local elems each), e,f
      replicated (100 each), 4 scalars (x,y,z,m) *)
@@ -248,8 +226,6 @@ let () =
             test_replication_charges_everyone;
           Alcotest.test_case "time decreases with P" `Quick
             test_time_decreases_with_procs;
-          Alcotest.test_case "message combining" `Quick
-            test_message_combining;
           Alcotest.test_case "memory accounting" `Quick
             test_memory_accounting;
         ] );
