@@ -412,6 +412,30 @@ let lint_cmd =
       const run $ common_term () $ strict_arg $ time_passes_arg $ stats_arg
       $ dump_after_arg)
 
+(* The numeric runtime flags outside their range, one message each,
+   naming the flag and the range it must lie in. *)
+let runtime_flag_errors ~fuel ~max_retries ~checkpoint_interval
+    ~heartbeat_timeout : string list =
+  List.filter_map Fun.id
+    [
+      (match fuel with
+      | Some n when n < 0 -> Some (Fmt.str "--fuel %d: must be >= 0" n)
+      | _ -> None);
+      (if max_retries < 0 then
+         Some (Fmt.str "--max-retries %d: must be >= 0" max_retries)
+       else None);
+      (if checkpoint_interval < 1 then
+         Some
+           (Fmt.str "--checkpoint-interval %d: must be >= 1"
+              checkpoint_interval)
+       else None);
+      (match heartbeat_timeout with
+      | Some t when not (Float.is_finite t && t > 0.0) ->
+          Some
+            (Fmt.str "--heartbeat-timeout %g: must be finite and positive" t)
+      | _ -> None);
+    ]
+
 let simulate_cmd =
   let run co stats faults fault_seed report_faults report_comm recovery_mode
       max_retries checkpoint_interval heartbeat_timeout no_aggregate fuel
@@ -433,16 +457,23 @@ let simulate_cmd =
       }
     in
     match
-      match faults with
-      | None -> Ok Fault.none
-      | Some spec ->
-          Result.map
-            (fun (spec, oneshots) ->
-              Fault.make ~seed:fault_seed ~oneshots spec)
-            (Fault.parse_spec spec)
+      match
+        runtime_flag_errors ~fuel ~max_retries ~checkpoint_interval
+          ~heartbeat_timeout
+      with
+      | _ :: _ as flags ->
+          Error (List.map (( ^ ) "invalid runtime flag ") flags)
+      | [] -> (
+          match faults with
+          | None -> Ok Fault.none
+          | Some spec -> (
+              match Fault.parse_spec spec with
+              | Ok (spec, oneshots) ->
+                  Ok (Fault.make ~seed:fault_seed ~oneshots spec)
+              | Error m -> Error [ "invalid fault spec: " ^ m ]))
     with
-    | Error m ->
-        render_diags [ Diag.errorf ~code:"E0702" "invalid fault spec: %s" m ];
+    | Error msgs ->
+        render_diags (List.map (Diag.error ~code:"E0702") msgs);
         exit_usage
     | Ok schedule -> (
         let c, _trace =

@@ -240,10 +240,6 @@ let array_mapping_at (d : t) ~(sid : Ast.stmt_id) ~(base : string) :
       | None -> None)
     loops
 
-let array_mapping_find (d : t) (key : string * Ast.stmt_id) :
-    array_mapping option =
-  Arr_map.find_opt key d.tables.t_arrays
-
 let mem_array_mapping (d : t) (key : string * Ast.stmt_id) : bool =
   Arr_map.mem key d.tables.t_arrays
 

@@ -121,9 +121,6 @@ val def_of_stmt : t -> sid:Ast.stmt_id -> var:string -> Ssa.def_id option
 val array_mapping_at :
   t -> sid:Ast.stmt_id -> base:string -> (Nest.loop_info * array_mapping) option
 
-(** Decision recorded for exactly this (array, loop sid) key, if any. *)
-val array_mapping_find : t -> string * Ast.stmt_id -> array_mapping option
-
 val mem_array_mapping : t -> string * Ast.stmt_id -> bool
 val set_array_mapping : t -> string * Ast.stmt_id -> array_mapping -> unit
 

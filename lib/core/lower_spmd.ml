@@ -2,13 +2,13 @@
     ({!Phpf_ir.Sir}).
 
     Everything the legacy AST-walking interpreter used to re-derive at
-    runtime — ownership chains, computation-partitioning guards,
-    communication destinations, message-aggregation plans, reduction
-    combine lines, the validation strategy — is resolved here, once, into
-    data.  The only dynamic residue is subscript evaluation: owner
-    coordinates come out as [C_affine] leaves holding the subscript
-    expression, which the executor evaluates against the lockstep
-    reference memory.
+    runtime — ownership chains, computation-partitioning guards (of
+    assignments and of privatized control statements), communication
+    destinations, message-aggregation plans, reduction combine lines,
+    the validation strategy — is resolved here, once, into data.  The
+    only dynamic residue is subscript evaluation: owner coordinates come
+    out as [C_affine] leaves holding the subscript expression, which the
+    executor evaluates against the lockstep reference memory.
 
     [strict] turns silent fallbacks into diagnostics (the E0801–E0806
     range): the compiler pass lowers strictly, while the fidelity
@@ -31,8 +31,10 @@ let fail ~code fmt =
 let all_place (env : Layout.env) : Sir.place =
   Array.make (Grid.rank env.Layout.grid) Sir.C_all
 
-(* Static mirror of {!Hpf_spmd.Concrete.layout_owner}: the subscript
-   stays symbolic inside [C_affine]. *)
+(* Owner line of [base(subs)] under its layout bindings.  The subscript
+   stays symbolic inside [C_affine]; {!Hpf_spmd.Concrete} evaluates it
+   at run time.  Grid dims in [skip_dims] come out [C_all] without
+   looking at their subscripts. *)
 let flatten_layout ?(skip_dims = []) ?(widen_var = fun _ -> false)
     (env : Layout.env) (base : string) (subs : Ast.expr list) : Sir.place =
   let l = Layout.layout_of env base in
@@ -82,8 +84,11 @@ let element_place (env : Layout.env) (base : string) : Sir.eplace =
             })
     l.Layout.bindings
 
-(* Static mirror of {!Hpf_spmd.Concrete.owner}: chase the privatization /
-   alignment chain of a reference down to layout bindings. *)
+(* Chase the privatization / alignment chain of a reference down to
+   layout bindings.  This is the library's one derivation of who owns a
+   reference; the run-time chase in the test oracles is its independent
+   reference.  [as_def] selects the definition-side mapping of a scalar
+   lhs. *)
 let rec flatten_owner (cx : ctx) ?(as_def = false) ?(skip_dims = [])
     ?(widen_var = fun _ -> false) ?(depth = 0) (r : Aref.t) : Sir.place =
   let d = cx.d in
@@ -152,10 +157,11 @@ let rec flatten_owner (cx : ctx) ?(as_def = false) ?(skip_dims = [])
           own
   end
 
-(* Computation-partitioning guard of a statement, as a materialized
-   predicate.  [G_union] flattens the sibling statements' owner lines
-   (with the same out-of-scope-index widening the legacy runtime
-   applied); the executor unions their evaluations per instance. *)
+(* Computation-partitioning guard of a statement — an assignment or a
+   control statement — as a materialized predicate.  [G_union] flattens
+   the sibling statements' owner lines, widening a sibling's loop
+   indices that are out of scope here to their whole axis; the
+   evaluator unions the places per instance. *)
 let flatten_guard (cx : ctx) (s : Ast.stmt) : Sir.pred =
   let d = cx.d in
   let env = d.Decisions.env in
@@ -657,7 +663,8 @@ let lower ?(strict = false) ~(prog : Ast.program)
         | Ast.Assign (lhs, rhs) ->
             Sir.Guarded_assign { lhs; rhs; computes = flatten_guard cx s }
         | Ast.Do dl -> Sir.Loop_head { index = dl.Ast.index; lo = dl.Ast.lo }
-        | Ast.If _ | Ast.Exit _ | Ast.Cycle _ -> Sir.Nop
+        | Ast.If _ | Ast.Exit _ | Ast.Cycle _ ->
+            Sir.Control { computes = flatten_guard cx s }
       in
       Hashtbl.replace stmts s.Ast.sid
         {

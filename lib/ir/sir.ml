@@ -127,7 +127,10 @@ type red_step = R_mark of string | R_combine of int  (** index into [reductions]
 
 (** What a statement instance executes. *)
 type exec =
-  | Nop  (** [If]/[Exit]/[Cycle]: control only, handled by the skeleton *)
+  | Control of { computes : pred }
+      (** [If]/[Exit]/[Cycle]: control follows the skeleton; [computes]
+          records the processors that evaluate it (privatized control
+          flow) *)
   | Guarded_assign of { lhs : Ast.lhs; rhs : Ast.expr; computes : pred }
   | Loop_head of { index : string; lo : Ast.expr }
       (** every processor materializes the loop index (SPMD structure) *)

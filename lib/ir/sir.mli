@@ -9,7 +9,12 @@
     the timing simulator {!Hpf_spmd.Trace_sim}, the verifier's
     {!Phpf_verify.Sir_check} / {!Phpf_verify.Sir_flow} and the
     {!Sir_cfg} graph builder) read this structure instead of re-deriving
-    anything from {!Phpf_core.Decisions}.
+    anything from {!Phpf_core.Decisions}.  In particular every
+    statement's computation-partitioning guard — an assignment's and a
+    control statement's alike — is recorded in its {!exec}, and
+    {!Hpf_spmd.Concrete} is the one evaluator of these places and
+    predicates against a memory: the executor and the simulator read the
+    same guards.
 
     {2 Structural invariants}
 
@@ -150,7 +155,10 @@ type red_step = R_mark of string | R_combine of int  (** index into [reductions]
 
 (** What a statement instance executes. *)
 type exec =
-  | Nop  (** [If]/[Exit]/[Cycle]: control only, handled by the skeleton *)
+  | Control of { computes : pred }
+      (** [If]/[Exit]/[Cycle]: control follows the skeleton; [computes]
+          records the processors that evaluate it (privatized control
+          flow) *)
   | Guarded_assign of { lhs : Ast.lhs; rhs : Ast.expr; computes : pred }
   | Loop_head of { index : string; lo : Ast.expr }
       (** every processor materializes the loop index (SPMD structure) *)

@@ -327,7 +327,7 @@ let pre_events (g : Sir_cfg.t) (ops : Sir.stmt_ops) : avail_event list =
 
 let exec_events (sid : Ast.stmt_id) (exec : Sir.exec) : avail_event list =
   match exec with
-  | Sir.Nop -> []
+  | Sir.Control _ -> []
   | Sir.Loop_head { index; _ } ->
       (* every processor materializes index := lo *)
       [
@@ -355,7 +355,7 @@ type live_event = Kill of string | Gen of string
 
 let exec_live_events (exec : Sir.exec) : live_event list =
   match exec with
-  | Sir.Nop -> []
+  | Sir.Control _ -> []
   | Sir.Loop_head { index; _ } -> [ Kill index ]
   | Sir.Guarded_assign { lhs; rhs; computes } ->
       (* only an unconditional scalar write overwrites every copy; a

@@ -141,7 +141,8 @@ let pp_stmts ppf (p : Sir.program) =
           (fun op -> Fmt.pf ppf "%s  | %a@." pad pp_comm_op op)
           o.Sir.comms;
         (match o.Sir.exec with
-        | Sir.Nop -> ()
+        | Sir.Control { computes } ->
+            Fmt.pf ppf "%s  | evaluate where %a@." pad pp_pred computes
         | Sir.Guarded_assign { computes; _ } ->
             Fmt.pf ppf "%s  | compute where %a@." pad pp_pred computes
         | Sir.Loop_head { index; lo } ->

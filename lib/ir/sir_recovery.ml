@@ -89,7 +89,7 @@ let plan (p : Sir.program) : Sir.recovery_plan =
             Option.value ~default:[] (Hashtbl.find_opt writers base)
           in
           Hashtbl.replace writers base (cur @ [ (so.Sir.sid, computes) ])
-      | Sir.Nop | Sir.Loop_head _ -> ())
+      | Sir.Control _ | Sir.Loop_head _ -> ())
     (Sir.all_stmt_ops p);
   (* reduction accumulators and location companions: combined values
      differ per combine line, so replication never holds for them *)

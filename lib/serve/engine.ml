@@ -47,7 +47,6 @@ type outcome = {
 
 let cache_counters (e : t) = Memo.counters e.cache
 let cache_hit_rate (e : t) = Memo.hit_rate e.cache
-let clear_cache (e : t) = Memo.clear e.cache
 
 (** Fresh merged snapshot of the aggregate pass counters. *)
 let stats_snapshot (e : t) : Stats.t =

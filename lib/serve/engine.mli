@@ -35,10 +35,6 @@ val cache_key : Proto.request -> string
 val cache_counters : t -> Memo.counters
 val cache_hit_rate : t -> float
 
-(** Drop all cached payloads and reset counters (fresh-cache bench
-    legs). *)
-val clear_cache : t -> unit
-
 (** Merged pass-counter snapshot over the compiles whose results
     entered the cache ({!Phpf_driver.Stats.merge} aggregation): a
     domain that loses a race to compute the same fresh key adds to

@@ -307,5 +307,3 @@ let to_float_opt = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)
   | _ -> None
-
-let to_list_opt = function List vs -> Some vs | _ -> None

@@ -44,5 +44,3 @@ val to_bool_opt : t -> bool option
 
 (** Accepts [Int] too (widened). *)
 val to_float_opt : t -> float option
-
-val to_list_opt : t -> t list option

@@ -1,36 +1,21 @@
-(** Concrete ownership and executing-processor sets under a set of
-    privatization decisions, evaluated against a runtime memory — the
-    runtime counterpart of {!Phpf_core.Decisions.owner_spec} (non-affine
-    subscripts resolve exactly here). *)
+(** Concrete processor sets of the lowered program's owner lines,
+    evaluated against a runtime memory — the one evaluator of
+    {!Phpf_ir.Sir} guards, shared by {!Spmd_interp} and {!Trace_sim}.
+    Subscripts embedded in [C_affine] coordinates are read from the
+    memory, so non-affine ones resolve exactly.  Every result is a
+    closed-form {!Hpf_mapping.Pid_set.t} (no cartesian expansion) whose
+    iteration order is ascending linear ids. *)
 
-open Hpf_lang
-open Hpf_analysis
 open Hpf_mapping
-open Phpf_core
+module Sir = Phpf_ir.Sir
 
-type dims = Ownership.concrete_dim array
+(** Processors on an owner line. *)
+val place_set : Grid.t -> Memory.t -> Sir.place -> Pid_set.t
 
-val all_dims : Layout.env -> dims
+(** Processors a computes or destination predicate selects; an empty
+    evaluated [P_union] falls back to every processor. *)
+val pred_set : Grid.t -> Memory.t -> Sir.pred -> Pid_set.t
 
-(** Owner of a reference.  [as_def] selects the definition-side mapping
-    for a scalar lhs; grid dims in [skip_dims] come out [C_all] without
-    evaluating their subscripts (widened reduction mappings may reference
-    indices out of scope at the statement). *)
-val owner :
-  Decisions.t ->
-  Memory.t ->
-  ?as_def:bool ->
-  ?skip_dims:int list ->
-  ?widen_var:(string -> bool) ->
-  ?depth:int ->
-  Aref.t ->
-  dims
-
-(** Closed-form processor set of per-dimension coordinates (no cartesian
-    expansion). *)
-val set_of_dims : Layout.env -> dims -> Pid_set.t
-
-(** Processors executing a statement in the current iteration ([G_union]
-    resolves against the iteration's sibling statements); iteration
-    order is ascending linear ids. *)
-val executing_set : Decisions.t -> Memory.t -> Ast.stmt -> Pid_set.t
+(** Owners of the array element at index vector [idx] under an
+    element-place recipe. *)
+val eplace_set : Grid.t -> Sir.eplace -> int array -> Pid_set.t

@@ -157,18 +157,6 @@ let write_off (c : array_cell) (off : int) (x : Value.t) : unit =
         | Value.I n -> if n <> 0 then '\001' else '\000'
         | Value.R f -> if f <> 0.0 then '\001' else '\000')
 
-let linear_index (shape : Types.shape) (idx : int list) : int =
-  let rec go shape idx acc =
-    match (shape, idx) with
-    | [], [] -> acc
-    | (b : Types.bounds) :: bs, i :: is ->
-        if i < b.Types.lo || i > b.Types.hi then
-          rerr "subscript %d out of bounds %d:%d" i b.Types.lo b.Types.hi;
-        go bs is ((acc * Types.extent b) + (i - b.Types.lo))
-    | _ -> rerr "rank mismatch in array access"
-  in
-  go shape idx 0
-
 let offset_of_list (c : array_cell) (idx : int list) : int =
   let rank = Array.length c.los in
   let off = ref 0 and d = ref 0 in
@@ -223,9 +211,6 @@ let array_cell (m : t) (a : string) : array_cell =
   match Hashtbl.find_opt m.arrays a with
   | Some c -> c
   | None -> rerr "unknown array %s" a
-
-let cell_shape (c : array_cell) : Types.shape = c.shape
-let cell_size (c : array_cell) : int = c.size
 
 (** Iterate all (multi-index, value) pairs of an array. *)
 let iter_elems (m : t) (a : string) (f : int list -> Value.t -> unit) =

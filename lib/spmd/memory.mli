@@ -7,8 +7,8 @@
 open Hpf_lang
 
 type array_cell
-(** Flat typed storage plus shape metadata; use {!cell_shape} /
-    {!cell_size} to inspect. *)
+(** Flat typed storage plus shape metadata, read and written through
+    {!get_elem} / {!set_elem} and walked by {!iter_elems}. *)
 
 type t = {
   scalars : (string, Value.t) Hashtbl.t;
@@ -54,13 +54,6 @@ val set_elem : t -> string -> int list -> Value.t -> unit
 val get_elem_a : t -> string -> int array -> Value.t
 
 val set_elem_a : t -> string -> int array -> Value.t -> unit
-val array_cell : t -> string -> array_cell
-val cell_shape : array_cell -> Types.shape
-val cell_size : array_cell -> int
-
-(** Row-major linearization of a (Fortran) index vector.
-    @raise Runtime_error when out of the declared bounds. *)
-val linear_index : Types.shape -> int list -> int
 
 (** Iterate all (multi-index, value) pairs of an array. *)
 val iter_elems : t -> string -> (int list -> Value.t -> unit) -> unit

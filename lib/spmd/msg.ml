@@ -160,14 +160,6 @@ let materialize (t : t) ~src ~dst : pair_state =
       Hashtbl.replace t.pairs k ps;
       ps
 
-(** Channels that have carried at least one packet (or allocated a
-    sequence number), as [(src, dst)] pairs.  O(live), not O(nprocs²). *)
-let live_pairs (t : t) : (int * int) list =
-  Hashtbl.fold (fun k _ acc -> (k / t.nprocs, k mod t.nprocs) :: acc) t.pairs []
-
-let iter_live (t : t) (f : src:int -> dst:int -> unit) : unit =
-  Hashtbl.iter (fun k _ -> f ~src:(k / t.nprocs) ~dst:(k mod t.nprocs)) t.pairs
-
 (** Allocate the next send sequence number of the pair.  A retransmission
     of the same logical message must {e not} re-allocate: it reuses the
     packet's original number. *)

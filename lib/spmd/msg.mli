@@ -88,9 +88,3 @@ val expected : t -> src:int -> dst:int -> int
 
 val advance_expected : t -> src:int -> dst:int -> unit
 val pending : t -> src:int -> dst:int -> int
-
-(** Channels that have carried at least one packet, as [(src, dst)]
-    pairs; O(live), not O(nprocs²). *)
-val live_pairs : t -> (int * int) list
-
-val iter_live : t -> (src:int -> dst:int -> unit) -> unit

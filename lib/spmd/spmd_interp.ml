@@ -6,7 +6,8 @@
     aggregation plans and reduction combine lines were all resolved at
     lowering time ({!Phpf_core.Lower_spmd}); the only work left here is
     evaluating the subscript expressions embedded in IR coordinates
-    against the lockstep reference memory and moving the values.
+    against the lockstep reference memory ({!Concrete}) and moving the
+    values.
 
     Every processor gets its own full-size shadow memory, but only writes
     to it when the materialized [computes] predicate selects it, and only
@@ -28,7 +29,6 @@ open Phpf_core
 module Sir = Phpf_ir.Sir
 
 type t = {
-  compiled : Compiler.compiled;
   sir : Sir.program;  (** the lowered program being executed *)
   aggregate : bool;  (** transport mode: one packet per block or element *)
   mutable reference : Memory.t;  (** lockstep reference memory *)
@@ -37,56 +37,6 @@ type t = {
   runtime : Recover.t;
       (** message runtime: reliable delivery, fault recovery *)
 }
-
-(* --- evaluation of IR places against the reference memory ---------- *)
-
-let coord_of (m : Memory.t) = function
-  | Sir.C_fixed c -> Some c
-  | Sir.C_affine { fmt; nprocs; stride; offset; dim_lo; sub } ->
-      let i = Eval.int_expr m sub in
-      Some (Dist.owner_coord fmt ~nprocs ((stride * i) + offset - dim_lo))
-  | Sir.C_all -> None
-
-(* Resolve a place into a closed-form processor set.  No cartesian
-   expansion: each fixed/affine coordinate pins one grid dimension, each
-   [C_all] spans its axis.  Iteration order of the result matches the
-   legacy lexicographic expansion (ascending linear ids). *)
-let place_set (grid : Grid.t) (m : Memory.t) (pl : Sir.place) : Pid_set.t =
-  Pid_set.of_dims grid
-    (Array.map
-       (fun c ->
-         match coord_of m c with
-         | Some c -> Pid_set.D_one c
-         | None -> Pid_set.D_all)
-       pl)
-
-(* Evaluate a computes/destination predicate.  [P_union] keeps the legacy
-   semantics: union of the member places, every processor when empty. *)
-let pred_set (grid : Grid.t) (m : Memory.t) (p : Sir.pred) : Pid_set.t =
-  match p with
-  | Sir.P_all -> Pid_set.all grid
-  | Sir.P_place pl -> place_set grid m pl
-  | Sir.P_union pls ->
-      let union =
-        List.fold_left
-          (fun acc pl -> Pid_set.union acc (place_set grid m pl))
-          (Pid_set.of_list grid []) pls
-      in
-      if Pid_set.is_empty union then Pid_set.all grid else union
-
-(* Owner set of one array element under an element-place recipe. *)
-let eplace_set (grid : Grid.t) (ep : Sir.eplace) (idx : int array) :
-    Pid_set.t =
-  Pid_set.of_dims grid
-    (Array.map
-       (function
-         | Sir.E_fixed c -> Pid_set.D_one c
-         | Sir.E_dim { array_dim; fmt; nprocs; stride; offset; dim_lo } ->
-             Pid_set.D_one
-               (Dist.owner_coord fmt ~nprocs
-                  ((stride * idx.(array_dim)) + offset - dim_lo))
-         | Sir.E_all -> Pid_set.D_all)
-       ep)
 
 (* Does any pid of [set] satisfy [f]?  Short-circuiting. *)
 let set_exists (f : int -> bool) (set : Pid_set.t) : bool =
@@ -151,7 +101,7 @@ let elem_transfer (st : t) (m_ref : Memory.t) (data : Sir.xdata)
   let grid = st.sir.Sir.grid in
   match data with
   | Sir.X_scalar { var; owner } -> (
-      match Pid_set.first (place_set grid m_ref owner) with
+      match Pid_set.first (Concrete.place_set grid m_ref owner) with
       | None -> ()
       | Some src ->
           let v = Memory.get_scalar st.procs.(src) var in
@@ -164,7 +114,7 @@ let elem_transfer (st : t) (m_ref : Memory.t) (data : Sir.xdata)
               end)
             dests)
   | Sir.X_elem { base; subs; owner } -> (
-      match Pid_set.first (place_set grid m_ref owner) with
+      match Pid_set.first (Concrete.place_set grid m_ref owner) with
       | None -> ()
       | Some src ->
           let idx = List.map (fun e -> Eval.int_expr m_ref e) subs in
@@ -185,7 +135,9 @@ let whole_transfer (st : t) (m_ref : Memory.t) ~(base : string)
   let grid = st.sir.Sir.grid in
   let bufs = buffers_create () in
   Memory.iter_elems m_ref base (fun idx _ ->
-      match Pid_set.first (eplace_set grid owners (Array.of_list idx)) with
+      match
+        Pid_set.first (Concrete.eplace_set grid owners (Array.of_list idx))
+      with
       | None -> ()
       | Some src ->
           let v = Memory.get_elem st.procs.(src) base idx in
@@ -215,7 +167,7 @@ let block_transfer (st : t) (m_ref : Memory.t) ~(data : Sir.xdata)
   in
   let bufs = buffers_create () in
   let emit () =
-    match Pid_set.first (place_set grid m_ref owner) with
+    match Pid_set.first (Concrete.place_set grid m_ref owner) with
     | None -> ()
     | Some src ->
         let entry =
@@ -229,7 +181,7 @@ let block_transfer (st : t) (m_ref : Memory.t) ~(data : Sir.xdata)
         let ds =
           match dests with
           | Sir.D_all -> Pid_set.all grid
-          | Sir.D_pred p -> pred_set grid m_ref p
+          | Sir.D_pred p -> Concrete.pred_set grid m_ref p
         in
         Pid_set.iter
           (fun p ->
@@ -301,7 +253,7 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
       ?init procs c.Compiler.prog
   in
   let st =
-    { compiled = c; sir; aggregate; reference; procs; transfers = 0; runtime }
+    { sir; aggregate; reference; procs; transfers = 0; runtime }
   in
   (* per-op block-transfer state: placement instance already shipped *)
   let last_prefix : (int, int list) Hashtbl.t = Hashtbl.create 8 in
@@ -371,7 +323,7 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
     let dest_set (d : Sir.dests) =
       match d with
       | Sir.D_all -> Pid_set.all grid
-      | Sir.D_pred p -> pred_set grid m_ref p
+      | Sir.D_pred p -> Concrete.pred_set grid m_ref p
     in
     match op.Sir.xfer with
     | Sir.Reduce_xfer ->
@@ -424,9 +376,11 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
         List.iter (comm_op m_ref) ops.Sir.comms;
         (* 4. execute on the processors the computes predicate selects *)
         (match ops.Sir.exec with
-        | Sir.Nop -> ()
+        | Sir.Control _ ->
+            (* control decisions follow the lockstep reference *)
+            ()
         | Sir.Guarded_assign { lhs; rhs; computes } ->
-            let execs = pred_set grid m_ref computes in
+            let execs = Concrete.pred_set grid m_ref computes in
             Pid_set.iter
               (fun p ->
                 let mp = st.procs.(p) in
@@ -511,11 +465,13 @@ let validate ?(max_mismatches = 10) (st : t) : mismatch list =
                         if not (Value.close got expected) then
                           record pid a idx got expected
                       end)
-                    (eplace_set grid ep (Array.of_list idx)))
+                    (Concrete.eplace_set grid ep (Array.of_list idx)))
         | Sir.V_line (a, ep) ->
             Memory.iter_elems st.reference a (fun idx expected ->
                 if !count < max_mismatches then begin
-                  let line = eplace_set grid ep (Array.of_list idx) in
+                  let line =
+                    Concrete.eplace_set grid ep (Array.of_list idx)
+                  in
                   let holds pid =
                     Value.close
                       (Memory.get_elem st.procs.(pid) a idx)

@@ -13,7 +13,6 @@ open Phpf_core
 module Sir = Phpf_ir.Sir
 
 type t = {
-  compiled : Compiler.compiled;
   sir : Sir.program;  (** the lowered program being executed *)
   aggregate : bool;  (** transport mode: one packet per block or element *)
   mutable reference : Memory.t;  (** the sequential reference memory *)

@@ -1,12 +1,13 @@
 (** Trace-driven timing simulation of a compiled program on an SP2-like
     machine.
 
-    The program is executed once with reference (sequential) semantics;
-    at every statement instance the set of executing processors is
-    resolved concretely from the computation-partitioning guards, and the
-    statement's arithmetic cost is charged to each of their clocks.
-    Communication time is charged from the lowered program's
-    communication ops, with instance counts and message sizes
+    The lowered program's control skeleton is executed once with
+    reference (sequential) semantics; at every statement instance its
+    recorded computes predicate is evaluated concretely ({!Concrete}),
+    and the statement's arithmetic cost is charged to the clocks of the
+    processors it selects.  Communication time is charged from the
+    lowered program's communication ops, with instance counts and
+    message sizes
     {e measured} from the same trace (distinct enclosing-iteration
     prefixes at the placement level), so triangular loops and early
     exits are priced exactly rather than from static bound guesses.
@@ -19,8 +20,10 @@
 
 open Hpf_lang
 open Hpf_analysis
+open Hpf_mapping
 open Hpf_comm
 open Phpf_core
+module Sir = Phpf_ir.Sir
 
 type result = {
   nprocs : int;
@@ -55,158 +58,144 @@ let pp_result ppf (r : result) =
   if r.recovery_time > 0.0 then
     Fmt.pf ppf " + recovery %.4fs" r.recovery_time
 
-(* Per-statement prefix-change counters: counts.(lv) = number of distinct
-   iteration prefixes of length lv seen at this statement. *)
-type stmt_stats = {
+(* One statement's pricing record, read once per run from the priced
+   program: its arithmetic time, the enclosing loop indices it mirrors
+   (outermost first), its computes predicate, and the trace measured at
+   its instances — [counts.(lv)] is the number of distinct iteration
+   prefixes of length [lv] seen so far, [last] the latest index vector. *)
+type stmt_rec = {
+  cost : float;
+  mirror : string list;
+  computes : Sir.pred;
   mutable execs : int;
-  mutable last : int list;  (** last enclosing-index value vector *)
+  last : int array;
   counts : int array;  (** length = nest level + 1 *)
 }
 
+let stmt_rec_of model (sir : Sir.program) (s : Ast.stmt) : stmt_rec =
+  let mirror, computes =
+    match Sir.stmt_ops sir s.Ast.sid with
+    | Some { Sir.mirror; exec; _ } -> (
+        ( mirror,
+          match exec with
+          | Sir.Guarded_assign { computes; _ } | Sir.Control { computes } ->
+              computes
+          | Sir.Loop_head _ -> Sir.P_all ))
+    | None -> ([], Sir.P_all)
+  in
+  let level = List.length mirror in
+  {
+    cost = Cost_model.compute model ~flops:(Eval.stmt_flops s);
+    mirror;
+    computes;
+    execs = 0;
+    last = Array.make level 0;
+    counts = Array.make (level + 1) 0;
+  }
+
+(* Record an instance's index vector (the values of [vs], from mirror
+   position [k] on) into [r.last]; returns the 1-based position of the
+   outermost index that moved, or [first] when it is smaller. *)
+let rec advance (r : stmt_rec) (m : Memory.t) k vs first =
+  match vs with
+  | [] -> first
+  | v :: rest ->
+      let x = Value.to_int (Memory.get_scalar m v) in
+      if x = r.last.(k) then advance r m (k + 1) rest first
+      else begin
+        r.last.(k) <- x;
+        advance r m (k + 1) rest (if k + 1 < first then k + 1 else first)
+      end
+
 let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats.t option)
     ?(recovery : Recover.report option) ?(comm_stats : Msg.stats option)
-    ?(sir : Phpf_ir.Sir.program option) ?(fuel = Seq_interp.default_fuel)
+    ?(sir : Sir.program option) ?(fuel = Seq_interp.default_fuel)
     (c : Compiler.compiled) : result * Memory.t =
   let sir = match sir with Some s -> s | None -> Compiler.sir_exn c in
-  let d = c.Compiler.decisions in
-  let prog = c.Compiler.prog in
-  let nest = d.Decisions.nest in
-  let env = d.Decisions.env in
-  let nprocs = Hpf_mapping.Grid.size env.Hpf_mapping.Layout.grid in
+  let grid = sir.Sir.grid in
+  let nprocs = sir.Sir.nprocs in
   let clocks = Array.make nprocs 0.0 in
-  let stats : (Ast.stmt_id, stmt_stats) Hashtbl.t = Hashtbl.create 64 in
-  let flops_of : (Ast.stmt_id, int) Hashtbl.t = Hashtbl.create 64 in
-  let indices_of : (Ast.stmt_id, string list) Hashtbl.t = Hashtbl.create 64 in
+  let table : (Ast.stmt_id, stmt_rec) Hashtbl.t = Hashtbl.create 64 in
   Ast.iter_program
-    (fun s ->
-      Hashtbl.replace flops_of s.sid (Eval.stmt_flops s);
-      Hashtbl.replace indices_of s.sid (Nest.enclosing_indices nest s.sid))
-    prog;
+    (fun s -> Hashtbl.replace table s.Ast.sid (stmt_rec_of model sir s))
+    sir.Sir.source;
   let total_instances = ref 0 in
   let compute_total = ref 0.0 in
   (* time charged to EVERY processor (replicated statements): folding it
      into one accumulator instead of P clock updates makes replicated
      instances O(1), which is what keeps P=1024 sub-second *)
   let all_offset = ref 0.0 in
-  (* guards that do not depend on iteration state can be cached *)
-  let static_all : (Ast.stmt_id, bool) Hashtbl.t = Hashtbl.create 64 in
   let on_stmt (s : Ast.stmt) (m : Memory.t) =
     incr total_instances;
-    let level = List.length (Hashtbl.find indices_of s.sid) in
-    let st =
-      match Hashtbl.find_opt stats s.sid with
-      | Some st -> st
-      | None ->
-          let st = { execs = 0; last = []; counts = Array.make (level + 1) 0 } in
-          Hashtbl.replace stats s.sid st;
-          st
-    in
-    (* measure iteration prefixes *)
-    let cur =
-      List.map
-        (fun v -> Value.to_int (Memory.get_scalar m v))
-        (Hashtbl.find indices_of s.sid)
-    in
+    let r = Hashtbl.find table s.Ast.sid in
+    (* measure iteration prefixes: every length from the outermost
+       index that moved on counts a new prefix (all of them at the
+       first instance) *)
     let first_diff =
-      if st.execs = 0 then 0
-      else begin
-        let rec fd k a b =
-          match (a, b) with
-          | x :: xs, y :: ys -> if x <> y then k else fd (k + 1) xs ys
-          | _ -> level + 1
-        in
-        fd 1 cur st.last
-      end
+      advance r m 0 r.mirror
+        (if r.execs = 0 then 0 else Array.length r.counts)
     in
-    for lv = 0 to level do
-      if lv >= first_diff || st.execs = 0 then
-        st.counts.(lv) <- st.counts.(lv) + 1
+    for lv = first_diff to Array.length r.counts - 1 do
+      r.counts.(lv) <- r.counts.(lv) + 1
     done;
-    st.execs <- st.execs + 1;
-    st.last <- cur;
+    r.execs <- r.execs + 1;
     (* charge compute to executing processors, via closed-form sets: a
        replicated statement costs one accumulator add, an owned one
        costs |set| clock updates (usually 1) *)
-    let t = Cost_model.compute model ~flops:(Hashtbl.find flops_of s.sid) in
-    let is_static_all =
-      match Hashtbl.find_opt static_all s.sid with
-      | Some b -> b
-      | None ->
-          let b =
-            match Decisions.guard_of_stmt d s with
-            | Decisions.G_all -> true
-            | _ -> false
-          in
-          Hashtbl.replace static_all s.sid b;
-          b
-    in
-    if is_static_all then begin
-      all_offset := !all_offset +. t;
-      compute_total := !compute_total +. (t *. float_of_int nprocs)
-    end
-    else begin
-      let set = Concrete.executing_set d m s in
-      if Hpf_mapping.Pid_set.is_all set then
-        all_offset := !all_offset +. t
-      else
-        Hpf_mapping.Pid_set.iter
-          (fun p -> clocks.(p) <- clocks.(p) +. t)
-          set;
-      compute_total :=
-        !compute_total
-        +. (t *. float_of_int (Hpf_mapping.Pid_set.count set))
-    end
+    let t = r.cost in
+    match r.computes with
+    | Sir.P_all ->
+        all_offset := !all_offset +. t;
+        compute_total := !compute_total +. (t *. float_of_int nprocs)
+    | computes ->
+        let set = Concrete.pred_set grid m computes in
+        if Pid_set.is_all set then all_offset := !all_offset +. t
+        else Pid_set.iter (fun p -> clocks.(p) <- clocks.(p) +. t) set;
+        compute_total :=
+          !compute_total +. (t *. float_of_int (Pid_set.count set))
   in
   let config = { Seq_interp.fuel; on_stmt = Some on_stmt } in
-  let mem = Seq_interp.run ~config ?init prog in
+  let mem = Seq_interp.run ~config ?init sir.Sir.source in
   (* price the lowered program's communication ops, in schedule order,
      from the measured trace (the ops carry their source schedule
      entries, so the cost model sees their kinds, levels and scales) *)
-  let comms_to_price =
-    List.map
-      (fun (op : Phpf_ir.Sir.comm_op) -> op.Phpf_ir.Sir.cm)
-      (Phpf_ir.Sir.schedule sir)
-  in
   let comm_time = ref 0.0 in
   let comm_messages = ref 0 in
   let comm_elems = ref 0 in
   List.iter
-    (fun (cm : Comm.t) ->
-      let sid = cm.Comm.data.Aref.sid in
-      match Hashtbl.find_opt stats sid with
-      | None -> () (* statement never executed *)
-      | Some st ->
-          let level = Array.length st.counts - 1 in
+    (fun (op : Sir.comm_op) ->
+      let cm = op.Sir.cm in
+      match Hashtbl.find_opt table cm.Comm.data.Aref.sid with
+      | Some r when r.execs > 0 ->
+          let level = Array.length r.counts - 1 in
           let placement = min cm.Comm.placement_level level in
-          let instances = st.counts.(placement) in
+          let instances = r.counts.(placement) in
           (* message size: product of measured average trips of the
              crossed loops over which the message aggregates, times the
-             shift-boundary scale *)
-          let loops = Nest.enclosing_loops nest sid in
-          let elems =
-            List.fold_left
-              (fun acc (li : Nest.loop_info) ->
-                let lv = li.Nest.level in
-                if
-                  lv > placement && lv <= level
-                  && List.mem li.Nest.loop.index cm.Comm.agg_vars
-                  && st.counts.(lv - 1) > 0
-                then
-                  acc
-                  *. (float_of_int st.counts.(lv)
-                     /. float_of_int st.counts.(lv - 1))
-                else acc)
-              (float_of_int cm.Comm.scale)
-              loops
-          in
-          let elems = max 1 (int_of_float (Float.round elems)) in
+             shift-boundary scale (mirror position k is loop level k+1) *)
+          let elems = ref (float_of_int cm.Comm.scale) in
+          List.iteri
+            (fun k index ->
+              let lv = k + 1 in
+              if
+                lv > placement
+                && List.mem index cm.Comm.agg_vars
+                && r.counts.(lv - 1) > 0
+              then
+                elems :=
+                  !elems
+                  *. (float_of_int r.counts.(lv)
+                     /. float_of_int r.counts.(lv - 1)))
+            r.mirror;
+          let elems = max 1 (int_of_float (Float.round !elems)) in
           let cm' =
             { cm with Comm.instances; elems_per_instance = elems }
           in
           comm_time := !comm_time +. Comm.cost model ~nprocs cm';
           comm_messages := !comm_messages + instances;
-          comm_elems := !comm_elems + (instances * elems))
-    comms_to_price;
+          comm_elems := !comm_elems + (instances * elems)
+      | _ -> () (* statement never executed *))
+    (Sir.schedule sir);
   let compute_max = Array.fold_left Float.max 0.0 clocks +. !all_offset in
   let recovery_time =
     match recovery with
@@ -236,7 +225,8 @@ let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats
       packets;
       bytes;
       stmt_instances = !total_instances;
-      mem_elems_max = Hpf_mapping.Layout.max_local_elems env;
+      mem_elems_max =
+        Layout.max_local_elems c.Compiler.decisions.Decisions.env;
       recovery_time;
     }
   in

@@ -1,11 +1,11 @@
 (** Trace-driven timing simulation of a compiled program on an SP2-like
     machine.
 
-    The program executes once with reference semantics; every statement
-    instance is charged to the processors its computation-partitioning
-    guard selects, and the lowered program's communication ops are
-    priced with instance counts and message sizes measured from the same
-    trace.  Reported time
+    The lowered program executes once with reference semantics; every
+    statement instance is charged to the processors its recorded computes
+    predicate selects (evaluated by {!Concrete}), and the program's
+    communication ops are priced with instance counts and message sizes
+    measured from the same trace.  Reported time
     is [max-processor compute + total communication] — a bulk-synchronous
     approximation that preserves the paper's relative comparisons. *)
 
@@ -48,9 +48,13 @@ val pp_result : Format.formatter -> result -> unit
     network traffic (from {!Spmd_interp.comm_stats}) for the schedule
     estimate behind [sim.packets]/[sim.bytes].  The priced program is
     [c.sir], the compiler's recorded lowering — the one {!Spmd_interp}
-    executes — unless [sir] overrides it; its communication ops are
-    charged in schedule order, so ops dropped at lowering or deleted by
-    sir-opt cost nothing.  [fuel] bounds interpreted statement
+    executes — unless [sir] overrides it.  That program alone decides
+    what is charged: its computes predicates (of assignments and
+    control statements) pick who pays each instance, its mirrored loop
+    indices size the messages, and its communication ops are charged in
+    schedule order, so ops dropped at lowering or deleted by sir-opt
+    cost nothing.  Of [c] only the decisions' layouts are read, for
+    [mem_elems_max].  [fuel] bounds interpreted statement
     instances ({!Seq_interp.Fuel_exhausted} when exceeded).  Returns
     the timing result and the final (reference) memory.
     @raise Invalid_argument when [sir] is omitted and [c] carries no

@@ -169,11 +169,11 @@ let check_guards (sir : Sir.program) : Diag.t list =
     (fun (ops : Sir.stmt_ops) ->
       let of_exec =
         match ops.Sir.exec with
-        | Sir.Guarded_assign { computes; _ } ->
+        | Sir.Guarded_assign { computes; _ } | Sir.Control { computes } ->
             check_pred sir.Sir.grid
               ~what:(Fmt.str "computes guard of s%d" ops.Sir.sid)
               computes
-        | Sir.Nop | Sir.Loop_head _ -> []
+        | Sir.Loop_head _ -> []
       in
       let of_comms =
         List.concat_map

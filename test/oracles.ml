@@ -1,10 +1,14 @@
 (* Test-side references for the library's fast paths.
 
-   The enumerative ownership oracles expand per-dimension owner
-   coordinates into explicit, ascending pid lists by cartesian product —
-   the straightforward reading of the mapping rules that the library's
-   closed-form sets ({!Hpf_mapping.Pid_set}, {!Hpf_spmd.Concrete})
-   must agree with.  [relower] lowers a compiled record's (possibly
+   The ownership oracles chase the privatization and alignment chains
+   of the mapping decisions at run time, against a memory holding the
+   current iteration, and expand the per-dimension owner coordinates
+   into explicit, ascending pid lists by cartesian product — the
+   straightforward reading of the mapping rules.  They share no code
+   with the lowering ({!Phpf_core.Lower_spmd}): the guards it records
+   in the Sir, evaluated by {!Hpf_spmd.Concrete}, and the library's
+   closed-form sets ({!Hpf_mapping.Pid_set}) must agree with them.
+   [relower] lowers a compiled record's (possibly
    mutated) decisions and schedule afresh, for corruption tests that
    execute exactly the data movement they describe.  [List_flow] is
    the dataflow core on its specification lattices (sorted lists), the
@@ -16,9 +20,115 @@ open Hpf_mapping
 open Phpf_core
 open Hpf_spmd
 
+(* ------------------------------------------------------------------ *)
+(* The run-time chase of the mapping decisions                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-grid-dimension concrete coordinate set. *)
+type dims = Ownership.concrete_dim array
+
+let all_dims (env : Layout.env) : dims =
+  Array.make (Grid.rank env.Layout.grid) Ownership.C_all
+
+(* Owner of reference [r] under layout bindings, with subscripts
+   evaluated in [m].  Grid dims in [skip_dims] come out [C_all] without
+   evaluating their subscripts (a widened reduction mapping may reference
+   an index that is out of scope at the statement). *)
+let layout_owner ?(skip_dims = []) ?(widen_var = fun _ -> false)
+    (env : Layout.env) (m : Memory.t) (base : string)
+    (subs : Ast.expr list) : dims =
+  let l = Layout.layout_of env base in
+  Array.mapi
+    (fun g b ->
+      if List.mem g skip_dims then Ownership.C_all
+      else
+        match b with
+        | Layout.Repl -> Ownership.C_all
+        | Layout.Fixed c -> Ownership.C_one c
+        | Layout.Mapped mp -> (
+            match List.nth_opt subs mp.array_dim with
+            | None -> Ownership.C_all
+            | Some sub ->
+                if List.exists widen_var (Ast.expr_vars sub) then
+                  (* the subscript ranges over a loop not currently in
+                     scope: the owner set is the union over its
+                     iterations *)
+                  Ownership.C_all
+                else begin
+                  let i = Eval.int_expr m sub in
+                  let pos = (mp.stride * i) + mp.offset - mp.dim_lo in
+                  Ownership.C_one
+                    (Dist.owner_coord mp.fmt ~nprocs:mp.nprocs pos)
+                end))
+    l.Layout.bindings
+
+(* Owner of a reference, chasing its privatization and alignment chain
+   through the decisions at run time.  [as_def] selects the
+   definition-side mapping of a scalar lhs. *)
+let rec owner (d : Decisions.t) (m : Memory.t) ?(as_def = false)
+    ?(skip_dims = []) ?(widen_var = fun _ -> false) ?(depth = 0)
+    (r : Aref.t) : dims =
+  let env = d.Decisions.env in
+  if depth > 8 then all_dims env
+  else if Aref.is_scalar r then begin
+    if Ast.is_array d.Decisions.prog r.Aref.base then
+      layout_owner ~skip_dims ~widen_var env m r.Aref.base []
+    else if
+      Nest.is_enclosing_index d.Decisions.nest r.Aref.sid r.Aref.base
+    then all_dims env
+    else begin
+      let mapping =
+        if as_def then
+          match
+            Decisions.def_of_stmt d ~sid:r.Aref.sid ~var:r.Aref.base
+          with
+          | Some def -> Decisions.scalar_mapping_of_def d def
+          | None -> Decisions.Replicated
+        else
+          Decisions.scalar_mapping_of_use d ~sid:r.Aref.sid
+            ~var:r.Aref.base
+      in
+      match mapping with
+      | Decisions.Replicated | Decisions.Priv_no_align -> all_dims env
+      | Decisions.Priv_aligned { target; _ } ->
+          owner d m ~skip_dims ~widen_var ~depth:(depth + 1) target
+      | Decisions.Priv_reduction { target; repl_grid_dims; _ } ->
+          (* widened dims are never evaluated: their subscripts may be
+             out of scope at this statement *)
+          owner d m ~widen_var
+            ~skip_dims:(repl_grid_dims @ skip_dims)
+            ~depth:(depth + 1) target
+    end
+  end
+  else begin
+    match Decisions.array_mapping_at d ~sid:r.Aref.sid ~base:r.Aref.base with
+    | None -> layout_owner ~skip_dims ~widen_var env m r.Aref.base r.Aref.subs
+    | Some (_, Decisions.Arr_priv { target = Some t }) ->
+        owner d m ~skip_dims ~widen_var ~depth:(depth + 1) t
+    | Some (_, Decisions.Arr_priv { target = None }) -> all_dims env
+    | Some (_, Decisions.Arr_partial_priv { target; priv_grid_dims }) ->
+        let own =
+          layout_owner ~widen_var
+            ~skip_dims:(priv_grid_dims @ skip_dims)
+            env m r.Aref.base r.Aref.subs
+        in
+        let tgt =
+          let non_priv =
+            List.init (Grid.rank env.Layout.grid) Fun.id
+            |> List.filter (fun g -> not (List.mem g priv_grid_dims))
+          in
+          owner d m ~widen_var
+            ~skip_dims:(non_priv @ skip_dims)
+            ~depth:(depth + 1) target
+        in
+        Array.mapi
+          (fun g c -> if List.mem g priv_grid_dims then tgt.(g) else c)
+          own
+  end
+
 (* Expand per-dimension coordinates into linear processor ids,
    lexicographically (ascending ids). *)
-let pids (env : Layout.env) (dims : Concrete.dims) : int list =
+let pids (env : Layout.env) (dims : dims) : int list =
   let grid = env.Layout.grid in
   let rec expand g coord =
     if g = Array.length dims then
@@ -41,7 +151,7 @@ let element_owner_pids (env : Layout.env) (base : string) (idx : int array) :
 (* Linear processor ids owning reference [r] under the decisions. *)
 let owner_pids (d : Decisions.t) (m : Memory.t) ?as_def (r : Aref.t) :
     int list =
-  pids d.Decisions.env (Concrete.owner d m ?as_def r)
+  pids d.Decisions.env (owner d m ?as_def r)
 
 (* Processors executing statement [s] in the current iteration ([m]
    holds the loop indices).  [G_union] resolves to the union over the
@@ -50,12 +160,12 @@ let owner_pids (d : Decisions.t) (m : Memory.t) ?as_def (r : Aref.t) :
 let executing_pids (d : Decisions.t) (m : Memory.t) (s : Ast.stmt) :
     int list =
   let env = d.Decisions.env in
-  let everyone = pids env (Concrete.all_dims env) in
+  let everyone = pids env (all_dims env) in
   match Decisions.guard_of_stmt d s with
   | Decisions.G_all -> everyone
   | Decisions.G_ref r -> owner_pids d m ~as_def:true r
   | Decisions.G_ref_repl (r, repl) ->
-      pids env (Concrete.owner d m ~skip_dims:repl r)
+      pids env (owner d m ~skip_dims:repl r)
   | Decisions.G_union -> (
       match Nest.innermost_loop d.Decisions.nest s.Ast.sid with
       | None -> everyone
@@ -70,9 +180,9 @@ let executing_pids (d : Decisions.t) (m : Memory.t) (s : Ast.stmt) :
             | _ when st.Ast.sid = s.Ast.sid -> []
             | Decisions.G_all -> everyone
             | Decisions.G_ref r ->
-                pids env (Concrete.owner d m ~as_def:true ~widen_var r)
+                pids env (owner d m ~as_def:true ~widen_var r)
             | Decisions.G_ref_repl (r, repl) ->
-                pids env (Concrete.owner d m ~widen_var ~skip_dims:repl r)
+                pids env (owner d m ~widen_var ~skip_dims:repl r)
             | Decisions.G_union -> []
           in
           let union =
@@ -177,7 +287,7 @@ module List_flow = struct
 
   let exec_effect sid (exec : Sir.exec) (st : Avail.t) : Avail.t =
     match exec with
-    | Sir.Nop -> st
+    | Sir.Control _ -> st
     | Sir.Loop_head { index; _ } ->
         Avail.add (write sid index) (Avail.kill_var index st)
     | Sir.Guarded_assign { lhs; computes; _ } ->
@@ -234,7 +344,7 @@ module List_flow = struct
     | Some ops ->
         let live =
           match ops.Sir.exec with
-          | Sir.Nop -> live
+          | Sir.Control _ -> live
           | Sir.Loop_head { index; _ } -> diff [ index ] live
           | Sir.Guarded_assign { lhs; rhs; computes } ->
               let kills =

@@ -6,6 +6,7 @@
 open Hpf_lang
 open Phpf_core
 open Hpf_spmd
+module Sir = Phpf_ir.Sir
 
 (* The measured quantities under test are phpf's verbatim schedule:
    compile with the paper-faithful options (Sir optimizer off). *)
@@ -202,6 +203,47 @@ let test_memory_accounting () =
   check Alcotest.int "per-proc elements" ((4 * 25) + (2 * 100) + 4)
     r.Trace_sim.mem_elems_max
 
+(* [sir] with the first partitioned guard (statement-id order) of an
+   assignment, or of a control statement, widened to every processor;
+   the compiled record's own program is left untouched. *)
+let widen_first_guard ~control (sir : Sir.program) : Sir.program =
+  let widened (ops : Sir.stmt_ops) =
+    match ops.Sir.exec with
+    | Sir.Guarded_assign g when (not control) && g.computes <> Sir.P_all ->
+        Some { ops with exec = Sir.Guarded_assign { g with computes = P_all } }
+    | Sir.Control { computes } when control && computes <> Sir.P_all ->
+        Some { ops with exec = Sir.Control { computes = P_all } }
+    | _ -> None
+  in
+  let stmts = Hashtbl.copy sir.Sir.stmts in
+  (match List.find_map widened (Sir.all_stmt_ops sir) with
+  | Some ops -> Hashtbl.replace stmts ops.Sir.sid ops
+  | None -> Alcotest.fail "no partitioned guard to widen");
+  { sir with Sir.stmts }
+
+(* Compute is charged from the guards of the program being priced, not
+   re-derived from the decisions: widening one guard to every processor
+   must raise the summed compute time. *)
+let test_prices_the_given_sir () =
+  List.iter
+    (fun (name, prog, control) ->
+      let c = Compiler.compile_exn prog in
+      let total sir =
+        let r, _ = Trace_sim.run ~init:(Init.init c.Compiler.prog) ~sir c in
+        r.Trace_sim.compute_total
+      in
+      let sir = Compiler.sir_exn c in
+      let before = total sir in
+      let after = total (widen_first_guard ~control sir) in
+      check Alcotest.bool
+        (Fmt.str "%s: widened guard charges more (%.3e -> %.3e)" name before
+           after)
+        true (after > before))
+    [
+      ("fig1", Hpf_benchmarks.Fig_examples.fig1 ~n:40 ~p:4 (), false);
+      ("fig7", Hpf_benchmarks.Fig_examples.fig7 ~n:24 ~p:4 (), true);
+    ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -228,5 +270,7 @@ let () =
             test_time_decreases_with_procs;
           Alcotest.test_case "memory accounting" `Quick
             test_memory_accounting;
+          Alcotest.test_case "prices the Sir it is given" `Quick
+            test_prices_the_given_sir;
         ] );
     ]

@@ -3,7 +3,7 @@
    Four layers: (1) the one-program contract — the Sir executor runs the
    compiler's recorded lowering, pinned by traffic goldens in both
    transports, a corrupted schedule diverging identically in both, and
-   the closed-form guard sets checked against the enumerative oracle at
+   the lowered guards checked against the decisions-level oracle at
    every statement instance; (2) strict-lowering diagnostics — corrupted
    compiler artifacts must produce the specific E0801-E0806 code; (3)
    the verifier's lowered-IR fidelity pass (E0610/E0611/W0605); (4) fuel
@@ -109,19 +109,37 @@ let test_corrupted_schedule () =
   check (Alcotest.list Alcotest.string) "identical divergence"
     agg.mismatches one.mismatches
 
-(* The closed-form executing set agrees with the enumerative oracle at
-   every statement instance: the guard coverage an end-to-end
-   differential would otherwise provide. *)
+(* The lowered guards agree with the run-time chase of the decisions at
+   every statement instance: each instance's recorded computes
+   predicate, evaluated by [Concrete.pred_set], selects exactly the
+   processors the enumerative oracle derives from the decisions — for
+   assignments and control statements alike.  The oracle shares no code
+   with the lowering. *)
 let test_executing_set_oracle () =
+  let control = ref 0 in
   List.iter
     (fun (name, mk) ->
       let c = Compiler.compile_exn (mk ()) in
       let d = c.Compiler.decisions in
+      let sir = Compiler.sir_exn c in
       let instances = ref 0 in
       let on_stmt (s : Ast.stmt) (m : Memory.t) =
         incr instances;
+        let computes =
+          match Sir.stmt_ops sir s.Ast.sid with
+          | Some { Sir.exec = Sir.Guarded_assign { computes; _ }; _ } ->
+              computes
+          | Some { Sir.exec = Sir.Control { computes }; _ } ->
+              incr control;
+              computes
+          | Some { Sir.exec = Sir.Loop_head _; _ } -> Sir.P_all
+          | None -> fail (Fmt.str "%s: s%d was not lowered" name s.Ast.sid)
+        in
         let expected = Oracles.executing_pids d m s in
-        let got = Hpf_mapping.Pid_set.to_list (Concrete.executing_set d m s) in
+        let got =
+          Hpf_mapping.Pid_set.to_list
+            (Concrete.pred_set sir.Sir.grid m computes)
+        in
         if got <> expected then
           fail
             (Fmt.str "%s: s%d executes on [%a], oracle says [%a]" name
@@ -138,7 +156,8 @@ let test_executing_set_oracle () =
         (Seq_interp.run ~config ~init:(Init.init c.Compiler.prog)
            c.Compiler.prog);
       if !instances = 0 then fail (name ^ ": no statement instance ran"))
-    benchmarks
+    benchmarks;
+  if !control = 0 then fail "no control statement instance was checked"
 
 (* ---------------- strict lowering diagnostics ---------------- *)
 
@@ -408,6 +427,28 @@ let test_e0611_mutated_allocs () =
   let broken = { c with Compiler.sir = Some { sir with Sir.allocs = [] } } in
   let errs = Verifier.errors (verify_exn broken) in
   check Alcotest.bool "mutated storage decisions are E0611" true
+    (List.mem "E0611" (codes_of errs));
+  (* the guard recorded on fig7's IF (privatized control flow) is
+     audited like an assignment's *)
+  let c = Compiler.compile_exn (Fig_examples.fig7 ~n:24 ~p:4 ()) in
+  let sir = Compiler.sir_exn c in
+  let stmts = Hashtbl.copy sir.Sir.stmts in
+  (match
+     List.find_opt
+       (fun (ops : Sir.stmt_ops) ->
+         match (Ast.find_stmt c.Compiler.prog ops.Sir.sid, ops.Sir.exec) with
+         | Some { Ast.node = Ast.If _; _ }, Sir.Control { computes } ->
+             computes <> Sir.P_all
+         | _ -> false)
+       (Sir.all_stmt_ops sir)
+   with
+  | Some ops ->
+      Hashtbl.replace stmts ops.Sir.sid
+        { ops with Sir.exec = Sir.Control { computes = Sir.P_all } }
+  | None -> fail "fig7 should record a partitioned IF guard");
+  let broken = { c with Compiler.sir = Some { sir with Sir.stmts } } in
+  let errs = Verifier.errors (verify_exn broken) in
+  check Alcotest.bool "a replaced IF guard is E0611" true
     (List.mem "E0611" (codes_of errs))
 
 let test_clean_artifacts_pass_fidelity () =
