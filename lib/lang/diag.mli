@@ -14,6 +14,10 @@
     - [E0304] inconsistent directive
     - [E0305] duplicate declaration or parameter
     - [E0306] misplaced [EXIT]/[CYCLE]
+    - [E0307] operand type mismatch: a logical where a number is needed
+      (arithmetic, comparison, intrinsic, subscript, loop bound) or a
+      real where an integer or logical is needed ([IF] condition,
+      [.and.]/[.or.]/[.not.] operand)
     - [E0401] mapping/layout error
     - [E0402] invalid processor grid extents
     - [E0501] pipeline/driver error (e.g. unknown pass name)

@@ -11,9 +11,14 @@
     - directives refer to declared arrays/grids with matching ranks;
     - [NEW] variables are declared;
     - [EXIT]/[CYCLE] name an enclosing loop (when named) and appear inside
-      a loop.
+      a loop;
+    - operand types fit their operators (no logical in arithmetic, a
+      comparison, a subscript or a loop bound; no real in an [IF]
+      condition or a logical operator), so a checked program never
+      fails a run-time type conversion.
 
-    Violations are reported as {!Diag.t} values (codes [E0301]-[E0306]);
+    Violations are reported as {!Diag.t} values (codes [E0301]-[E0307])
+    carrying the location of the offending statement when it has one;
     {!check_result} accumulates one diagnostic per offending declaration,
     directive and top-level statement instead of stopping at the first. *)
 
@@ -59,6 +64,118 @@ let rec check_expr env ~indices (e : expr) =
       check_expr env ~indices y
   | Un (_, x) -> check_expr env ~indices x
 
+(* ------------------------------------------------------------------ *)
+(* Operand types                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The run-time type an expression can have.  [Num] is an integer or a
+   real, known only at run time (an integer power with a possibly
+   negative exponent). *)
+type vty = Int | Real | Num | Logical
+
+let vty_name = function
+  | Int -> "integer"
+  | Real -> "real"
+  | Num -> "numeric"
+  | Logical -> "logical"
+
+(* Integer and real promote to each other; an integer pair stays
+   integer. *)
+let promote a b =
+  match (a, b) with
+  | Int, Int -> Int
+  | Real, _ | _, Real -> Real
+  | _ -> Num
+
+(* Types of a name-checked expression (run after {!check_expr}).
+   Numeric operators, comparisons, intrinsics and subscripts need
+   numbers; logical operators need integers or logicals — exactly what
+   the evaluator converts without failing.  [where] names the context
+   of an operand, printed only for a diagnostic. *)
+let rec type_of env ~indices (e : expr) : vty =
+  let where () = Pp.expr_to_string e in
+  match e with
+  | Int _ -> Int
+  | Real _ -> Real
+  | Bool _ -> Logical
+  | Var v -> (
+      if List.mem v indices || param_value env.prog v <> None then Int
+      else
+        match find_decl env.prog v with
+        | Some { ty = Types.TReal; _ } -> Real
+        | Some { ty = Types.TBool; _ } -> Logical
+        | Some { ty = Types.TInt; _ } | None -> Int)
+  | Arr (a, subs) -> (
+      List.iter
+        (fun x ->
+          ignore
+            (numeric env ~indices ~where:(fun () -> "a subscript of " ^ a) x))
+        subs;
+      match find_decl env.prog a with
+      | Some { ty = Types.TReal; _ } -> Real
+      | Some { ty = Types.TBool; _ } -> Logical
+      | Some { ty = Types.TInt; _ } | None -> Int)
+  | Bin ((Add | Sub | Mul | Div | Pow) as op, x, y) -> (
+      let tx = numeric env ~indices ~where x in
+      let ty = numeric env ~indices ~where y in
+      match (op, tx, ty) with Pow, Int, Int -> Num | _ -> promote tx ty)
+  | Bin ((Eq | Ne | Lt | Le | Gt | Ge), x, y) ->
+      ignore (numeric env ~indices ~where x);
+      ignore (numeric env ~indices ~where y);
+      Logical
+  | Bin ((And | Or), x, y) ->
+      truth env ~indices ~where x;
+      truth env ~indices ~where y;
+      Logical
+  | Un (Not, x) ->
+      truth env ~indices ~where x;
+      Logical
+  | Un ((Neg | Abs | Sign), x) -> numeric env ~indices ~where x
+  | Un ((Sqrt | Exp | Log), x) ->
+      ignore (numeric env ~indices ~where x);
+      Real
+  | Intrin (_, x, y) ->
+      let tx = numeric env ~indices ~where x in
+      let ty = numeric env ~indices ~where y in
+      promote tx ty
+
+and numeric env ~indices ~where x =
+  match type_of env ~indices x with
+  | (Int | Real | Num) as t -> t
+  | Logical ->
+      err ~code:"E0307" "%s is logical where %s expects a number"
+        (Pp.expr_to_string x) (where ())
+
+and truth env ~indices ~where x =
+  match type_of env ~indices x with
+  | Int | Logical -> ()
+  | (Real | Num) as t ->
+      err ~code:"E0307" "%s is %s where %s expects an integer or logical"
+        (Pp.expr_to_string x) (vty_name t) (where ())
+
+let check_types env ~indices (s : stmt) =
+  match s.node with
+  | Assign (lhs, rhs) ->
+      (match lhs with
+      | LVar _ -> ()
+      | LArr (a, subs) ->
+          List.iter
+            (fun x ->
+              ignore
+                (numeric env ~indices ~where:(fun () -> "a subscript of " ^ a) x))
+            subs);
+      (* an assignment converts any value to the target's type *)
+      ignore (type_of env ~indices rhs)
+  | If (c, _, _) ->
+      truth env ~indices ~where:(fun () -> "an IF condition") c
+  | Do d ->
+      List.iter
+        (fun x ->
+          ignore
+            (numeric env ~indices ~where:(fun () -> "a bound of loop " ^ d.index) x))
+        [ d.lo; d.hi; d.step ]
+  | Exit _ | Cycle _ -> ()
+
 let check_lhs env ~indices = function
   | LVar v -> (
       if List.mem v indices then
@@ -80,13 +197,30 @@ let check_lhs env ~indices = function
             r (List.length subs)
       | Some _ -> ())
 
+(* A diagnostic without a location gets the statement's: the innermost
+   offending statement locates it. *)
+let located (s : stmt) f =
+  try f ()
+  with Diag.Fatal ds ->
+    raise
+      (Diag.Fatal
+         (List.map
+            (fun (d : Diag.t) ->
+              match d.Diag.loc with
+              | None -> { d with Diag.loc = s.loc }
+              | Some _ -> d)
+            ds))
+
 let rec check_stmt env ~indices ~loops (s : stmt) =
+  located s @@ fun () ->
   match s.node with
   | Assign (lhs, rhs) ->
       check_lhs env ~indices lhs;
-      check_expr env ~indices rhs
+      check_expr env ~indices rhs;
+      check_types env ~indices s
   | If (c, t, e) ->
       check_expr env ~indices c;
+      check_types env ~indices s;
       List.iter (check_stmt env ~indices ~loops) t;
       List.iter (check_stmt env ~indices ~loops) e
   | Exit name | Cycle name -> (
@@ -102,6 +236,7 @@ let rec check_stmt env ~indices ~loops (s : stmt) =
       check_expr env ~indices d.lo;
       check_expr env ~indices d.hi;
       check_expr env ~indices d.step;
+      check_types env ~indices s;
       List.iter
         (fun v ->
           if find_decl env.prog v = None then

@@ -6,7 +6,8 @@
     (preorder 1, 2, 3, ...), which every analysis relies on.
 
     Violations are reported as {!Diag.t} values with codes
-    [E0301]-[E0306] (see {!Diag}). *)
+    [E0301]-[E0307] (see {!Diag}), located at the offending statement
+    when it carries a source position. *)
 
 (** Validate and renumber, accumulating diagnostics: each top-level unit
     (declaration set, directive, top-level statement) contributes at most

@@ -1,20 +1,26 @@
 (** Concrete processor sets of the lowered program's owner lines,
-    evaluated against a runtime memory — the one evaluator of
+    compiled against a run's memory layout — the one evaluator of
     {!Phpf_ir.Sir} guards, shared by {!Spmd_interp} and {!Trace_sim}.
-    Subscripts embedded in [C_affine] coordinates are read from the
-    memory, so non-affine ones resolve exactly.  Every result is a
-    closed-form {!Hpf_mapping.Pid_set.t} (no cartesian expansion) whose
-    iteration order is ascending linear ids. *)
+    Subscripts embedded in [C_affine] coordinates are compiled once per
+    run and read from memory at each instance, so non-affine ones
+    resolve exactly.  Every result is a closed-form
+    {!Hpf_mapping.Pid_set.t} (no cartesian expansion) whose iteration
+    order is ascending linear ids. *)
 
 open Hpf_mapping
 module Sir = Phpf_ir.Sir
 
-(** Processors on an owner line. *)
-val place_set : Grid.t -> Memory.t -> Sir.place -> Pid_set.t
+(** The memory layout of a run of the lowered program: its source's
+    names plus every name its ops read or write (crossed loop indices
+    included). *)
+val layout : Sir.program -> Memory.layout
+
+(** The lowest pid on an owner line (the transfer source). *)
+val place_first : Memory.layout -> Grid.t -> Sir.place -> int Eval.code
 
 (** Processors a computes or destination predicate selects; an empty
     evaluated [P_union] falls back to every processor. *)
-val pred_set : Grid.t -> Memory.t -> Sir.pred -> Pid_set.t
+val pred : Memory.layout -> Grid.t -> Sir.pred -> Pid_set.t Eval.code
 
 (** Owners of the array element at index vector [idx] under an
     element-place recipe. *)

@@ -10,6 +10,12 @@
     write to a processor shadow memory (remote {e and} local) goes
     through {!write} so it lands in a per-processor write-ahead log.
 
+    The executor writes by slot and cell index ({!write_scalar},
+    {!write_elem}): the value lands without a name lookup, and the
+    name-keyed {!Msg.payload} is built only when the write-ahead log
+    records it, so logged payloads are exactly those of a name-keyed
+    write.
+
     Crash handling has two regimes.  Under {!Checkpoint} (or whenever no
     compile-time plan is available, or the plan demands checkpoints),
     periodic whole-machine checkpoints plus WAL replay restore the
@@ -76,6 +82,7 @@ type t = {
   faults : Fault.t;
   net : Msg.t;
   procs : Memory.t array;  (** the interpreter's shadow memories *)
+  layout : Memory.layout;  (** shared by every shadow memory *)
   nprocs : int;
   elems_per_proc : int;  (** array elements per shadow memory *)
   active : bool;  (** fault schedule has positive rates *)
@@ -89,6 +96,8 @@ type t = {
   reexec_datums : (string, unit) Hashtbl.t;
       (** datums with a re-execution entry: the only ones the localized
           WAL records *)
+  reexec_slots : bool array;  (** [reexec_datums], per scalar slot *)
+  reexec_cells : bool array;  (** [reexec_datums], per array cell *)
   seen_sids : (Ast.stmt_id, unit) Hashtbl.t;
       (** producing regions entered so far (plan-entry applicability) *)
   interval : int;  (** effective checkpoint interval (memory-scaled) *)
@@ -130,6 +139,9 @@ type t = {
 let create ?(config = default_config) ?(faults = Fault.none) ?plan ?init
     (procs : Memory.t array) (prog : Ast.program) : t =
   let nprocs = Array.length procs in
+  let layout =
+    if nprocs > 0 then Memory.layout_of procs.(0) else Memory.layout prog
+  in
   let elems_per_proc =
     List.fold_left
       (fun acc (d : Ast.decl) ->
@@ -160,11 +172,15 @@ let create ?(config = default_config) ?(faults = Fault.none) ?plan ?init
   let interval =
     max config.checkpoint_interval (nprocs * elems_per_proc / 256)
   in
+  let reexec_of n name_of =
+    Array.init n (fun i -> Hashtbl.mem reexec_datums (name_of layout i))
+  in
   {
     config;
     faults;
     net = Msg.create ~nprocs;
     procs;
+    layout;
     nprocs;
     elems_per_proc;
     active;
@@ -173,6 +189,8 @@ let create ?(config = default_config) ?(faults = Fault.none) ?plan ?init
     init;
     plan;
     reexec_datums;
+    reexec_slots = reexec_of (Memory.slot_count layout) Memory.slot_name;
+    reexec_cells = reexec_of (Memory.cell_count layout) Memory.cell_name;
     seen_sids = Hashtbl.create 32;
     interval;
     heartbeat = max 1 (interval / 8);
@@ -225,6 +243,9 @@ let payload_datum : Msg.payload -> string = function
   | Msg.Elem { base; _ } -> base
   | Msg.Block { base; _ } -> base
 
+let log (t : t) (pid : int) (p : Msg.payload) : unit =
+  t.wal.(pid) <- p :: t.wal.(pid)
+
 (** Write to processor [pid]'s shadow memory, recording the write in its
     WAL (when faults are active) so a crash can replay it.  The
     localized regime logs only datums the plan reconstructs by replay —
@@ -233,12 +254,30 @@ let payload_datum : Msg.payload -> string = function
     would be pure overhead. *)
 let write (t : t) (pid : int) (p : Msg.payload) : unit =
   apply_payload t.procs.(pid) p;
-  if t.active then
-    if t.localized then begin
-      if Hashtbl.mem t.reexec_datums (payload_datum p) then
-        t.wal.(pid) <- p :: t.wal.(pid)
-    end
-    else t.wal.(pid) <- p :: t.wal.(pid)
+  if
+    t.active
+    && ((not t.localized) || Hashtbl.mem t.reexec_datums (payload_datum p))
+  then log t pid p
+
+(** Slot-addressed {!write} of scalar slot [slot]: the payload
+    [Scalar {var; value}] is built only when the WAL records it. *)
+let write_scalar (t : t) (pid : int) ~(slot : int) (v : Value.t) : unit =
+  Memory.set_slot t.procs.(pid) slot v;
+  if t.active && ((not t.localized) || t.reexec_slots.(slot)) then
+    log t pid (Msg.Scalar { var = Memory.slot_name t.layout slot; value = v })
+
+(** Cell-addressed {!write} of element [idx] of array cell [cell]. *)
+let write_elem (t : t) (pid : int) ~(cell : int) (idx : int array)
+    (v : Value.t) : unit =
+  Memory.write_elem t.procs.(pid) cell idx v;
+  if t.active && ((not t.localized) || t.reexec_cells.(cell)) then
+    log t pid
+      (Msg.Elem
+         {
+           base = Memory.cell_name t.layout cell;
+           index = Array.to_list idx;
+           value = v;
+         })
 
 (* ------------------------------------------------------------------ *)
 (* Reliable message delivery                                           *)
@@ -433,7 +472,7 @@ let failover (t : t) (pid : int) =
   let plan =
     match t.plan with Some p -> p | None -> assert false (* localized *)
   in
-  let m = Memory.create t.prog in
+  let m = Memory.create_in t.layout in
   (match t.init with Some f -> f m | None -> ());
   t.procs.(pid) <- m;
   let donor = if pid = 0 then 1 else 0 in
@@ -505,19 +544,13 @@ let failover (t : t) (pid : int) =
      loop-head writes) are [P_all]-maintained — every survivor holds the
      same value, so one scalar refetch per index restores them;
      ascending name order keeps the repair sequence deterministic *)
-  let undeclared =
-    Hashtbl.fold
-      (fun name _ acc ->
-        if Ast.find_decl t.prog name = None then name :: acc else acc)
-      t.procs.(donor).Memory.scalars []
-  in
   List.iter
-    (fun name ->
-      t.plan_refetch <- t.plan_refetch + 1;
-      transmit t ~src:donor ~dst:pid
-        (Msg.Scalar
-           { var = name; value = Memory.get_scalar t.procs.(donor) name }))
-    (List.sort String.compare undeclared)
+    (fun (name, value) ->
+      if Ast.find_decl t.prog name = None then begin
+        t.plan_refetch <- t.plan_refetch + 1;
+        transmit t ~src:donor ~dst:pid (Msg.Scalar { var = name; value })
+      end)
+    (Memory.scalars t.procs.(donor))
 
 let stall (t : t) (_pid : int) =
   t.stalls <- t.stalls + 1;

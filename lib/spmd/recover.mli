@@ -75,6 +75,16 @@ val create :
     logs only datums the plan reconstructs by replay). *)
 val write : t -> int -> Msg.payload -> unit
 
+(** [write_scalar t pid ~slot v] is [write t pid (Scalar {var; value =
+    v})] for the scalar in [slot] of the shadow memories' layout, with
+    no name lookup; the payload is built only when the log records it. *)
+val write_scalar : t -> int -> slot:int -> Value.t -> unit
+
+(** [write_elem t pid ~cell idx v] is [write t pid (Elem {base; index;
+    value = v})] for element [idx] of array [cell] (the index vector is
+    read, not kept). *)
+val write_elem : t -> int -> cell:int -> int array -> Value.t -> unit
+
 (** Deliver one remote write reliably from [src] to [dst] (applying it
     via {!write} on receipt).  Raises {!Unrecoverable} when the retry
     budget is exhausted. *)

@@ -1,6 +1,8 @@
 (** Reference sequential interpreter for the kernel language (Fortran
     semantics).  The gold standard the SPMD interpreter is validated
-    against, and the execution driver of the timing simulator. *)
+    against, and the engine the timing simulator runs.  Each run
+    compiles the program once against its memory's {!Memory.layout}, so
+    statement instances do no name lookup. *)
 
 open Hpf_lang
 
@@ -37,3 +39,10 @@ val default_config : config
     @raise Fuel_exhausted when the statement budget runs out. *)
 val run :
   ?config:config -> ?init:(Memory.t -> unit) -> Ast.program -> Memory.t
+
+(** [run_in m prog] executes [prog] in the existing memory [m], whose
+    layout must give a slot to every scalar [prog] assigns and every
+    loop index (a layout built from [prog], or from a lowering of it).
+    Same faults, fuel and [on_stmt] discipline as {!run}.
+    @raise Invalid_argument when the layout lacks such a slot. *)
+val run_in : ?config:config -> Memory.t -> Ast.program -> unit

@@ -7,7 +7,9 @@
     lowering time ({!Phpf_core.Lower_spmd}); the only work left here is
     evaluating the subscript expressions embedded in IR coordinates
     against the lockstep reference memory ({!Concrete}) and moving the
-    values.
+    values.  Each run compiles those expressions, the statements' guards
+    and right-hand sides once, against the run's memory layout, into a
+    dense table indexed by statement id.
 
     Every processor gets its own full-size shadow memory, but only writes
     to it when the materialized [computes] predicate selects it, and only
@@ -31,7 +33,7 @@ module Sir = Phpf_ir.Sir
 type t = {
   sir : Sir.program;  (** the lowered program being executed *)
   aggregate : bool;  (** transport mode: one packet per block or element *)
-  mutable reference : Memory.t;  (** lockstep reference memory *)
+  reference : Memory.t;  (** lockstep reference memory *)
   procs : Memory.t array;  (** one shadow memory per processor *)
   mutable transfers : int;  (** elements copied between processors *)
   runtime : Recover.t;
@@ -51,16 +53,15 @@ let set_exists (f : int -> bool) (set : Pid_set.t) : bool =
 (* Ordered accumulation of element transfers, flushed as one
    {!Msg.Block} per pair in the aggregated transport: one sequence
    number, one checksum, one startup latency for a loop's worth of
-   elements. *)
+   elements.  Pairs are keyed [src * nprocs + dst]. *)
 type buffers = {
-  tbl : (int * int, (int list * Value.t) list ref) Hashtbl.t;
-  mutable order : (int * int) list;  (** first-touch order, reversed *)
+  tbl : (int, (int list * Value.t) list ref) Hashtbl.t;
+  mutable order : int list;  (** first-touch order, reversed *)
 }
 
 let buffers_create () : buffers = { tbl = Hashtbl.create 16; order = [] }
 
-let buffers_add (b : buffers) ~src ~dst entry =
-  let key = (src, dst) in
+let buffers_add (b : buffers) ~key entry =
   match Hashtbl.find_opt b.tbl key with
   | Some l -> l := entry :: !l
   | None ->
@@ -73,13 +74,15 @@ let buffers_add (b : buffers) ~src ~dst entry =
    single-element packet format either way. *)
 let buffers_flush (st : t) ~(scalar_base : bool) ~(base : string)
     (b : buffers) =
+  let nprocs = st.sir.Sir.nprocs in
   let single ~src ~dst (idx, v) =
     Recover.transmit st.runtime ~src ~dst
       (if scalar_base then Msg.Scalar { var = base; value = v }
        else Msg.Elem { base; index = idx; value = v })
   in
   List.iter
-    (fun ((src, dst) as key) ->
+    (fun key ->
+      let src = key / nprocs and dst = key mod nprocs in
       match List.rev !(Hashtbl.find b.tbl key) with
       | _ :: _ :: _ as entries when st.aggregate ->
           Recover.transmit st.runtime ~src ~dst
@@ -92,60 +95,234 @@ let buffers_flush (st : t) ~(scalar_base : bool) ~(base : string)
       | entries -> List.iter (single ~src ~dst) entries)
     (List.rev b.order)
 
+(* --- the lowered program, resolved ---------------------------------- *)
+
+(* Every name and guard of the lowered program is compiled once per run
+   against the run's memory layout: statement ops live in a dense table
+   indexed by statement id, transfer ops carry their own state. *)
+
+(* The moved datum of a transfer: its value on the source processor,
+   the index vector it travels with, and the source (lowest pid of its
+   owner line). *)
+type datum =
+  | D_scalar of { var : string; slot : int; src : int Eval.code }
+  | D_elem of {
+      base : string;
+      cell : int option;
+      idx : int array Eval.code;
+      src : int Eval.code;
+    }
+
+type crossed = {
+  index : int;  (** slot of the crossed index *)
+  lo : int Eval.code;
+  hi : int Eval.code;
+  step : int Eval.code;
+}
+
+type op =
+  | Op_none  (** a reduction collective: the combine logic moves data *)
+  | Op_elem of { data : datum; dests : Pid_set.t Eval.code }
+  | Op_whole of {
+      base : string;
+      cell : int option;
+      owners : Sir.eplace;
+      dests : Pid_set.t Eval.code;
+    }
+  | Op_block of {
+      data : datum;
+      dests : Pid_set.t Eval.code;
+      crossed : crossed list;
+      prefix : int array;  (** slots of the prefix indices *)
+      current : int array;  (** this instance's prefix *)
+      last : int array;  (** prefix of the last shipped instance *)
+      mutable shipped : bool;  (** [last] holds a prefix *)
+    }
+
+type exec =
+  | X_control
+  | X_assign_scalar of {
+      slot : int;
+      rhs : Value.t Eval.code;
+      computes : Pid_set.t Eval.code;
+    }
+  | X_assign_elem of {
+      base : string;
+      cell : int option;
+      idx : int array Eval.code;
+      rhs : Value.t Eval.code;
+      computes : Pid_set.t Eval.code;
+    }
+  | X_loop_head of { slot : int; lo : int Eval.code }
+
+type red_step = Mark of int  (** slot *) | Combine of int  (** reduction *)
+
+type stmt_rec = {
+  mirror : int array;  (** slots of the enclosing indices *)
+  red_steps : red_step array;
+  comms : op array;
+  exec : exec;
+}
+
+let slot_exn (l : Memory.layout) (v : string) : int =
+  match Memory.slot l v with
+  | Some i -> i
+  | None -> invalid_arg ("Spmd_interp: no slot for " ^ v)
+
+let resolve_datum l grid : Sir.xdata -> datum = function
+  | Sir.X_scalar { var; owner } ->
+      D_scalar
+        { var; slot = slot_exn l var; src = Concrete.place_first l grid owner }
+  | Sir.X_elem { base; subs; owner } ->
+      D_elem
+        {
+          base;
+          cell = Memory.cell l base;
+          idx = Eval.index l subs;
+          src = Concrete.place_first l grid owner;
+        }
+
+let resolve_dests l grid : Sir.dests -> Pid_set.t Eval.code = function
+  | Sir.D_all ->
+      let all = Pid_set.all grid in
+      fun _ -> all
+  | Sir.D_pred p -> Concrete.pred l grid p
+
+let resolve_op l grid (op : Sir.comm_op) : op =
+  match op.Sir.xfer with
+  | Sir.Reduce_xfer -> Op_none
+  | Sir.Elem_xfer { data; dests } ->
+      Op_elem
+        { data = resolve_datum l grid data; dests = resolve_dests l grid dests }
+  | Sir.Whole_xfer { base; owners; dests } ->
+      Op_whole
+        { base; cell = Memory.cell l base; owners; dests = resolve_dests l grid dests }
+  | Sir.Block_xfer { data; dests; crossed; prefix_vars } ->
+      let n = List.length prefix_vars in
+      Op_block
+        {
+          data = resolve_datum l grid data;
+          dests = resolve_dests l grid dests;
+          crossed =
+            List.map
+              (fun (lp : Sir.loop_desc) ->
+                {
+                  index = slot_exn l lp.Sir.index;
+                  lo = Eval.compile_int l lp.Sir.lo;
+                  hi = Eval.compile_int l lp.Sir.hi;
+                  step = Eval.compile_int l lp.Sir.step;
+                })
+              crossed;
+          prefix = Array.of_list (List.map (slot_exn l) prefix_vars);
+          current = Array.make n 0;
+          last = Array.make n 0;
+          shipped = false;
+        }
+
+let resolve_stmt l grid (o : Sir.stmt_ops) : stmt_rec =
+  {
+    mirror = Array.of_list (List.map (slot_exn l) o.Sir.mirror);
+    red_steps =
+      Array.of_list
+        (List.map
+           (function
+             | Sir.R_mark var -> Mark (slot_exn l var)
+             | Sir.R_combine i -> Combine i)
+           o.Sir.red_steps);
+    comms = Array.of_list (List.map (resolve_op l grid) o.Sir.comms);
+    exec =
+      (match o.Sir.exec with
+      | Sir.Control _ -> X_control
+      | Sir.Guarded_assign { lhs = Ast.LVar x; rhs; computes } ->
+          X_assign_scalar
+            {
+              slot = slot_exn l x;
+              rhs = Eval.compile l rhs;
+              computes = Concrete.pred l grid computes;
+            }
+      | Sir.Guarded_assign { lhs = Ast.LArr (base, subs); rhs; computes } ->
+          X_assign_elem
+            {
+              base;
+              cell = Memory.cell l base;
+              idx = Eval.index l subs;
+              rhs = Eval.compile l rhs;
+              computes = Concrete.pred l grid computes;
+            }
+      | Sir.Loop_head { index; lo } ->
+          X_loop_head { slot = slot_exn l index; lo = Eval.compile_int l lo });
+  }
+
+(* The dense per-statement table of a run: [table.(sid)]. *)
+let resolve (l : Memory.layout) (sir : Sir.program) : stmt_rec option array =
+  let max_sid = ref 0 in
+  Ast.iter_program (fun s -> max_sid := max !max_sid s.Ast.sid) sir.Sir.source;
+  List.iter
+    (fun (o : Sir.stmt_ops) -> max_sid := max !max_sid o.Sir.sid)
+    (Sir.all_stmt_ops sir);
+  let table = Array.make (!max_sid + 1) None in
+  List.iter
+    (fun (o : Sir.stmt_ops) ->
+      table.(o.Sir.sid) <- Some (resolve_stmt l sir.Sir.grid o))
+    (Sir.all_stmt_ops sir);
+  table
+
 (* --- lowered transfer ops ------------------------------------------ *)
+
+(* The source's value of a datum and its index vector (empty for a
+   scalar), read after the source is known. *)
+let datum_value (st : t) (m_ref : Memory.t) (d : datum) (src : int) :
+    int list * Value.t =
+  match d with
+  | D_scalar { slot; _ } -> ([], Memory.get_slot st.procs.(src) slot)
+  | D_elem { base; cell; idx; _ } -> (
+      let idx = idx m_ref in
+      match cell with
+      | Some ci -> (Array.to_list idx, Memory.read_elem st.procs.(src) ci idx)
+      | None -> Memory.rerr "read of unbound array %s" base)
 
 (* One scalar or element per statement instance, from its owner line to
    the destinations. *)
-let elem_transfer (st : t) (m_ref : Memory.t) (data : Sir.xdata)
+let elem_transfer (st : t) (m_ref : Memory.t) (data : datum)
     (dests : Pid_set.t) =
-  let grid = st.sir.Sir.grid in
-  match data with
-  | Sir.X_scalar { var; owner } -> (
-      match Pid_set.first (Concrete.place_set grid m_ref owner) with
-      | None -> ()
-      | Some src ->
-          let v = Memory.get_scalar st.procs.(src) var in
-          let payload = Msg.Scalar { var; value = v } in
-          Pid_set.iter
-            (fun p ->
-              if p <> src then begin
-                Recover.transmit st.runtime ~src ~dst:p payload;
-                st.transfers <- st.transfers + 1
-              end)
-            dests)
-  | Sir.X_elem { base; subs; owner } -> (
-      match Pid_set.first (Concrete.place_set grid m_ref owner) with
-      | None -> ()
-      | Some src ->
-          let idx = List.map (fun e -> Eval.int_expr m_ref e) subs in
-          let v = Memory.get_elem st.procs.(src) base idx in
-          let payload = Msg.Elem { base; index = idx; value = v } in
-          Pid_set.iter
-            (fun p ->
-              if p <> src then begin
-                Recover.transmit st.runtime ~src ~dst:p payload;
-                st.transfers <- st.transfers + 1
-              end)
-            dests)
+  let src =
+    match data with D_scalar { src; _ } | D_elem { src; _ } -> src m_ref
+  in
+  let idx, v = datum_value st m_ref data src in
+  let payload =
+    match data with
+    | D_scalar { var; _ } -> Msg.Scalar { var; value = v }
+    | D_elem { base; _ } -> Msg.Elem { base; index = idx; value = v }
+  in
+  Pid_set.iter
+    (fun p ->
+      if p <> src then begin
+        Recover.transmit st.runtime ~src ~dst:p payload;
+        st.transfers <- st.transfers + 1
+      end)
+    dests
 
 (* An unsubscripted array actual: every element travels from its
    directive owner to the destinations. *)
 let whole_transfer (st : t) (m_ref : Memory.t) ~(base : string)
-    (owners : Sir.eplace) (dests : Pid_set.t) =
-  let grid = st.sir.Sir.grid in
+    ~(cell : int option) (owners : Sir.eplace) (dests : Pid_set.t) =
+  let grid = st.sir.Sir.grid and nprocs = st.sir.Sir.nprocs in
+  let ci =
+    match cell with Some ci -> ci | None -> Memory.rerr "unknown array %s" base
+  in
   let bufs = buffers_create () in
-  Memory.iter_elems m_ref base (fun idx _ ->
-      match
-        Pid_set.first (Concrete.eplace_set grid owners (Array.of_list idx))
-      with
+  Memory.iter_cell m_ref.Memory.cells.(ci) (fun idx off ->
+      match Pid_set.first (Concrete.eplace_set grid owners idx) with
       | None -> ()
       | Some src ->
-          let v = Memory.get_elem st.procs.(src) base idx in
+          let entry =
+            (Array.to_list idx, Memory.read_off st.procs.(src).Memory.cells.(ci) off)
+          in
           Pid_set.iter
             (fun p ->
               if p <> src then begin
                 st.transfers <- st.transfers + 1;
-                buffers_add bufs ~src ~dst:p (idx, v)
+                buffers_add bufs ~key:((src * nprocs) + p) entry
               end)
             dests);
   buffers_flush st ~scalar_base:false ~base bufs
@@ -157,71 +334,96 @@ let whole_transfer (st : t) (m_ref : Memory.t) ~(base : string)
    (src, dst) pair.  The crossed indices are borrowed from the reference
    memory and restored afterwards, so the surrounding execution never
    observes the lookahead. *)
-let block_transfer (st : t) (m_ref : Memory.t) ~(data : Sir.xdata)
-    ~(dests : Sir.dests) ~(crossed : Sir.loop_desc list) =
-  let grid = st.sir.Sir.grid in
-  let base, owner, scalar_base =
+let block_transfer (st : t) (m_ref : Memory.t) ~(data : datum)
+    ~(dests : Pid_set.t Eval.code) ~(crossed : crossed list) =
+  let nprocs = st.sir.Sir.nprocs in
+  let base, src_of, scalar_base =
     match data with
-    | Sir.X_scalar { var; owner } -> (var, owner, true)
-    | Sir.X_elem { base; owner; _ } -> (base, owner, false)
+    | D_scalar { var; src; _ } -> (var, src, true)
+    | D_elem { base; src; _ } -> (base, src, false)
   in
   let bufs = buffers_create () in
   let emit () =
-    match Pid_set.first (Concrete.place_set grid m_ref owner) with
-    | None -> ()
-    | Some src ->
-        let entry =
-          match data with
-          | Sir.X_scalar { var; _ } ->
-              ([], Memory.get_scalar st.procs.(src) var)
-          | Sir.X_elem { base; subs; _ } ->
-              let idx = List.map (fun e -> Eval.int_expr m_ref e) subs in
-              (idx, Memory.get_elem st.procs.(src) base idx)
-        in
-        let ds =
-          match dests with
-          | Sir.D_all -> Pid_set.all grid
-          | Sir.D_pred p -> Concrete.pred_set grid m_ref p
-        in
-        Pid_set.iter
-          (fun p ->
-            if p <> src then begin
-              st.transfers <- st.transfers + 1;
-              buffers_add bufs ~src ~dst:p entry
-            end)
-          ds
+    let src = src_of m_ref in
+    let entry = datum_value st m_ref data src in
+    Pid_set.iter
+      (fun p ->
+        if p <> src then begin
+          st.transfers <- st.transfers + 1;
+          buffers_add bufs ~key:((src * nprocs) + p) entry
+        end)
+      (dests m_ref)
   in
   (* A crossed index introduced by the merge pass is fresh — not a
      source loop index — so it may be unbound in memory: save what is
      there (if anything) and restore to exactly that. *)
   let saved =
-    List.map
-      (fun (l : Sir.loop_desc) ->
-        (l.Sir.index, Hashtbl.find_opt m_ref.Memory.scalars l.Sir.index))
-      crossed
+    List.map (fun (c : crossed) -> (c.index, Memory.find_slot m_ref c.index)) crossed
   in
   let rec walk = function
     | [] -> emit ()
-    | (l : Sir.loop_desc) :: rest ->
-        let lo = Eval.int_expr m_ref l.Sir.lo in
-        let hi = Eval.int_expr m_ref l.Sir.hi in
-        let step = Eval.int_expr m_ref l.Sir.step in
+    | (c : crossed) :: rest ->
+        let lo = c.lo m_ref in
+        let hi = c.hi m_ref in
+        let step = c.step m_ref in
         if step = 0 then Memory.rerr "zero loop step";
         let i = ref lo in
         while if step > 0 then !i <= hi else !i >= hi do
-          Memory.set_scalar m_ref l.Sir.index (Value.I !i);
+          Memory.set_slot m_ref c.index (Value.I !i);
           walk rest;
           i := !i + step
         done
   in
   walk crossed;
   List.iter
-    (fun (v, x) ->
+    (fun (slot, x) ->
       match x with
-      | Some x -> Memory.set_scalar m_ref v x
-      | None -> Hashtbl.remove m_ref.Memory.scalars v)
+      | Some x -> Memory.set_slot m_ref slot x
+      | None -> Memory.unbind_slot m_ref slot)
     saved;
   buffers_flush st ~scalar_base ~base bufs
+
+(* Fold a reduction's partials along each combine line and write the
+   total (and, for maxloc/minloc, the winner's location companions)
+   back to every member. *)
+let combine_line (st : t) (r : Sir.reduce) ~rslot ~loc_slots members =
+  let values =
+    List.map (fun p -> (p, Memory.get_slot st.procs.(p) rslot)) members
+  in
+  let better (p1, v1) (p2, v2) =
+    let f1 = Value.to_float v1 and f2 = Value.to_float v2 in
+    match r.Sir.rop with
+    | Hpf_analysis.Reduction.Rmax -> if f2 > f1 then (p2, v2) else (p1, v1)
+    | Hpf_analysis.Reduction.Rmin -> if f2 < f1 then (p2, v2) else (p1, v1)
+    | Hpf_analysis.Reduction.Rsum | Hpf_analysis.Reduction.Rprod -> (p1, v1)
+  in
+  let winner, total_v =
+    match r.Sir.rop with
+    | Hpf_analysis.Reduction.Rsum ->
+        let s =
+          List.fold_left (fun acc (_, v) -> acc +. Value.to_float v) 0.0 values
+        in
+        (List.hd members, Value.R s)
+    | Hpf_analysis.Reduction.Rprod ->
+        let s =
+          List.fold_left (fun acc (_, v) -> acc *. Value.to_float v) 1.0 values
+        in
+        (List.hd members, Value.R s)
+    | Hpf_analysis.Reduction.Rmax | Hpf_analysis.Reduction.Rmin ->
+        List.fold_left better (List.hd values) (List.tl values)
+  in
+  st.transfers <- st.transfers + List.length members - 1;
+  List.iter
+    (fun p ->
+      Recover.write_scalar st.runtime p ~slot:rslot total_v;
+      (* maxloc/minloc: the location companions follow the winning
+         processor's values *)
+      List.iter
+        (fun lslot ->
+          Recover.write_scalar st.runtime p ~slot:lslot
+            (Memory.get_slot st.procs.(winner) lslot))
+        loc_slots)
+    members
 
 (** Execute the lowered program in SPMD fashion.  [init] seeds the
     reference memory and every processor memory identically (initial
@@ -236,10 +438,12 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
     ?(fuel = Seq_interp.default_fuel) ?(sir : Sir.program option)
     (c : Compiler.compiled) : t =
   let sir = match sir with Some s -> s | None -> Compiler.sir_exn c in
-  let grid = sir.Sir.grid in
   let nprocs = sir.Sir.nprocs in
-  let reference = Memory.create c.Compiler.prog in
-  let procs = Array.init nprocs (fun _ -> Memory.create c.Compiler.prog) in
+  (* one layout for the reference, every processor and every memory a
+     recovery rebuilds *)
+  let layout = Concrete.layout sir in
+  let reference = Memory.create_in layout in
+  let procs = Array.init nprocs (fun _ -> Memory.create_in layout) in
   (match init with
   | Some f ->
       f reference;
@@ -252,98 +456,39 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
     Recover.create ?config:recover_config ~faults ?plan:sir.Sir.recovery
       ?init procs c.Compiler.prog
   in
-  let st =
-    { sir; aggregate; reference; procs; transfers = 0; runtime }
+  let st = { sir; aggregate; reference; procs; transfers = 0; runtime } in
+  let table = resolve layout sir in
+  (* reduction dirty flags, per accumulator slot: combine lazily on
+     first consumption *)
+  let dirty = Array.make (Memory.slot_count layout) false in
+  let reductions =
+    Array.map
+      (fun (r : Sir.reduce) ->
+        (r, slot_exn layout r.Sir.rvar, List.map (slot_exn layout) r.Sir.loc_vars))
+      sir.Sir.reductions
   in
-  (* per-op block-transfer state: placement instance already shipped *)
-  let last_prefix : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-  (* reduction dirty flags: combine lazily on first consumption *)
-  let dirty : (string, bool) Hashtbl.t = Hashtbl.create 4 in
   let combine (i : int) =
-    let r = sir.Sir.reductions.(i) in
-    if Hashtbl.find_opt dirty r.Sir.rvar = Some true then begin
-      Hashtbl.replace dirty r.Sir.rvar false;
-      List.iter
-        (fun members ->
-          let values =
-            List.map
-              (fun p -> (p, Memory.get_scalar st.procs.(p) r.Sir.rvar))
-              members
-          in
-          let better (p1, v1) (p2, v2) =
-            let f1 = Value.to_float v1 and f2 = Value.to_float v2 in
-            match r.Sir.rop with
-            | Hpf_analysis.Reduction.Rmax ->
-                if f2 > f1 then (p2, v2) else (p1, v1)
-            | Hpf_analysis.Reduction.Rmin ->
-                if f2 < f1 then (p2, v2) else (p1, v1)
-            | Hpf_analysis.Reduction.Rsum | Hpf_analysis.Reduction.Rprod ->
-                (p1, v1)
-          in
-          let winner, total_v =
-            match r.Sir.rop with
-            | Hpf_analysis.Reduction.Rsum ->
-                let s =
-                  List.fold_left
-                    (fun acc (_, v) -> acc +. Value.to_float v)
-                    0.0 values
-                in
-                (List.hd members, Value.R s)
-            | Hpf_analysis.Reduction.Rprod ->
-                let s =
-                  List.fold_left
-                    (fun acc (_, v) -> acc *. Value.to_float v)
-                    1.0 values
-                in
-                (List.hd members, Value.R s)
-            | Hpf_analysis.Reduction.Rmax | Hpf_analysis.Reduction.Rmin ->
-                List.fold_left better (List.hd values) (List.tl values)
-          in
-          st.transfers <- st.transfers + List.length members - 1;
-          List.iter
-            (fun p ->
-              Recover.write st.runtime p
-                (Msg.Scalar { var = r.Sir.rvar; value = total_v });
-              (* maxloc/minloc: the location companions follow the
-                 winning processor's values *)
-              List.iter
-                (fun lv ->
-                  Recover.write st.runtime p
-                    (Msg.Scalar
-                       {
-                         var = lv;
-                         value = Memory.get_scalar st.procs.(winner) lv;
-                       }))
-                r.Sir.loc_vars)
-            members)
-        r.Sir.lines
+    let r, rslot, loc_slots = reductions.(i) in
+    if dirty.(rslot) then begin
+      dirty.(rslot) <- false;
+      List.iter (combine_line st r ~rslot ~loc_slots) r.Sir.lines
     end
   in
-  let comm_op (m_ref : Memory.t) (op : Sir.comm_op) =
-    let dest_set (d : Sir.dests) =
-      match d with
-      | Sir.D_all -> Pid_set.all grid
-      | Sir.D_pred p -> Concrete.pred_set grid m_ref p
-    in
-    match op.Sir.xfer with
-    | Sir.Reduce_xfer ->
-        (* combining is performed by the lazy reduction logic, not by a
-           value copy *)
-        ()
-    | Sir.Elem_xfer { data; dests } ->
-        elem_transfer st m_ref data (dest_set dests)
-    | Sir.Whole_xfer { base; owners; dests } ->
-        whole_transfer st m_ref ~base owners (dest_set dests)
-    | Sir.Block_xfer { data; dests; crossed; prefix_vars } ->
+  let comm_op (m_ref : Memory.t) (op : op) =
+    match op with
+    | Op_none -> ()
+    | Op_elem { data; dests } -> elem_transfer st m_ref data (dests m_ref)
+    | Op_whole { base; cell; owners; dests } ->
+        whole_transfer st m_ref ~base ~cell owners (dests m_ref)
+    | Op_block ({ data; dests; crossed; prefix; current; last; _ } as b) ->
         (* ship the whole region once, at the first statement instance
            of each placement instance *)
-        let prefix =
-          List.map
-            (fun v -> Value.to_int (Memory.get_scalar m_ref v))
-            prefix_vars
-        in
-        if Hashtbl.find_opt last_prefix op.Sir.uid <> Some prefix then begin
-          Hashtbl.replace last_prefix op.Sir.uid prefix;
+        for k = 0 to Array.length prefix - 1 do
+          current.(k) <- Value.to_int (Memory.get_slot m_ref prefix.(k))
+        done;
+        if not (b.shipped && current = last) then begin
+          Array.blit current 0 last 0 (Array.length current);
+          b.shipped <- true;
           block_transfer st m_ref ~data ~dests ~crossed
         end
   in
@@ -351,64 +496,54 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
     (* statement boundary: checkpointing and processor-level faults;
        the sid arms the statement's plan entries once entered *)
     Recover.stmt_boundary ~sid:s.Ast.sid st.runtime;
-    match Sir.stmt_ops sir s.Ast.sid with
+    match table.(s.Ast.sid) with
     | None -> ()
-    | Some ops ->
+    | Some r -> (
         (* 1. loop indices stay in lockstep on every processor (the SPMD
            loop structure materializes them locally) *)
-        List.iter
-          (fun v ->
-            let x = Memory.get_scalar m_ref v in
-            Array.iteri
-              (fun p _ ->
-                Recover.write st.runtime p
-                  (Msg.Scalar { var = v; value = x }))
-              st.procs)
-          ops.Sir.mirror;
+        for k = 0 to Array.length r.mirror - 1 do
+          let slot = r.mirror.(k) in
+          let x = Memory.get_slot m_ref slot in
+          for p = 0 to nprocs - 1 do
+            Recover.write_scalar st.runtime p ~slot x
+          done
+        done;
         (* 2. reduction bookkeeping: combine partials before any
            consumer reads the accumulator; mark dirty on accumulation *)
-        List.iter
-          (function
-            | Sir.R_mark var -> Hashtbl.replace dirty var true
-            | Sir.R_combine i -> combine i)
-          ops.Sir.red_steps;
+        Array.iter
+          (function Mark slot -> dirty.(slot) <- true | Combine i -> combine i)
+          r.red_steps;
         (* 3. the communications attached to this statement *)
-        List.iter (comm_op m_ref) ops.Sir.comms;
+        Array.iter (comm_op m_ref) r.comms;
         (* 4. execute on the processors the computes predicate selects *)
-        (match ops.Sir.exec with
-        | Sir.Control _ ->
+        match r.exec with
+        | X_control ->
             (* control decisions follow the lockstep reference *)
             ()
-        | Sir.Guarded_assign { lhs; rhs; computes } ->
-            let execs = Concrete.pred_set grid m_ref computes in
+        | X_assign_scalar { slot; rhs; computes } ->
             Pid_set.iter
               (fun p ->
-                let mp = st.procs.(p) in
-                let v = Eval.expr mp rhs in
-                match lhs with
-                | Ast.LVar x ->
-                    Recover.write st.runtime p
-                      (Msg.Scalar { var = x; value = v })
-                | Ast.LArr (a, subs) ->
-                    (* addresses from the reference memory: subscript
-                       values are guaranteed available by the consumer
-                       rules *)
-                    let idx =
-                      List.map (fun e -> Eval.int_expr m_ref e) subs
-                    in
-                    Recover.write st.runtime p
-                      (Msg.Elem { base = a; index = idx; value = v }))
-              execs
-        | Sir.Loop_head { index; lo } ->
-            let i0 = Eval.int_expr m_ref lo in
-            Array.iteri
-              (fun p _ ->
-                Recover.write st.runtime p
-                  (Msg.Scalar { var = index; value = Value.I i0 }))
-              st.procs)
+                Recover.write_scalar st.runtime p ~slot (rhs st.procs.(p)))
+              (computes m_ref)
+        | X_assign_elem { base; cell; idx; rhs; computes } ->
+            Pid_set.iter
+              (fun p ->
+                let v = rhs st.procs.(p) in
+                (* addresses from the reference memory: subscript values
+                   are guaranteed available by the consumer rules *)
+                let idx = idx m_ref in
+                match cell with
+                | Some cell -> Recover.write_elem st.runtime p ~cell idx v
+                | None -> Memory.rerr "write of unbound array %s" base)
+              (computes m_ref)
+        | X_loop_head { slot; lo } ->
+            let i0 = Value.I (lo m_ref) in
+            for p = 0 to nprocs - 1 do
+              Recover.write_scalar st.runtime p ~slot i0
+            done)
   in
   let config = { Seq_interp.fuel; on_stmt = Some on_stmt } in
-  st.reference <- Seq_interp.run ~config ?init sir.Sir.source;
+  Seq_interp.run_in ~config reference sir.Sir.source;
   st
 
 (** The message runtime's fault-campaign report for a finished run. *)
@@ -456,33 +591,36 @@ let validate ?(max_mismatches = 10) (st : t) : mismatch list =
         match v with
         | Sir.V_skip _ -> ()
         | Sir.V_owned (a, ep) ->
-            Memory.iter_elems st.reference a (fun idx expected ->
-                if !count < max_mismatches then
+            let expected_cell = Memory.array_cell st.reference a in
+            let cells = Array.map (fun m -> Memory.array_cell m a) st.procs in
+            Memory.iter_cell expected_cell (fun idx off ->
+                if !count < max_mismatches then begin
+                  let expected = Memory.read_off expected_cell off in
                   Pid_set.iter
                     (fun pid ->
                       if !count < max_mismatches then begin
-                        let got = Memory.get_elem st.procs.(pid) a idx in
+                        let got = Memory.read_off cells.(pid) off in
                         if not (Value.close got expected) then
-                          record pid a idx got expected
+                          record pid a (Array.to_list idx) got expected
                       end)
-                    (Concrete.eplace_set grid ep (Array.of_list idx)))
+                    (Concrete.eplace_set grid ep idx)
+                end)
         | Sir.V_line (a, ep) ->
-            Memory.iter_elems st.reference a (fun idx expected ->
+            let expected_cell = Memory.array_cell st.reference a in
+            let cells = Array.map (fun m -> Memory.array_cell m a) st.procs in
+            Memory.iter_cell expected_cell (fun idx off ->
                 if !count < max_mismatches then begin
-                  let line =
-                    Concrete.eplace_set grid ep (Array.of_list idx)
-                  in
+                  let expected = Memory.read_off expected_cell off in
+                  let line = Concrete.eplace_set grid ep idx in
                   let holds pid =
-                    Value.close
-                      (Memory.get_elem st.procs.(pid) a idx)
-                      expected
+                    Value.close (Memory.read_off cells.(pid) off) expected
                   in
                   match Pid_set.first line with
                   | None -> ()
                   | Some pid ->
                       if not (set_exists holds line) then
-                        record pid a idx
-                          (Memory.get_elem st.procs.(pid) a idx)
+                        record pid a (Array.to_list idx)
+                          (Memory.read_off cells.(pid) off)
                           expected
                 end))
     st.sir.Sir.validate_plan;

@@ -7,7 +7,14 @@
     evaluates the subscript expressions embedded in IR coordinates
     against the lockstep reference memory and moves the values.  It is
     the only SPMD executor: every front end runs the compiler's recorded
-    lowering ([compiled.sir]) through it. *)
+    lowering ([compiled.sir]) through it.
+
+    Each run resolves the lowered program once against one memory
+    layout ({!Concrete.layout}) shared by the reference and every
+    processor memory: a dense per-statement table holds the mirrored
+    index slots, the compiled computes guards and right-hand sides and
+    the compiled transfer ops, so a statement instance does no name
+    lookup.  Nothing resolved outlives the run. *)
 
 open Phpf_core
 module Sir = Phpf_ir.Sir
@@ -15,7 +22,7 @@ module Sir = Phpf_ir.Sir
 type t = {
   sir : Sir.program;  (** the lowered program being executed *)
   aggregate : bool;  (** transport mode: one packet per block or element *)
-  mutable reference : Memory.t;  (** the sequential reference memory *)
+  reference : Memory.t;  (** the sequential reference memory *)
   procs : Memory.t array;  (** one shadow memory per processor *)
   mutable transfers : int;  (** elements copied between processors *)
   runtime : Recover.t;

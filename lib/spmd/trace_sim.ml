@@ -58,21 +58,24 @@ let pp_result ppf (r : result) =
   if r.recovery_time > 0.0 then
     Fmt.pf ppf " + recovery %.4fs" r.recovery_time
 
-(* One statement's pricing record, read once per run from the priced
-   program: its arithmetic time, the enclosing loop indices it mirrors
-   (outermost first), its computes predicate, and the trace measured at
-   its instances — [counts.(lv)] is the number of distinct iteration
+(* One statement's pricing record, resolved once per run from the
+   priced program: its arithmetic time, the enclosing loop indices it
+   mirrors (outermost first, by name and by slot), its compiled computes
+   predicate ([None]: every processor), and the trace measured at its
+   instances — [counts.(lv)] is the number of distinct iteration
    prefixes of length [lv] seen so far, [last] the latest index vector. *)
 type stmt_rec = {
   cost : float;
   mirror : string list;
-  computes : Sir.pred;
+  slots : int array;
+  computes : Pid_set.t Eval.code option;
   mutable execs : int;
   last : int array;
   counts : int array;  (** length = nest level + 1 *)
 }
 
-let stmt_rec_of model (sir : Sir.program) (s : Ast.stmt) : stmt_rec =
+let stmt_rec_of model (l : Memory.layout) (sir : Sir.program) (s : Ast.stmt)
+    : stmt_rec =
   let mirror, computes =
     match Sir.stmt_ops sir s.Ast.sid with
     | Some { Sir.mirror; exec; _ } -> (
@@ -84,41 +87,55 @@ let stmt_rec_of model (sir : Sir.program) (s : Ast.stmt) : stmt_rec =
     | None -> ([], Sir.P_all)
   in
   let level = List.length mirror in
+  let slot v =
+    match Memory.slot l v with
+    | Some i -> i
+    | None -> invalid_arg ("Trace_sim: no slot for " ^ v)
+  in
   {
     cost = Cost_model.compute model ~flops:(Eval.stmt_flops s);
     mirror;
-    computes;
+    slots = Array.of_list (List.map slot mirror);
+    computes =
+      (match computes with
+      | Sir.P_all -> None
+      | p -> Some (Concrete.pred l sir.Sir.grid p));
     execs = 0;
     last = Array.make level 0;
     counts = Array.make (level + 1) 0;
   }
 
-(* Record an instance's index vector (the values of [vs], from mirror
-   position [k] on) into [r.last]; returns the 1-based position of the
-   outermost index that moved, or [first] when it is smaller. *)
-let rec advance (r : stmt_rec) (m : Memory.t) k vs first =
-  match vs with
-  | [] -> first
-  | v :: rest ->
-      let x = Value.to_int (Memory.get_scalar m v) in
-      if x = r.last.(k) then advance r m (k + 1) rest first
-      else begin
-        r.last.(k) <- x;
-        advance r m (k + 1) rest (if k + 1 < first then k + 1 else first)
-      end
+(* Record an instance's index vector into [r.last]; returns the 1-based
+   position of the outermost index that moved, or [first] when it is
+   smaller. *)
+let advance (r : stmt_rec) (m : Memory.t) first =
+  let first = ref first in
+  for k = 0 to Array.length r.slots - 1 do
+    let x = Value.to_int (Memory.get_slot m r.slots.(k)) in
+    if x <> r.last.(k) then begin
+      r.last.(k) <- x;
+      if k + 1 < !first then first := k + 1
+    end
+  done;
+  !first
 
 let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats.t option)
     ?(recovery : Recover.report option) ?(comm_stats : Msg.stats option)
     ?(sir : Sir.program option) ?(fuel = Seq_interp.default_fuel)
     (c : Compiler.compiled) : result * Memory.t =
   let sir = match sir with Some s -> s | None -> Compiler.sir_exn c in
-  let grid = sir.Sir.grid in
   let nprocs = sir.Sir.nprocs in
   let clocks = Array.make nprocs 0.0 in
-  let table : (Ast.stmt_id, stmt_rec) Hashtbl.t = Hashtbl.create 64 in
+  (* every name and guard resolved once, against the run's layout; the
+     records form a dense table indexed by statement id *)
+  let layout = Concrete.layout sir in
+  let max_sid = ref 0 in
+  Ast.iter_program (fun s -> max_sid := max !max_sid s.Ast.sid) sir.Sir.source;
+  let table : stmt_rec option array = Array.make (!max_sid + 1) None in
   Ast.iter_program
-    (fun s -> Hashtbl.replace table s.Ast.sid (stmt_rec_of model sir s))
+    (fun s -> table.(s.Ast.sid) <- Some (stmt_rec_of model layout sir s))
     sir.Sir.source;
+  let record sid = if sid >= 0 && sid <= !max_sid then table.(sid) else None in
   let total_instances = ref 0 in
   let compute_total = ref 0.0 in
   (* time charged to EVERY processor (replicated statements): folding it
@@ -127,13 +144,12 @@ let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats
   let all_offset = ref 0.0 in
   let on_stmt (s : Ast.stmt) (m : Memory.t) =
     incr total_instances;
-    let r = Hashtbl.find table s.Ast.sid in
+    let r = Option.get table.(s.Ast.sid) in
     (* measure iteration prefixes: every length from the outermost
        index that moved on counts a new prefix (all of them at the
        first instance) *)
     let first_diff =
-      advance r m 0 r.mirror
-        (if r.execs = 0 then 0 else Array.length r.counts)
+      advance r m (if r.execs = 0 then 0 else Array.length r.counts)
     in
     for lv = first_diff to Array.length r.counts - 1 do
       r.counts.(lv) <- r.counts.(lv) + 1
@@ -144,18 +160,20 @@ let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats
        costs |set| clock updates (usually 1) *)
     let t = r.cost in
     match r.computes with
-    | Sir.P_all ->
+    | None ->
         all_offset := !all_offset +. t;
         compute_total := !compute_total +. (t *. float_of_int nprocs)
-    | computes ->
-        let set = Concrete.pred_set grid m computes in
+    | Some computes ->
+        let set = computes m in
         if Pid_set.is_all set then all_offset := !all_offset +. t
         else Pid_set.iter (fun p -> clocks.(p) <- clocks.(p) +. t) set;
         compute_total :=
           !compute_total +. (t *. float_of_int (Pid_set.count set))
   in
   let config = { Seq_interp.fuel; on_stmt = Some on_stmt } in
-  let mem = Seq_interp.run ~config ?init sir.Sir.source in
+  let mem = Memory.create_in layout in
+  (match init with Some f -> f mem | None -> ());
+  Seq_interp.run_in ~config mem sir.Sir.source;
   (* price the lowered program's communication ops, in schedule order,
      from the measured trace (the ops carry their source schedule
      entries, so the cost model sees their kinds, levels and scales) *)
@@ -165,7 +183,7 @@ let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats
   List.iter
     (fun (op : Sir.comm_op) ->
       let cm = op.Sir.cm in
-      match Hashtbl.find_opt table cm.Comm.data.Aref.sid with
+      match record cm.Comm.data.Aref.sid with
       | Some r when r.execs > 0 ->
           let level = Array.length r.counts - 1 in
           let placement = min cm.Comm.placement_level level in

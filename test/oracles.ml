@@ -12,13 +12,220 @@
    mutated) decisions and schedule afresh, for corruption tests that
    execute exactly the data movement they describe.  [List_flow] is
    the dataflow core on its specification lattices (sorted lists), the
-   reference for {!Phpf_ir.Sir_dataflow}'s interned bitsets. *)
+   reference for {!Phpf_ir.Sir_dataflow}'s interned bitsets.
+
+   The runtime's references come first: [Ast_eval] is the evaluator,
+   the sequential interpreter and the Sir guard evaluation as a walk of
+   the AST that looks every name up in memory at every access, and
+   [seed_list] is the list-based memory seeding.  The compiled forms
+   ({!Hpf_spmd.Eval}, {!Hpf_spmd.Seq_interp}, {!Hpf_spmd.Concrete},
+   {!Hpf_spmd.Init}) must agree with them bit for bit, errors
+   included. *)
 
 open Hpf_lang
 open Hpf_analysis
 open Hpf_mapping
 open Phpf_core
 open Hpf_spmd
+
+(* ------------------------------------------------------------------ *)
+(* The AST-walking runtime                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Ast_eval = struct
+  (* Name-keyed evaluation: a binary operator or intrinsic evaluates its
+     right operand first, subscripts go left to right, the array is
+     looked up after its subscripts. *)
+  let rec expr (m : Memory.t) (e : Ast.expr) : Value.t =
+    match e with
+    | Ast.Int n -> Value.I n
+    | Ast.Real f -> Value.R f
+    | Ast.Bool b -> Value.B b
+    | Ast.Var v -> Memory.get_scalar m v
+    | Ast.Arr (a, subs) ->
+        let idx = List.map (int_expr m) subs in
+        Memory.get_elem m a idx
+    | Ast.Bin (op, a, b) ->
+        let vb = expr m b in
+        let va = expr m a in
+        Eval.binop op va vb
+    | Ast.Un (op, a) -> Eval.unop op (expr m a)
+    | Ast.Intrin (op, a, b) ->
+        let vb = expr m b in
+        let va = expr m a in
+        Eval.intrin op va vb
+
+  and int_expr (m : Memory.t) (e : Ast.expr) : int = Value.to_int (expr m e)
+
+  let bool_expr (m : Memory.t) (e : Ast.expr) : bool =
+    Value.to_bool (expr m e)
+
+  exception Exit_loop of string option
+  exception Cycle_loop of string option
+
+  (* The sequential interpreter as a walk of the AST: same fuel, same
+     [on_stmt] hook, same error stamping (innermost statement wins). *)
+  let run ?(config = Seq_interp.default_config) ?init (prog : Ast.program) :
+      Memory.t =
+    let m = Memory.create prog in
+    (match init with Some f -> f m | None -> ());
+    let fuel = ref config.Seq_interp.fuel in
+    let tick (s : Ast.stmt) =
+      decr fuel;
+      if !fuel <= 0 then
+        raise
+          (Seq_interp.Fuel_exhausted
+             { loc = s.Ast.loc; sid = s.Ast.sid; budget = config.Seq_interp.fuel });
+      match config.Seq_interp.on_stmt with Some f -> f s m | None -> ()
+    in
+    let rec stmts ss = List.iter stmt ss
+    and stmt (s : Ast.stmt) =
+      Memory.locate_errors s @@ fun () ->
+      match s.Ast.node with
+      | Ast.Assign (lhs, rhs) -> (
+          tick s;
+          let v = expr m rhs in
+          match lhs with
+          | Ast.LVar x -> Memory.set_scalar m x v
+          | Ast.LArr (a, subs) ->
+              let idx = List.map (int_expr m) subs in
+              Memory.set_elem m a idx v)
+      | Ast.If (c, t, e) ->
+          tick s;
+          if bool_expr m c then stmts t else stmts e
+      | Ast.Exit name ->
+          tick s;
+          raise (Exit_loop name)
+      | Ast.Cycle name ->
+          tick s;
+          raise (Cycle_loop name)
+      | Ast.Do d ->
+          tick s;
+          let lo = int_expr m d.Ast.lo in
+          let hi = int_expr m d.Ast.hi in
+          let step = int_expr m d.Ast.step in
+          if step = 0 then Memory.rerr "zero loop step";
+          let i = ref lo in
+          (try
+             while if step > 0 then !i <= hi else !i >= hi do
+               Memory.set_scalar m d.Ast.index (Value.I !i);
+               (try stmts d.Ast.body with
+               | Cycle_loop None -> ()
+               | Cycle_loop (Some n) when d.Ast.loop_name = Some n -> ());
+               i := !i + step
+             done
+           with
+          | Exit_loop None -> ()
+          | Exit_loop (Some n) when d.Ast.loop_name = Some n -> ())
+    in
+    stmts prog.Ast.body;
+    m
+
+  (* Sir owner lines and guards, evaluated by walking their subscripts. *)
+  let place_set (grid : Grid.t) (m : Memory.t) (pl : Phpf_ir.Sir.place) :
+      Pid_set.t =
+    let module Sir = Phpf_ir.Sir in
+    Pid_set.of_dims grid
+      (Array.map
+         (function
+           | Sir.C_fixed c -> Pid_set.D_one c
+           | Sir.C_affine { fmt; nprocs; stride; offset; dim_lo; sub } ->
+               Pid_set.D_one
+                 (Dist.owner_coord fmt ~nprocs
+                    ((stride * int_expr m sub) + offset - dim_lo))
+           | Sir.C_all -> Pid_set.D_all)
+         pl)
+
+  let pred_set (grid : Grid.t) (m : Memory.t) (p : Phpf_ir.Sir.pred) :
+      Pid_set.t =
+    let module Sir = Phpf_ir.Sir in
+    match p with
+    | Sir.P_all -> Pid_set.all grid
+    | Sir.P_place pl -> place_set grid m pl
+    | Sir.P_union pls ->
+        let union =
+          List.fold_left
+            (fun acc pl -> Pid_set.union acc (place_set grid m pl))
+            (Pid_set.of_list grid []) pls
+        in
+        if Pid_set.is_empty union then Pid_set.all grid else union
+end
+
+(* The list-based seeding: an index list per element, mixed, written by
+   name. *)
+let seed_list ?(seed = 42) (prog : Ast.program) (m : Memory.t) : unit =
+  List.iter
+    (fun (d : Ast.decl) ->
+      if d.Ast.shape <> [] then begin
+        let h0 = Init.mix seed [ Init.hash_name d.Ast.dname ] in
+        Memory.iter_elems m d.Ast.dname (fun idx _ ->
+            let h = Init.mix h0 idx in
+            let v =
+              match d.Ast.ty with
+              | Types.TInt -> Value.I (1 + (h mod 8))
+              | Types.TReal ->
+                  Value.R (0.0625 +. (float_of_int (h land 0xFFFF) /. 32768.0))
+              | Types.TBool -> Value.B (h land 1 = 1)
+            in
+            Memory.set_elem m d.Ast.dname idx v)
+      end)
+    prog.Ast.decls
+
+(* Every bound scalar and every array element, for bit-equality of two
+   memories ([compare], so NaNs equal themselves). *)
+let mem_image (m : Memory.t) =
+  ( Memory.scalars m,
+    List.map
+      (fun a ->
+        let elems = ref [] in
+        Memory.iter_elems m a (fun idx v -> elems := (idx, v) :: !elems);
+        (a, List.rev !elems))
+      (Memory.arrays m) )
+
+let mem_equal (a : Memory.t) (b : Memory.t) = compare (mem_image a) (mem_image b) = 0
+
+(* The outcome of one sequential run, for the resolved-vs-AST
+   differential: the final memory image and the statement ids
+   [on_stmt] saw, in order — or the error that ended the run. *)
+type outcome =
+  | Finished of { image : string; sids : string }
+  | Failed of string
+
+let outcome_of ~run ?(fuel = Seq_interp.default_fuel) ?init prog : outcome =
+  let sids = Buffer.create 256 in
+  let on_stmt (s : Ast.stmt) _ = Buffer.add_int32_le sids (Int32.of_int s.Ast.sid) in
+  match run ~config:{ Seq_interp.fuel; on_stmt = Some on_stmt } ?init prog with
+  | m ->
+      Finished
+        {
+          image = Marshal.to_string (mem_image m) [ Marshal.No_sharing ];
+          sids = Buffer.contents sids;
+        }
+  | exception Memory.Runtime_error { loc; sid; msg } ->
+      Failed
+        (Fmt.str "runtime error %S at s%a %a" msg
+           Fmt.(option ~none:(any "-") int) sid
+           Fmt.(option ~none:(any "-") Loc.pp) loc)
+  | exception Seq_interp.Fuel_exhausted { loc; sid; budget } ->
+      Failed
+        (Fmt.str "fuel %d exhausted at s%d %a" budget sid
+           Fmt.(option ~none:(any "-") Loc.pp) loc)
+  | exception Invalid_argument msg -> Failed ("invalid argument: " ^ msg)
+
+(* [None] when the compiled interpreter and the AST walk agree on
+   [prog] (same final memory, same statement sequence, or the same
+   error), else a description of the first difference. *)
+let resolved_vs_ast ?fuel ?init prog : string option =
+  let resolved = outcome_of ~run:(fun ~config ?init p -> Seq_interp.run ~config ?init p) ?fuel ?init prog in
+  let walked = outcome_of ~run:(fun ~config ?init p -> Ast_eval.run ~config ?init p) ?fuel ?init prog in
+  match (resolved, walked) with
+  | Finished r, Finished w ->
+      if r.sids <> w.sids then Some "statement sequences differ"
+      else if r.image <> w.image then Some "final memories differ"
+      else None
+  | Failed r, Failed w -> if r = w then None else Some (Fmt.str "%s vs %s" r w)
+  | Finished _, Failed w -> Some ("only the AST walk failed: " ^ w)
+  | Failed r, Finished _ -> Some ("only the resolved run failed: " ^ r)
 
 (* ------------------------------------------------------------------ *)
 (* The run-time chase of the mapping decisions                         *)
@@ -55,7 +262,7 @@ let layout_owner ?(skip_dims = []) ?(widen_var = fun _ -> false)
                      iterations *)
                   Ownership.C_all
                 else begin
-                  let i = Eval.int_expr m sub in
+                  let i = Ast_eval.int_expr m sub in
                   let pos = (mp.stride * i) + mp.offset - mp.dim_lo in
                   Ownership.C_one
                     (Dist.owner_coord mp.fmt ~nprocs:mp.nprocs pos)

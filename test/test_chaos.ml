@@ -247,20 +247,15 @@ let test_crash_restores () =
 (* Structural bit-equality of two shadow memories: every scalar binding
    and every array element. *)
 let mem_equal (a : Memory.t) (b : Memory.t) =
-  let scalars_of (m : Memory.t) =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.Memory.scalars []
-    |> List.sort compare
-  in
   let arrays_of (m : Memory.t) =
-    Hashtbl.fold
-      (fun name _ acc ->
+    List.map
+      (fun name ->
         let elems = ref [] in
         Memory.iter_elems m name (fun idx v -> elems := (idx, v) :: !elems);
-        (name, List.rev !elems) :: acc)
-      m.Memory.arrays []
-    |> List.sort compare
+        (name, List.rev !elems))
+      (Memory.arrays m)
   in
-  scalars_of a = scalars_of b && arrays_of a = arrays_of b
+  Memory.scalars a = Memory.scalars b && arrays_of a = arrays_of b
 
 let crash_at prog ~window ~mode =
   let c = Compiler.compile_exn prog in

@@ -324,6 +324,214 @@ let test_flops_counting () =
   in
   check Alcotest.int "3 ops" 3 (Eval.flops e)
 
+(* A write to a declared scalar converts to its declared type, with the
+   array elements' table: Fortran's [k = 2.5] stores 2 in an integer
+   [k]. *)
+let test_scalar_write_converts () =
+  let m =
+    run
+      {|
+program t
+integer k
+real x, y
+logical f
+k = 2.5
+x = k * 2
+y = 3
+f = 1
+end
+|}
+  in
+  check Alcotest.int "k truncated" 2 (get_i m "k");
+  check (Alcotest.float 0.0) "x from the integer" 4.0 (get_r m "x");
+  check (Alcotest.float 0.0) "y promoted" 3.0 (get_r m "y");
+  check Alcotest.bool "f from an integer" true
+    (Memory.get_scalar m "f" = Value.B true)
+
+(* Loop indices stay integers even when declared real. *)
+let test_loop_index_stays_integer () =
+  let m = run "program t\nreal i, s\ns = 0.0\ndo i = 1, 3\n  s = s + 1.0\nend do\nend" in
+  check Alcotest.int "index" 3 (get_i m "i")
+
+(* ------------------------------------------------------------------ *)
+(* The resolved evaluator against the AST walk                         *)
+(* ------------------------------------------------------------------ *)
+
+let examples_dir =
+  List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ]
+
+let examples () =
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".hpfk")
+  |> List.sort compare
+  |> List.map (fun f ->
+         ( Filename.chop_suffix f ".hpfk",
+           parse
+             (In_channel.with_open_bin (Filename.concat examples_dir f)
+                In_channel.input_all) ))
+
+(* The six bench kernels at the sizes [bench --json] runs. *)
+let bench_kernels () =
+  let open Hpf_benchmarks in
+  List.map
+    (fun (n, p) -> (n, Sema.check p))
+    [
+      ("fig1", Fig_examples.fig1 ~n:64 ~p:8 ());
+      ("fig2", Fig_examples.fig2 ~n:32 ~np:8 ());
+      ("fig7", Fig_examples.fig7 ~n:48 ~p:8 ());
+      ("tomcatv", Tomcatv.program ~n:66 ~niter:1 ~p:8);
+      ("dgefa", Dgefa.program ~n:64 ~p:8);
+      ("appsp_2d", Appsp.program_2d ~n:18 ~niter:1 ~p1:4 ~p2:2);
+    ]
+
+let agree (name, prog) =
+  match Oracles.resolved_vs_ast ~init:(Init.init prog) prog with
+  | None -> ()
+  | Some why -> fail (Fmt.str "%s: %s" name why)
+
+let test_resolved_examples () =
+  let ex = examples () in
+  check Alcotest.int "ten examples" 10 (List.length ex);
+  List.iter agree ex
+
+let test_resolved_bench_kernels () = List.iter agree (bench_kernels ())
+
+let test_resolved_composed () =
+  List.iter
+    (fun (name, prog) ->
+      agree (Fmt.str "%s x3" name, Prog_gen.compose 3 prog))
+    (bench_kernels ())
+
+(* Offset-order seeding with a reused index vector writes exactly what
+   the list-based seeding wrote. *)
+let test_seeding_matches_lists () =
+  List.iter
+    (fun (name, prog) ->
+      let fast = Memory.create prog and slow = Memory.create prog in
+      Init.seed prog fast;
+      Oracles.seed_list prog slow;
+      if not (Oracles.mem_equal fast slow) then
+        fail (name ^ ": seeded memories differ"))
+    (bench_kernels () @ examples ())
+
+(* ------------------------------------------------------------------ *)
+(* Error parity                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let error_of f =
+  match f () with
+  | _ -> "no error"
+  | exception Memory.Runtime_error { loc; sid; msg } ->
+      Fmt.str "%s at s%a %a" msg
+        Fmt.(option ~none:(any "-") int)
+        sid
+        Fmt.(option ~none:(any "-") Loc.pp)
+        loc
+  | exception Seq_interp.Fuel_exhausted { loc; sid; budget } ->
+      Fmt.str "E0704 fuel %d at s%d %a" budget sid
+        Fmt.(option ~none:(any "-") Loc.pp)
+        loc
+
+(* The same error — message, statement id, location — from the AST
+   walk, the resolved interpreter and the SPMD executor.  [twin] is a
+   checked program whose lowering the executor runs over [prog] (for
+   programs sema would reject); [expect] is the error all three must
+   report. *)
+let parity ?(fuel = Seq_interp.default_fuel) ?twin ~expect prog =
+  let config = { Seq_interp.fuel; on_stmt = None } in
+  let walked = error_of (fun () -> Oracles.Ast_eval.run ~config prog) in
+  let resolved = error_of (fun () -> Seq_interp.run ~config prog) in
+  let spmd =
+    error_of (fun () ->
+        let open Phpf_core in
+        match twin with
+        | None -> Spmd_interp.run ~fuel (Compiler.compile_exn prog)
+        | Some t ->
+            let c = Compiler.compile_exn t in
+            Spmd_interp.run ~fuel
+              ~sir:{ (Compiler.sir_exn c) with Phpf_ir.Sir.source = prog }
+              c)
+  in
+  check Alcotest.string "AST walk" expect walked;
+  check Alcotest.string "resolved = AST" walked resolved;
+  check Alcotest.string "SPMD = AST" walked spmd
+
+let strip_locs (p : Ast.program) : Ast.program =
+  let rec stmt (s : Ast.stmt) =
+    let node =
+      match s.Ast.node with
+      | Ast.If (c, t, e) -> Ast.If (c, List.map stmt t, List.map stmt e)
+      | Ast.Do d -> Ast.Do { d with Ast.body = List.map stmt d.Ast.body }
+      | n -> n
+    in
+    { s with Ast.loc = None; node }
+  in
+  { p with Ast.body = List.map stmt p.Ast.body }
+
+let test_parity_read_oob () =
+  parity ~expect:"subscript 5 out of bounds 1:4 at s1 <string>:4:1"
+    (parse "program t\nreal a(4)\nreal x\nx = a(5)\nend")
+
+let test_parity_write_oob () =
+  parity ~expect:"subscript 7 out of bounds 1:4 at s2 <string>:5:1"
+    (parse "program t\nreal a(4)\ninteger k\nk = 7\na(k) = 1.0\nend")
+
+let test_parity_rank () =
+  (* a rank-2 twin, run over the same statements with [a] of rank 1 *)
+  let twin = parse "program t\nreal a(4,4)\nreal x\nx = a(1, 2)\nend" in
+  let prog =
+    strip_locs
+      {
+        twin with
+        Ast.decls =
+          List.map
+            (fun (d : Ast.decl) ->
+              if d.Ast.dname = "a" then
+                { d with Ast.shape = [ { Types.lo = 1; hi = 4 } ] }
+              else d)
+            twin.Ast.decls;
+      }
+  in
+  parity ~twin
+    ~expect:"rank mismatch in array access (in statement s1) at s1 -" prog
+
+let test_parity_div_zero () =
+  parity ~expect:"integer division by zero at s1 <string>:3:1"
+    (parse "program t\ninteger j, k\nk = 1 / j\nend")
+
+let test_parity_mod_zero () =
+  parity ~expect:"mod by zero at s1 <string>:3:1"
+    (parse "program t\ninteger j, k\nk = mod(3, j)\nend")
+
+let test_parity_zero_step () =
+  parity ~expect:"zero loop step at s1 <string>:4:1"
+    (parse "program t\ninteger j\nreal x\ndo i = 1, 4, j\n  x = 1.0\nend do\nend")
+
+let test_parity_unbound () =
+  (* [y] declared in the twin, undeclared (so never bound) in [prog] *)
+  let twin = parse "program t\nreal x, y\nx = y\nend" in
+  let prog =
+    strip_locs
+      {
+        twin with
+        Ast.decls =
+          List.filter (fun (d : Ast.decl) -> d.Ast.dname <> "y") twin.Ast.decls;
+      }
+  in
+  parity ~twin
+    ~expect:"read of unbound scalar y (in statement s1) at s1 -" prog
+
+(* The right operand goes first: the division fails before the bad
+   subscript is read. *)
+let test_parity_order () =
+  parity ~expect:"integer division by zero at s1 <string>:5:1"
+    (parse "program t\nreal a(3)\ninteger k\nreal x\nx = a(5) + 1/k\nend")
+
+let test_parity_fuel () =
+  parity ~fuel:50 ~expect:"E0704 fuel 50 at s3 <string>:5:3"
+    (parse
+       "program t\ninteger c\nc = 0\ndo i = 1, 100\n  c = c + 1\nend do\nend")
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -356,5 +564,30 @@ let () =
             test_interp_on_stmt_counts;
           Alcotest.test_case "init seeding" `Quick test_interp_init_seeding;
           Alcotest.test_case "flops" `Quick test_flops_counting;
+          Alcotest.test_case "scalar writes convert" `Quick
+            test_scalar_write_converts;
+          Alcotest.test_case "loop index stays integer" `Quick
+            test_loop_index_stays_integer;
+        ] );
+      ( "resolved",
+        [
+          Alcotest.test_case "examples" `Quick test_resolved_examples;
+          Alcotest.test_case "bench kernels" `Quick test_resolved_bench_kernels;
+          Alcotest.test_case "composed kernels" `Quick test_resolved_composed;
+          Alcotest.test_case "seeding = list seeding" `Quick
+            test_seeding_matches_lists;
+        ] );
+      ( "parity",
+        [
+          Alcotest.test_case "out-of-bounds read" `Quick test_parity_read_oob;
+          Alcotest.test_case "out-of-bounds write" `Quick test_parity_write_oob;
+          Alcotest.test_case "rank mismatch" `Quick test_parity_rank;
+          Alcotest.test_case "integer division by zero" `Quick
+            test_parity_div_zero;
+          Alcotest.test_case "mod by zero" `Quick test_parity_mod_zero;
+          Alcotest.test_case "zero loop step" `Quick test_parity_zero_step;
+          Alcotest.test_case "unbound scalar" `Quick test_parity_unbound;
+          Alcotest.test_case "right operand first" `Quick test_parity_order;
+          Alcotest.test_case "fuel exhaustion" `Quick test_parity_fuel;
         ] );
     ]

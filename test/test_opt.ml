@@ -155,20 +155,15 @@ let test_oracle_on_optimized (name, prog) () =
 (* -------- (d) crash@0 failover on the optimized TOMCATV -------- *)
 
 let mem_equal (a : Memory.t) (b : Memory.t) =
-  let scalars_of (m : Memory.t) =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.Memory.scalars []
-    |> List.sort compare
-  in
   let arrays_of (m : Memory.t) =
-    Hashtbl.fold
-      (fun name _ acc ->
+    List.map
+      (fun name ->
         let elems = ref [] in
         Memory.iter_elems m name (fun idx v -> elems := (idx, v) :: !elems);
-        (name, List.rev !elems) :: acc)
-      m.Memory.arrays []
-    |> List.sort compare
+        (name, List.rev !elems))
+      (Memory.arrays m)
   in
-  scalars_of a = scalars_of b && arrays_of a = arrays_of b
+  Memory.scalars a = Memory.scalars b && arrays_of a = arrays_of b
 
 let test_optimized_crash_failover () =
   let c = compiled_of "tomcatv" (Tomcatv.program ~n:14 ~niter:2 ~p:4) in

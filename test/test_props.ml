@@ -5,7 +5,8 @@
    - grid linearization bijectivity;
    - distribution maps: totality, coverage, block contiguity;
    - SSA structural invariants over random programs;
-   - interpreter determinism;
+   - interpreter determinism, and the resolved (slot-compiled)
+     interpreter against the AST walk of [Oracles.Ast_eval];
    - the mapping-consistency guarantee of the paper's algorithm. *)
 
 open Hpf_lang
@@ -151,6 +152,25 @@ let prop_interp_deterministic =
       in
       String.equal (run ()) (run ()))
 
+(* The compiled interpreter and the AST walk agree on the final memory,
+   the statement-instance sequence and any error.  Nothing here
+   compiles a program, so this group is cheap under any seed. *)
+let resolved_vs_ast p =
+  match Oracles.resolved_vs_ast ~init:(Hpf_spmd.Init.init p) p with
+  | None -> true
+  | Some why -> QCheck2.Test.fail_report why
+
+let prop_resolved_vs_ast =
+  QCheck2.Test.make ~name:"resolved = AST on generated programs" ~count:300
+    ~print:(fun p -> Pp.program_to_string p)
+    gen_checked_program resolved_vs_ast
+
+let prop_resolved_vs_ast_composed =
+  QCheck2.Test.make ~name:"resolved = AST on composed programs" ~count:60
+    ~print:(fun p -> Pp.program_to_string p)
+    (QCheck2.Gen.map (Prog_gen.compose 3) gen_checked_program)
+    resolved_vs_ast
+
 let prop_mapping_consistency =
   QCheck2.Test.make
     ~name:"mapping: reaching defs of any use share one mapping" ~count:100
@@ -277,6 +297,8 @@ let () =
           to_alco prop_interp_deterministic;
           to_alco prop_recovery_report_deterministic;
         ] );
+      ( "resolve",
+        [ to_alco prop_resolved_vs_ast; to_alco prop_resolved_vs_ast_composed ] );
       ( "core",
         [
           to_alco prop_mapping_consistency;

@@ -111,7 +111,7 @@ let test_corrupted_schedule () =
 
 (* The lowered guards agree with the run-time chase of the decisions at
    every statement instance: each instance's recorded computes
-   predicate, evaluated by [Concrete.pred_set], selects exactly the
+   predicate, compiled by [Concrete.pred], selects exactly the
    processors the enumerative oracle derives from the decisions — for
    assignments and control statements alike.  The oracle shares no code
    with the lowering. *)
@@ -123,6 +123,7 @@ let test_executing_set_oracle () =
       let d = c.Compiler.decisions in
       let sir = Compiler.sir_exn c in
       let instances = ref 0 in
+      let guards = Hashtbl.create 64 in
       let on_stmt (s : Ast.stmt) (m : Memory.t) =
         incr instances;
         let computes =
@@ -136,10 +137,17 @@ let test_executing_set_oracle () =
           | None -> fail (Fmt.str "%s: s%d was not lowered" name s.Ast.sid)
         in
         let expected = Oracles.executing_pids d m s in
-        let got =
-          Hpf_mapping.Pid_set.to_list
-            (Concrete.pred_set sir.Sir.grid m computes)
+        let guard =
+          match Hashtbl.find_opt guards s.Ast.sid with
+          | Some g -> g
+          | None ->
+              let g =
+                Concrete.pred (Memory.layout_of m) sir.Sir.grid computes
+              in
+              Hashtbl.replace guards s.Ast.sid g;
+              g
         in
+        let got = Hpf_mapping.Pid_set.to_list (guard m) in
         if got <> expected then
           fail
             (Fmt.str "%s: s%d executes on [%a], oracle says [%a]" name
