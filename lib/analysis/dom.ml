@@ -2,7 +2,9 @@
 
     Iterative algorithm of Cooper, Harvey & Kennedy ("A Simple, Fast
     Dominance Algorithm"), followed by Cytron et al.'s dominance-frontier
-    computation — the prerequisites for SSA construction. *)
+    computation — the prerequisites for SSA construction.  The CHK core
+    ({!immediate}) takes any graph, so the SSA builder and the
+    recovery-plan audit over the lowered IR share it. *)
 
 type t = {
   idom : int array;  (** immediate dominator; [idom.(entry) = entry]; -1 for unreachable *)
@@ -11,13 +13,12 @@ type t = {
   children : int list array;  (** dominator-tree children *)
 }
 
-let compute (g : Cfg.t) : t =
-  let n = Cfg.n_nodes g in
-  let rpo = Cfg.reverse_postorder g in
+let immediate ~(n : int) ~(entry : int) ~(preds : int -> int list)
+    ~(rpo : int list) : int array * int array =
   let rpo_index = Array.make n (-1) in
   List.iteri (fun k i -> rpo_index.(i) <- k) rpo;
   let idom = Array.make n (-1) in
-  idom.(g.entry) <- g.entry;
+  idom.(entry) <- entry;
   let intersect a b =
     let a = ref a and b = ref b in
     while !a <> !b do
@@ -35,11 +36,10 @@ let compute (g : Cfg.t) : t =
     changed := false;
     List.iter
       (fun i ->
-        if i <> g.entry then begin
-          let preds =
-            List.filter (fun p -> rpo_index.(p) >= 0) (Cfg.node g i).preds
+        if i <> entry then begin
+          let processed =
+            List.filter (fun p -> rpo_index.(p) >= 0 && idom.(p) >= 0) (preds i)
           in
-          let processed = List.filter (fun p -> idom.(p) >= 0) preds in
           match processed with
           | [] -> ()
           | first :: rest ->
@@ -51,6 +51,20 @@ let compute (g : Cfg.t) : t =
         end)
       rpo
   done;
+  (idom, rpo_index)
+
+let idom_dominates (idom : int array) (a : int) (b : int) : bool =
+  idom.(b) >= 0
+  &&
+  let rec up x = x = a || (idom.(x) <> x && up idom.(x)) in
+  up b
+
+let compute (g : Cfg.t) : t =
+  let n = Cfg.n_nodes g in
+  let rpo = Cfg.reverse_postorder g in
+  let idom, rpo_index =
+    immediate ~n ~entry:g.entry ~preds:(fun i -> (Cfg.node g i).preds) ~rpo
+  in
   (* dominance frontiers *)
   let frontiers = Array.make n [] in
   List.iter
@@ -78,9 +92,4 @@ let compute (g : Cfg.t) : t =
   { idom; rpo_index; frontiers; children }
 
 (** Does [a] dominate [b]?  (Reflexive.) *)
-let dominates (d : t) (a : int) (b : int) : bool =
-  if d.rpo_index.(b) < 0 then false
-  else begin
-    let rec up x = if x = a then true else if d.idom.(x) = x then false else up d.idom.(x) in
-    up b
-  end
+let dominates (d : t) (a : int) (b : int) : bool = idom_dominates d.idom a b

@@ -204,6 +204,24 @@ type recovery_plan = {
           must keep periodic checkpoints armed *)
 }
 
+(** Where a delivery fact came from ({!Sir_dataflow}): the identical
+    initial memories, a transfer op (by uid), or a guarded write at a
+    statement. *)
+type fact_source = F_init | F_op of int | F_write of Ast.stmt_id
+
+(** The evidence one {!Sir_opt} rewrite records, in terms of the ops of
+    the program it rewrote. *)
+type witness =
+  | W_dead of { uid : int }
+  | W_redundant of { uid : int; covers : fact_source list }
+  | W_merge of { members : int list; block : comm_op }
+  | W_hoist of { uid : int; dropped : string list }
+  | W_combine of {
+      sid : Ast.stmt_id;
+      steps : int list;
+      reduce_uids : int list;
+    }
+
 type program = {
   source : Ast.program;  (** control skeleton the executor walks *)
   grid : Grid.t;
@@ -214,8 +232,8 @@ type program = {
   validate_plan : vcheck list;
   mutable recovery : recovery_plan option;
       (** attached by the [recovery-plan] pass ({!Sir_recovery}) *)
-  mutable opt_applied : string list;
-      (** {!Sir_opt} passes applied, in application order *)
+  mutable opt_applied : witness list;
+      (** {!Sir_opt} rewrites, in application order *)
 }
 
 let stmt_ops (p : program) (sid : Ast.stmt_id) : stmt_ops option =

@@ -232,6 +232,38 @@ type recovery_plan = {
           must keep periodic checkpoints armed *)
 }
 
+(** Where a delivery fact came from ({!Sir_dataflow}): the identical
+    initial memories, a transfer op (by uid), or a guarded write at a
+    statement. *)
+type fact_source = F_init | F_op of int | F_write of Ast.stmt_id
+
+(** The evidence one {!Sir_opt} rewrite records, in terms of the ops of
+    the program it rewrote.  Replayed in order on a fresh lowering, the
+    witnesses are a plain edit script ({!Sir_opt.edit}) that rebuilds
+    the optimized program; the deletion witnesses also carry what
+    {!Phpf_verify.Sir_check} checks against one dataflow analysis of the
+    result. *)
+type witness =
+  | W_dead of { uid : int }
+      (** [dte] deleted op [uid]: no processor reads its payload after
+          its statement *)
+  | W_redundant of { uid : int; covers : fact_source list }
+      (** [rte] deleted op [uid]: its data was already valid at every
+          destination; [covers] names, per delivered fact, the source of
+          a fact that made it so ([[]] at an unreachable statement) *)
+  | W_merge of { members : int list; block : comm_op }
+      (** [merge] fused the element ops [members] (statement order) into
+          [block], which takes the first member's place and uid *)
+  | W_hoist of { uid : int; dropped : string list }
+      (** [hoist] dropped these indices from block op [uid]'s
+          [prefix_vars] *)
+  | W_combine of {
+      sid : Ast.stmt_id;
+      steps : int list;  (** positions in [sid]'s [red_steps] *)
+      reduce_uids : int list;  (** dropped [Reduce_xfer] ops *)
+    }
+      (** [combine] dropped clean reduction combines at [sid] *)
+
 type program = {
   source : Ast.program;  (** control skeleton the executor walks *)
   grid : Grid.t;
@@ -242,10 +274,9 @@ type program = {
   validate_plan : vcheck list;
   mutable recovery : recovery_plan option;
       (** attached by the [recovery-plan] pass ({!Sir_recovery}) *)
-  mutable opt_applied : string list;
-      (** {!Sir_opt} passes applied to this program, in application
-          order — the replay recipe {!Phpf_verify.Sir_check} uses to
-          re-audit an optimized lowering (empty: never optimized) *)
+  mutable opt_applied : witness list;
+      (** the {!Sir_opt} rewrites applied to this program, in
+          application order (empty: nothing rewritten) *)
 }
 
 val stmt_ops : program -> Ast.stmt_id -> stmt_ops option

@@ -119,7 +119,7 @@ let key_covers ~(have : dkey) ~(need : dkey) : bool =
 (** Where a fact came from: the identical initial memories, a transfer
     op (by uid), or a guarded write (the computing processors hold the
     value they just produced). *)
-type source = F_init | F_op of int | F_write of Ast.stmt_id
+type source = Sir.fact_source = F_init | F_op of int | F_write of Ast.stmt_id
 
 type fact = { src : source; key : dkey; dests : Sir.dests }
 
@@ -847,23 +847,52 @@ let analyze (ctx : prepared) : summary =
 
 let summarize (sir : Sir.program) : summary = analyze (prepare sir)
 
+(* The state the statement at node [i] reads: the in-state replayed
+   through the node's mirror, reduction and communication ops ([None]:
+   the node is unreachable). *)
+let pre_state (s : summary) (i : int) : Bits.t option =
+  match s.avail.Flow.input.(i) with
+  | Avail.Top -> None
+  | Avail.Facts st -> (
+      match s.plans.(i).pre with None -> Some st | Some pre -> Some (apply pre st))
+
 let covered_at (s : summary) (i : int) ~(key : dkey) ~(need : Sir.dests) :
     bool =
-  match s.avail.Flow.input.(i) with
-  | Avail.Top -> true
-  | Avail.Facts st -> (
+  match pre_state s i with
+  | None -> true
+  | Some st -> (
       match Hashtbl.find_opt s.universe.copies (key_base key) with
       | None -> false
       | Some same ->
-          let st =
-            match s.plans.(i).pre with None -> st | Some pre -> apply pre st
-          in
           List.exists
             (fun h ->
               let have = s.universe.facts.(h) in
               key_covers ~have:have.key ~need:key
               && dests_covers ~have:have.dests ~need)
             (Bits.elements (Bits.inter st same)))
+
+let covers_of (s : summary) (i : int) (uid : int) : source list =
+  match
+    ( pre_state s i,
+      List.find_opt (fun (o : op_plan) -> o.op.Sir.uid = uid) s.plans.(i).comms
+    )
+  with
+  | None, _ | _, None -> []
+  | Some st, Some o ->
+      List.filter_map
+        (fun f ->
+          match Bits.elements (Bits.inter st s.universe.covers.(f)) with
+          | h :: _ -> Some s.universe.facts.(h).src
+          | [] -> None)
+        o.delivers
+
+let read_after (s : summary) (i : int) (base : string) : bool =
+  match name_id s.universe base with
+  | None -> false
+  | Some b ->
+      let pl = s.plans.(i) in
+      live_after pl.bwd_exec s.live.Flow.input.(i) b
+      || List.exists (fun (o : op_plan) -> o.source = Some b) pl.comms
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

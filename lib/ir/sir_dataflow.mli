@@ -58,7 +58,7 @@ val key_covers : have:dkey -> need:dkey -> bool
 
 (** Provenance of a fact: the identical initial memories, a transfer op
     (by uid), or a guarded write at a statement. *)
-type source = F_init | F_op of int | F_write of Ast.stmt_id
+type source = Sir.fact_source = F_init | F_op of int | F_write of Ast.stmt_id
 
 type fact = { src : source; key : dkey; dests : Sir.dests }
 
@@ -165,6 +165,17 @@ val removable : summary -> Sir.comm_op list
     reads: the node's in-state replayed through its mirror, reduction
     and communication ops? *)
 val covered_at : summary -> int -> key:dkey -> need:Sir.dests -> bool
+
+(** Per delivered fact of op [uid] at node [i], the source of a fact in
+    that state that makes it valid (the lowest id; [[]] when the node is
+    unreachable) — what an [rte] witness names. *)
+val covers_of : summary -> int -> int -> source list
+
+(** Can a processor read its copy of [base] once the transfers at node
+    [i] have fired: in the node's own execution, in a transfer still
+    there, or downstream?  A [dte] witness for a transfer of [base] at
+    [i] holds exactly when not. *)
+val read_after : summary -> int -> string -> bool
 
 (** {2 Prepared analyses}
 

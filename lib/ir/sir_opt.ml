@@ -19,34 +19,144 @@
     the next deletion, so mutually-covering transfers are never both
     removed and the post-optimization [verify-flow] audit reports zero
     [W0606]/[W0607] by construction.
-    The applied pass names are recorded in the program's
-    [opt_applied] field — the replay recipe
-    {!Phpf_verify.Sir_check} uses to re-audit an optimized lowering
-    against a fresh one. *)
+    Every rewrite is recorded as a {!Sir.witness} in the program's
+    [opt_applied] field: the edit script {!Phpf_verify.Sir_check}
+    replays on a fresh lowering, and the evidence it checks the
+    deletions against. *)
 
 open Hpf_lang
 
-let replace_comms (p : Sir.program) (sid : Ast.stmt_id)
-    (comms : Sir.comm_op list) : unit =
-  match Hashtbl.find_opt p.Sir.stmts sid with
-  | None -> ()
-  | Some ops -> Hashtbl.replace p.Sir.stmts sid { ops with Sir.comms }
+(* ------------------------------------------------------------------ *)
+(* The edit script                                                     *)
+(* ------------------------------------------------------------------ *)
 
-(* Delete one comm op (by uid) from the statement table; returns the
-   statements it touched. *)
-let delete_uid (p : Sir.program) (uid : int) : Ast.stmt_id list =
-  let touched =
-    Hashtbl.fold
-      (fun sid (ops : Sir.stmt_ops) acc ->
-        if List.exists (fun (op : Sir.comm_op) -> op.Sir.uid = uid) ops.Sir.comms
-        then
-          (sid, List.filter (fun (op : Sir.comm_op) -> op.Sir.uid <> uid) ops.Sir.comms)
-          :: acc
-        else acc)
-      p.Sir.stmts []
-  in
-  List.iter (fun (sid, comms) -> replace_comms p sid comms) touched;
-  List.map fst touched
+(* Every rewrite is its witness applied: the passes below decide, [edit]
+   performs.  Uids never move between statements, so one index built
+   up front resolves every witness of a script. *)
+type editor = {
+  prog : Sir.program;
+  home : (int, Ast.stmt_id) Hashtbl.t;  (** uid -> statement *)
+}
+
+let editor (p : Sir.program) : editor =
+  let home = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun sid (ops : Sir.stmt_ops) ->
+      List.iter
+        (fun (op : Sir.comm_op) -> Hashtbl.replace home op.Sir.uid sid)
+        ops.Sir.comms)
+    p.Sir.stmts;
+  { prog = p; home }
+
+let carries (ops : Sir.stmt_ops) uid =
+  List.exists (fun (o : Sir.comm_op) -> o.Sir.uid = uid) ops.Sir.comms
+
+let home_of (e : editor) (uid : int) : Sir.stmt_ops option =
+  match Hashtbl.find_opt e.home uid with
+  | None -> None
+  | Some sid -> (
+      match Hashtbl.find_opt e.prog.Sir.stmts sid with
+      | Some ops when carries ops uid -> Some ops
+      | _ -> None)
+
+(* The statement a witness edits, if the program has everything the
+   witness names. *)
+let target (e : editor) (w : Sir.witness) : Sir.stmt_ops option =
+  match w with
+  | Sir.W_dead { uid } | Sir.W_redundant { uid; _ } | Sir.W_hoist { uid; _ } ->
+      home_of e uid
+  | Sir.W_merge { members = []; _ } -> None
+  | Sir.W_merge { members = first :: rest; _ } -> (
+      match home_of e first with
+      | Some ops when List.for_all (carries ops) rest -> Some ops
+      | _ -> None)
+  | Sir.W_combine { sid; steps; reduce_uids } -> (
+      match Hashtbl.find_opt e.prog.Sir.stmts sid with
+      | Some ops
+        when List.for_all
+               (fun k -> k >= 0 && k < List.length ops.Sir.red_steps)
+               steps
+             && List.for_all (carries ops) reduce_uids ->
+          Some ops
+      | _ -> None)
+
+let edit (e : editor) (w : Sir.witness) : Sir.stmt_ops option =
+  let found = target e w in
+  Option.iter
+    (fun (ops : Sir.stmt_ops) ->
+      let without uids =
+        List.filter
+          (fun (o : Sir.comm_op) -> not (List.mem o.Sir.uid uids))
+          ops.Sir.comms
+      in
+      let edited =
+        match w with
+        | Sir.W_dead { uid } | Sir.W_redundant { uid; _ } ->
+            { ops with Sir.comms = without [ uid ] }
+        | Sir.W_merge { members; block } ->
+            let first = List.hd members in
+            {
+              ops with
+              Sir.comms =
+                List.filter_map
+                  (fun (o : Sir.comm_op) ->
+                    if o.Sir.uid = first then Some block
+                    else if List.mem o.Sir.uid members then None
+                    else Some o)
+                  ops.Sir.comms;
+            }
+        | Sir.W_hoist { uid; dropped } ->
+            {
+              ops with
+              Sir.comms =
+                List.map
+                  (fun (o : Sir.comm_op) ->
+                    match o.Sir.xfer with
+                    | Sir.Block_xfer b when o.Sir.uid = uid ->
+                        {
+                          o with
+                          Sir.xfer =
+                            Sir.Block_xfer
+                              {
+                                b with
+                                prefix_vars =
+                                  List.filter
+                                    (fun v -> not (List.mem v dropped))
+                                    b.prefix_vars;
+                              };
+                        }
+                    | _ -> o)
+                  ops.Sir.comms;
+            }
+        | Sir.W_combine { steps; reduce_uids; _ } ->
+            {
+              ops with
+              Sir.red_steps =
+                List.filteri
+                  (fun k _ -> not (List.mem k steps))
+                  ops.Sir.red_steps;
+              comms = without reduce_uids;
+            }
+      in
+      Hashtbl.replace e.prog.Sir.stmts ops.Sir.sid edited)
+    found;
+  found
+
+let edit_all (p : Sir.program) (ws : Sir.witness list) : unit =
+  if ws <> [] then begin
+    let e = editor p in
+    List.iter (fun w -> ignore (edit e w)) ws
+  end
+
+let rewrites (ws : Sir.witness list) : int =
+  List.fold_left
+    (fun n -> function
+      | Sir.W_dead _ | Sir.W_redundant _ -> n + 1
+      | Sir.W_merge { members; _ } -> n + List.length members - 1
+      | Sir.W_hoist { dropped; _ } -> n + List.length dropped
+      | Sir.W_combine { steps; reduce_uids; _ } ->
+          n + List.length steps + List.length reduce_uids)
+    0 ws
 
 (* ------------------------------------------------------------------ *)
 (* dte / rte: certified deletions, one at a time                       *)
@@ -58,25 +168,40 @@ let delete_uid (p : Sir.program) (uid : int) : Ast.stmt_id list =
    together but only one survives the loop.  The CFG, the interning
    table and the node plans are prepared once; a deletion re-plans only
    the statement it touched. *)
-let delete_classified (select : Sir_dataflow.summary -> Sir.comm_op list)
-    (p : Sir.program) : int =
-  let ctx = Sir_dataflow.prepare p in
-  let rec go deleted =
-    match select (Sir_dataflow.analyze ctx) with
-    | [] -> deleted
-    | op :: _ -> (
-        match delete_uid p op.Sir.uid with
-        | [] -> invalid_arg "Sir_opt: the analysis selected a deleted op"
-        | touched ->
-            List.iter (Sir_dataflow.replan ctx) touched;
-            go (deleted + 1))
+let delete_classified
+    (select : Sir_dataflow.summary -> (Ast.stmt_id * Sir.comm_op) list)
+    (witness : Sir_dataflow.summary -> Ast.stmt_id -> Sir.comm_op -> Sir.witness)
+    (p : Sir.program) : Sir.witness list =
+  let ctx = Sir_dataflow.prepare p and e = lazy (editor p) in
+  let rec go acc =
+    let s = Sir_dataflow.analyze ctx in
+    match select s with
+    | [] -> List.rev acc
+    | (sid, op) :: _ -> (
+        let w = witness s sid op in
+        match edit (Lazy.force e) w with
+        | None -> invalid_arg "Sir_opt: the analysis selected a deleted op"
+        | Some ops ->
+            Sir_dataflow.replan ctx ops.Sir.sid;
+            go (w :: acc))
   in
-  go 0
+  go []
 
-let dte = delete_classified (fun s -> List.map snd s.Sir_dataflow.dead)
+let dte =
+  delete_classified
+    (fun s -> s.Sir_dataflow.dead)
+    (fun _ _ op -> Sir.W_dead { uid = op.Sir.uid })
 
 let rte =
-  delete_classified (fun s -> List.map snd s.Sir_dataflow.redundant)
+  delete_classified
+    (fun s -> s.Sir_dataflow.redundant)
+    (fun s sid op ->
+      let covers =
+        match Sir_dataflow.instance_node s.Sir_dataflow.cfg sid with
+        | Some i -> Sir_dataflow.covers_of s i op.Sir.uid
+        | None -> []
+      in
+      Sir.W_redundant { uid = op.Sir.uid; covers })
 
 (* ------------------------------------------------------------------ *)
 (* merge: adjacent same-(src, dst) element transfers -> one block      *)
@@ -139,29 +264,29 @@ let merge_pair (mirror : string list) (uid_seed : int)
       | _ -> None)
   | _ -> None
 
-let merge (p : Sir.program) : int =
-  let merged = ref 0 in
-  let rewrites =
+let merge (p : Sir.program) : Sir.witness list =
+  let ws =
     Hashtbl.fold
-      (fun sid (ops : Sir.stmt_ops) acc ->
-        let rec fuse = function
+      (fun _ (ops : Sir.stmt_ops) acc ->
+        let rec fuse acc = function
           | a :: b :: rest -> (
               match merge_pair ops.Sir.mirror a.Sir.uid a b with
               | Some m ->
-                  incr merged;
-                  (* a freshly merged block can absorb a third sibling *)
-                  fuse (m :: rest)
-              | None -> a :: fuse (b :: rest))
-          | short -> short
+                  (* a fused block pairs with nothing: only element
+                     transfers merge *)
+                  fuse
+                    (Sir.W_merge { members = [ a.Sir.uid; b.Sir.uid ]; block = m }
+                    :: acc)
+                    rest
+              | None -> fuse acc (b :: rest))
+          | _ -> acc
         in
-        let comms = fuse ops.Sir.comms in
-        if List.length comms <> List.length ops.Sir.comms then
-          (sid, comms) :: acc
-        else acc)
+        fuse acc ops.Sir.comms)
       p.Sir.stmts []
+    |> List.rev
   in
-  List.iter (fun (sid, comms) -> replace_comms p sid comms) rewrites;
-  !merged
+  edit_all p ws;
+  ws
 
 (* ------------------------------------------------------------------ *)
 (* hoist: drop prefix indices a block provably does not depend on      *)
@@ -218,83 +343,73 @@ let rec written_in (stmts : Ast.stmt list) : string list =
       | Ast.Exit _ | Ast.Cycle _ -> [])
     stmts
 
-(* The body of the Do loop with the given index. *)
-let loop_body (prog : Ast.program) (index : string) : Ast.stmt list option =
-  let found = ref None in
-  let rec scan stmts =
+(* Per statement, the DO loops enclosing it, innermost first. *)
+let enclosing_loops (prog : Ast.program) :
+    (Ast.stmt_id, Ast.do_loop list) Hashtbl.t =
+  let tbl = Hashtbl.create 64 in
+  let rec scan outer stmts =
     List.iter
       (fun (s : Ast.stmt) ->
+        Hashtbl.replace tbl s.Ast.sid outer;
         match s.Ast.node with
-        | Ast.Do d ->
-            if d.Ast.index = index && !found = None then
-              found := Some d.Ast.body;
-            scan d.Ast.body
+        | Ast.Do d -> scan (d :: outer) d.Ast.body
         | Ast.If (_, t, e) ->
-            scan t;
-            scan e
-        | _ -> ())
+            scan outer t;
+            scan outer e
+        | Ast.Assign _ | Ast.Exit _ | Ast.Cycle _ -> ())
       stmts
   in
-  scan prog.Ast.body;
-  !found
+  scan [] prog.Ast.body;
+  tbl
 
 (* A prefix index [v] is droppable when nothing the block evaluates at
    ship time — payload addresses, owner line, destination set, crossed
    bounds — can change across [v]'s iterations: the shipped bytes and
    the (src, dst) pairs are identical every time, so shipping once per
    outer placement instance delivers the same copies.  The base itself
-   must also stay unwritten inside [v]'s body, or the first-iteration
-   payload would be stale for later reads. *)
-let hoist (p : Sir.program) : int =
-  let dropped = ref 0 in
-  let rewrites =
+   must also stay unwritten inside the body of [v]'s loop — the
+   innermost loop over [v] enclosing the anchor statement — or the
+   first-iteration payload would be stale for later reads. *)
+let hoist (p : Sir.program) : Sir.witness list =
+  let enclosing = enclosing_loops p.Sir.source in
+  let ws =
     Hashtbl.fold
       (fun sid (ops : Sir.stmt_ops) acc ->
-        let changed = ref false in
-        let comms =
-          List.map
-            (fun (op : Sir.comm_op) ->
-              match op.Sir.xfer with
-              | Sir.Block_xfer { data; dests; crossed; prefix_vars } ->
-                  let free = block_free_vars ~data ~dests ~crossed in
-                  let base =
-                    match data with
-                    | Sir.X_scalar { var; _ } -> var
-                    | Sir.X_elem { base; _ } -> base
-                  in
-                  let droppable v =
-                    (not (List.mem v free))
-                    &&
-                    match loop_body p.Sir.source v with
-                    | None -> false
-                    | Some body ->
-                        let w = written_in body in
-                        (not (List.mem base w))
-                        && not (List.exists (fun x -> List.mem x w) free)
-                  in
-                  let kept =
-                    List.filter (fun v -> not (droppable v)) prefix_vars
-                  in
-                  if List.length kept <> List.length prefix_vars then begin
-                    changed := true;
-                    dropped := !dropped + List.length prefix_vars
-                    - List.length kept;
-                    {
-                      op with
-                      Sir.xfer =
-                        Sir.Block_xfer
-                          { data; dests; crossed; prefix_vars = kept };
-                    }
-                  end
-                  else op
-              | _ -> op)
-            ops.Sir.comms
+        let loops =
+          Option.value ~default:[] (Hashtbl.find_opt enclosing sid)
         in
-        if !changed then (sid, comms) :: acc else acc)
+        List.fold_left
+          (fun acc (op : Sir.comm_op) ->
+            match op.Sir.xfer with
+            | Sir.Block_xfer { data; dests; crossed; prefix_vars } ->
+                let free = block_free_vars ~data ~dests ~crossed in
+                let base =
+                  match data with
+                  | Sir.X_scalar { var; _ } -> var
+                  | Sir.X_elem { base; _ } -> base
+                in
+                let droppable v =
+                  (not (List.mem v free))
+                  &&
+                  match
+                    List.find_opt (fun (d : Ast.do_loop) -> d.Ast.index = v) loops
+                  with
+                  | None -> false
+                  | Some d ->
+                      let w = written_in d.Ast.body in
+                      (not (List.mem base w))
+                      && not (List.exists (fun x -> List.mem x w) free)
+                in
+                let dropped = List.filter droppable prefix_vars in
+                if dropped = [] then acc
+                else Sir.W_hoist { uid = op.Sir.uid; dropped } :: acc
+            | _ -> acc)
+          acc ops.Sir.comms)
       p.Sir.stmts []
+    |> List.rev
   in
-  List.iter (fun (sid, comms) -> replace_comms p sid comms) rewrites;
-  !dropped
+  edit_all p ws;
+  ws
 
 (* ------------------------------------------------------------------ *)
 (* combine: drop reduction combines of provably clean accumulators     *)
@@ -339,16 +454,15 @@ let dirty_transfer (g : Sir_cfg.t) (p : Sir.program) (i : int)
           Dirty.join st (marks_of p v)
       | _ -> st)
 
-let combine (p : Sir.program) : int =
-  if Array.length p.Sir.reductions = 0 then 0
+let combine (p : Sir.program) : Sir.witness list =
+  if Array.length p.Sir.reductions = 0 then []
   else begin
     let g = Sir_cfg.build p in
     let dirty =
       Dirty_engine.fixpoint ~cfg:g ~direction:Flow.Forward ~boundary:[]
         ~init:[] ~transfer:(dirty_transfer g p)
     in
-    let dropped = ref 0 in
-    let rewrites =
+    let ws =
       Hashtbl.fold
         (fun sid (ops : Sir.stmt_ops) acc ->
           match Sir_dataflow.instance_node g sid with
@@ -370,18 +484,15 @@ let combine (p : Sir.program) : int =
                 (* drop clean occurrences positionally: the same index
                    can appear again on this statement with a dirty
                    accumulator, and that occurrence must survive *)
-                let red_steps =
-                  List.filteri
-                    (fun k _ -> not (List.mem k !clean_pos))
-                    ops.Sir.red_steps
-                in
                 let live_rvars =
-                  List.filter_map
-                    (function
-                      | Sir.R_combine ix ->
-                          Some p.Sir.reductions.(ix).Sir.rvar
-                      | Sir.R_mark _ -> None)
-                    red_steps
+                  List.concat
+                    (List.mapi
+                       (fun k (step : Sir.red_step) ->
+                         match step with
+                         | Sir.R_combine ix when not (List.mem k !clean_pos) ->
+                             [ p.Sir.reductions.(ix).Sir.rvar ]
+                         | Sir.R_combine _ | Sir.R_mark _ -> [])
+                       ops.Sir.red_steps)
                 in
                 let clean_vars =
                   List.filter
@@ -390,36 +501,34 @@ let combine (p : Sir.program) : int =
                        (fun ix -> p.Sir.reductions.(ix).Sir.rvar)
                        !clean_ixs)
                 in
-                let comms =
-                  List.filter
+                let reduce_uids =
+                  List.filter_map
                     (fun (op : Sir.comm_op) ->
                       match op.Sir.xfer with
-                      | Sir.Reduce_xfer ->
-                          not
-                            (List.mem
+                      | Sir.Reduce_xfer
+                        when List.mem
                                op.Sir.cm.Hpf_comm.Comm.data
-                                 .Hpf_analysis.Aref.base clean_vars)
-                      | _ -> true)
+                                 .Hpf_analysis.Aref.base clean_vars ->
+                          Some op.Sir.uid
+                      | _ -> None)
                     ops.Sir.comms
                 in
-                dropped :=
-                  !dropped + List.length !clean_ixs
-                  + (List.length ops.Sir.comms - List.length comms);
-                (sid, { ops with Sir.red_steps; Sir.comms }) :: acc
+                Sir.W_combine
+                  { sid; steps = List.rev !clean_pos; reduce_uids }
+                :: acc
               end)
         p.Sir.stmts []
+      |> List.rev
     in
-    List.iter
-      (fun (sid, ops) -> Hashtbl.replace p.Sir.stmts sid ops)
-      rewrites;
-    !dropped
+    edit_all p ws;
+    ws
   end
 
 (* ------------------------------------------------------------------ *)
 (* The pipeline                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let passes : (string * string * (Sir.program -> int)) list =
+let passes : (string * string * (Sir.program -> Sir.witness list)) list =
   [
     ( "dte",
       "dead-transfer elimination (payload never read: W0606 as a \
@@ -452,12 +561,9 @@ let apply (name : string) (p : Sir.program) : int =
   match List.find_opt (fun (n, _, _) -> n = name) passes with
   | None -> invalid_arg (Fmt.str "Sir_opt.apply: unknown pass %s" name)
   | Some (_, _, f) ->
-      let k = f p in
-      p.Sir.opt_applied <- p.Sir.opt_applied @ [ name ];
-      k
+      let ws = f p in
+      p.Sir.opt_applied <- p.Sir.opt_applied @ ws;
+      rewrites ws
 
 let run (p : Sir.program) : (string * int) list =
   List.map (fun n -> (n, apply n p)) pass_names
-
-let replay (names : string list) (p : Sir.program) : unit =
-  List.iter (fun n -> ignore (apply n p)) names

@@ -1,12 +1,14 @@
 (** IR-to-IR rewrites over the lowered SPMD program — the optimizer
     pipeline between [lower-spmd] and [recovery-plan].
 
-    Each pass mutates the program in place and returns a rewrite count
-    (deleted ops, fused pairs, dropped prefix indices, dropped combine
-    steps).  {!apply} additionally records the pass name in the
-    program's [opt_applied] field, the replay recipe
-    {!Phpf_verify.Sir_check} feeds back through {!replay} to re-audit
-    an optimized lowering against a fresh one.
+    Each pass decides its rewrites, records each as a {!Sir.witness}
+    and performs it through {!edit}: a pass mutates the program in place
+    and returns its witnesses.  {!apply} additionally appends them to
+    the program's [opt_applied] field.  {!Phpf_verify.Sir_check} replays
+    that list on a fresh lowering as a plain edit script (no dataflow)
+    and checks each deletion witness against one dataflow analysis of
+    the recorded program, so a faulty rewrite is reported instead of
+    being re-derived identically.
 
     Soundness obligations (enforced by the post-optimization
     [verify-flow] / [Sir_check] / [plan_check] audits and the property
@@ -22,7 +24,8 @@
     - [hoist] drops a prefix index only when nothing the block
       evaluates at ship time — payload addresses, owner line,
       destination set, crossed bounds, or the base's stored values —
-      can change across that index's iterations;
+      can change across the iterations of that index's innermost loop
+      enclosing the block's statement;
     - [combine] drops a reduction combine only when a forward MAY-dirty
       fixpoint proves the accumulator clean on every path (the lazy
       executor already no-ops such combines, so this is a pure
@@ -37,27 +40,41 @@ val pass_names : string list
 (** One-line description of a pass ([None] for unknown names). *)
 val descr_of : string -> string option
 
-(** Run one pass by name and record it in [opt_applied]; returns the
-    rewrite count.  @raise Invalid_argument on an unknown name. *)
+(** Run one pass by name and append its witnesses to [opt_applied];
+    returns the rewrite count.  @raise Invalid_argument on an unknown
+    name. *)
 val apply : string -> Sir.program -> int
 
 (** Run every pass in {!pass_names} order, returning
     [(pass, rewrite count)] per pass. *)
 val run : Sir.program -> (string * int) list
 
-(** Re-apply a recorded [opt_applied] recipe verbatim (used by
-    {!Phpf_verify.Sir_check} on the fresh re-lowering). *)
-val replay : string list -> Sir.program -> unit
+(** The rewrite count of a witness list: deleted ops, fused pairs,
+    dropped prefix indices, dropped combine steps and reduce ops. *)
+val rewrites : Sir.witness list -> int
+
+(** {2 The edit script} *)
+
+(** A program with its ops indexed by uid (uids never move between
+    statements, so one index serves a whole script). *)
+type editor
+
+val editor : Sir.program -> editor
+
+(** Perform one witness in place.  Returns the edited statement's ops
+    as they were before the edit, or [None] — and edits nothing — when
+    the program lacks an op, statement or step the witness names. *)
+val edit : editor -> Sir.witness -> Sir.stmt_ops option
 
 (** {2 Individual passes}
 
     Exposed for tests; these do {e not} record into [opt_applied]. *)
 
-val dte : Sir.program -> int
-val rte : Sir.program -> int
-val merge : Sir.program -> int
-val hoist : Sir.program -> int
-val combine : Sir.program -> int
+val dte : Sir.program -> Sir.witness list
+val rte : Sir.program -> Sir.witness list
+val merge : Sir.program -> Sir.witness list
+val hoist : Sir.program -> Sir.witness list
+val combine : Sir.program -> Sir.witness list
 
 (**/**)
 

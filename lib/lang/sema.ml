@@ -30,10 +30,28 @@ let err ~code fmt =
 type env = {
   prog : program;
   grids : (string * int) list;  (** grid name -> rank *)
+  decls : (string, decl) Hashtbl.t;
+  params : (string, int) Hashtbl.t;
 }
 
+(* Name tables built once per program; the first declaration or
+   parameter of a name wins, as in {!Ast.find_decl} and
+   {!Ast.param_value}. *)
+let make_env (p : program) ~grids : env =
+  let decls = Hashtbl.create 16 and params = Hashtbl.create 16 in
+  List.iter
+    (fun d -> if not (Hashtbl.mem decls d.dname) then Hashtbl.add decls d.dname d)
+    p.decls;
+  List.iter
+    (fun (n, v) -> if not (Hashtbl.mem params n) then Hashtbl.add params n v)
+    p.params;
+  { prog = p; grids; decls; params }
+
+let find_decl env name = Hashtbl.find_opt env.decls name
+let param_value env name = Hashtbl.find_opt env.params name
+
 let decl_rank env name =
-  match find_decl env.prog name with
+  match find_decl env name with
   | Some d -> Some (Types.rank d.shape)
   | None -> None
 
@@ -43,8 +61,8 @@ let rec check_expr env ~indices (e : expr) =
   | Var v ->
       if
         (not (List.mem v indices))
-        && param_value env.prog v = None
-        && find_decl env.prog v = None
+        && param_value env v = None
+        && find_decl env v = None
       then err ~code:"E0301" "undeclared variable %s" v;
       (match decl_rank env v with
       | Some r when r > 0 ->
@@ -99,9 +117,9 @@ let rec type_of env ~indices (e : expr) : vty =
   | Real _ -> Real
   | Bool _ -> Logical
   | Var v -> (
-      if List.mem v indices || param_value env.prog v <> None then Int
+      if List.mem v indices || param_value env v <> None then Int
       else
-        match find_decl env.prog v with
+        match find_decl env v with
         | Some { ty = Types.TReal; _ } -> Real
         | Some { ty = Types.TBool; _ } -> Logical
         | Some { ty = Types.TInt; _ } | None -> Int)
@@ -111,7 +129,7 @@ let rec type_of env ~indices (e : expr) : vty =
           ignore
             (numeric env ~indices ~where:(fun () -> "a subscript of " ^ a) x))
         subs;
-      match find_decl env.prog a with
+      match find_decl env a with
       | Some { ty = Types.TReal; _ } -> Real
       | Some { ty = Types.TBool; _ } -> Logical
       | Some { ty = Types.TInt; _ } | None -> Int)
@@ -180,7 +198,7 @@ let check_lhs env ~indices = function
   | LVar v -> (
       if List.mem v indices then
         err ~code:"E0303" "assignment to loop index %s" v;
-      if param_value env.prog v <> None then
+      if param_value env v <> None then
         err ~code:"E0303" "assignment to parameter %s" v;
       match decl_rank env v with
       | None -> err ~code:"E0301" "undeclared variable %s" v
@@ -239,7 +257,7 @@ let rec check_stmt env ~indices ~loops (s : stmt) =
       check_types env ~indices s;
       List.iter
         (fun v ->
-          if find_decl env.prog v = None then
+          if find_decl env v = None then
             err ~code:"E0301" "NEW variable %s is not declared" v)
         d.new_vars;
       let indices = d.index :: indices in
@@ -300,13 +318,13 @@ let check_directive env = function
             subs)
 
 (** Check for duplicate declarations and declaration/parameter clashes. *)
-let check_decls (p : program) =
+let check_decls env (p : program) =
   let seen = Hashtbl.create 16 in
   List.iter
     (fun d ->
       if Hashtbl.mem seen d.dname then
         err ~code:"E0305" "duplicate declaration of %s" d.dname;
-      if param_value p d.dname <> None then
+      if param_value env d.dname <> None then
         err ~code:"E0305" "%s declared both as parameter and variable"
           d.dname;
       Hashtbl.add seen d.dname ())
@@ -325,7 +343,6 @@ let check_decls (p : program) =
 let check_result (p : program) : (program, Diag.t list) result =
   let diags = ref [] in
   let guard f = try f () with Diag.Fatal ds -> diags := !diags @ ds in
-  guard (fun () -> check_decls p);
   let grids =
     List.filter_map
       (function
@@ -333,7 +350,8 @@ let check_result (p : program) : (program, Diag.t list) result =
         | Distribute _ | Align _ -> None)
       p.directives
   in
-  let env = { prog = p; grids } in
+  let env = make_env p ~grids in
+  guard (fun () -> check_decls env p);
   List.iter (fun d -> guard (fun () -> check_directive env d)) p.directives;
   List.iter
     (fun s -> guard (fun () -> check_stmt env ~indices:[] ~loops:[] s))

@@ -28,10 +28,15 @@ let of_list (g : Grid.t) (pids : int list) : t =
 
 let count = function
   | Rect { grid; dims } ->
-      Array.to_list dims
-      |> List.mapi (fun g' d ->
-             match d with D_one _ -> 1 | D_all -> Grid.extent grid g')
-      |> List.fold_left ( * ) 1
+      let rec go k acc =
+        if k < 0 then acc
+        else
+          go (k - 1)
+            (match dims.(k) with
+            | D_one _ -> acc
+            | D_all -> acc * Grid.extent grid k)
+      in
+      go (Array.length dims - 1) 1
   | Explicit { pids; _ } -> List.length pids
 
 let is_empty = function

@@ -9,7 +9,9 @@
       entry names an existing producing region with at least one
       producer statement;
     - a re-execution region's {e instance node} must dominate the CFG
-      exit ({!Phpf_ir.Sir_cfg}): replay is only sound when every path
+      exit ({!Phpf_ir.Sir_cfg}; immediate dominators from
+      {!Hpf_analysis.Dom}'s Cooper-Harvey-Kennedy core, the one the SSA
+      builder runs): replay is only sound when every path
       to the failure point is guaranteed to have entered the region once
       the entry is armed — a control-dependent region (under an [If])
       does not dominate, and the planner must have escalated it to
@@ -23,54 +25,7 @@ open Hpf_lang
 open Phpf_core
 module Sir = Phpf_ir.Sir
 module Sir_cfg = Phpf_ir.Sir_cfg
-
-(* Iterative dominator computation over the reverse postorder: small
-   graphs, so plain boolean sets beat anything cleverer.  [dom.(n).(d)]
-   = every path from entry to [n] passes through [d]. *)
-let dominators (cfg : Sir_cfg.t) : bool array array =
-  let n = Sir_cfg.n_nodes cfg in
-  let rpo = Sir_cfg.reverse_postorder cfg in
-  let dom = Array.init n (fun _ -> Array.make n true) in
-  dom.(cfg.Sir_cfg.entry) <- Array.make n false;
-  dom.(cfg.Sir_cfg.entry).(cfg.Sir_cfg.entry) <- true;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun v ->
-        if v <> cfg.Sir_cfg.entry then begin
-          let inter = Array.make n true in
-          let have_pred = ref false in
-          List.iter
-            (fun p ->
-              have_pred := true;
-              Array.iteri
-                (fun i b -> if not b then inter.(i) <- false)
-                dom.(p))
-            (Sir_cfg.preds cfg v);
-          if not !have_pred then Array.fill inter 0 n false;
-          inter.(v) <- true;
-          if inter <> dom.(v) then begin
-            dom.(v) <- inter;
-            changed := true
-          end
-        end)
-      rpo
-  done;
-  dom
-
-(* The unique node at which a statement's lowered ops fire (and so the
-   point a producing region is entered): [Loop_init] for a [Do],
-   [Simple] / [Branch] otherwise. *)
-let instance_node (cfg : Sir_cfg.t) (sid : Ast.stmt_id) : int option =
-  List.find_opt
-    (fun id ->
-      match (Sir_cfg.node cfg id).Sir_cfg.kind with
-      | Sir_cfg.Simple _ | Sir_cfg.Branch _ | Sir_cfg.Loop_init _ -> true
-      | Sir_cfg.Entry | Sir_cfg.Exit_node | Sir_cfg.Loop_head _
-      | Sir_cfg.Loop_step _ | Sir_cfg.Join _ ->
-          false)
-    (Sir_cfg.nodes_of_sid cfg sid)
+module Dom = Hpf_analysis.Dom
 
 let check (c : Compiler.compiled) : Diag.t list =
   match c.Compiler.sir with
@@ -81,7 +36,15 @@ let check (c : Compiler.compiled) : Diag.t list =
       | Some plan ->
           let src = sir.Sir.source in
           let cfg = Sir_cfg.build sir in
-          let dom = lazy (dominators cfg) in
+          let idom =
+            lazy
+              (fst
+                 (Dom.immediate ~n:(Sir_cfg.n_nodes cfg) ~entry:cfg.Sir_cfg.entry
+                    ~preds:(Sir_cfg.preds cfg)
+                    ~rpo:(Sir_cfg.reverse_postorder cfg)))
+          in
+          let sids = Hashtbl.create 64 in
+          Ast.iter_program (fun s -> Hashtbl.replace sids s.Ast.sid ()) src;
           let findings = ref [] in
           let err fmt =
             Fmt.kstr
@@ -106,26 +69,30 @@ let check (c : Compiler.compiled) : Diag.t list =
                       e.Sir.datum;
                   List.iter
                     (fun sid ->
-                      if Ast.find_stmt src sid = None then
+                      if not (Hashtbl.mem sids sid) then
                         err
                           "recovery plan entry for %S names nonexistent \
                            producer statement s%d"
                           e.Sir.datum sid)
                     producers;
-                  if Ast.find_stmt src region = None then
+                  if not (Hashtbl.mem sids region) then
                     err
                       "recovery plan entry for %S names nonexistent \
                        producing region s%d"
                       e.Sir.datum region
                   else
-                    match instance_node cfg region with
+                    match Phpf_ir.Sir_dataflow.instance_node cfg region with
                     | None ->
                         err
                           "recovery plan entry for %S: region s%d has no \
                            instance node in the control-flow graph"
                           e.Sir.datum region
                     | Some n ->
-                        if not (Lazy.force dom).(cfg.Sir_cfg.exit_).(n) then
+                        if
+                          not
+                            (Dom.idom_dominates (Lazy.force idom) n
+                               cfg.Sir_cfg.exit_)
+                        then
                           err
                             "recovery plan entry for %S: re-execution \
                              region s%d does not dominate the program \

@@ -1,15 +1,24 @@
 (** Lowered-IR fidelity audit.
 
-    The compiler records the {!Phpf_ir.Sir.program} it lowered
-    ([compiled.sir]); the runtime and the simulator consume that record.
-    This checker re-lowers the compiled decisions and schedule from
-    scratch and diffs the recorded IR against the fresh one, so a
+    The compiler records the {!Phpf_ir.Sir.program} it lowered and
+    optimized ([compiled.sir]); the runtime and the simulator consume
+    that record.  This checker lowers the compiled decisions and
+    schedule once more, replays the optimizer's witnesses
+    ([opt_applied]) on that fresh lowering as a plain edit script — no
+    dataflow — and diffs the recorded IR against the result, so a
     lowered artifact that was mutated, truncated, or produced by a buggy
     lowering is caught statically instead of surfacing as a validation
-    mismatch at run time:
+    mismatch at run time.  Each deletion witness is then checked
+    against one {!Phpf_ir.Sir_dataflow} analysis of the recorded
+    program (translation validation: the rewrite is checked against the
+    evidence it recorded, not re-derived):
 
     - [E0610]: the recorded IR is missing a transfer op the decisions
-      require — some consumer will read a stale operand;
+      require — deleted with no witness, or with a witness that does not
+      hold (an [rte] deletion whose data is not valid at every
+      destination at its statement, a [dte] deletion whose payload a
+      processor still reads), or with a witness naming an op the
+      lowering does not have: some consumer will read a stale operand;
     - [E0611]: a computes predicate, storage decision, reduction plan or
       validation recipe disagrees with the decisions it claims to
       implement;
@@ -22,6 +31,8 @@
 open Hpf_lang
 open Phpf_core
 module Sir = Phpf_ir.Sir
+module Sir_opt = Phpf_ir.Sir_opt
+module Sir_dataflow = Phpf_ir.Sir_dataflow
 
 let xfer_tag = function
   | Sir.Elem_xfer _ -> "element"
@@ -67,7 +78,44 @@ let pp_key ppf ((sid, tag, base, level) : Ast.stmt_id * string * string * int)
   Fmt.pf ppf "%s transfer of %s at s%d (placement level %d)" tag base sid
     level
 
-let check (c : Compiler.compiled) : Diag.t list =
+let pp_witness ppf = function
+  | Sir.W_dead { uid } -> Fmt.pf ppf "dte deletion of op u%d" uid
+  | Sir.W_redundant { uid; _ } -> Fmt.pf ppf "rte deletion of op u%d" uid
+  | Sir.W_merge { members; _ } ->
+      Fmt.pf ppf "merge of ops %a"
+        Fmt.(list ~sep:(any ", ") (fmt "u%d"))
+        members
+  | Sir.W_hoist { uid; _ } -> Fmt.pf ppf "hoist of op u%d" uid
+  | Sir.W_combine { sid; _ } -> Fmt.pf ppf "combine at s%d" sid
+
+(* Does a deletion witness hold in the recorded program?  Checked on the
+   program as it stands, after every later rewrite: an [rte] deletion
+   needs its data valid at every destination where it fired (whatever
+   fact provides it now — the cover it named may have been deleted
+   since), a [dte] deletion needs its payload read by no processor
+   after its statement. *)
+let witness_holds (s : Sir_dataflow.summary) (w : Sir.witness)
+    (sid : Ast.stmt_id) (op : Sir.comm_op) : bool =
+  match Sir_dataflow.instance_node s.Sir_dataflow.cfg sid with
+  | None -> false
+  | Some i -> (
+      match w with
+      | Sir.W_dead _ -> (
+          match Sir_dataflow.op_base op with
+          | None -> false
+          | Some b -> not (Sir_dataflow.read_after s i b))
+      | Sir.W_redundant _ ->
+          let facts = Sir_dataflow.facts_of_op op in
+          facts <> []
+          && List.for_all
+               (fun (f : Sir_dataflow.fact) ->
+                 Sir_dataflow.covered_at s i ~key:f.Sir_dataflow.key
+                   ~need:f.Sir_dataflow.dests)
+               facts
+      | Sir.W_merge _ | Sir.W_hoist _ | Sir.W_combine _ -> true)
+
+let check ?(flow = Sir_dataflow.summarize) (c : Compiler.compiled) :
+    Diag.t list =
   match c.Compiler.sir with
   | None -> []
   | Some recorded ->
@@ -75,12 +123,31 @@ let check (c : Compiler.compiled) : Diag.t list =
         Lower_spmd.lower ~prog:c.Compiler.prog ~decisions:c.Compiler.decisions
           ~comms:c.Compiler.comms ()
       in
-      (* an optimized recording is compared against an identically
-         optimized fresh lowering: replay the recorded pass recipe, so
-         a certified deletion is not misread as a missing transfer *)
-      Phpf_ir.Sir_opt.replay recorded.Sir.opt_applied fresh;
       let out = ref [] in
       let emit d = out := d :: !out in
+      (* --- the witnesses as an edit script on the fresh lowering ---- *)
+      let editor = Sir_opt.editor fresh and deletions = ref [] in
+      List.iter
+        (fun (w : Sir.witness) ->
+          match Sir_opt.edit editor w with
+          | None ->
+              emit
+                (Diag.errorf ~code:Codes.e_sir_missing
+                   "optimizer witness %a names an op, statement or step \
+                    the lowering does not have: the recorded rewrites do \
+                    not apply to the decisions"
+                   pp_witness w)
+          | Some before -> (
+              match w with
+              | Sir.W_dead { uid } | Sir.W_redundant { uid; _ } ->
+                  let op =
+                    List.find
+                      (fun (o : Sir.comm_op) -> o.Sir.uid = uid)
+                      before.Sir.comms
+                  in
+                  deletions := (w, before.Sir.sid, op) :: !deletions
+              | Sir.W_merge _ | Sir.W_hoist _ | Sir.W_combine _ -> ()))
+        recorded.Sir.opt_applied;
       (* --- transfer-op set diff ------------------------------------ *)
       let rec_keys = key_set (op_keys recorded) in
       let fresh_keys = key_set (op_keys fresh) in
@@ -133,4 +200,23 @@ let check (c : Compiler.compiled) : Diag.t list =
           (Diag.error ~code:Codes.e_sir_guard
              "lowered reduction plan or validation recipe disagrees with \
               the recorded decisions");
+      (* --- the deletion witnesses against the recorded dataflow ---- *)
+      if !deletions <> [] then begin
+        let s = flow recorded in
+        List.iter
+          (fun (w, sid, op) ->
+            if not (witness_holds s w sid op) then
+              emit
+                (Diag.errorf ~code:Codes.e_sir_missing
+                   "lowered program is missing a required %a: its %a \
+                    does not hold (%s), so a consumer will read a stale \
+                    operand"
+                   pp_key (op_key sid op) pp_witness w
+                   (match w with
+                   | Sir.W_dead _ -> "a processor still reads the payload"
+                   | _ ->
+                       "the data is not valid at every destination \
+                        there")))
+          (List.rev !deletions)
+      end;
       List.rev !out

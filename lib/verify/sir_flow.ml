@@ -211,11 +211,11 @@ type analysis = {
 let removable (a : analysis) : Sir.comm_op list =
   List.sort_uniq compare (a.dead @ a.redundant)
 
-let analyze (c : Compiler.compiled) : analysis option =
+let analyze ?(flow = summarize) (c : Compiler.compiled) : analysis option =
   match c.Compiler.sir with
   | None -> None
   | Some sir ->
-      let s = summarize sir in
+      let s = flow sir in
       let cfg = s.Phpf_ir.Sir_dataflow.cfg in
       (* E0612: every schedule-acknowledged requirement must be covered
          at its consumer by the in-state plus the node's own deliveries *)

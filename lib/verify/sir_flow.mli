@@ -70,9 +70,11 @@ type analysis = {
     (the oracle's removable class: [dead] plus [redundant]). *)
 val removable : analysis -> Sir.comm_op list
 
-(** Run all four analyses.  [None] when the compile carries no lowered
-    program. *)
-val analyze : Compiler.compiled -> analysis option
+(** Run all four analyses; [flow] computes the shared core's analysis
+    of the lowered program (default {!summarize}).  [None] when the
+    compile carries no lowered program. *)
+val analyze :
+  ?flow:(Sir.program -> summary) -> Compiler.compiled -> analysis option
 
 (** The findings alone — what the [verify-flow] verifier pass records. *)
 val check : Compiler.compiled -> Diag.t list

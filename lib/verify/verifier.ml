@@ -10,9 +10,10 @@ type vctx = {
   compiled : Compiler.compiled;
   mutable findings : Diag.t list;
   mutable diff : Vutil.diff option;
+  mutable flow : Phpf_ir.Sir_dataflow.summary option;
 }
 
-let create compiled = { compiled; findings = []; diff = None }
+let create compiled = { compiled; findings = []; diff = None; flow = None }
 
 let diff_of (v : vctx) : Vutil.diff =
   match v.diff with
@@ -21,6 +22,15 @@ let diff_of (v : vctx) : Vutil.diff =
       let d = Vutil.comm_diff v.compiled in
       v.diff <- Some d;
       d
+
+let flow_of (v : vctx) (sir : Phpf_ir.Sir.program) :
+    Phpf_ir.Sir_dataflow.summary =
+  match v.flow with
+  | Some s -> s
+  | None ->
+      let s = Phpf_ir.Sir_dataflow.summarize sir in
+      v.flow <- Some s;
+      s
 
 (* A checker must survive arbitrarily corrupt artifacts: when the audit
    itself cannot re-derive anything from the recorded decisions (e.g. a
@@ -90,14 +100,15 @@ let passes : (Decisions.options, vctx) Pass.t list =
           | _ -> 0);
         record v st
           (audit "verify-sir" (fun () ->
-               Sir_check.check v.compiled @ Plan_check.check v.compiled));
+               Sir_check.check ~flow:(flow_of v) v.compiled
+               @ Plan_check.check v.compiled));
         v);
     Pass.make "verify-flow"
       ~descr:"dataflow audit of the lowered IR (dead/redundant/stale)"
       (fun v st ->
         record v st
           (audit "verify-flow" (fun () ->
-               match Sir_flow.analyze v.compiled with
+               match Sir_flow.analyze ~flow:(flow_of v) v.compiled with
                | None -> []
                | Some a ->
                    Stats.set st "flow.blocks"

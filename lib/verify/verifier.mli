@@ -30,6 +30,9 @@ type vctx = {
   compiled : Compiler.compiled;
   mutable findings : Diag.t list;  (** accumulated, in pass order *)
   mutable diff : Vutil.diff option;  (** schedule diff, computed once *)
+  mutable flow : Phpf_ir.Sir_dataflow.summary option;
+      (** dataflow analysis of the lowered program, computed once for
+          [verify-sir]'s witness checks and [verify-flow] *)
 }
 
 val create : Compiler.compiled -> vctx

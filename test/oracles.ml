@@ -12,7 +12,9 @@
    mutated) decisions and schedule afresh, for corruption tests that
    execute exactly the data movement they describe.  [List_flow] is
    the dataflow core on its specification lattices (sorted lists), the
-   reference for {!Phpf_ir.Sir_dataflow}'s interned bitsets.
+   reference for {!Phpf_ir.Sir_dataflow}'s interned bitsets, and
+   [dominators] the full dominance matrix of the lowered IR's graph,
+   the reference for {!Hpf_analysis.Dom}'s immediate dominators.
 
    The runtime's references come first: [Ast_eval] is the evaluator,
    the sequential interpreter and the Sir guard evaluation as a walk of
@@ -675,3 +677,43 @@ module List_flow = struct
   let pp_live ppf (l : Live.t) =
     Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any "; ") string) l
 end
+
+(* ------------------------------------------------------------------ *)
+(* The dominance matrix                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Iterative dominator sets over the reverse postorder as plain boolean
+   rows: [dom.(n).(d)] = every path from entry to [n] passes through
+   [d].  Nodes the entry never reaches keep their all-true row. *)
+let dominators (cfg : Phpf_ir.Sir_cfg.t) : bool array array =
+  let module Sir_cfg = Phpf_ir.Sir_cfg in
+  let n = Sir_cfg.n_nodes cfg in
+  let rpo = Sir_cfg.reverse_postorder cfg in
+  let dom = Array.init n (fun _ -> Array.make n true) in
+  dom.(cfg.Sir_cfg.entry) <- Array.make n false;
+  dom.(cfg.Sir_cfg.entry).(cfg.Sir_cfg.entry) <- true;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun v ->
+        if v <> cfg.Sir_cfg.entry then begin
+          let inter = Array.make n true in
+          let have_pred = ref false in
+          List.iter
+            (fun p ->
+              have_pred := true;
+              Array.iteri
+                (fun i b -> if not b then inter.(i) <- false)
+                dom.(p))
+            (Sir_cfg.preds cfg v);
+          if not !have_pred then Array.fill inter 0 n false;
+          inter.(v) <- true;
+          if inter <> dom.(v) then begin
+            dom.(v) <- inter;
+            changed := true
+          end
+        end)
+      rpo
+  done;
+  dom

@@ -1,17 +1,20 @@
 (* Soundness property suite for the Sir optimizer (lib/ir/sir_opt).
 
    Property layer, on every benchmark under the default (optimizing)
-   options: (a) the pass pipeline is a fixpoint — running it a second
-   time rewrites nothing; (b) the post-optimization verify-flow audit
-   reports zero W0606/W0607 — the optimizer consumed exactly what the
-   analysis proves removable; (c) the delete-and-diff oracle holds on
-   the optimized program — every surviving transfer is load-bearing,
+   options: (a) the recorded witnesses, applied to a fresh lowering,
+   rebuild the optimized program, and the pass pipeline is a fixpoint —
+   running it a second time rewrites nothing; (b) the
+   post-optimization verify-flow audit reports zero W0606/W0607 — the
+   optimizer consumed exactly what the analysis proves removable; (c)
+   the delete-and-diff oracle holds on the optimized program — every
+   surviving transfer is load-bearing,
    so deleting any one of them trips E0612; (d) a pinned crash@0
    failover on the optimized TOMCATV stays bit-identical to the
    fault-free shadow memories (recovery plans are computed after
    optimization, so they never reference deleted ops).
 
-   Unit layer: crafted programs exercising merge, hoist and combine
+   Unit layer: crafted programs exercising merge, hoist (an unrelated
+   earlier loop over the same index included) and combine
    individually, plus the written_in / block_free_vars hooks.  The
    measured-traffic regression pins Msg.stats as per-run state: two
    identical runs in one process report identical counters. *)
@@ -59,10 +62,18 @@ let test_pipeline_fixpoint () =
     (fun (name, prog) ->
       let c = compiled_of name (prog ()) in
       let sir = sir_of name c in
-      check
-        Alcotest.(list string)
-        (name ^ ": the compile ran every pass")
-        Sir_opt.pass_names sir.Sir.opt_applied;
+      (* the witnesses are a complete edit script: replayed on a fresh
+         lowering they rebuild the optimized program *)
+      let rebuilt = Oracles.relower c in
+      let e = Sir_opt.editor rebuilt in
+      List.iter
+        (fun w ->
+          if Sir_opt.edit e w = None then
+            fail (name ^ ": a witness does not apply to a fresh lowering"))
+        sir.Sir.opt_applied;
+      check Alcotest.string
+        (name ^ ": the witnesses rebuild the optimized program")
+        (Sir_pp.to_string sir) (Sir_pp.to_string rebuilt);
       List.iter
         (fun (pass, k) ->
           check Alcotest.int
@@ -264,8 +275,8 @@ let test_prepared_matches_fresh () =
           (* the schedule as lowered, before any rewrite *)
           let lowered = Oracles.relower c in
           let prepared = copy lowered and fresh = copy lowered in
-          let k_dte = Sir_opt.dte prepared in
-          let k_rte = Sir_opt.rte prepared in
+          let k_dte = Sir_opt.rewrites (Sir_opt.dte prepared) in
+          let k_rte = Sir_opt.rewrites (Sir_opt.rte prepared) in
           total := !total + k_dte + k_rte;
           check Alcotest.int (tag ^ ": dte deletions") k_dte
             (fresh_loop (fun s -> s.Sir_dataflow.dead) fresh);
@@ -317,7 +328,7 @@ let test_merge_fuses_adjacent_elements () =
   let before = Sir.op_counts sir in
   check Alcotest.bool "lowering produced element-transfer pairs" true
     (before.Sir.elem_xfers >= 2);
-  let fused = Sir_opt.merge sir in
+  let fused = Sir_opt.rewrites (Sir_opt.merge sir) in
   let after = Sir.op_counts sir in
   check Alcotest.bool "merge fused at least one pair" true (fused >= 1);
   check Alcotest.int "each fusion consumes two element transfers"
@@ -326,7 +337,8 @@ let test_merge_fuses_adjacent_elements () =
   check Alcotest.int "each fusion produces one block transfer"
     (before.Sir.block_xfers + fused)
     after.Sir.block_xfers;
-  check Alcotest.int "merge is locally idempotent" 0 (Sir_opt.merge sir);
+  check Alcotest.int "merge is locally idempotent" 0
+    (Sir_opt.rewrites (Sir_opt.merge sir));
   (* the fused schedule still executes: the block walks its synthetic
      %m index without clobbering program state; the per-element
      transport ships the same program with no block on the wire *)
@@ -412,7 +424,8 @@ let test_hoist_keeps_loadbearing_prefix () =
       check Alcotest.bool "the shift is pinned under the outer loop" true
         (List.mem "it" prefix_vars);
       check Alcotest.int
-        "hoist keeps the prefix of a rewritten base" 0 (Sir_opt.hoist sir)
+        "hoist keeps the prefix of a rewritten base" 0
+        (Sir_opt.rewrites (Sir_opt.hoist sir))
 
 let test_hoist_drops_redundant_prefix () =
   let c =
@@ -435,12 +448,61 @@ let test_hoist_drops_redundant_prefix () =
               { data; dests; crossed; prefix_vars = "it" :: prefix_vars };
         };
       check Alcotest.int "hoist drops the planted prefix index" 1
-        (Sir_opt.hoist sir);
+        (Sir_opt.rewrites (Sir_opt.hoist sir));
       let st =
         Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~sir c
       in
       check Alcotest.int "the hoisted schedule validates clean" 0
         (List.length (Spmd_interp.validate st))
+
+(* An earlier, unrelated [k] loop writes nothing the shift reads, but
+   the shift's own [k] loop rewrites [a]: the prefix index is judged by
+   the innermost [k] loop enclosing the block, so hoist keeps it. *)
+let shadowed_loop_src =
+  {|
+program hoistk
+parameter n = 16
+real a(16,16), b(16,16), c(16,16)
+!hpf$ processors p(4)
+!hpf$ distribute (*, block) onto p :: a, b, c
+do k = 1, 2
+  do j = 1, n
+    do i = 1, n
+      c(i, j) = c(i, j) + 1.0
+    end do
+  end do
+end do
+do k = 1, 3
+  do j = 2, n
+    do i = 1, n
+      b(i, j) = a(i, j - 1)
+    end do
+  end do
+  do j = 1, n
+    do i = 1, n
+      a(i, j) = a(i, j) + b(i, j)
+    end do
+  end do
+end do
+end program
+|}
+
+let test_hoist_judges_the_enclosing_loop () =
+  let c = compiled_of "hoistk" (parse shadowed_loop_src) in
+  let sir = sir_of "hoistk" c in
+  (match find_block sir with
+  | Some (_, _, _, _, _, prefix_vars) ->
+      check Alcotest.bool "the shift ships once per k iteration" true
+        (List.mem "k" prefix_vars)
+  | None -> fail "no block transfer in the shift");
+  check Alcotest.int "hoist dropped nothing" 0
+    (Sir_opt.rewrites
+       (List.filter
+          (function Sir.W_hoist _ -> true | _ -> false)
+          sir.Sir.opt_applied));
+  let st = Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~sir c in
+  check Alcotest.int "the optimized schedule validates clean" 0
+    (List.length (Spmd_interp.validate st))
 
 (* ---------------------- unit: combine ---------------------- *)
 
@@ -474,7 +536,7 @@ let test_combine_drops_clean_duplicate () =
       check Alcotest.bool "the program ships its reduction" true
         (orig_reduce_ops > 0);
       check Alcotest.int "the natural schedule has no clean combines" 0
-        (Sir_opt.combine sir);
+        (Sir_opt.rewrites (Sir_opt.combine sir));
       let combines =
         List.filter
           (function Sir.R_combine _ -> true | Sir.R_mark _ -> false)
@@ -484,7 +546,7 @@ let test_combine_drops_clean_duplicate () =
         { ops with Sir.red_steps = orig_steps @ combines };
       check Alcotest.int "combine drops exactly the clean duplicates"
         (List.length combines)
-        (Sir_opt.combine sir);
+        (Sir_opt.rewrites (Sir_opt.combine sir));
       (match Hashtbl.find_opt sir.Sir.stmts ops.Sir.sid with
       | None -> fail "statement vanished"
       | Some ops' ->
@@ -591,6 +653,8 @@ let () =
             test_hoist_keeps_loadbearing_prefix;
           Alcotest.test_case "hoist drops redundant prefixes" `Quick
             test_hoist_drops_redundant_prefix;
+          Alcotest.test_case "hoist judges the enclosing loop" `Quick
+            test_hoist_judges_the_enclosing_loop;
           Alcotest.test_case "combine drops clean duplicates" `Quick
             test_combine_drops_clean_duplicate;
         ] );

@@ -6,8 +6,9 @@
    the lowered guards checked against the decisions-level oracle at
    every statement instance; (2) strict-lowering diagnostics — corrupted
    compiler artifacts must produce the specific E0801-E0806 code; (3)
-   the verifier's lowered-IR fidelity pass (E0610/E0611/W0605); (4) fuel
-   exhaustion. *)
+   the verifier's lowered-IR fidelity pass (E0610/E0611/W0605), forged
+   optimizer witnesses included, and its recovery-plan audit (E0613)
+   with the dominance it rests on; (4) fuel exhaustion. *)
 
 open Hpf_lang
 open Hpf_analysis
@@ -472,6 +473,202 @@ let test_clean_artifacts_pass_fidelity () =
         fail (Fmt.str "%s: fidelity findings on a clean artifact" name))
     benchmarks
 
+(* ---------------- optimizer witnesses ---------------- *)
+
+let examples_dir =
+  List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ]
+
+let example name =
+  Sema.check
+    (Parser.parse_string
+       (In_channel.with_open_bin
+          (Filename.concat examples_dir (name ^ ".hpfk"))
+          In_channel.input_all))
+
+let optimized prog =
+  Compiler.compile_exn ~options:Decisions.default_options prog
+
+(* The record of [c] with its first scheduled transfer deleted, and
+   [witness] (if any) recorded for the deletion. *)
+let forge_deletion (c : Compiler.compiled)
+    (witness : (Sir.comm_op -> Sir.witness) option) : Compiler.compiled =
+  let sir = Compiler.sir_exn c in
+  let op =
+    match
+      List.filter
+        (fun (o : Sir.comm_op) ->
+          match o.Sir.xfer with Sir.Reduce_xfer -> false | _ -> true)
+        (Sir.schedule sir)
+    with
+    | op :: _ -> op
+    | [] -> fail "no scheduled transfer"
+  in
+  let stmts = Hashtbl.copy sir.Sir.stmts in
+  Hashtbl.filter_map_inplace
+    (fun _ (ops : Sir.stmt_ops) ->
+      Some
+        {
+          ops with
+          Sir.comms =
+            List.filter
+              (fun (o : Sir.comm_op) -> o.Sir.uid <> op.Sir.uid)
+              ops.Sir.comms;
+        })
+    stmts;
+  let forged = Option.to_list (Option.map (fun w -> w op) witness) in
+  {
+    c with
+    Compiler.sir =
+      Some { sir with Sir.stmts; opt_applied = sir.Sir.opt_applied @ forged };
+  }
+
+(* verify-sir checks each deletion against the evidence it records, not
+   against a re-run of the optimizer: a forged witness fails on its
+   own, before verify-flow's stale-read audit. *)
+let test_forged_witnesses () =
+  List.iter
+    (fun name ->
+      let c = optimized (example name) in
+      check
+        Alcotest.(list string)
+        (name ^ ": the optimized record passes verify-sir")
+        [] (codes_of (Sir_check.check c));
+      let e0610 what forged =
+        check Alcotest.bool
+          (Fmt.str "%s: %s is E0610" name what)
+          true
+          (List.mem "E0610" (codes_of (Sir_check.check forged)))
+      in
+      e0610 "a needed transfer deleted as redundant"
+        (forge_deletion c
+           (Some
+              (fun op ->
+                Sir.W_redundant { uid = op.Sir.uid; covers = [ Sir.F_init ] })));
+      e0610 "a live transfer deleted as dead"
+        (forge_deletion c (Some (fun op -> Sir.W_dead { uid = op.Sir.uid })));
+      (* the diff compares (statement, form, base, level) key sets:
+         stencil's first shift shares its key with the opposite shift,
+         so only verify-flow (E0612) sees it deleted without a witness *)
+      if name <> "stencil" then
+        e0610 "a deletion without a witness" (forge_deletion c None);
+      let sir = Compiler.sir_exn c in
+      e0610 "a witness naming no op"
+        {
+          c with
+          Compiler.sir =
+            Some
+              {
+                sir with
+                Sir.opt_applied =
+                  sir.Sir.opt_applied @ [ Sir.W_dead { uid = max_int } ];
+              };
+        })
+    [ "fig1"; "stencil"; "tomcatv" ]
+
+(* ---------------- recovery-plan audit ---------------- *)
+
+let with_plan (c : Compiler.compiled) (plan : Sir.recovery_plan) =
+  let sir = Compiler.sir_exn c in
+  { c with Compiler.sir = Some { sir with Sir.recovery = Some plan } }
+
+let test_e0613_corrupt_plans () =
+  let c = Compiler.compile_exn (Fig_examples.fig7 ~n:24 ~p:4 ()) in
+  let prog = c.Compiler.prog in
+  let guarded =
+    match
+      List.find_map
+        (fun (s : Ast.stmt) ->
+          match s.Ast.node with
+          | Ast.If (_, t :: _, _) -> Some t.Ast.sid
+          | _ -> None)
+        (Ast.all_stmts prog)
+    with
+    | Some sid -> sid
+    | None -> fail "fig7 should have a statement under an IF"
+  in
+  let top = (List.hd prog.Ast.body).Ast.sid in
+  let datum = (List.hd prog.Ast.decls).Ast.dname in
+  let reexec ?(producers = fun r -> [ r ]) region =
+    {
+      Sir.datum;
+      from_region = None;
+      source =
+        Sir.R_reexec { producers = producers region; region; guard = Sir.P_all };
+    }
+  in
+  let plan entries = { Sir.entries; checkpoints_needed = false } in
+  let findings p = codes_of (Plan_check.check (with_plan c p)) in
+  check
+    Alcotest.(list string)
+    "a top-level region dominates the exit" []
+    (findings (plan [ reexec top ]));
+  List.iter
+    (fun (what, p) ->
+      check Alcotest.bool (what ^ " is E0613") true
+        (List.mem "E0613" (findings p)))
+    [
+      ( "a re-execution region under an IF in a checkpoint-free plan",
+        plan [ reexec guarded ] );
+      ( "a checkpoint entry in a checkpoint-free plan",
+        plan [ { Sir.datum; from_region = None; source = Sir.R_checkpoint } ]
+      );
+      ( "a nonexistent producer",
+        plan [ reexec ~producers:(fun _ -> [ 99999 ]) top ] );
+      ("a nonexistent region", plan [ reexec 99999 ]);
+    ]
+
+(* The audit's immediate dominators against the full dominance matrix
+   ([Oracles.dominators]): for every node of every program's lowered
+   graph, does it dominate the exit?  (The whole relation on the
+   smaller graphs.) *)
+let test_dominance_matches_matrix () =
+  let programs =
+    List.map (fun (n, mk) -> (n, mk ())) benchmarks
+    @ List.map
+        (fun n -> (n, example n))
+        [
+          "appsp1d"; "appsp2d"; "dgefa"; "fig1"; "fig2"; "fig7"; "reduction";
+          "stencil"; "tomcatv"; "workspace";
+        ]
+    @ List.map
+        (fun k ->
+          ( Fmt.str "tomcatv_x%d" k,
+            Prog_gen.compose k (Tomcatv.program ~n:66 ~niter:1 ~p:4) ))
+        [ 2; 4; 8 ]
+    @ List.mapi
+        (fun i p -> (Fmt.str "generated %d" i, p))
+        (QCheck2.Gen.generate ~rand:(Random.State.make [| 19 |]) ~n:40
+           Prog_gen.gen_checked_program)
+  in
+  let compared = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      let cfg = Sir_cfg.build (Compiler.sir_exn (optimized prog)) in
+      let n = Sir_cfg.n_nodes cfg and exit_ = cfg.Sir_cfg.exit_ in
+      let matrix = Oracles.dominators cfg in
+      let idom, rpo_index =
+        Dom.immediate ~n ~entry:cfg.Sir_cfg.entry ~preds:(Sir_cfg.preds cfg)
+          ~rpo:(Sir_cfg.reverse_postorder cfg)
+      in
+      let agree a b =
+        incr compared;
+        if matrix.(b).(a) <> Dom.idom_dominates idom a b then
+          fail
+            (Fmt.str "%s: node %d dominates node %d: matrix %b, CHK %b" name a
+               b matrix.(b).(a) (not matrix.(b).(a)))
+      in
+      for a = 0 to n - 1 do
+        agree a exit_;
+        if n <= 400 then
+          for b = 0 to n - 1 do
+            if rpo_index.(b) >= 0 then agree a b
+          done
+      done)
+    programs;
+  check Alcotest.bool
+    (Fmt.str "compared %d pairs" !compared)
+    true (!compared > 10_000)
+
 (* ---------------- fuel ---------------- *)
 
 let test_fuel_exhausted () =
@@ -524,6 +721,15 @@ let () =
             test_e0611_mutated_allocs;
           Alcotest.test_case "clean artifacts have no fidelity findings"
             `Quick test_clean_artifacts_pass_fidelity;
+          Alcotest.test_case "E0610 forged optimizer witnesses" `Quick
+            test_forged_witnesses;
+        ] );
+      ( "plan",
+        [
+          Alcotest.test_case "E0613 corrupt recovery plans" `Quick
+            test_e0613_corrupt_plans;
+          Alcotest.test_case "CHK dominance = dominance matrix" `Quick
+            test_dominance_matches_matrix;
         ] );
       ( "fuel-and-sim",
         [
