@@ -52,6 +52,12 @@ let sid_of_node (g : t) (i : int) : Ast.stmt_id option =
       Some s.sid
   | Join sid -> sid
 
+(** Statement a node evaluates, if any ([Join]s only merge). *)
+let stmt_of_node (g : t) (i : int) : Ast.stmt option =
+  match g.nodes.(i).kind with
+  | Simple s | Branch s | Loop_init s | Loop_head s | Loop_step s -> Some s
+  | Entry | Exit_node | Join _ -> None
+
 let nodes_of_sid (g : t) (sid : Ast.stmt_id) : int list =
   match Hashtbl.find_opt g.by_sid sid with Some l -> List.rev l | None -> []
 
@@ -59,17 +65,25 @@ let nodes_of_sid (g : t) (sid : Ast.stmt_id) : int list =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Nodes live in a doubling array indexed by id, so an edge looks its
+   endpoints up in O(1).  Edges are consed onto the node's lists and
+   the lists reversed once at the end, which keeps insertion order. *)
 type builder = {
-  mutable rev_nodes : node list;
+  mutable buf : node array;
   mutable count : int;
   b_by_sid : (Ast.stmt_id, int list) Hashtbl.t;
 }
 
 let new_node (b : builder) kind : int =
   let id = b.count in
-  b.count <- id + 1;
   let n = { id; kind; succs = []; preds = [] } in
-  b.rev_nodes <- n :: b.rev_nodes;
+  if id = Array.length b.buf then begin
+    let grown = Array.make (max 16 (2 * id)) n in
+    Array.blit b.buf 0 grown 0 id;
+    b.buf <- grown
+  end;
+  b.buf.(id) <- n;
+  b.count <- id + 1;
   (match kind with
   | Entry | Exit_node | Join None -> ()
   | Simple s | Branch s | Loop_init s | Loop_head s | Loop_step s ->
@@ -86,14 +100,10 @@ let new_node (b : builder) kind : int =
       Hashtbl.replace b.b_by_sid sid (id :: cur));
   id
 
-let get_node (b : builder) (id : int) : node =
-  (* rev_nodes is in reverse id order *)
-  List.nth b.rev_nodes (b.count - 1 - id)
-
 let add_edge (b : builder) (src : int) (dst : int) =
-  let s = get_node b src and d = get_node b dst in
-  if not (List.mem dst s.succs) then s.succs <- s.succs @ [ dst ];
-  if not (List.mem src d.preds) then d.preds <- d.preds @ [ src ]
+  let s = b.buf.(src) and d = b.buf.(dst) in
+  if not (List.mem dst s.succs) then s.succs <- dst :: s.succs;
+  if not (List.mem src d.preds) then d.preds <- src :: d.preds
 
 (** Environment of enclosing loops while building: innermost first. *)
 type loop_ctx = {
@@ -110,7 +120,7 @@ let find_loop_ctx env name =
 exception Malformed of string
 
 let build (prog : Ast.program) : t =
-  let b = { rev_nodes = []; count = 0; b_by_sid = Hashtbl.create 64 } in
+  let b = { buf = [||]; count = 0; b_by_sid = Hashtbl.create 64 } in
   let entry = new_node b Entry in
   let rec seq (stmts : Ast.stmt list) (cur : int option) env : int option =
     List.fold_left (fun cur s -> stmt s cur env) cur stmts
@@ -173,8 +183,12 @@ let build (prog : Ast.program) : t =
   let last = seq prog.body (Some entry) [] in
   let exit_ = new_node b Exit_node in
   (match last with Some n -> add_edge b n exit_ | None -> ());
-  let nodes = Array.make b.count (get_node b entry) in
-  List.iter (fun n -> nodes.(n.id) <- n) b.rev_nodes;
+  let nodes = Array.sub b.buf 0 b.count in
+  Array.iter
+    (fun n ->
+      n.succs <- List.rev n.succs;
+      n.preds <- List.rev n.preds)
+    nodes;
   { prog; nodes; entry; exit_; by_sid = b.b_by_sid }
 
 (* ------------------------------------------------------------------ *)

@@ -37,6 +37,9 @@ val n_nodes : t -> int
 (** Statement id a node originates from, if any. *)
 val sid_of_node : t -> int -> Ast.stmt_id option
 
+(** Statement a node evaluates, if any ([Join]s only merge). *)
+val stmt_of_node : t -> int -> Ast.stmt option
+
 (** CFG nodes created for a statement (a [Do] yields init/head/step/join). *)
 val nodes_of_sid : t -> Ast.stmt_id -> int list
 

@@ -4,7 +4,10 @@
     to [L] when its value neither flows to a use outside [L] nor to a use
     in a {e later iteration} of [L] (no flow across [L]'s back edge).  The
     [NEW] clause of an [INDEPENDENT] directive asserts privatizability of
-    the listed variables outright.
+    the listed variables outright.  Both questions, and [IsUniqueDef]'s,
+    are answered from {!Ssa.reached_uses}, which the SSA computes once
+    for every scalar definition, so asking them at every enclosing loop
+    costs a table read each.
 
     For arrays, phpf relies on directives: the [NEW] clause, or the weaker
     [INDEPENDENT]-only form (no loop-carried {e value-based} dependences),
@@ -44,7 +47,8 @@ let node_inside_loop (t : t) ~(loop_sid : Ast.stmt_id) (n : int) : bool =
 (** Is definition [d] (which must define a scalar inside loop [loop_sid])
     privatizable with respect to that loop?
 
-    Checks via the SSA reached-uses walk:
+    Checks the definition's reached uses, read from the table
+    {!Ssa.build} computes once per program ({!Ssa.reached_uses}):
     - every reached real use lies inside the loop, and
     - no reached use observes the value across the loop's back edge. *)
 let scalar_def_privatizable (t : t) ~(def : Ssa.def_id)

@@ -6,7 +6,11 @@
     The paper's algorithm works in terms of original variables:
     {!reached_uses} and {!reaching_defs} collapse φ-functions, reporting
     whether a value crossed a loop back edge on the way (the
-    privatizability test's loop-carried-flow question). *)
+    privatizability test's loop-carried-flow question).  {!build}
+    answers {!reached_uses} for every definition of a scalar up front:
+    it condenses each scalar's φ graph into strongly connected
+    components and merges their reached uses sinks first, so a query is
+    an array read. *)
 
 type def_id = int
 
@@ -15,6 +19,11 @@ type def_site =
   | Node_def of { node : int; var : string }  (** a real definition *)
   | Phi of { node : int; var : string; mutable args : (int * def_id) list }
       (** [args]: CFG predecessor -> incoming definition *)
+
+(** A use of a definition's value after φ-collapse; [back_edges] lists
+    the loop-head nodes whose back edge the value crossed (loops that
+    carry the flow into a later iteration). *)
+type use_info = { use_node : int; use_var : string; back_edges : int list }
 
 type t = {
   cfg : Cfg.t;
@@ -27,6 +36,9 @@ type t = {
       (** φ-functions using each definition, with the incoming pred *)
   node_def : (int * string, def_id) Hashtbl.t;
   phi_at : (int * string, def_id) Hashtbl.t;
+  reached : use_info list option array;
+      (** {!reached_uses} of each scalar's definitions, [None] for an
+          array's; filled by {!build}, never changed afterwards *)
 }
 
 val def_var : t -> def_id -> string
@@ -45,12 +57,10 @@ val reaching_def_at : t -> node:int -> var:string -> def_id option
 (** The real definition made by a node, if any. *)
 val def_at : t -> node:int -> var:string -> def_id option
 
-(** A use of a definition's value after φ-collapse; [back_edges] lists
-    the loop-head nodes whose back edge the value crossed (loops that
-    carry the flow into a later iteration). *)
-type use_info = { use_node : int; use_var : string; back_edges : int list }
-
-(** All real uses transitively reached by a definition. *)
+(** All real uses transitively reached by a definition of a scalar,
+    sorted by use node: the union over every path through φ-functions,
+    with the back edges crossed on any of them.  A table read;
+    [Invalid_argument] for a definition of an array. *)
 val reached_uses : t -> def_id -> use_info list
 
 (** All real (or entry) definitions that may reach a use, φ-collapsed. *)

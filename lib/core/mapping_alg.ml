@@ -164,7 +164,8 @@ and candidate_of_use (d : Decisions.t) visited (u : Ssa.use_info) :
   match Cfg.sid_of_node g u.Ssa.use_node with
   | None -> C_none
   | Some use_sid -> (
-      match Ast.find_stmt d.Decisions.prog use_sid with
+      (* the CFG is built from [d.prog]: its node holds the statement *)
+      match Cfg.stmt_of_node g u.Ssa.use_node with
       | None -> C_none
       | Some use_stmt -> (
           let roles =

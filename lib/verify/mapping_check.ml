@@ -4,9 +4,10 @@
     that the value is consumed only within one iteration of the loop at
     nesting [level] around its definition; [Priv_no_align] asserts the
     same for {e some} enclosing loop.  Both are audited here directly
-    from {!Hpf_analysis.Ssa.reached_uses}: a use outside the validity
-    loop is [E0601], a use reached across the validity loop's (or an
-    enclosing loop's) back edge is [E0602].  Reduction mappings are
+    from {!Hpf_analysis.Ssa.reached_uses}, the table the SSA computes
+    once per program: a use outside the validity loop is [E0601], a use
+    reached across the validity loop's (or an enclosing loop's) back
+    edge is [E0602].  Reduction mappings are
     exempt from the scope conditions — their accumulator legitimately
     survives the loop — and are instead checked for replication
     dimensions consistent with the grid ([E0605]).  Structural defects

@@ -45,20 +45,26 @@ let data_base = function
   | Sir.X_elem { base; _ } -> base
 
 (* Identity of a transfer op for the diff: where it fires, what it
-   moves, in which form, hoisted to which level.  Destination predicates
-   and owner coordinates are compared separately (shape mismatches there
-   are E0611, not a missing/extra op). *)
+   moves (the base and the subscripts of the reference it serves, so
+   two shifts of one array at one statement stay apart), in which form,
+   hoisted to which level.  Destination predicates and owner coordinates
+   are compared separately (shape mismatches there are E0611, not a
+   missing/extra op). *)
 let op_key (sid : Ast.stmt_id) (op : Sir.comm_op) :
-    Ast.stmt_id * string * string * int =
+    Ast.stmt_id * string * string * Ast.expr list * int =
+  let data = op.Sir.cm.Hpf_comm.Comm.data in
   let base =
     match op.Sir.xfer with
     | Sir.Elem_xfer { data; _ } | Sir.Block_xfer { data; _ } ->
         data_base data
     | Sir.Whole_xfer { base; _ } -> base
-    | Sir.Reduce_xfer ->
-        op.Sir.cm.Hpf_comm.Comm.data.Hpf_analysis.Aref.base
+    | Sir.Reduce_xfer -> data.Hpf_analysis.Aref.base
   in
-  (sid, xfer_tag op.Sir.xfer, base, op.Sir.cm.Hpf_comm.Comm.placement_level)
+  ( sid,
+    xfer_tag op.Sir.xfer,
+    base,
+    data.Hpf_analysis.Aref.subs,
+    op.Sir.cm.Hpf_comm.Comm.placement_level )
 
 let op_keys (p : Sir.program) =
   List.concat_map
@@ -73,10 +79,12 @@ let key_set keys =
   List.iter (fun k -> Hashtbl.replace tbl k ()) keys;
   tbl
 
-let pp_key ppf ((sid, tag, base, level) : Ast.stmt_id * string * string * int)
-    =
-  Fmt.pf ppf "%s transfer of %s at s%d (placement level %d)" tag base sid
-    level
+let pp_key ppf
+    ((sid, tag, base, subs, level) :
+      Ast.stmt_id * string * string * Ast.expr list * int) =
+  Fmt.pf ppf "%s transfer of %a at s%d (placement level %d)" tag Pp.pp_expr
+    (if subs = [] then Ast.Var base else Ast.Arr (base, subs))
+    sid level
 
 let pp_witness ppf = function
   | Sir.W_dead { uid } -> Fmt.pf ppf "dte deletion of op u%d" uid

@@ -12,9 +12,13 @@
    mutated) decisions and schedule afresh, for corruption tests that
    execute exactly the data movement they describe.  [List_flow] is
    the dataflow core on its specification lattices (sorted lists), the
-   reference for {!Phpf_ir.Sir_dataflow}'s interned bitsets, and
+   reference for {!Phpf_ir.Sir_dataflow}'s interned bitsets,
    [dominators] the full dominance matrix of the lowered IR's graph,
-   the reference for {!Hpf_analysis.Dom}'s immediate dominators.
+   the reference for {!Hpf_analysis.Dom}'s immediate dominators, and
+   [ssa_build] and [reached_uses] the SSA construction that scans every
+   (variable, node) pair and the per-query walk of the φ web, the
+   references for {!Hpf_analysis.Ssa.build} and its reached-use
+   table.
 
    The runtime's references come first: [Ast_eval] is the evaluator,
    the sequential interpreter and the Sir guard evaluation as a walk of
@@ -717,3 +721,248 @@ let dominators (cfg : Phpf_ir.Sir_cfg.t) : bool array array =
       rpo
   done;
   dom
+
+(* ------------------------------------------------------------------ *)
+(* SSA: the per-query reached-use walk and the scanning builder        *)
+(* ------------------------------------------------------------------ *)
+
+(* The reached uses of one definition by walking the φ web from it,
+   carrying the set of loop heads crossed so far: a (definition, set)
+   state is skipped when a superset was already seen there, and each
+   use collects the union of the sets that arrive.  The reference for
+   {!Ssa.reached_uses}' table; unlike the table it answers arrays
+   too. *)
+let reached_uses (t : Ssa.t) (d : Ssa.def_id) : Ssa.use_info list =
+  let module S = Set.Make (Int) in
+  let visited : (Ssa.def_id, S.t list) Hashtbl.t = Hashtbl.create 32 in
+  let results : (int * string, S.t) Hashtbl.t = Hashtbl.create 32 in
+  let rec go d crossed =
+    let seen =
+      match Hashtbl.find_opt visited d with Some l -> l | None -> []
+    in
+    if not (List.exists (fun s -> S.subset crossed s) seen) then begin
+      Hashtbl.replace visited d (crossed :: seen);
+      List.iter
+        (fun (node, var) ->
+          let cur =
+            match Hashtbl.find_opt results (node, var) with
+            | Some s -> s
+            | None -> S.empty
+          in
+          Hashtbl.replace results (node, var) (S.union cur crossed))
+        (Option.value ~default:[] (Hashtbl.find_opt t.Ssa.def_real_uses d));
+      List.iter
+        (fun (phi_id, pred) ->
+          match Ssa.def_node t phi_id with
+          | Some phi_node ->
+              go phi_id
+                (if Ssa.is_back_edge t.Ssa.cfg ~pred ~node:phi_node then
+                   S.add phi_node crossed
+                 else crossed)
+          | None -> ())
+        (Option.value ~default:[] (Hashtbl.find_opt t.Ssa.def_phi_uses d))
+    end
+  in
+  go d S.empty;
+  Hashtbl.fold
+    (fun (use_node, use_var) crossed acc ->
+      { Ssa.use_node; use_var; back_edges = S.elements crossed } :: acc)
+    results []
+  |> List.sort compare
+
+(* Cytron et al.'s construction read literally: φ placement scans
+   every node for every variable's definitions, renaming probes every
+   variable for a φ at each node and at each successor, and the node
+   defs and uses are recomputed wherever they are asked for.  The
+   reference for {!Ssa.build}: the def ids, the tables and the φ
+   arguments must come out identical, in order.  Its reached-use table
+   is filled by the walk above. *)
+let ssa_build (g : Cfg.t) : Ssa.t =
+  let dom = Dom.compute g in
+  let n = Cfg.n_nodes g in
+  let reachable = Cfg.is_reachable g in
+  let vars = Cfg.variables g in
+  let defs_tbl = ref [] and n_defs = ref 0 in
+  let new_def site =
+    let id = !n_defs in
+    incr n_defs;
+    defs_tbl := site :: !defs_tbl;
+    id
+  in
+  let node_def = Hashtbl.create 128 and phi_at = Hashtbl.create 64 in
+  let entry_def = Hashtbl.create 32 in
+  List.iter
+    (fun v -> Hashtbl.replace entry_def v (new_def (Ssa.Entry_def v)))
+    vars;
+  for i = 0 to n - 1 do
+    if reachable.(i) then
+      List.iter
+        (fun v ->
+          Hashtbl.replace node_def (i, v)
+            (new_def (Ssa.Node_def { node = i; var = v })))
+        (Cfg.defs g i)
+  done;
+  List.iter
+    (fun v ->
+      let work = Queue.create () in
+      let on_work = Array.make n false and has_phi = Array.make n false in
+      for i = 0 to n - 1 do
+        if reachable.(i) && List.mem v (Cfg.defs g i) then begin
+          Queue.add i work;
+          on_work.(i) <- true
+        end
+      done;
+      if not on_work.(g.Cfg.entry) then begin
+        Queue.add g.Cfg.entry work;
+        on_work.(g.Cfg.entry) <- true
+      end;
+      while not (Queue.is_empty work) do
+        List.iter
+          (fun y ->
+            if (not has_phi.(y)) && reachable.(y) then begin
+              has_phi.(y) <- true;
+              Hashtbl.replace phi_at (y, v)
+                (new_def (Ssa.Phi { node = y; var = v; args = [] }));
+              if not on_work.(y) then begin
+                Queue.add y work;
+                on_work.(y) <- true
+              end
+            end)
+          dom.Dom.frontiers.(Queue.pop work)
+      done)
+    vars;
+  let defs = Array.of_list (List.rev !defs_tbl) in
+  let use_def = Hashtbl.create 256 in
+  let stacks = Hashtbl.create 32 in
+  List.iter
+    (fun v -> Hashtbl.replace stacks v (ref [ Hashtbl.find entry_def v ]))
+    vars;
+  let top v =
+    match !(Hashtbl.find stacks v) with
+    | d :: _ -> d
+    | [] -> Hashtbl.find entry_def v
+  in
+  let push v d =
+    let s = Hashtbl.find stacks v in
+    s := d :: !s
+  in
+  let pop v =
+    let s = Hashtbl.find stacks v in
+    match !s with [] -> () | _ :: tl -> s := tl
+  in
+  let rec rename i =
+    let pushed = ref [] in
+    let push_found tbl v =
+      match Hashtbl.find_opt tbl (i, v) with
+      | Some d ->
+          push v d;
+          pushed := v :: !pushed
+      | None -> ()
+    in
+    List.iter (push_found phi_at) vars;
+    List.iter (fun v -> Hashtbl.replace use_def (i, v) (top v)) (Cfg.uses g i);
+    List.iter (push_found node_def) (Cfg.defs g i);
+    List.iter
+      (fun s ->
+        List.iter
+          (fun v ->
+            match Hashtbl.find_opt phi_at (s, v) with
+            | Some d -> (
+                match defs.(d) with
+                | Ssa.Phi p ->
+                    if not (List.mem_assoc i p.args) then
+                      p.args <- (i, top v) :: p.args
+                | Ssa.Entry_def _ | Ssa.Node_def _ -> assert false)
+            | None -> ())
+          vars)
+      (Cfg.node g i).Cfg.succs;
+    List.iter rename dom.Dom.children.(i);
+    List.iter pop !pushed
+  in
+  rename g.Cfg.entry;
+  let def_real_uses = Hashtbl.create 128 and def_phi_uses = Hashtbl.create 128 in
+  let add tbl k x =
+    Hashtbl.replace tbl k
+      (x :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+  in
+  Hashtbl.iter (fun (node, var) d -> add def_real_uses d (node, var)) use_def;
+  Array.iteri
+    (fun phi_id site ->
+      match site with
+      | Ssa.Phi { args; _ } ->
+          List.iter (fun (pred, d) -> add def_phi_uses d (phi_id, pred)) args
+      | Ssa.Entry_def _ | Ssa.Node_def _ -> ())
+    defs;
+  let t =
+    {
+      Ssa.cfg = g;
+      dom;
+      defs;
+      use_def;
+      def_real_uses;
+      def_phi_uses;
+      node_def;
+      phi_at;
+      reached = [||];
+    }
+  in
+  {
+    t with
+    Ssa.reached =
+      Array.init (Array.length defs) (fun d ->
+          if Ast.is_array g.Cfg.prog (Ssa.def_var t d) then None
+          else Some (reached_uses t d));
+  }
+
+(* [Ssa.build] against [ssa_build], then its table against the walk:
+   the first difference, if any.  The tables are compared as binding
+   lists in iteration order, so a change of insertion order shows.
+   Returns how many scalar definitions were compared otherwise. *)
+let ssa_vs_reference (g : Cfg.t) : (int, string) result =
+  let built = Ssa.build g and reference = ssa_build g in
+  let bindings h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] in
+  let first_diff =
+    List.find_opt
+      (fun (_, same) -> not (Lazy.force same))
+      [
+        ("def sites and φ args", lazy (built.Ssa.defs = reference.Ssa.defs));
+        ("use_def", lazy (bindings built.Ssa.use_def = bindings reference.Ssa.use_def));
+        ( "def_real_uses",
+          lazy
+            (bindings built.Ssa.def_real_uses
+            = bindings reference.Ssa.def_real_uses) );
+        ( "def_phi_uses",
+          lazy
+            (bindings built.Ssa.def_phi_uses
+            = bindings reference.Ssa.def_phi_uses) );
+        ("node_def", lazy (bindings built.Ssa.node_def = bindings reference.Ssa.node_def));
+        ("phi_at", lazy (bindings built.Ssa.phi_at = bindings reference.Ssa.phi_at));
+      ]
+  in
+  match first_diff with
+  | Some (what, _) -> Error (what ^ " differ from the scanning builder")
+  | None -> (
+      let pp_uses =
+        Fmt.(
+          list ~sep:sp (fun ppf (u : Ssa.use_info) ->
+              pf ppf "n%d{%a}" u.Ssa.use_node (list ~sep:comma int)
+                u.Ssa.back_edges))
+      in
+      let compared = ref 0 and diff = ref None in
+      Array.iteri
+        (fun d table ->
+          if !diff = None then
+            match (table, reference.Ssa.reached.(d)) with
+            | Some got, Some want ->
+                incr compared;
+                if got <> want then
+                  diff :=
+                    Some
+                      (Fmt.str "reached uses of %a: table [%a], walk [%a]"
+                         (Ssa.pp_def built) d pp_uses got pp_uses want)
+            | None, None -> ()
+            | Some _, None | None, Some _ ->
+                diff :=
+                  Some (Fmt.str "%a: scalar and array disagree" (Ssa.pp_def built) d))
+        built.Ssa.reached;
+      match !diff with Some why -> Error why | None -> Ok !compared)

@@ -3,7 +3,7 @@
    or 2-D machine, random expressions/statements over them, in one or
    two loops — depth-bounded so programs stay readable in
    counterexamples.  [compose] grows a kernel into a larger program of
-   the same shape. *)
+   the same shape, and [examples] reads the shipped programs. *)
 
 open Hpf_lang
 
@@ -224,3 +224,18 @@ let compose k (p : Ast.program) : Ast.program =
     | b -> rep b
   in
   Sema.check (Parser.parse_string (Pp.program_to_string { p with Ast.body }))
+
+(* The shipped example programs, checked, by file name. *)
+let examples () : (string * Ast.program) list =
+  let dir =
+    List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ]
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".hpfk")
+  |> List.sort compare
+  |> List.map (fun f ->
+         ( Filename.chop_suffix f ".hpfk",
+           Sema.check
+             (Parser.parse_string
+                (In_channel.with_open_bin (Filename.concat dir f)
+                   In_channel.input_all)) ))

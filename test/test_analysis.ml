@@ -507,6 +507,132 @@ end
   let rds = Ssa.reaching_defs ssa ~node ~var:"x" in
   check Alcotest.int "two reaching defs" 2 (List.length rds)
 
+(* One scalar defined in two inner loops under an outer loop.  Every
+   loop keeps its zero-trip exit in the CFG, so the second loop's head
+   φ can pass the first loop's value on unchanged, and the three head φs
+   feed each other around the outer loop: a φ cycle whose only internal
+   label is the outer head.  The φ after the loop is fed from that
+   cycle, so its use collects the outer head too.  Each use collects
+   the heads crossed on any path to it: the first def never crosses the
+   second loop's head (the second body kills it) and the second def
+   never the first's. *)
+let test_ssa_two_inner_loops_zero_trip () =
+  let p =
+    parse
+      {|
+program t
+real s, x, y
+real a(10), b(10), c(10)
+do i = 1, 10
+  do j = 1, 10
+    s = a(j)
+    b(j) = s
+  end do
+  do k = 1, 10
+    c(k) = s
+    s = a(k)
+  end do
+  x = s
+end do
+if (x > 0.0) then
+  s = 0.0
+end if
+y = s
+end
+|}
+  in
+  let g = Cfg.build p in
+  let ssa = Ssa.build g in
+  let head_i, head_j, head_k =
+    match loop_heads g with
+    | [ (_, i); (_, j); (_, k) ] -> (i, j, k)
+    | l -> fail (Fmt.str "expected three loops, got %d" (List.length l))
+  in
+  let s1, s2 =
+    match Ssa.defs_of_var ssa "s" with
+    | [ s1; s2; _ ] -> (s1, s2)
+    | l -> fail (Fmt.str "expected three defs of s, got %d" (List.length l))
+  in
+  let b_in_j = sid_of_array_assign p "b" in
+  let c_in_k = sid_of_array_assign p "c" in
+  let x_sid = sid_of_assign p "x" and y_sid = sid_of_assign p "y" in
+  let crossed def sid =
+    match uses_at g (Ssa.reached_uses ssa def) sid with
+    | [ u ] -> u.Ssa.back_edges
+    | l -> fail (Fmt.str "expected one use at s%d, got %d" sid (List.length l))
+  in
+  let heads = Alcotest.(list int) in
+  let sorted = List.sort compare in
+  check heads "s1 at b(j) = s: same iteration" [] (crossed s1 b_in_j);
+  check heads "s1 at c(k) = s: inner j and outer" (sorted [ head_i; head_j ])
+    (crossed s1 c_in_k);
+  check heads "s1 at x = s: inner j and outer" (sorted [ head_i; head_j ])
+    (crossed s1 x_sid);
+  check heads "s2 at c(k) = s: inner k and outer" (sorted [ head_i; head_k ])
+    (crossed s2 c_in_k);
+  check heads "s2 at x = s: inner k and outer" (sorted [ head_i; head_k ])
+    (crossed s2 x_sid);
+  check heads "s1 after the loop: inner j and outer"
+    (sorted [ head_i; head_j ]) (crossed s1 y_sid);
+  check heads "s2 after the loop: inner k and outer"
+    (sorted [ head_i; head_k ]) (crossed s2 y_sid);
+  check Alcotest.bool "s2 never reaches b(j) = s" true
+    (uses_at g (Ssa.reached_uses ssa s2) b_in_j = []);
+  List.iter
+    (fun d ->
+      check Alcotest.bool "table = walk" true
+        (Ssa.reached_uses ssa d = Oracles.reached_uses ssa d))
+    [ s1; s2 ];
+  match Ssa.defs_of_var ssa "b" with
+  | d :: _ ->
+      check Alcotest.bool "an array def is not answered" true
+        (match Ssa.reached_uses ssa d with
+        | _ -> false
+        | exception Invalid_argument _ -> true)
+  | [] -> fail "no def of b"
+
+(* The builder against the scanning one and the reached-use table
+   against the walk ([Oracles.ssa_vs_reference]) on every program of
+   [programs], before and after the induction rewrite (the compiler
+   builds SSA on both). *)
+let ssa_matches_reference programs () =
+  let compared = ref 0 in
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun (stage, p) ->
+          match Oracles.ssa_vs_reference (Cfg.build p) with
+          | Ok n -> compared := !compared + n
+          | Error why -> fail (Fmt.str "%s (%s): %s" name stage why))
+        [ ("source", p); ("after induction", fst (Induction.run p)) ])
+    (programs ());
+  check Alcotest.bool
+    (Fmt.str "compared %d scalar definitions" !compared)
+    true (!compared > 0)
+
+(* The six bench kernels at the sizes [bench --json] runs, at P=4. *)
+let bench_kernels () =
+  let open Hpf_benchmarks in
+  [
+    ("fig1", Fig_examples.fig1 ~n:64 ~p:4 ());
+    ("fig2", Fig_examples.fig2 ~n:32 ~np:4 ());
+    ("fig7", Fig_examples.fig7 ~n:48 ~p:4 ());
+    ("tomcatv", Tomcatv.program ~n:66 ~niter:1 ~p:4);
+    ("dgefa", Dgefa.program ~n:64 ~p:4);
+    ("appsp_2d", Appsp.program_2d ~n:18 ~niter:1 ~p1:2 ~p2:2);
+  ]
+  |> List.map (fun (n, p) -> (n, Sema.check p))
+
+let composed_kernels () =
+  List.concat_map
+    (fun (name, p) ->
+      List.map
+        (fun k -> (Fmt.str "%s x%d" name k, Prog_gen.compose k p))
+        [ 2; 4; 8; 16 ])
+    (List.filter
+       (fun (n, _) -> List.mem n [ "tomcatv"; "dgefa"; "appsp_2d" ])
+       (bench_kernels ()))
+
 (* ------------------------------------------------------------------ *)
 (* Liveness                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1168,6 +1294,14 @@ let () =
             test_ssa_cycle_back_edges;
           Alcotest.test_case "reaching defs merge" `Quick
             test_ssa_reaching_defs_merge;
+          Alcotest.test_case "two inner loops, zero-trip path" `Quick
+            test_ssa_two_inner_loops_zero_trip;
+          Alcotest.test_case "= reference on the examples" `Quick
+            (ssa_matches_reference Prog_gen.examples);
+          Alcotest.test_case "= reference on the bench kernels" `Quick
+            (ssa_matches_reference bench_kernels);
+          Alcotest.test_case "= reference on composed kernels" `Quick
+            (ssa_matches_reference composed_kernels);
         ] );
       ( "liveness",
         [

@@ -357,19 +357,6 @@ let test_loop_index_stays_integer () =
 (* The resolved evaluator against the AST walk                         *)
 (* ------------------------------------------------------------------ *)
 
-let examples_dir =
-  List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ]
-
-let examples () =
-  Sys.readdir examples_dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".hpfk")
-  |> List.sort compare
-  |> List.map (fun f ->
-         ( Filename.chop_suffix f ".hpfk",
-           parse
-             (In_channel.with_open_bin (Filename.concat examples_dir f)
-                In_channel.input_all) ))
-
 (* The six bench kernels at the sizes [bench --json] runs. *)
 let bench_kernels () =
   let open Hpf_benchmarks in
@@ -390,7 +377,7 @@ let agree (name, prog) =
   | Some why -> fail (Fmt.str "%s: %s" name why)
 
 let test_resolved_examples () =
-  let ex = examples () in
+  let ex = Prog_gen.examples () in
   check Alcotest.int "ten examples" 10 (List.length ex);
   List.iter agree ex
 
@@ -412,7 +399,7 @@ let test_seeding_matches_lists () =
       Oracles.seed_list prog slow;
       if not (Oracles.mem_equal fast slow) then
         fail (name ^ ": seeded memories differ"))
-    (bench_kernels () @ examples ())
+    (bench_kernels () @ Prog_gen.examples ())
 
 (* ------------------------------------------------------------------ *)
 (* Error parity                                                        *)

@@ -4,7 +4,8 @@
    - algebraic laws of affine forms;
    - grid linearization bijectivity;
    - distribution maps: totality, coverage, block contiguity;
-   - SSA structural invariants over random programs;
+   - SSA structural invariants over random programs, and the builder
+     and its reached-use table against the references in [Oracles];
    - interpreter determinism, and the resolved (slot-compiled)
      interpreter against the AST walk of [Oracles.Ast_eval];
    - the mapping-consistency guarantee of the paper's algorithm. *)
@@ -134,6 +135,25 @@ let prop_ssa_phi_args_are_preds =
                 args
           | Ssa.Entry_def _ | Ssa.Node_def _ -> true)
         ssa.Ssa.defs)
+
+(* The builder against the scanning one and the reached-use table
+   against the walk ([Oracles.ssa_vs_reference]).  Nothing here
+   compiles a program, so this group is cheap under any seed. *)
+let ssa_vs_reference p =
+  match Oracles.ssa_vs_reference (Cfg.build p) with
+  | Ok _ -> true
+  | Error why -> QCheck2.Test.fail_report why
+
+let prop_ssa_vs_reference =
+  QCheck2.Test.make ~name:"SSA = reference on generated programs" ~count:300
+    ~print:(fun p -> Pp.program_to_string p)
+    gen_checked_program ssa_vs_reference
+
+let prop_ssa_vs_reference_composed =
+  QCheck2.Test.make ~name:"SSA = reference on composed programs" ~count:100
+    ~print:(fun p -> Pp.program_to_string p)
+    (QCheck2.Gen.map (Prog_gen.compose 3) gen_checked_program)
+    ssa_vs_reference
 
 let prop_interp_deterministic =
   QCheck2.Test.make ~name:"interpreter deterministic" ~count:50
@@ -291,7 +311,12 @@ let () =
           to_alco prop_block_contiguous;
         ] );
       ( "ssa",
-        [ to_alco prop_ssa_uses_have_defs; to_alco prop_ssa_phi_args_are_preds ] );
+        [
+          to_alco prop_ssa_uses_have_defs;
+          to_alco prop_ssa_phi_args_are_preds;
+          to_alco prop_ssa_vs_reference;
+          to_alco prop_ssa_vs_reference_composed;
+        ] );
       ( "runtime",
         [
           to_alco prop_interp_deterministic;

@@ -546,11 +546,9 @@ let test_forged_witnesses () =
                 Sir.W_redundant { uid = op.Sir.uid; covers = [ Sir.F_init ] })));
       e0610 "a live transfer deleted as dead"
         (forge_deletion c (Some (fun op -> Sir.W_dead { uid = op.Sir.uid })));
-      (* the diff compares (statement, form, base, level) key sets:
-         stencil's first shift shares its key with the opposite shift,
-         so only verify-flow (E0612) sees it deleted without a witness *)
-      if name <> "stencil" then
-        e0610 "a deletion without a witness" (forge_deletion c None);
+      (* the diff key holds the reference's subscripts, so stencil's
+         first shift is told apart from the opposite shift *)
+      e0610 "a deletion without a witness" (forge_deletion c None);
       let sir = Compiler.sir_exn c in
       e0610 "a witness naming no op"
         {
