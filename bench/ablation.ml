@@ -51,12 +51,7 @@ let run () =
     (fun (name, options) ->
       let c = Compiler.compile_exn ~options prog in
       let inner =
-        List.length
-          (List.filter
-             (fun (cm : Comm.t) ->
-               cm.Comm.stmt_level > 0
-               && cm.Comm.placement_level >= cm.Comm.stmt_level)
-             c.Compiler.comms)
+        List.length (List.filter Comm.in_innermost_loop c.Compiler.comms)
       in
       let vectorized =
         List.length (List.filter Comm.vectorized c.Compiler.comms)

@@ -403,7 +403,7 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:
          "Statically verify the compiled output: mapping validity \
-          (E0601-E0612), SPMD races, communication completeness, \
+          (E0601-E0613), SPMD races, communication completeness, \
           lowered-IR fidelity and dataflow (dead/redundant transfers, \
           stale reads).  Exits 0 when clean, 4 on findings.  \
           $(b,--dump-after) verify-flow renders the per-block dataflow \

@@ -50,6 +50,9 @@ type t = {
 
 let vectorized (c : t) = c.placement_level < c.stmt_level
 
+let in_innermost_loop (c : t) =
+  c.stmt_level > 0 && c.placement_level >= c.stmt_level
+
 let for_ref (cs : t list) (r : Aref.t) =
   List.filter (fun c -> Aref.equal c.data r) cs
 

@@ -38,6 +38,11 @@ type t = {
 (** Was the communication hoisted past at least one loop? *)
 val vectorized : t -> bool
 
+(** Was it left inside its statement's innermost loop (one message per
+    iteration, the paper's expensive case)?  Never for a statement
+    outside every loop. *)
+val in_innermost_loop : t -> bool
+
 (** All descriptors of the schedule moving exactly this reference
     ({!Hpf_analysis.Aref.equal} on [data]). *)
 val for_ref : t list -> Aref.t -> t list

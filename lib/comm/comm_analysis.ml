@@ -206,9 +206,3 @@ let analyze (prog : Ast.program) (nest : Nest.t) (oracle : oracle)
       end)
     reductions;
   List.rev !out
-
-(** Communications that remain inside the loop at [level] or deeper
-    around their statement — the "inner-loop communication" the mapping
-    algorithm vetoes. *)
-let inner_loop_comms (comms : Comm.t list) ~(level : int) : Comm.t list =
-  List.filter (fun (c : Comm.t) -> c.Comm.placement_level >= level) comms

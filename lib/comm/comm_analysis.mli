@@ -51,6 +51,3 @@ val analyze :
   ?elide_unwritten:bool ->
   unit ->
   Comm.t list
-
-(** Communications still sitting at or inside the given loop level. *)
-val inner_loop_comms : Comm.t list -> level:int -> Comm.t list

@@ -182,12 +182,7 @@ let passes : (Decisions.options, context) Pass.t list =
         Stats.set st "comms.vectorized"
           (List.length (List.filter Comm.vectorized comms));
         Stats.set st "comms.inner-loop"
-          (List.length
-             (List.filter
-                (fun (cm : Comm.t) ->
-                  cm.Comm.stmt_level > 0
-                  && cm.Comm.placement_level >= cm.Comm.stmt_level)
-                comms));
+          (List.length (List.filter Comm.in_innermost_loop comms));
         { ctx with comms });
     Pass.make "lower-spmd"
       ~descr:"lowering to the explicit SPMD IR (guards, transfers, allocs)"
@@ -334,8 +329,4 @@ let estimated_comm_cost ?(model = Cost_model.sp2) (c : compiled) : float =
 (** Communications that could not be vectorized out of their innermost
     loop. *)
 let inner_loop_comms (c : compiled) : Comm.t list =
-  List.filter
-    (fun (cm : Comm.t) ->
-      cm.Comm.stmt_level > 0
-      && cm.Comm.placement_level >= cm.Comm.stmt_level)
-    c.comms
+  List.filter Comm.in_innermost_loop c.comms

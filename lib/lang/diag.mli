@@ -21,7 +21,7 @@
     - [E0401] mapping/layout error
     - [E0402] invalid processor grid extents
     - [E0501] pipeline/driver error (e.g. unknown pass name)
-    - [E0601]-[E0612] static-verifier soundness errors ([phpfc lint]):
+    - [E0601]-[E0613] static-verifier soundness errors ([phpfc lint]):
       privatized value escaping its validity scope ([E0601]) or live
       across a loop back edge ([E0602]), missing communication for a
       non-local read ([E0603]), communication hoisted past a dependence
@@ -33,7 +33,8 @@
       decisions-mandated transfer missing from the lowered IR ([E0610]),
       lowered guards/allocations/reductions diverging from the mapping
       decisions ([E0611]), a path-sensitive stale or uninitialized read
-      in the lowered IR ([E0612])
+      in the lowered IR ([E0612]), an unsound recovery-plan entry
+      ([E0613])
     - [W0601]-[W0699] static-verifier lint warnings: inconsistent
       mappings across a phi ([W0601]), redundant replicated write
       ([W0602]), redundant communication ([W0603]), unvectorized

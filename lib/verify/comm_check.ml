@@ -1,11 +1,13 @@
 (** Communication-completeness checker.
 
     The required schedule is re-derived from the mapping decisions
-    through the paper's consumer rules ({!Vutil.required_comms}) and
-    diffed against what the compiler actually scheduled.  An unmet
-    requirement at an owner-guarded statement is a stale read
-    ([E0603]); the same defect at a replicated statement is reported by
-    {!Race_check} as a divergence race ([E0608]) and skipped here.  A
+    through the paper's consumer rules — the verifier's only
+    re-derivation of communication ({!Vutil.comm_diff}, computed by the
+    [verify-comm] pass) — and diffed against what the compiler actually
+    scheduled.  An unmet requirement at an owner-guarded statement is a
+    stale read ([E0603]); the same defect at a statement executed by
+    {e every} processor is divergent replication ([E0608]): each
+    replicated copy computes from its own, possibly stale, operand.  A
     descriptor moving the right data in the wrong form or at the wrong
     loop level is [E0604]: placed deeper than the vectorization level it
     repeats (or misses) transfers, placed higher it runs before the
@@ -16,22 +18,26 @@ open Hpf_analysis
 open Hpf_comm
 open Phpf_core
 
-let check ?diff (c : Compiler.compiled) : Diag.t list =
+let check (c : Compiler.compiled) (diff : Vutil.diff) : Diag.t list =
   let d = c.Compiler.decisions in
-  let diff = match diff with Some x -> x | None -> Vutil.comm_diff c in
   let acc = ref [] in
   List.iter
     (fun (m : Comm.t) ->
-      match Ast.find_stmt c.Compiler.prog m.Comm.data.Aref.sid with
-      | Some s when Vutil.replicated_stmt d s -> () (* E0608 in Race_check *)
-      | _ ->
-          acc :=
+      acc :=
+        (match Ast.find_stmt c.Compiler.prog m.Comm.data.Aref.sid with
+        | Some s when Vutil.replicated_stmt d s ->
+            Diag.errorf ~code:Codes.e_divergent
+              "s%d executes on every processor but reads %a, which is not \
+               available everywhere and has no scheduled communication \
+               (replicated copies diverge)"
+              s.Ast.sid Aref.pp m.Comm.data
+        | _ ->
             Diag.errorf ~code:Codes.e_missing_comm
               "read of %a needs a %a at level %d but the schedule has no \
                communication for it (stale read at the consumer)"
               Aref.pp m.Comm.data Comm.pp_kind m.Comm.kind
-              m.Comm.placement_level
-            :: !acc)
+              m.Comm.placement_level)
+        :: !acc)
     diff.Vutil.missing;
   List.iter
     (fun ((r : Comm.t), (s : Comm.t)) ->
@@ -72,8 +78,7 @@ let check ?diff (c : Compiler.compiled) : Diag.t list =
     diff.Vutil.redundant;
   List.iter
     (fun (m : Comm.t) ->
-      if m.Comm.stmt_level >= 1 && m.Comm.placement_level >= m.Comm.stmt_level
-      then
+      if Comm.in_innermost_loop m then
         acc :=
           Diag.warningf ~code:Codes.w_inner_comm
             "%a of %a was not vectorized out of its innermost loop (level \

@@ -85,6 +85,19 @@ let check_scope (d : Decisions.t) ~(def : Ssa.def_id) ~(def_sid : Ast.stmt_id)
               crossed)
     (Ssa.reached_uses d.Decisions.ssa def)
 
+(* Does [v] place the owner of [r] under the HPF directives?  Only
+   subscripts in distributed dimensions do (paper §2.2).  Read from the
+   directive spec, not from [Align_level], the rule this checker
+   audits; an owner the spec cannot express may vary with any
+   subscript variable. *)
+let places_owner (d : Decisions.t) (r : Aref.t) (v : string) : bool =
+  Array.exists
+    (function
+      | Ownership.O_unknown -> true
+      | Ownership.O_affine { pos; _ } -> List.mem v (Affine.vars pos)
+      | Ownership.O_all | Ownership.O_fixed _ -> false)
+    (Decisions.directive_spec d r)
+
 let check_scalar (c : Compiler.compiled) (def : Ssa.def_id)
     (m : Decisions.scalar_mapping) (acc : Diag.t list ref) =
   let d = c.Compiler.decisions in
@@ -117,15 +130,15 @@ let check_scalar (c : Compiler.compiled) (def : Ssa.def_id)
                 target.Aref.base
               :: !acc;
           (* the paper's SubscriptAlignLevel condition: the target's
-             subscripts may only involve indices of loops at or above the
-             validity level, else the owner varies within the scope the
-             mapping claims stable *)
+             owner may only vary with indices of loops at or above the
+             validity level, else it varies within the scope the mapping
+             claims stable *)
           List.iter
             (fun sub ->
               List.iter
                 (fun v ->
                   let lv = Nest.index_level d.Decisions.nest def_sid v in
-                  if lv > level then
+                  if lv > level && places_owner d target v then
                     acc :=
                       Diag.errorf ~code:Codes.e_structural
                         "%s at s%d: alignment target %a varies with index \

@@ -9,13 +9,9 @@
     independent.  Privatized arrays are exempt: their storage is local
     to each executor by construction.
 
-    The second race class is divergent replication ([E0608]): a
-    statement executed by {e every} processor reading a value that is
-    partitioned and not delivered by any scheduled communication — the
-    replicated copies silently diverge.  These are the missing-comm
-    defects of {!Vutil.comm_diff} at replicated statements; the
-    remainder (missing at owner-guarded statements) is reported by
-    {!Comm_check} as stale reads. *)
+    The other race class, divergent replication ([E0608]), is a
+    communication the schedule lacks at a statement every processor
+    executes; {!Comm_check} reports it from the one requirement diff. *)
 
 open Hpf_lang
 open Hpf_analysis
@@ -59,22 +55,7 @@ let check_write (c : Compiler.compiled) (s : Ast.stmt) (acc : Diag.t list ref)
           :: !acc
   | _ -> ()
 
-let check ?diff (c : Compiler.compiled) : Diag.t list =
-  let d = c.Compiler.decisions in
-  let diff = match diff with Some x -> x | None -> Vutil.comm_diff c in
+let check (c : Compiler.compiled) : Diag.t list =
   let acc = ref [] in
   Ast.iter_program (fun s -> check_write c s acc) c.Compiler.prog;
-  List.iter
-    (fun (m : Hpf_comm.Comm.t) ->
-      match Ast.find_stmt c.Compiler.prog m.Hpf_comm.Comm.data.Aref.sid with
-      | Some s when Vutil.replicated_stmt d s ->
-          acc :=
-            Diag.errorf ~code:Codes.e_divergent
-              "s%d executes on every processor but reads %a, which is not \
-               available everywhere and has no scheduled communication \
-               (replicated copies diverge)"
-              s.Ast.sid Aref.pp m.Hpf_comm.Comm.data
-            :: !acc
-      | _ -> ())
-    diff.Vutil.missing;
   List.rev !acc

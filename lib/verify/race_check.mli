@@ -1,15 +1,13 @@
 (** SPMD race detector: write-write coverage of non-privatized array
-    writes under the chosen computation partitioning, and
-    divergent-replication races on statements executed everywhere.
+    writes under the chosen computation partitioning.
 
     Findings: [E0607] (the owner of a written element does not execute
-    the writing statement — its copy goes stale), [E0608] (a statement
-    executed by every processor reads a value that is not available
-    everywhere and no scheduled communication delivers it), [W0602]
-    (executors strictly wider than the owners — a redundant replicated
-    write). *)
+    the writing statement — its copy goes stale), [W0602] (executors
+    strictly wider than the owners — a redundant replicated write).
+    Divergent replication ([E0608]) is an unmet communication
+    requirement and is reported by {!Comm_check}. *)
 
 open Hpf_lang
 open Phpf_core
 
-val check : ?diff:Vutil.diff -> Compiler.compiled -> Diag.t list
+val check : Compiler.compiled -> Diag.t list

@@ -11,11 +11,10 @@
     optimizer performs can never disagree.  On top of that core this
     module adds the two audits that need the full compile record:
 
-    - {b stale read} ([E0612]): a communication requirement —
-      re-derived from the decisions like {!Comm_check}'s [E0603], but
-      checked path-sensitively against the recorded ops — is not
-      satisfied by any reaching delivery or local write on some path to
-      its consumer;
+    - {b stale read} ([E0612]): a communication the compiled schedule
+      carries — the schedule [verify-comm] audits against the decisions
+      — is not satisfied at its consumer by any reaching delivery or
+      local write of the recorded ops on some path;
     - {b guard audit} ([W0608]): a materialized [P_place]/[P_union]
       predicate that is statically empty or has a member implied by a
       sibling member;
@@ -42,7 +41,7 @@ module Aref = Hpf_analysis.Aref
 include Phpf_ir.Sir_dataflow
 
 type req = {
-  cm : Comm.t;
+  cm : Comm.t;  (** the scheduled descriptor *)
   key : dkey;
   need : Sir.dests;
   node : int;  (** instance node of the consumer statement *)
@@ -78,31 +77,27 @@ let req_need (g : Sir_cfg.t) (r : Comm.t) : Sir.dests =
         | None -> Sir.D_all)
     | None -> Sir.D_all
 
-(* The flow check audits the recorded IR against requirements the
-   schedule acknowledges: a requirement with no scheduled descriptor at
-   all is Comm_check's schedule-structural E0603, not a lowering-level
-   stale read. *)
+(* Reductions are combined, not delivered to a consumer. *)
+let req_of (g : Sir_cfg.t) (r : Comm.t) : req option =
+  if r.Comm.kind = Comm.Reduce then None
+  else
+    match instance_node g r.Comm.data.Aref.sid with
+    | None -> None
+    | Some node ->
+        Some
+          {
+            cm = r;
+            key = req_key g.Sir_cfg.program.Sir.source r;
+            need = req_need g r;
+            node;
+          }
+
+(* The flow check audits the recorded IR against the compiled
+   schedule, not against a re-derivation of it: a requirement the
+   schedule lacks is verify-comm's E0603, and a scheduled communication
+   nothing requires its W0603. *)
 let requirements (c : Compiler.compiled) (g : Sir_cfg.t) : req list =
-  Vutil.required_comms c
-  |> List.filter_map (fun (r : Comm.t) ->
-         if r.Comm.kind = Comm.Reduce then None
-         else if
-           not
-             (List.exists
-                (fun (s : Comm.t) -> Aref.equal s.Comm.data r.Comm.data)
-                c.Compiler.comms)
-         then None
-         else
-           match instance_node g r.Comm.data.Aref.sid with
-           | None -> None
-           | Some node ->
-               Some
-                 {
-                   cm = r;
-                   key = req_key g.Sir_cfg.program.Sir.source r;
-                   need = req_need g r;
-                   node;
-                 })
+  List.filter_map (req_of g) c.Compiler.comms
 
 let statically_empty_coord (grid : Grid.t) (dim : int) = function
   | Sir.C_fixed c -> c < 0 || c >= Grid.extent grid dim

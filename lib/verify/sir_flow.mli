@@ -8,11 +8,11 @@
     module re-exports that core and adds the audits that need the full
     compile record:
 
-    - [E0612] {b stale read}: a communication requirement (re-derived
-      from the decisions, restricted to those the schedule
-      acknowledges) is not satisfied at its consumer by any reaching
-      transfer or local write on some path — the flow-sensitive
-      counterpart of the schedule-structural [E0603];
+    - [E0612] {b stale read}: a communication of the compiled schedule
+      is not satisfied at its consumer by any reaching transfer or
+      local write of the recorded program on some path — the
+      flow-sensitive counterpart of the schedule-structural [E0603],
+      which [verify-comm] checks against the decisions;
     - [W0606] {b dead transfer} and [W0607] {b redundant transfer}:
       the {!Phpf_ir.Sir_dataflow.summary} classes rendered as findings;
     - [W0608] {b guard audit}: a materialized predicate is statically
@@ -40,15 +40,19 @@ end
 (** {2 Requirements and results} *)
 
 type req = {
-  cm : Comm.t;  (** the re-derived requirement *)
+  cm : Comm.t;  (** the scheduled descriptor the consumer needs *)
   key : dkey;
   need : Sir.dests;
   node : int;  (** instance node of the consumer statement *)
 }
 
-(** The requirements the [E0612] audit checks: re-derived from the
-    decisions, restricted to those the schedule acknowledges, each at
-    its consumer's instance node in [cfg]. *)
+(** What one descriptor requires at its consumer's instance node in
+    [cfg]; [None] for a [Reduce] combine or a statement with no
+    instance node. *)
+val req_of : Sir_cfg.t -> Comm.t -> req option
+
+(** The requirements the [E0612] audit checks: {!req_of} of every
+    descriptor of the compiled schedule, in schedule order. *)
 val requirements : Compiler.compiled -> Sir_cfg.t -> req list
 
 (** The [W0608] guard audit alone (statically empty or subsumed

@@ -9,19 +9,10 @@ module Stats = Phpf_driver.Stats
 type vctx = {
   compiled : Compiler.compiled;
   mutable findings : Diag.t list;
-  mutable diff : Vutil.diff option;
   mutable flow : Phpf_ir.Sir_dataflow.summary option;
 }
 
-let create compiled = { compiled; findings = []; diff = None; flow = None }
-
-let diff_of (v : vctx) : Vutil.diff =
-  match v.diff with
-  | Some d -> d
-  | None ->
-      let d = Vutil.comm_diff v.compiled in
-      v.diff <- Some d;
-      d
+let create compiled = { compiled; findings = []; flow = None }
 
 let flow_of (v : vctx) (sir : Phpf_ir.Sir.program) :
     Phpf_ir.Sir_dataflow.summary =
@@ -68,25 +59,24 @@ let passes : (Decisions.options, vctx) Pass.t list =
           (audit "verify-mapping" (fun () -> Mapping_check.check v.compiled));
         v);
     Pass.make "verify-race"
-      ~descr:"write-write and divergent-replication race detection"
+      ~descr:"write-write race detection (owner coverage of array writes)"
       (fun v st ->
         record v st
-          (audit "verify-race" (fun () ->
-               Race_check.check ~diff:(diff_of v) v.compiled));
+          (audit "verify-race" (fun () -> Race_check.check v.compiled));
         v);
     Pass.make "verify-comm"
       ~descr:"completeness and placement of the communication schedule"
       (fun v st ->
         record v st
           (audit "verify-comm" (fun () ->
-               let diff = diff_of v in
+               let diff = Vutil.comm_diff v.compiled in
                Stats.set st "comm.matched" diff.Vutil.matched;
                Stats.set st "comm.missing" (List.length diff.Vutil.missing);
                Stats.set st "comm.misplaced"
                  (List.length diff.Vutil.misplaced);
                Stats.set st "comm.redundant"
                  (List.length diff.Vutil.redundant);
-               Comm_check.check ~diff v.compiled));
+               Comm_check.check v.compiled diff));
         v);
     Pass.make "verify-sir"
       ~descr:"fidelity of the lowered SPMD IR against the decisions"

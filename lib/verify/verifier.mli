@@ -1,25 +1,28 @@
 (** The static verifier: audits a compiled program — the mapping
     decisions plus the communication schedule — without trusting the
-    passes that produced them.  Three checkers run as
+    passes that produced them.  Five checkers run as
     {!Phpf_driver.Pass}es through the generic pass-manager, so their
     findings, wall time and counters surface through the same
     [--time-passes] / [--stats] machinery as the compiler's own passes:
 
     - [verify-mapping] — {!Mapping_check}: §2.1/§2.3/§3 validity of
       every recorded privatization decision against SSA reached-uses;
-    - [verify-race] — {!Race_check}: write-write owner coverage and
-      divergent-replication races;
-    - [verify-comm] — {!Comm_check}: completeness and placement of the
+    - [verify-race] — {!Race_check}: write-write owner coverage of
+      array writes;
+    - [verify-comm] — {!Comm_check}: decisions → schedule, the
       communication schedule against an independently re-derived
-      requirement;
-    - [verify-sir] — {!Sir_check}: fidelity of the lowered SPMD IR
-      against the decisions it claims to implement;
-    - [verify-flow] — {!Sir_flow}: dataflow audit of the lowered IR
-      (dead transfers, redundant transfers, path-sensitive stale reads,
+      requirement (the verifier's only re-derivation of communication),
+      divergent replication included;
+    - [verify-sir] — {!Sir_check}: schedule → lowered SPMD IR, fidelity
+      of the recorded program against the decisions it claims to
+      implement;
+    - [verify-flow] — {!Sir_flow}: lowered IR → deliveries, a dataflow
+      audit of the recorded program against the schedule (dead
+      transfers, redundant transfers, path-sensitive stale reads,
       degenerate guards).
 
     Findings accumulate as {!Hpf_lang.Diag.t} values with stable codes
-    ([E0601]-[E0612] soundness errors, [W0601]-[W0699] lint warnings);
+    ([E0601]-[E0613] soundness errors, [W0601]-[W0699] lint warnings);
     a finding never aborts the pipeline. *)
 
 open Hpf_lang
@@ -29,7 +32,6 @@ open Phpf_core
 type vctx = {
   compiled : Compiler.compiled;
   mutable findings : Diag.t list;  (** accumulated, in pass order *)
-  mutable diff : Vutil.diff option;  (** schedule diff, computed once *)
   mutable flow : Phpf_ir.Sir_dataflow.summary option;
       (** dataflow analysis of the lowered program, computed once for
           [verify-sir]'s witness checks and [verify-flow] *)

@@ -51,13 +51,6 @@ let strictly_wider ~(execs : Ownership.spec) ~(owners : Ownership.spec) : bool
        (fun e o -> (not (equal_owner_dim e o)) && e = Ownership.O_all)
        execs owners
 
-let required_comms (c : Compiler.compiled) : Comm.t list =
-  let d = c.Compiler.decisions in
-  Comm_analysis.analyze c.Compiler.prog d.Decisions.nest (Consumer.oracle d)
-    ~reductions:d.Decisions.reductions
-    ~red_group:(Reduction_map.combine_group d)
-    ~elide_unwritten:d.Decisions.options.Decisions.optimize ()
-
 type diff = {
   missing : Comm.t list;
   misplaced : (Comm.t * Comm.t) list;
@@ -67,7 +60,13 @@ type diff = {
 }
 
 let comm_diff (c : Compiler.compiled) : diff =
-  let required = required_comms c in
+  let d = c.Compiler.decisions in
+  let required =
+    Comm_analysis.analyze c.Compiler.prog d.Decisions.nest (Consumer.oracle d)
+      ~reductions:d.Decisions.reductions
+      ~red_group:(Reduction_map.combine_group d)
+      ~elide_unwritten:d.Decisions.options.Decisions.optimize ()
+  in
   let dangling, scheduled =
     List.partition
       (fun (cm : Comm.t) ->

@@ -1,6 +1,7 @@
 (** Shared machinery of the verifier's checkers: owner-spec comparison,
     CFG-to-statement mapping, and the independently re-derived
-    communication requirement diffed against the compiled schedule. *)
+    communication requirement diffed against the compiled schedule
+    (read by [verify-comm] alone). *)
 
 open Hpf_lang
 open Hpf_mapping
@@ -28,11 +29,6 @@ val covers : execs:Ownership.spec -> owners:Ownership.spec -> bool
     (and covering everywhere) — a redundant replicated write. *)
 val strictly_wider : execs:Ownership.spec -> owners:Ownership.spec -> bool
 
-(** The communication schedule the decisions actually require,
-    re-derived from {!Decisions.t} through the same consumer rules the
-    compiler uses (paper Fig. 2).  Deterministic in program order. *)
-val required_comms : Compiler.compiled -> Comm.t list
-
 type diff = {
   missing : Comm.t list;  (** required but absent from the schedule *)
   misplaced : (Comm.t * Comm.t) list;
@@ -42,7 +38,10 @@ type diff = {
   matched : int;  (** exact (data, kind, placement) matches *)
 }
 
-(** Diff the compiled schedule against {!required_comms}. *)
+(** Diff the compiled schedule against the schedule the decisions
+    actually require, re-derived from {!Decisions.t} through the same
+    consumer rules the compiler uses (paper Fig. 2).  Requirements are
+    matched in program order. *)
 val comm_diff : Compiler.compiled -> diff
 
 (** Is the statement executed by every processor under the current

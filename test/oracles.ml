@@ -8,17 +8,19 @@
    with the lowering ({!Phpf_core.Lower_spmd}): the guards it records
    in the Sir, evaluated by {!Hpf_spmd.Concrete}, and the library's
    closed-form sets ({!Hpf_mapping.Pid_set}) must agree with them.
-   [relower] lowers a compiled record's (possibly
-   mutated) decisions and schedule afresh, for corruption tests that
-   execute exactly the data movement they describe.  [List_flow] is
-   the dataflow core on its specification lattices (sorted lists), the
-   reference for {!Phpf_ir.Sir_dataflow}'s interned bitsets,
-   [dominators] the full dominance matrix of the lowered IR's graph,
-   the reference for {!Hpf_analysis.Dom}'s immediate dominators, and
-   [ssa_build] and [reached_uses] the SSA construction that scans every
-   (variable, node) pair and the per-query walk of the φ web, the
-   references for {!Hpf_analysis.Ssa.build} and its reached-use
-   table.
+   [relower] lowers a compiled record's (possibly mutated) decisions
+   and schedule afresh, for corruption tests that execute exactly the
+   data movement they describe, and [flow_requirements] re-derives the
+   communication requirement that [verify-flow] audits, the reference
+   for {!Phpf_verify.Sir_flow.requirements}' reading of the schedule.
+   [List_flow] is the dataflow core on its specification lattices
+   (sorted lists), the reference for {!Phpf_ir.Sir_dataflow}'s
+   interned bitsets, [dominators] the full dominance matrix of the
+   lowered IR's graph, the reference for {!Hpf_analysis.Dom}'s
+   immediate dominators, and [ssa_build] and [reached_uses] the SSA
+   construction that scans every (variable, node) pair and the
+   per-query walk of the φ web, the references for
+   {!Hpf_analysis.Ssa.build} and its reached-use table.
 
    The runtime's references come first: [Ast_eval] is the evaluator,
    the sequential interpreter and the Sir guard evaluation as a walk of
@@ -410,6 +412,27 @@ let executing_pids (d : Decisions.t) (m : Memory.t) (s : Ast.stmt) :
 let relower (c : Compiler.compiled) : Phpf_ir.Sir.program =
   Lower_spmd.lower ~prog:c.Compiler.prog ~decisions:c.Compiler.decisions
     ~comms:c.Compiler.comms ()
+
+(* The requirements of the E0612 audit re-derived from the decisions by
+   the compile pass's own analysis, restricted to those the schedule
+   has a descriptor for.  On an uncorrupted compile the schedule is
+   exactly this derivation, which is why the library reads it
+   instead. *)
+let flow_requirements (c : Compiler.compiled) (g : Phpf_ir.Sir_cfg.t) :
+    Phpf_verify.Sir_flow.req list =
+  let module Comm = Hpf_comm.Comm in
+  let d = c.Compiler.decisions in
+  let acknowledged =
+    Hpf_comm.Comm_analysis.analyze c.Compiler.prog d.Decisions.nest
+      (Consumer.oracle d) ~reductions:d.Decisions.reductions
+      ~red_group:(Reduction_map.combine_group d)
+      ~elide_unwritten:d.Decisions.options.Decisions.optimize ()
+    |> List.filter (fun (r : Comm.t) ->
+           List.exists
+             (fun (s : Comm.t) -> Aref.equal s.Comm.data r.Comm.data)
+             c.Compiler.comms)
+  in
+  List.filter_map (Phpf_verify.Sir_flow.req_of g) acknowledged
 
 (* ------------------------------------------------------------------ *)
 (* The sorted-list dataflow lattice                                    *)

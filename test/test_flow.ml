@@ -569,13 +569,16 @@ let pairs l = List.map (fun (sid, (o : Sir.comm_op)) -> (sid, o.Sir.uid)) l
 let render_reqs (rs : Sir_flow.req list) =
   List.map
     (fun (r : Sir_flow.req) ->
-      Fmt.str "b%d %a" r.Sir_flow.node Hpf_analysis.Aref.pp
-        r.Sir_flow.cm.Hpf_comm.Comm.data)
+      Fmt.str "b%d %s -> %a" r.Sir_flow.node
+        (Hpf_comm.Comm.signature r.Sir_flow.cm)
+        Sir_pp.pp_dests r.Sir_flow.need)
     rs
 
 (* The interned-bitset core against the sorted-list reference: the
    dead, redundant and stale classes, every node's rendered and actual
-   states, and the iteration counts of both fixpoints. *)
+   states, and the iteration counts of both fixpoints.  The E0612
+   audit's requirements, read from the schedule, against their
+   re-derivation from the decisions. *)
 let agree name (c : Compiler.compiled) =
   let sir = sir_of name c in
   let s = Sir_dataflow.summarize sir and o = Lf.summarize sir in
@@ -599,6 +602,11 @@ let agree name (c : Compiler.compiled) =
        Fun.id n o.Lf.avail o.Lf.live
     = all_states (Sir_dataflow.Avail.facts u) (Sir_dataflow.Live.names u) n
         s.Sir_dataflow.avail s.Sir_dataflow.live);
+  check
+    Alcotest.(list string)
+    (name ^ ": requirements = re-derived")
+    (render_reqs (Oracles.flow_requirements c o.Lf.cfg))
+    (render_reqs (Sir_flow.requirements c o.Lf.cfg));
   let stale_ref =
     List.filter
       (fun (r : Sir_flow.req) ->

@@ -268,6 +268,107 @@ let test_structural_array_entry_flagged () =
   let errs = Verifier.errors (verify_exn c) in
   check Alcotest.bool "non-loop key is E0606" true (has_code "E0606" errs)
 
+(* SubscriptAlignLevel concerns the subscripts in distributed
+   dimensions only (paper §2.2): on a 1-D grid, a scalar aligned with
+   m(i, j) at level 1 is valid although j varies inside that loop,
+   because m's second dimension is collapsed. *)
+let collapsed_src ~grid ~dist =
+  Fmt.str
+    {|
+program collapsed
+real x
+real m(8, 8)
+!hpf$ processors p(%s)
+!hpf$ distribute m(%s) onto p
+do i = 1, 8
+  x = 0.0
+  do j = 1, 8
+    if (m(i, j) > x) then
+      x = m(i, j) - x
+    end if
+    m(i, j) = x
+  end do
+end do
+end
+|}
+    grid dist
+
+let inner_def_of_x (c : Compiler.compiled) =
+  let d = c.Compiler.decisions in
+  List.find_map
+    (fun def ->
+      match Ssa.def_node d.Decisions.ssa def with
+      | None -> None
+      | Some node -> (
+          match Cfg.sid_of_node d.Decisions.ssa.Ssa.cfg node with
+          | Some sid when Nest.level d.Decisions.nest sid = 2 ->
+              Some (def, sid)
+          | _ -> None))
+    (Ssa.defs_of_var d.Decisions.ssa "x")
+
+let test_collapsed_dim_align_level () =
+  let prog = parse (collapsed_src ~grid:"4" ~dist:"block, *") in
+  (* the compiler aligns the inner definition at level 1 *)
+  let c = Compiler.compile_exn ~options:Decisions.default_options prog in
+  (match inner_def_of_x c with
+  | Some (def, _) -> (
+      match Decisions.scalar_mapping_of_def c.Compiler.decisions def with
+      | Decisions.Priv_aligned { target; level = 1 } ->
+          check Alcotest.string "aligned with m" "m" target.Aref.base
+      | _ -> fail "x in the inner loop should be aligned at level 1")
+  | None -> fail "no definition of x in the inner loop");
+  List.iter
+    (fun options -> check_clean "collapsed 1-D" ~options prog)
+    [ Decisions.default_options; Variants.selected ]
+
+let test_distributed_dim_align_level () =
+  let c =
+    fresh (parse (collapsed_src ~grid:"2, 2" ~dist:"block, block"))
+  in
+  match inner_def_of_x c with
+  | None -> fail "no definition of x in the inner loop"
+  | Some (def, sid) ->
+      let target =
+        { Aref.sid; base = "m"; subs = [ Ast.Var "i"; Ast.Var "j" ] }
+      in
+      Decisions.unsafe_set_scalar_mapping c.Compiler.decisions def
+        (Decisions.Priv_aligned { target; level = 1 });
+      let varies_with_j (e : Diag.t) =
+        e.Diag.code = "E0606"
+        && String.ends_with ~suffix:"varies with index j of the level-2 \
+                                     loop, inside its own validity level 1"
+             e.Diag.message
+      in
+      check Alcotest.bool "j in a distributed dimension is E0606" true
+        (List.exists varies_with_j (verify_exn c))
+
+(* A missing communication at a statement every processor executes is
+   divergent replication, reported by verify-comm from its requirement
+   diff; verify-race audits owner coverage alone. *)
+let test_divergent_counted_in_comm () =
+  let c = fresh (Fig_examples.fig2 ~n:16 ~np:4 ()) in
+  let d = c.Compiler.decisions in
+  let at_replicated (cm : Comm.t) =
+    match Ast.find_stmt c.Compiler.prog cm.Comm.data.Aref.sid with
+    | Some s -> Vutil.replicated_stmt d s
+    | None -> false
+  in
+  let dropped, kept = List.partition at_replicated c.Compiler.comms in
+  check Alcotest.bool "fig2 reads a communicated value at a replicated \
+                       statement" true (dropped <> []);
+  match Verifier.verify { c with Compiler.comms = kept } with
+  | Error ds -> fail (Fmt.str "crash: %a" Diag.pp_list ds)
+  | Ok (findings, trace) ->
+      let errors pass =
+        match Phpf_driver.Pipeline.stats_of trace pass with
+        | Some st -> List.assoc "findings.errors" st
+        | None -> fail (pass ^ " should record stats")
+      in
+      check Alcotest.bool "E0608 reported" true (has_code "E0608" findings);
+      check Alcotest.int "verify-comm counts the E0608s"
+        (List.length dropped) (errors "verify-comm");
+      check Alcotest.int "verify-race counts nothing" 0 (errors "verify-race")
+
 (* ---------------- differential suite ---------------- *)
 
 type corruption = {
@@ -511,6 +612,12 @@ let () =
             test_scope_violation_flagged;
           Alcotest.test_case "array entry keyed to non-loop" `Quick
             test_structural_array_entry_flagged;
+          Alcotest.test_case "align level ignores collapsed dimensions"
+            `Quick test_collapsed_dim_align_level;
+          Alcotest.test_case "align level checks distributed dimensions"
+            `Quick test_distributed_dim_align_level;
+          Alcotest.test_case "divergent replication is verify-comm's"
+            `Quick test_divergent_counted_in_comm;
         ] );
       ( "differential",
         [
