@@ -47,13 +47,22 @@ let is_all = function
   | Rect { dims; _ } -> Array.for_all (function D_all -> true | D_one _ -> false) dims
   | Explicit { grid; pids } -> List.length pids = Grid.size grid
 
+(* Range check of a fixed coordinate, as {!Grid.linearize} makes it. *)
+let check_coord (grid : Grid.t) (g : int) (c : int) : unit =
+  assert (c >= 0 && c < Grid.extent grid g)
+
 (** Smallest linear pid in the set, i.e. the head of the legacy
     lexicographic expansion ([D_all] contributes coordinate 0). *)
 let first = function
   | Rect { grid; dims } ->
-      Some
-        (Grid.linearize grid
-           (Array.map (function D_one c -> c | D_all -> 0) dims))
+      assert (Array.length dims = Grid.rank grid);
+      let id = ref 0 in
+      for g = 0 to Array.length dims - 1 do
+        let c = match dims.(g) with D_one c -> c | D_all -> 0 in
+        check_coord grid g c;
+        id := (!id * Grid.extent grid g) + c
+      done;
+      Some !id
   | Explicit { pids = p :: _; _ } -> Some p
   | Explicit { pids = []; _ } -> None
 
@@ -61,36 +70,40 @@ let first = function
 let mem (s : t) (pid : int) : bool =
   match s with
   | Rect { grid; dims } ->
-      let coord = Grid.coords grid pid in
-      let ok = ref true in
-      Array.iteri
-        (fun g d ->
-          match d with
-          | D_all -> ()
-          | D_one c -> if coord.(g) <> c then ok := false)
-        dims;
+      let rem = ref pid and ok = ref true in
+      for g = Array.length dims - 1 downto 0 do
+        let e = Grid.extent grid g in
+        (match dims.(g) with
+        | D_all -> ()
+        | D_one c -> if !rem mod e <> c then ok := false);
+        rem := !rem / e
+      done;
       !ok
   | Explicit { pids; _ } -> List.mem pid pids
 
+(* The pids of [dims.(g..)] under the prefix id [id], ascending: a
+   fixed coordinate extends the id, a whole axis loops over it.  Every
+   argument is passed, so a walk allocates nothing. *)
+let rec iter_dims f grid dims g id =
+  if g = Array.length dims then f id
+  else
+    let e = Grid.extent grid g in
+    match dims.(g) with
+    | D_one c ->
+        check_coord grid g c;
+        iter_dims f grid dims (g + 1) ((id * e) + c)
+    | D_all ->
+        for c = 0 to e - 1 do
+          iter_dims f grid dims (g + 1) ((id * e) + c)
+        done
+
 (** Iterate pids in ascending linear-id order (matches the legacy
-    cartesian expansion order). *)
+    cartesian expansion order), without allocating. *)
 let iter (f : int -> unit) (s : t) : unit =
   match s with
   | Rect { grid; dims } ->
-      let r = Array.length dims in
-      let coord = Array.map (function D_one c -> c | D_all -> 0) dims in
-      let rec go g =
-        if g = r then f (Grid.linearize grid coord)
-        else
-          match dims.(g) with
-          | D_one _ -> go (g + 1)
-          | D_all ->
-              for c = 0 to Grid.extent grid g - 1 do
-                coord.(g) <- c;
-                go (g + 1)
-              done
-      in
-      go 0
+      assert (Array.length dims = Grid.rank grid);
+      iter_dims f grid dims 0 0
   | Explicit { pids; _ } -> List.iter f pids
 
 let to_list (s : t) : int list =
@@ -100,11 +113,6 @@ let to_list (s : t) : int list =
       let acc = ref [] in
       iter (fun p -> acc := p :: !acc) s;
       List.rev !acc
-
-let fold (f : 'a -> int -> 'a) (init : 'a) (s : t) : 'a =
-  let acc = ref init in
-  iter (fun p -> acc := f !acc p) s;
-  !acc
 
 (** Set union.  Rectangles are kept closed-form when one side absorbs
     the other; otherwise the result is an explicit sorted list. *)

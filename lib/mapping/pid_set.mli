@@ -2,7 +2,12 @@
     fixed coordinate or the whole axis) or an explicit sorted pid list.
     Counting is O(rank) closed-form, membership is O(rank), and
     iteration yields ascending linear ids — the same order as a
-    lexicographic cartesian expansion of the coordinates. *)
+    lexicographic cartesian expansion of the coordinates.
+
+    A rectangle's [dims] array may be a buffer its producer refills: a
+    set returned by a compiled guard ({!Hpf_spmd.Concrete}) is valid
+    until that guard's next evaluation.  Copy it with {!to_list} to
+    keep it longer. *)
 
 type dim = D_one of int | D_all
 
@@ -32,11 +37,12 @@ val first : t -> int option
 
 val mem : t -> int -> bool
 
-(** Iterate pids in ascending linear-id order. *)
+(** Iterate pids in ascending linear-id order.  A rectangle is walked
+    without allocating; a fixed coordinate outside its axis fails the
+    same assertion as {!Grid.linearize}. *)
 val iter : (int -> unit) -> t -> unit
 
 val to_list : t -> int list
-val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 (** Set union; all-absorbing, otherwise explicit sorted merge. *)
 val union : t -> t -> t

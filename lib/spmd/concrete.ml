@@ -8,7 +8,10 @@
     subscripts become slot-resolved closures ({!Eval}) read from memory
     at every instance, so even non-affine ones (pivot indices and the
     like) resolve exactly, and the result is a closed-form {!Pid_set.t}:
-    no cartesian expansion, ascending linear ids.  The executor
+    no cartesian expansion, ascending linear ids.  Each compiled guard
+    owns its result: it refills one rectangle at every evaluation, so
+    evaluating a guard allocates nothing beyond a coordinate that moved
+    (and the merged list of a [P_union] whose members differ).  The executor
     ({!Spmd_interp}) and the timing simulator ({!Trace_sim}) both
     evaluate the Sir's guards through this module, over the layout
     {!layout} builds. *)
@@ -90,52 +93,70 @@ let layout (sir : Sir.program) : Memory.layout =
   Memory.layout ~names:(List.rev !names) ~indices:(List.rev !indices)
     sir.Sir.source
 
-let coord (l : Memory.layout) (c : Sir.coord) : Pid_set.dim Eval.code =
-  match c with
-  | Sir.C_fixed c ->
-      let d = Pid_set.D_one c in
-      fun _ -> d
-  | Sir.C_affine { fmt; nprocs; stride; offset; dim_lo; sub } ->
-      let i = Eval.compile_int l sub in
-      fun m ->
-        Pid_set.D_one
-          (Dist.owner_coord fmt ~nprocs ((stride * i m) + offset - dim_lo))
-  | Sir.C_all -> fun _ -> Pid_set.D_all
+(* The subscripted coordinates of an owner line, in grid-dimension
+   order: each evaluates its subscript from memory and hands the owner
+   coordinate to [store g c]. *)
+let affine_coords (l : Memory.layout) (pl : Sir.place)
+    (store : int -> int -> unit) : (Memory.t -> unit) array =
+  Array.to_list pl
+  |> List.mapi (fun g c ->
+         match c with
+         | Sir.C_affine { fmt; nprocs; stride; offset; dim_lo; sub } ->
+             let i = Eval.compile_int l sub in
+             Some
+               (fun m ->
+                 store g
+                   (Dist.owner_coord fmt ~nprocs
+                      ((stride * i m) + offset - dim_lo)))
+         | Sir.C_all | Sir.C_fixed _ -> None)
+  |> List.filter_map Fun.id |> Array.of_list
+
+let run_all (cs : ('a -> unit) array) (x : 'a) : unit =
+  for k = 0 to Array.length cs - 1 do
+    (Array.unsafe_get cs k) x
+  done
+
+(* Store coordinate [c] of grid dimension [g] into a guard's [dims]
+   buffer.  The boxed [D_one] is replaced only when the coordinate
+   moves, so a guard re-evaluated inside one owner block allocates
+   nothing. *)
+let store_dim (dims : Pid_set.dim array) (g : int) (c : int) : unit =
+  match Array.unsafe_get dims g with
+  | Pid_set.D_one c' when c' = c -> ()
+  | Pid_set.D_one _ | Pid_set.D_all -> dims.(g) <- Pid_set.D_one c
 
 (* Each fixed/affine coordinate pins one grid dimension, each [C_all]
-   spans its axis; coordinates evaluate in grid-dimension order.  A
-   line with no subscript is one set for the whole run. *)
+   spans its axis.  The guard owns one rectangle whose [dims] it
+   refills at every evaluation; a line with no subscript is one set for
+   the whole run. *)
 let place (l : Memory.layout) (grid : Grid.t) (pl : Sir.place) :
     Pid_set.t Eval.code =
-  if Array.for_all (function Sir.C_affine _ -> false | _ -> true) pl then begin
-    let s =
-      Pid_set.of_dims grid
-        (Array.map
-           (function Sir.C_fixed c -> Pid_set.D_one c | _ -> Pid_set.D_all)
-           pl)
-    in
-    fun _ -> s
-  end
-  else begin
-    let cs = Array.map (coord l) pl in
+  let dims =
+    Array.map
+      (function
+        | Sir.C_fixed c -> Pid_set.D_one c
+        | Sir.C_affine _ | Sir.C_all -> Pid_set.D_all)
+      pl
+  in
+  let set = Pid_set.of_dims grid dims in
+  let cs = affine_coords l pl (store_dim dims) in
+  if Array.length cs = 0 then fun _ -> set
+  else
     fun m ->
-      let dims = Array.make (Array.length cs) Pid_set.D_all in
-      for g = 0 to Array.length cs - 1 do
-        dims.(g) <- cs.(g) m
-      done;
-      Pid_set.of_dims grid dims
-  end
+      run_all cs m;
+      set
 
 (* The lowest pid of an owner line: its [C_all] coordinates at 0. *)
 let place_first (l : Memory.layout) (grid : Grid.t) (pl : Sir.place) :
     int Eval.code =
-  let cs = Array.map (coord l) pl in
+  let coords =
+    Array.map
+      (function Sir.C_fixed c -> c | Sir.C_affine _ | Sir.C_all -> 0)
+      pl
+  in
+  let cs = affine_coords l pl (fun g c -> coords.(g) <- c) in
   fun m ->
-    let coords = Array.make (Array.length cs) 0 in
-    for g = 0 to Array.length cs - 1 do
-      coords.(g) <-
-        (match cs.(g) m with Pid_set.D_one c -> c | Pid_set.D_all -> 0)
-    done;
+    run_all cs m;
     Grid.linearize grid coords
 
 (* [P_union] is the union of the member places, every processor when
@@ -148,23 +169,37 @@ let pred (l : Memory.layout) (grid : Grid.t) (p : Sir.pred) :
       fun _ -> all
   | Sir.P_place pl -> place l grid pl
   | Sir.P_union pls ->
-      let cs = List.map (place l grid) pls in
+      let cs = Array.of_list (List.map (place l grid) pls) in
       let all = Pid_set.all grid and none = Pid_set.of_list grid [] in
       fun m ->
-        let union =
-          List.fold_left (fun acc c -> Pid_set.union acc (c m)) none cs
-        in
-        if Pid_set.is_empty union then all else union
+        let union = ref none in
+        for k = 0 to Array.length cs - 1 do
+          union := Pid_set.union !union (cs.(k) m)
+        done;
+        if Pid_set.is_empty !union then all else !union
 
-let eplace_set (grid : Grid.t) (ep : Sir.eplace) (idx : int array) :
-    Pid_set.t =
-  Pid_set.of_dims grid
-    (Array.map
-       (function
-         | Sir.E_fixed c -> Pid_set.D_one c
-         | Sir.E_dim { array_dim; fmt; nprocs; stride; offset; dim_lo } ->
-             Pid_set.D_one
-               (Dist.owner_coord fmt ~nprocs
-                  ((stride * idx.(array_dim)) + offset - dim_lo))
-         | Sir.E_all -> Pid_set.D_all)
-       ep)
+let eplace_set (grid : Grid.t) (ep : Sir.eplace) : int array -> Pid_set.t =
+  let dims =
+    Array.map
+      (function
+        | Sir.E_fixed c -> Pid_set.D_one c
+        | Sir.E_dim _ | Sir.E_all -> Pid_set.D_all)
+      ep
+  in
+  let set = Pid_set.of_dims grid dims in
+  let cs =
+    Array.to_list ep
+    |> List.mapi (fun g e ->
+           match e with
+           | Sir.E_dim { array_dim; fmt; nprocs; stride; offset; dim_lo } ->
+               Some
+                 (fun (idx : int array) ->
+                   store_dim dims g
+                     (Dist.owner_coord fmt ~nprocs
+                        ((stride * idx.(array_dim)) + offset - dim_lo)))
+           | Sir.E_fixed _ | Sir.E_all -> None)
+    |> List.filter_map Fun.id |> Array.of_list
+  in
+  fun idx ->
+    run_all cs idx;
+    set

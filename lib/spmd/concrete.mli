@@ -5,7 +5,12 @@
     run and read from memory at each instance, so non-affine ones
     resolve exactly.  Every result is a closed-form
     {!Hpf_mapping.Pid_set.t} (no cartesian expansion) whose iteration
-    order is ascending linear ids. *)
+    order is ascending linear ids.
+
+    A compiled guard evaluates into its own buffer: the set it returns
+    is valid until that guard's next evaluation, and the same guard
+    must not be shared across domains.  Compile guards per run; nothing
+    here is cached. *)
 
 open Hpf_mapping
 module Sir = Phpf_ir.Sir
@@ -22,6 +27,8 @@ val place_first : Memory.layout -> Grid.t -> Sir.place -> int Eval.code
     evaluated [P_union] falls back to every processor. *)
 val pred : Memory.layout -> Grid.t -> Sir.pred -> Pid_set.t Eval.code
 
-(** Owners of the array element at index vector [idx] under an
-    element-place recipe. *)
+(** [eplace_set grid ep] compiles an element-place recipe; apply it
+    once per run and then to each index vector [idx] for the owners of
+    the element at [idx].  Like every guard here it returns its own
+    buffer, valid until its next application. *)
 val eplace_set : Grid.t -> Sir.eplace -> int array -> Pid_set.t

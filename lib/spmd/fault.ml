@@ -284,14 +284,22 @@ let on_processor (t : t) ~(nprocs : int) : (int * kind) option =
 let magnitude (t : t) ~(event : int) ~(n : int) : int =
   1 + (rnd t.seed [ 0x44; event ] mod max 1 n)
 
-(* Integer image of a value for the deterministic victim pick inside a
-   block (no [Random], like everything else here). *)
-let value_bits_for_pick = function
-  | Value.I n -> [ n ]
-  | Value.R f ->
-      let b = Int64.bits_of_float f in
-      [ Int64.to_int (Int64.shift_right_logical b 32); Int64.to_int b ]
-  | Value.B b -> [ (if b then 1 else 0) ]
+(* Index of the victim element inside a block of [n >= 1] values: the
+   first value's integer image (an int itself, a real's IEEE bits high
+   word then low word, a bool's 0/1) mixed from seed [0xB10C] (no
+   [Random], like everything else here). *)
+let block_pick (values : Value.t array) : int =
+  let h =
+    match values.(0) with
+    | Value.I n -> Init.mix_step 0xB10C n
+    | Value.R f ->
+        let b = Int64.bits_of_float f in
+        Init.mix_step
+          (Init.mix_step 0xB10C (Int64.to_int (Int64.shift_right_logical b 32)))
+          (Int64.to_int b)
+    | Value.B b -> Init.mix_step 0xB10C (if b then 1 else 0)
+  in
+  h mod Array.length values
 
 (** Deterministically perturb a payload value.  The perturbation always
     changes the value (and therefore its checksum image). *)
@@ -305,20 +313,15 @@ let corrupt_payload (p : Msg.payload) : Msg.payload =
   match p with
   | Msg.Scalar s -> Msg.Scalar { s with value = flip s.value }
   | Msg.Elem e -> Msg.Elem { e with value = flip e.value }
+  | Msg.Block { values = [||]; _ } -> p
   | Msg.Block b ->
       (* a block is corrupted as a unit: one element's bits flip, the
          whole packet's checksum stops matching, and recovery must
          retransmit the entire region *)
-      let pick =
-        match b.values with
-        | [] -> -1
-        | v :: _ -> Init.mix 0xB10C (value_bits_for_pick v) mod List.length b.values
-      in
-      Msg.Block
-        {
-          b with
-          values = List.mapi (fun i v -> if i = pick then flip v else v) b.values;
-        }
+      let values = Array.copy b.values in
+      let pick = block_pick values in
+      values.(pick) <- flip values.(pick);
+      Msg.Block { b with values }
 
 (** Per-kind injection counts of the campaign so far, in {!all_kinds}
     order, zero-count kinds omitted. *)

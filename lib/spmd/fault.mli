@@ -58,7 +58,8 @@ val on_processor : t -> nprocs:int -> (int * kind) option
 val magnitude : t -> event:int -> n:int -> int
 
 (** Deterministically flip bits of a payload's value (the checksum image
-    always changes). *)
+    always changes).  A block gets a fresh value array with one element
+    flipped, picked from its first value; the original is untouched. *)
 val corrupt_payload : Msg.payload -> Msg.payload
 
 (** Per-kind injection counts so far (zero-count kinds omitted). *)

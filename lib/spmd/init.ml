@@ -18,7 +18,7 @@ let mix_step (acc : int) (x : int) : int =
 let mix (seed : int) (xs : int list) : int = List.fold_left mix_step seed xs
 
 let hash_name (s : string) : int =
-  String.fold_left (fun acc c -> mix acc [ Char.code c ]) 17 s
+  String.fold_left (fun acc c -> mix_step acc (Char.code c)) 17 s
 
 (** Fill every declared array with deterministic values.  Reals land in
     (0, 2); integers in [1, 8] (safe as subscript offsets is {e not}

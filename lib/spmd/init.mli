@@ -11,6 +11,10 @@ open Hpf_lang
     [Random] anywhere, so runs are bit-reproducible. *)
 val mix : int -> int list -> int
 
+(** One step of {!mix}: [mix seed xs] is [List.fold_left mix_step seed
+    xs], so a caller can stream a sequence it never builds as a list. *)
+val mix_step : int -> int -> int
+
 (** Deterministic hash of a name, built from {!mix}. *)
 val hash_name : string -> int
 

@@ -255,6 +255,9 @@ let set_slot (m : t) (i : int) (x : Value.t) : unit =
   Array.unsafe_set m.vals i x;
   Bytes.unsafe_set m.bound i '\001'
 
+let holds (m : t) (i : int) (x : Value.t) : bool =
+  Bytes.unsafe_get m.bound i <> '\000' && Array.unsafe_get m.vals i == x
+
 let find_slot (m : t) (i : int) : Value.t option =
   if Bytes.get m.bound i <> '\000' then Some m.vals.(i) else None
 
@@ -284,6 +287,8 @@ let arrays (m : t) : string list =
 (* ------------------------------------------------------------------ *)
 (* Array elements                                                      *)
 (* ------------------------------------------------------------------ *)
+
+let cell_rank (c : array_cell) : int = Array.length c.los
 
 let read_off (c : array_cell) (off : int) : Value.t =
   match c.store with
@@ -315,19 +320,22 @@ let write_off (c : array_cell) (off : int) (x : Value.t) : unit =
 (* Subscripts are checked in order: each one against its dimension's
    bounds, and a vector longer or shorter than the rank fails as a rank
    mismatch only once the subscripts before the excess are in range. *)
-let offset (c : array_cell) (idx : int array) : int =
+let offset_in (c : array_cell) (idx : int array) ~(pos : int) ~(len : int) :
+    int =
   let rank = Array.length c.los in
-  let n = Array.length idx in
   let off = ref 0 in
-  for d = 0 to n - 1 do
+  for d = 0 to len - 1 do
     if d >= rank then rerr "rank mismatch in array access";
-    let i = Array.unsafe_get idx d in
+    let i = idx.(pos + d) in
     if i < c.los.(d) || i > c.his.(d) then
       rerr "subscript %d out of bounds %d:%d" i c.los.(d) c.his.(d);
     off := !off + ((i - c.los.(d)) * c.strides.(d))
   done;
-  if n <> rank then rerr "rank mismatch in array access";
+  if len <> rank then rerr "rank mismatch in array access";
   !off
+
+let offset (c : array_cell) (idx : int array) : int =
+  offset_in c idx ~pos:0 ~len:(Array.length idx)
 
 let read_elem (m : t) (ci : int) (idx : int array) : Value.t =
   let c = m.cells.(ci) in
@@ -336,6 +344,11 @@ let read_elem (m : t) (ci : int) (idx : int array) : Value.t =
 let write_elem (m : t) (ci : int) (idx : int array) (x : Value.t) : unit =
   let c = m.cells.(ci) in
   write_off c (offset c idx) x
+
+let write_elem_at (m : t) (ci : int) (idx : int array) ~(pos : int)
+    ~(len : int) (x : Value.t) : unit =
+  let c = m.cells.(ci) in
+  write_off c (offset_in c idx ~pos ~len) x
 
 let find_cell (m : t) (a : string) ~(write : bool) : array_cell =
   match Hashtbl.find_opt m.layout.cells_of a with

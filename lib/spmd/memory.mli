@@ -92,6 +92,10 @@ val get_slot : t -> int -> Value.t
 (** Bind a slot, converting to the slot's declared type. *)
 val set_slot : t -> int -> Value.t -> unit
 
+(** [holds m i x]: slot [i] is bound to [x] itself (physical
+    equality), so writing [x] there again changes nothing. *)
+val holds : t -> int -> Value.t -> bool
+
 val find_slot : t -> int -> Value.t option
 val unbind_slot : t -> int -> unit
 
@@ -102,11 +106,20 @@ val read_elem : t -> int -> int array -> Value.t
 
 val write_elem : t -> int -> int array -> Value.t -> unit
 
+(** [write_elem_at m ci idx ~pos ~len x] is [write_elem m ci sub x] for
+    the index vector [sub] held in [idx.(pos) .. idx.(pos + len - 1)],
+    with the same checks and no copy. *)
+val write_elem_at :
+  t -> int -> int array -> pos:int -> len:int -> Value.t -> unit
+
 (** Walk every element of an array in storage order with its index
     vector, which lives in one reused buffer. *)
 val iter_cell : array_cell -> (int array -> int -> unit) -> unit
 
 val read_off : array_cell -> int -> Value.t
+
+(** Number of subscripts of the array. *)
+val cell_rank : array_cell -> int
 
 (** {1 Name-keyed access} *)
 

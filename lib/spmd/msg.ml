@@ -14,16 +14,22 @@
     retransmission live in {!Recover}. *)
 
 (** One remote write — or, for a vectorized communication, a loop's
-    worth of them: the unit of communication between processors. *)
+    worth of them: the unit of communication between processors.  A
+    payload addresses its target by slot or cell of the run's
+    {!Memory.layout}; the name travels along for printing and feeds the
+    checksum. *)
 type payload =
-  | Scalar of { var : string; value : Value.t }
-  | Elem of { base : string; index : int list; value : Value.t }
+  | Scalar of { var : string; slot : int; value : Value.t }
+  | Elem of { base : string; cell : int; index : int array; value : Value.t }
   | Block of {
       base : string;
-      indices : int list list;
-          (** index region, one vector per element, in write order; an
-              empty vector writes the scalar [base] *)
-      values : Value.t list;  (** value vector, same length as [indices] *)
+      addr : int;  (** [base]'s cell, or its slot when [rank = 0] *)
+      rank : int;
+          (** subscripts per element; 0 writes the scalar [base] *)
+      indices : int array;
+          (** the index region, [rank] subscripts per element, element
+              after element in write order *)
+      values : Value.t array;  (** one value per element *)
     }
       (** aggregated message of a vectorized communication: one sequence
           number, one checksum, one startup latency for the whole
@@ -32,7 +38,7 @@ type payload =
 (** Elements carried by a payload (what [beta] is paid for). *)
 let payload_elems = function
   | Scalar _ | Elem _ -> 1
-  | Block { values; _ } -> List.length values
+  | Block { values; _ } -> Array.length values
 
 (** Fixed per-packet overhead (sequence number, checksum, routing) used
     by the byte accounting: aggregation amortizes exactly this plus the
@@ -45,41 +51,59 @@ let payload_bytes ~(elem_bytes : int) (p : payload) : int =
   header_bytes + (payload_elems p * elem_bytes)
 
 let pp_payload ppf = function
-  | Scalar { var; value } -> Fmt.pf ppf "%s=%a" var Value.pp value
-  | Elem { base; index; value } ->
+  | Scalar { var; value; _ } -> Fmt.pf ppf "%s=%a" var Value.pp value
+  | Elem { base; index; value; _ } ->
       Fmt.pf ppf "%s(%a)=%a" base
-        Fmt.(list ~sep:(any ",") int)
+        Fmt.(array ~sep:(any ",") int)
         index Value.pp value
   | Block { base; values; _ } ->
-      Fmt.pf ppf "%s[block of %d]" base (List.length values)
+      Fmt.pf ppf "%s[block of %d]" base (Array.length values)
 
-(* Integer image of a value for checksumming.  Reals go through their
-   IEEE bit pattern so any perturbation — however small — changes the
-   checksum. *)
-let value_bits = function
-  | Value.I n -> [ 1; n ]
+(* Mix a value's integer image into [acc]: a type tag, then the value.
+   Reals go through their IEEE bit pattern (high word, low word) so any
+   perturbation — however small — changes the checksum. *)
+let mix_value (acc : int) (v : Value.t) : int =
+  match v with
+  | Value.I n -> Init.mix_step (Init.mix_step acc 1) n
   | Value.R f ->
       let b = Int64.bits_of_float f in
-      [ 2; Int64.to_int (Int64.shift_right_logical b 32); Int64.to_int b ]
-  | Value.B b -> [ 3; (if b then 1 else 0) ]
+      let acc = Init.mix_step acc 2 in
+      let acc =
+        Init.mix_step acc (Int64.to_int (Int64.shift_right_logical b 32))
+      in
+      Init.mix_step acc (Int64.to_int b)
+  | Value.B b -> Init.mix_step (Init.mix_step acc 3) (if b then 1 else 0)
 
-(** Deterministic checksum of a payload (same mixer discipline as
-    {!Init.mix}; no [Random]). *)
+(* Mix [len] subscripts starting at [idx.(pos)]. *)
+let mix_ints (acc : int) (idx : int array) ~(pos : int) ~(len : int) : int =
+  let acc = ref acc in
+  for d = pos to pos + len - 1 do
+    acc := Init.mix_step !acc idx.(d)
+  done;
+  !acc
+
+(** Deterministic checksum of a payload, streamed through
+    {!Init.mix_step} from seed [0x5EED]: the name's hash, then for a
+    scalar its value, for an element its subscripts and value, for a
+    block its element count and, per element, its rank, subscripts and
+    value.  Every element of a block feeds the image, so damaging any
+    one of them changes the checksum. *)
 let checksum (p : payload) : int =
   match p with
-  | Scalar { var; value } ->
-      Init.mix 0x5EED (Init.hash_name var :: value_bits value)
-  | Elem { base; index; value } ->
-      Init.mix 0x5EED ((Init.hash_name base :: index) @ value_bits value)
-  | Block { base; indices; values } ->
-      (* every index vector and every value feeds the image, so damaging
-         any one element of the block changes the checksum *)
-      let body =
-        List.concat_map
-          (fun (idx, v) -> (List.length idx :: idx) @ value_bits v)
-          (List.combine indices values)
-      in
-      Init.mix 0x5EED ((Init.hash_name base :: List.length values :: body))
+  | Scalar { var; value; _ } ->
+      mix_value (Init.mix_step 0x5EED (Init.hash_name var)) value
+  | Elem { base; index; value; _ } ->
+      let acc = Init.mix_step 0x5EED (Init.hash_name base) in
+      mix_value (mix_ints acc index ~pos:0 ~len:(Array.length index)) value
+  | Block { base; rank; indices; values; _ } ->
+      let acc = Init.mix_step 0x5EED (Init.hash_name base) in
+      let acc = ref (Init.mix_step acc (Array.length values)) in
+      for k = 0 to Array.length values - 1 do
+        let a = Init.mix_step !acc rank in
+        let a = mix_ints a indices ~pos:(k * rank) ~len:rank in
+        acc := mix_value a values.(k)
+      done;
+      !acc
 
 type packet = {
   seq : int;  (** per-(src,dst) sequence number, starting at 0 *)
@@ -153,9 +177,9 @@ let pair_key (t : t) ~(src : int) ~(dst : int) = (src * t.nprocs) + dst
    pure reads of an idle pair must stay allocation-free). *)
 let materialize (t : t) ~src ~dst : pair_state =
   let k = pair_key t ~src ~dst in
-  match Hashtbl.find_opt t.pairs k with
-  | Some ps -> ps
-  | None ->
+  match Hashtbl.find t.pairs k with
+  | ps -> ps
+  | exception Not_found ->
       let ps = { q = Queue.create (); pair_next_seq = 0; pair_expected = 0 } in
       Hashtbl.replace t.pairs k ps;
       ps
@@ -171,9 +195,9 @@ let next_seq (t : t) ~src ~dst : int =
 
 (** The sequence number the receiver of the pair accepts next. *)
 let expected (t : t) ~src ~dst : int =
-  match Hashtbl.find_opt t.pairs (pair_key t ~src ~dst) with
-  | Some ps -> ps.pair_expected
-  | None -> 0
+  match Hashtbl.find t.pairs (pair_key t ~src ~dst) with
+  | ps -> ps.pair_expected
+  | exception Not_found -> 0
 
 let advance_expected (t : t) ~src ~dst =
   let ps = materialize t ~src ~dst in
@@ -193,11 +217,6 @@ let enqueue (t : t) (p : packet) =
   Queue.push p (materialize t ~src:p.src ~dst:p.dst).q
 
 let dequeue (t : t) ~src ~dst : packet option =
-  match Hashtbl.find_opt t.pairs (pair_key t ~src ~dst) with
-  | Some ps -> Queue.take_opt ps.q
-  | None -> None
-
-let pending (t : t) ~src ~dst : int =
-  match Hashtbl.find_opt t.pairs (pair_key t ~src ~dst) with
-  | Some ps -> Queue.length ps.q
-  | None -> 0
+  match Hashtbl.find t.pairs (pair_key t ~src ~dst) with
+  | ps -> Queue.take_opt ps.q
+  | exception Not_found -> None

@@ -4,16 +4,24 @@
     stale numbers, checksum mismatches) and retransmits. *)
 
 (** One remote write — or, for a vectorized communication, a loop's
-    worth of them: the unit of communication between processors. *)
+    worth of them: the unit of communication between processors.  A
+    payload addresses its target by slot ([Scalar], a scalar-based
+    [Block]) or cell ([Elem], an array [Block]) of the run's
+    {!Memory.layout}; the name travels along for printing and feeds the
+    checksum.  A payload's arrays belong to it: senders build them
+    fresh and nobody mutates them after. *)
 type payload =
-  | Scalar of { var : string; value : Value.t }
-  | Elem of { base : string; index : int list; value : Value.t }
+  | Scalar of { var : string; slot : int; value : Value.t }
+  | Elem of { base : string; cell : int; index : int array; value : Value.t }
   | Block of {
       base : string;
-      indices : int list list;
-          (** index region, one vector per element, in write order; an
-              empty vector writes the scalar [base] *)
-      values : Value.t list;  (** value vector, same length as [indices] *)
+      addr : int;  (** [base]'s cell, or its slot when [rank = 0] *)
+      rank : int;
+          (** subscripts per element; 0 writes the scalar [base] *)
+      indices : int array;
+          (** the index region, [rank] subscripts per element, element
+              after element in write order *)
+      values : Value.t array;  (** one value per element *)
     }
       (** aggregated message of a vectorized communication: one sequence
           number, one checksum, one startup latency for the whole
@@ -31,8 +39,13 @@ val payload_bytes : elem_bytes:int -> payload -> int
 
 val pp_payload : Format.formatter -> payload -> unit
 
-(** Deterministic checksum of a payload ({!Init.mix} discipline); every
-    element of a [Block] feeds the image. *)
+(** Deterministic checksum of a payload, streamed through
+    {!Init.mix_step} (no list is built): from seed [0x5EED], the name's
+    hash, then for a scalar its value, for an element its subscripts
+    and value, for a block its element count and, per element, its
+    rank, subscripts and value.  A value mixes a type tag (1 int, 2
+    real, 3 bool) and its integer image (a real's IEEE bits, high word
+    then low word).  Every element of a [Block] feeds the image. *)
 val checksum : payload -> int
 
 type packet = {
@@ -87,4 +100,3 @@ val dequeue : t -> src:int -> dst:int -> packet option
 val expected : t -> src:int -> dst:int -> int
 
 val advance_expected : t -> src:int -> dst:int -> unit
-val pending : t -> src:int -> dst:int -> int

@@ -10,11 +10,10 @@
     write to a processor shadow memory (remote {e and} local) goes
     through {!write} so it lands in a per-processor write-ahead log.
 
-    The executor writes by slot and cell index ({!write_scalar},
-    {!write_elem}): the value lands without a name lookup, and the
-    name-keyed {!Msg.payload} is built only when the write-ahead log
-    records it, so logged payloads are exactly those of a name-keyed
-    write.
+    Payloads address their target by slot and cell index, and the
+    executor's local writes do too ({!write_scalar}, {!write_elem}):
+    every value lands without a name lookup, and a local write builds
+    its {!Msg.payload} only when the write-ahead log records it.
 
     Crash handling has two regimes.  Under {!Checkpoint} (or whenever no
     compile-time plan is available, or the plan demands checkpoints),
@@ -93,11 +92,10 @@ type t = {
   init : (Memory.t -> unit) option;
       (** re-applied to a rebuilt memory (the post-init baseline) *)
   plan : Sir.recovery_plan option;  (** the compile-time recovery plan *)
-  reexec_datums : (string, unit) Hashtbl.t;
-      (** datums with a re-execution entry: the only ones the localized
-          WAL records *)
-  reexec_slots : bool array;  (** [reexec_datums], per scalar slot *)
-  reexec_cells : bool array;  (** [reexec_datums], per array cell *)
+  reexec_slots : bool array;
+      (** per scalar slot: the datum has a re-execution entry, so the
+          localized WAL records its writes *)
+  reexec_cells : bool array;  (** the same, per array cell *)
   seen_sids : (Ast.stmt_id, unit) Hashtbl.t;
       (** producing regions entered so far (plan-entry applicability) *)
   interval : int;  (** effective checkpoint interval (memory-scaled) *)
@@ -188,7 +186,6 @@ let create ?(config = default_config) ?(faults = Fault.none) ?plan ?init
     prog;
     init;
     plan;
-    reexec_datums;
     reexec_slots = reexec_of (Memory.slot_count layout) Memory.slot_name;
     reexec_cells = reexec_of (Memory.cell_count layout) Memory.cell_name;
     seen_sids = Hashtbl.create 32;
@@ -226,56 +223,73 @@ let create ?(config = default_config) ?(faults = Fault.none) ?plan ?init
 
 let apply_payload (m : Memory.t) (p : Msg.payload) : unit =
   match p with
-  | Msg.Scalar { var; value } -> Memory.set_scalar m var value
-  | Msg.Elem { base; index; value } -> Memory.set_elem m base index value
-  | Msg.Block { base; indices; values } ->
-      (* a delivered block lands atomically, in send order (an empty
-         index vector writes the scalar [base]) *)
-      List.iter2
-        (fun index value ->
-          match index with
-          | [] -> Memory.set_scalar m base value
-          | _ -> Memory.set_elem m base index value)
-        indices values
+  | Msg.Scalar { slot; value; _ } -> Memory.set_slot m slot value
+  | Msg.Elem { cell; index; value; _ } -> Memory.write_elem m cell index value
+  | Msg.Block { addr; rank; indices; values; _ } ->
+      (* a delivered block lands atomically, in send order (rank 0
+         writes the scalar in slot [addr]) *)
+      for k = 0 to Array.length values - 1 do
+        if rank = 0 then Memory.set_slot m addr values.(k)
+        else
+          Memory.write_elem_at m addr indices ~pos:(k * rank) ~len:rank
+            values.(k)
+      done
 
 let payload_datum : Msg.payload -> string = function
   | Msg.Scalar { var; _ } -> var
   | Msg.Elem { base; _ } -> base
   | Msg.Block { base; _ } -> base
 
+(* Does the WAL record writes of this slot (of this cell)?  The
+   localized regime logs only datums the plan reconstructs by replay —
+   replicated datums are re-fetched whole from a survivor, so logging
+   their writes (every mirror of every loop index on every processor)
+   would be pure overhead. *)
+let logs_slot (t : t) (slot : int) : bool =
+  t.active && ((not t.localized) || t.reexec_slots.(slot))
+
+let logs_cell (t : t) (cell : int) : bool =
+  t.active && ((not t.localized) || t.reexec_cells.(cell))
+
 let log (t : t) (pid : int) (p : Msg.payload) : unit =
   t.wal.(pid) <- p :: t.wal.(pid)
 
 (** Write to processor [pid]'s shadow memory, recording the write in its
-    WAL (when faults are active) so a crash can replay it.  The
-    localized regime logs only datums the plan reconstructs by replay —
-    replicated datums are re-fetched whole from a survivor, so logging
-    their writes (every mirror of every loop index on every processor)
-    would be pure overhead. *)
+    WAL when it logs the payload's target. *)
 let write (t : t) (pid : int) (p : Msg.payload) : unit =
   apply_payload t.procs.(pid) p;
-  if
-    t.active
-    && ((not t.localized) || Hashtbl.mem t.reexec_datums (payload_datum p))
-  then log t pid p
+  let logged =
+    match p with
+    | Msg.Scalar { slot; _ } | Msg.Block { rank = 0; addr = slot; _ } ->
+        logs_slot t slot
+    | Msg.Elem { cell; _ } | Msg.Block { addr = cell; _ } -> logs_cell t cell
+  in
+  if logged then log t pid p
 
-(** Slot-addressed {!write} of scalar slot [slot]: the payload
-    [Scalar {var; value}] is built only when the WAL records it. *)
+(** Slot-addressed {!write} of scalar slot [slot]; the payload is built
+    only when the WAL records it.  Rewriting the very value the slot
+    holds (a mirrored loop index that has not moved) changes nothing,
+    so it is skipped unless logged. *)
 let write_scalar (t : t) (pid : int) ~(slot : int) (v : Value.t) : unit =
-  Memory.set_slot t.procs.(pid) slot v;
-  if t.active && ((not t.localized) || t.reexec_slots.(slot)) then
-    log t pid (Msg.Scalar { var = Memory.slot_name t.layout slot; value = v })
+  let m = t.procs.(pid) in
+  if logs_slot t slot then begin
+    Memory.set_slot m slot v;
+    log t pid
+      (Msg.Scalar { var = Memory.slot_name t.layout slot; slot; value = v })
+  end
+  else if not (Memory.holds m slot v) then Memory.set_slot m slot v
 
 (** Cell-addressed {!write} of element [idx] of array cell [cell]. *)
 let write_elem (t : t) (pid : int) ~(cell : int) (idx : int array)
     (v : Value.t) : unit =
   Memory.write_elem t.procs.(pid) cell idx v;
-  if t.active && ((not t.localized) || t.reexec_cells.(cell)) then
+  if logs_cell t cell then
     log t pid
       (Msg.Elem
          {
            base = Memory.cell_name t.layout cell;
-           index = Array.to_list idx;
+           cell;
+           index = Array.copy idx;
            value = v;
          })
 
@@ -490,24 +504,24 @@ let failover (t : t) (pid : int) =
     plan.Sir.entries;
   let refetch (d : Ast.decl) =
     t.plan_refetch <- t.plan_refetch + 1;
+    let from = t.procs.(donor) in
+    let name = d.Ast.dname in
     let payload =
       if d.Ast.shape = [] then
-        Msg.Scalar
-          {
-            var = d.Ast.dname;
-            value = Memory.get_scalar t.procs.(donor) d.Ast.dname;
-          }
+        let slot = Option.get (Memory.slot t.layout name) in
+        Msg.Scalar { var = name; slot; value = Memory.get_slot from slot }
       else begin
-        let indices = ref [] and values = ref [] in
-        Memory.iter_elems t.procs.(donor) d.Ast.dname (fun idx v ->
-            indices := idx :: !indices;
-            values := v :: !values);
-        Msg.Block
-          {
-            base = d.Ast.dname;
-            indices = List.rev !indices;
-            values = List.rev !values;
-          }
+        (* the donor's whole array, in storage order *)
+        let cell = Option.get (Memory.cell t.layout name) in
+        let c = from.Memory.cells.(cell) in
+        let rank = List.length d.Ast.shape in
+        let n = Types.size d.Ast.shape in
+        let indices = Array.make (n * rank) 0 in
+        let values = Array.make n (Value.I 0) in
+        Memory.iter_cell c (fun idx off ->
+            Array.blit idx 0 indices (off * rank) rank;
+            values.(off) <- Memory.read_off c off);
+        Msg.Block { base = name; addr = cell; rank; indices; values }
       end
     in
     transmit t ~src:donor ~dst:pid payload;
@@ -548,7 +562,8 @@ let failover (t : t) (pid : int) =
     (fun (name, value) ->
       if Ast.find_decl t.prog name = None then begin
         t.plan_refetch <- t.plan_refetch + 1;
-        transmit t ~src:donor ~dst:pid (Msg.Scalar { var = name; value })
+        let slot = Option.get (Memory.slot t.layout name) in
+        transmit t ~src:donor ~dst:pid (Msg.Scalar { var = name; slot; value })
       end)
     (Memory.scalars t.procs.(donor))
 
@@ -572,7 +587,7 @@ let stall (t : t) (_pid : int) =
     with their recovery.  [sid] marks the statement's region as entered
     {e after} fault handling, so a crash at the boundary of a region
     uses the pre-entry plan interval. *)
-let stmt_boundary ?(sid : Ast.stmt_id option) (t : t) : unit =
+let stmt_boundary ~(sid : Ast.stmt_id) (t : t) : unit =
   if t.active then begin
     t.events <- t.events + 1;
     if
@@ -584,9 +599,7 @@ let stmt_boundary ?(sid : Ast.stmt_id option) (t : t) : unit =
       | Some (pid, Fault.Crash) ->
           if t.localized then failover t pid else crash t pid
       | Some _ | None -> ());
-    match sid with
-    | Some s -> Hashtbl.replace t.seen_sids s ()
-    | None -> ()
+    Hashtbl.replace t.seen_sids sid ()
   end
 
 (* ------------------------------------------------------------------ *)

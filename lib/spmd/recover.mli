@@ -75,14 +75,16 @@ val create :
     logs only datums the plan reconstructs by replay). *)
 val write : t -> int -> Msg.payload -> unit
 
-(** [write_scalar t pid ~slot v] is [write t pid (Scalar {var; value =
-    v})] for the scalar in [slot] of the shadow memories' layout, with
-    no name lookup; the payload is built only when the log records it. *)
+(** [write_scalar t pid ~slot v] is [write t pid (Scalar {var; slot;
+    value = v})] for the scalar in [slot] of the shadow memories'
+    layout; the payload is built only when the log records it.  A
+    write of the very value the slot already holds (physically) is
+    skipped unless the log records it. *)
 val write_scalar : t -> int -> slot:int -> Value.t -> unit
 
-(** [write_elem t pid ~cell idx v] is [write t pid (Elem {base; index;
-    value = v})] for element [idx] of array [cell] (the index vector is
-    read, not kept). *)
+(** [write_elem t pid ~cell idx v] is [write t pid (Elem {base; cell;
+    index = idx; value = v})] for element [idx] of array [cell] (the
+    index vector is read, and copied only into a logged payload). *)
 val write_elem : t -> int -> cell:int -> int array -> Value.t -> unit
 
 (** Deliver one remote write reliably from [src] to [dst] (applying it
@@ -95,7 +97,7 @@ val transmit : t -> src:int -> dst:int -> Msg.payload -> unit
     localized failover or checkpoint restore-and-replay).  [sid] marks
     the statement's producing region as entered, arming the plan entries
     it guards. *)
-val stmt_boundary : ?sid:Ast.stmt_id -> t -> unit
+val stmt_boundary : sid:Ast.stmt_id -> t -> unit
 
 type report = {
   injected : (Fault.kind * int) list;  (** per-kind injections *)

@@ -53,47 +53,116 @@ let set_exists (f : int -> bool) (set : Pid_set.t) : bool =
 (* Ordered accumulation of element transfers, flushed as one
    {!Msg.Block} per pair in the aggregated transport: one sequence
    number, one checksum, one startup latency for a loop's worth of
-   elements.  Pairs are keyed [src * nprocs + dst]. *)
-type buffers = {
-  tbl : (int, (int list * Value.t) list ref) Hashtbl.t;
-  mutable order : int list;  (** first-touch order, reversed *)
+   elements.  A pair's buffer holds its index vectors flat, [rank]
+   subscripts per element, and grows by doubling; it lives for the
+   run, so steady-state buffering allocates nothing and only a flushed
+   packet copies its elements out. *)
+type pair_buf = {
+  mutable n : int;  (** elements buffered since the last flush *)
+  mutable idx : int array;
+  mutable vals : Value.t array;
 }
 
-let buffers_create () : buffers = { tbl = Hashtbl.create 16; order = [] }
+type buffers = {
+  pairs : (int, pair_buf) Hashtbl.t;  (** keyed [src * nprocs + dst] *)
+  mutable order : int array;  (** pairs touched since the last flush *)
+  mutable touched : int;
+  mutable src : int;  (** the element being routed: its source, *)
+  mutable index : int array;  (** index vector (copied when buffered) *)
+  mutable value : Value.t;  (** and value *)
+}
 
-let buffers_add (b : buffers) ~key entry =
-  match Hashtbl.find_opt b.tbl key with
-  | Some l -> l := entry :: !l
-  | None ->
-      Hashtbl.replace b.tbl key (ref [ entry ]);
-      b.order <- key :: b.order
+let buffers_create () : buffers =
+  {
+    pairs = Hashtbl.create 16;
+    order = Array.make 16 0;
+    touched = 0;
+    src = 0;
+    index = [||];
+    value = Value.I 0;
+  }
 
-(* Flush every pair's buffer as a single packet, or — in the
-   per-element transport mode — each entry as its own single-element
-   packet at the same program point.  A one-element buffer keeps the
-   single-element packet format either way. *)
-let buffers_flush (st : t) ~(scalar_base : bool) ~(base : string)
-    (b : buffers) =
-  let nprocs = st.sir.Sir.nprocs in
-  let single ~src ~dst (idx, v) =
-    Recover.transmit st.runtime ~src ~dst
-      (if scalar_base then Msg.Scalar { var = base; value = v }
-       else Msg.Elem { base; index = idx; value = v })
+(* Append the element being routed to pair [key]'s buffer. *)
+let buffers_add (b : buffers) ~(key : int) =
+  let buf =
+    match Hashtbl.find b.pairs key with
+    | buf -> buf
+    | exception Not_found ->
+        let buf = { n = 0; idx = [||]; vals = [||] } in
+        Hashtbl.add b.pairs key buf;
+        buf
   in
-  List.iter
-    (fun key ->
-      let src = key / nprocs and dst = key mod nprocs in
-      match List.rev !(Hashtbl.find b.tbl key) with
-      | _ :: _ :: _ as entries when st.aggregate ->
-          Recover.transmit st.runtime ~src ~dst
-            (Msg.Block
+  if buf.n = 0 then begin
+    if b.touched = Array.length b.order then begin
+      let order = Array.make (2 * b.touched) 0 in
+      Array.blit b.order 0 order 0 b.touched;
+      b.order <- order
+    end;
+    b.order.(b.touched) <- key;
+    b.touched <- b.touched + 1
+  end;
+  let n = buf.n and rank = Array.length b.index in
+  if n = Array.length buf.vals then begin
+    let vals = Array.make (max 8 (2 * n)) b.value in
+    Array.blit buf.vals 0 vals 0 n;
+    buf.vals <- vals
+  end;
+  if (n + 1) * rank > Array.length buf.idx then begin
+    let idx = Array.make (Array.length buf.vals * rank) 0 in
+    Array.blit buf.idx 0 idx 0 (n * rank);
+    buf.idx <- idx
+  end;
+  Array.blit b.index 0 buf.idx (n * rank) rank;
+  buf.vals.(n) <- b.value;
+  buf.n <- n + 1
+
+(* Flush every touched pair's buffer as a single packet, or — in the
+   per-element transport mode — each element as its own single-element
+   packet at the same program point.  A one-element buffer keeps the
+   single-element packet format either way.  [addr] is [base]'s cell,
+   or its slot when [rank = 0]. *)
+let buffers_flush (st : t) (b : buffers) ~(base : string) ~(addr : int)
+    ~(rank : int) =
+  let nprocs = st.sir.Sir.nprocs in
+  for k = 0 to b.touched - 1 do
+    let key = b.order.(k) in
+    let buf = Hashtbl.find b.pairs key in
+    let src = key / nprocs and dst = key mod nprocs in
+    if st.aggregate && buf.n >= 2 then
+      Recover.transmit st.runtime ~src ~dst
+        (Msg.Block
+           {
+             base;
+             addr;
+             rank;
+             indices = Array.sub buf.idx 0 (buf.n * rank);
+             values = Array.sub buf.vals 0 buf.n;
+           })
+    else
+      for e = 0 to buf.n - 1 do
+        let value = buf.vals.(e) in
+        Recover.transmit st.runtime ~src ~dst
+          (if rank = 0 then Msg.Scalar { var = base; slot = addr; value }
+           else
+             Msg.Elem
                {
                  base;
-                 indices = List.map fst entries;
-                 values = List.map snd entries;
+                 cell = addr;
+                 index = Array.sub buf.idx (e * rank) rank;
+                 value;
                })
-      | entries -> List.iter (single ~src ~dst) entries)
-    (List.rev b.order)
+      done;
+    buf.n <- 0
+  done;
+  b.touched <- 0
+
+(* Buffer the element being routed for destination [p], unless [p] is
+   its source. *)
+let route (st : t) (b : buffers) (p : int) : unit =
+  if p <> b.src then begin
+    st.transfers <- st.transfers + 1;
+    buffers_add b ~key:((b.src * st.sir.Sir.nprocs) + p)
+  end
 
 (* --- the lowered program, resolved ---------------------------------- *)
 
@@ -101,14 +170,14 @@ let buffers_flush (st : t) ~(scalar_base : bool) ~(base : string)
    against the run's memory layout: statement ops live in a dense table
    indexed by statement id, transfer ops carry their own state. *)
 
-(* The moved datum of a transfer: its value on the source processor,
-   the index vector it travels with, and the source (lowest pid of its
-   owner line). *)
+(* The moved datum of a transfer: where it lives, the index vector it
+   travels with and its source (lowest pid of its owner line). *)
 type datum =
   | D_scalar of { var : string; slot : int; src : int Eval.code }
   | D_elem of {
       base : string;
       cell : int option;
+      rank : int;  (** subscripts *)
       idx : int array Eval.code;
       src : int Eval.code;
     }
@@ -126,7 +195,7 @@ type op =
   | Op_whole of {
       base : string;
       cell : int option;
-      owners : Sir.eplace;
+      owners : int array -> Pid_set.t;
       dests : Pid_set.t Eval.code;
     }
   | Op_block of {
@@ -141,17 +210,11 @@ type op =
 
 type exec =
   | X_control
-  | X_assign_scalar of {
-      slot : int;
-      rhs : Value.t Eval.code;
+  | X_assign of {
       computes : Pid_set.t Eval.code;
-    }
-  | X_assign_elem of {
-      base : string;
-      cell : int option;
-      idx : int array Eval.code;
-      rhs : Value.t Eval.code;
-      computes : Pid_set.t Eval.code;
+      write : int -> unit;
+          (** evaluate the right-hand side on a processor and write it
+              there; built once per run *)
     }
   | X_loop_head of { slot : int; lo : int Eval.code }
 
@@ -178,6 +241,7 @@ let resolve_datum l grid : Sir.xdata -> datum = function
         {
           base;
           cell = Memory.cell l base;
+          rank = List.length subs;
           idx = Eval.index l subs;
           src = Concrete.place_first l grid owner;
         }
@@ -196,7 +260,12 @@ let resolve_op l grid (op : Sir.comm_op) : op =
         { data = resolve_datum l grid data; dests = resolve_dests l grid dests }
   | Sir.Whole_xfer { base; owners; dests } ->
       Op_whole
-        { base; cell = Memory.cell l base; owners; dests = resolve_dests l grid dests }
+        {
+          base;
+          cell = Memory.cell l base;
+          owners = Concrete.eplace_set grid owners;
+          dests = resolve_dests l grid dests;
+        }
   | Sir.Block_xfer { data; dests; crossed; prefix_vars } ->
       let n = List.length prefix_vars in
       Op_block
@@ -219,7 +288,30 @@ let resolve_op l grid (op : Sir.comm_op) : op =
           shipped = false;
         }
 
-let resolve_stmt l grid (o : Sir.stmt_ops) : stmt_rec =
+(* A guarded assignment's per-processor write: the right-hand side on
+   the processor's own memory, the address from the reference memory
+   (subscript values are guaranteed available by the consumer rules). *)
+let resolve_write (st : t) l : Ast.lhs -> Ast.expr -> int -> unit =
+ fun lhs rhs ->
+  let rhs = Eval.compile l rhs in
+  match lhs with
+  | Ast.LVar x ->
+      let slot = slot_exn l x in
+      fun p -> Recover.write_scalar st.runtime p ~slot (rhs st.procs.(p))
+  | Ast.LArr (base, subs) -> (
+      let idx = Eval.index l subs in
+      match Memory.cell l base with
+      | Some cell ->
+          fun p ->
+            let v = rhs st.procs.(p) in
+            Recover.write_elem st.runtime p ~cell (idx st.reference) v
+      | None ->
+          fun p ->
+            ignore (rhs st.procs.(p));
+            ignore (idx st.reference);
+            Memory.rerr "write of unbound array %s" base)
+
+let resolve_stmt (st : t) l grid (o : Sir.stmt_ops) : stmt_rec =
   {
     mirror = Array.of_list (List.map (slot_exn l) o.Sir.mirror);
     red_steps =
@@ -233,28 +325,19 @@ let resolve_stmt l grid (o : Sir.stmt_ops) : stmt_rec =
     exec =
       (match o.Sir.exec with
       | Sir.Control _ -> X_control
-      | Sir.Guarded_assign { lhs = Ast.LVar x; rhs; computes } ->
-          X_assign_scalar
+      | Sir.Guarded_assign { lhs; rhs; computes } ->
+          X_assign
             {
-              slot = slot_exn l x;
-              rhs = Eval.compile l rhs;
               computes = Concrete.pred l grid computes;
-            }
-      | Sir.Guarded_assign { lhs = Ast.LArr (base, subs); rhs; computes } ->
-          X_assign_elem
-            {
-              base;
-              cell = Memory.cell l base;
-              idx = Eval.index l subs;
-              rhs = Eval.compile l rhs;
-              computes = Concrete.pred l grid computes;
+              write = resolve_write st l lhs rhs;
             }
       | Sir.Loop_head { index; lo } ->
           X_loop_head { slot = slot_exn l index; lo = Eval.compile_int l lo });
   }
 
 (* The dense per-statement table of a run: [table.(sid)]. *)
-let resolve (l : Memory.layout) (sir : Sir.program) : stmt_rec option array =
+let resolve (st : t) (l : Memory.layout) : stmt_rec option array =
+  let sir = st.sir in
   let max_sid = ref 0 in
   Ast.iter_program (fun s -> max_sid := max !max_sid s.Ast.sid) sir.Sir.source;
   List.iter
@@ -263,22 +346,24 @@ let resolve (l : Memory.layout) (sir : Sir.program) : stmt_rec option array =
   let table = Array.make (!max_sid + 1) None in
   List.iter
     (fun (o : Sir.stmt_ops) ->
-      table.(o.Sir.sid) <- Some (resolve_stmt l sir.Sir.grid o))
+      table.(o.Sir.sid) <- Some (resolve_stmt st l sir.Sir.grid o))
     (Sir.all_stmt_ops sir);
   table
 
 (* --- lowered transfer ops ------------------------------------------ *)
 
-(* The source's value of a datum and its index vector (empty for a
-   scalar), read after the source is known. *)
-let datum_value (st : t) (m_ref : Memory.t) (d : datum) (src : int) :
-    int list * Value.t =
+(* The index vector a datum travels with (empty for a scalar), then its
+   value on processor [src]. *)
+let datum_index (m_ref : Memory.t) : datum -> int array = function
+  | D_scalar _ -> [||]
+  | D_elem { idx; _ } -> idx m_ref
+
+let datum_read (st : t) (d : datum) (src : int) (idx : int array) : Value.t =
   match d with
-  | D_scalar { slot; _ } -> ([], Memory.get_slot st.procs.(src) slot)
-  | D_elem { base; cell; idx; _ } -> (
-      let idx = idx m_ref in
+  | D_scalar { slot; _ } -> Memory.get_slot st.procs.(src) slot
+  | D_elem { base; cell; _ } -> (
       match cell with
-      | Some ci -> (Array.to_list idx, Memory.read_elem st.procs.(src) ci idx)
+      | Some ci -> Memory.read_elem st.procs.(src) ci idx
       | None -> Memory.rerr "read of unbound array %s" base)
 
 (* One scalar or element per statement instance, from its owner line to
@@ -288,11 +373,13 @@ let elem_transfer (st : t) (m_ref : Memory.t) (data : datum)
   let src =
     match data with D_scalar { src; _ } | D_elem { src; _ } -> src m_ref
   in
-  let idx, v = datum_value st m_ref data src in
+  let idx = datum_index m_ref data in
+  let value = datum_read st data src idx in
   let payload =
     match data with
-    | D_scalar { var; _ } -> Msg.Scalar { var; value = v }
-    | D_elem { base; _ } -> Msg.Elem { base; index = idx; value = v }
+    | D_scalar { var; slot; _ } -> Msg.Scalar { var; slot; value }
+    | D_elem { base; cell; _ } ->
+        Msg.Elem { base; cell = Option.get cell; index = Array.copy idx; value }
   in
   Pid_set.iter
     (fun p ->
@@ -304,28 +391,22 @@ let elem_transfer (st : t) (m_ref : Memory.t) (data : datum)
 
 (* An unsubscripted array actual: every element travels from its
    directive owner to the destinations. *)
-let whole_transfer (st : t) (m_ref : Memory.t) ~(base : string)
-    ~(cell : int option) (owners : Sir.eplace) (dests : Pid_set.t) =
-  let grid = st.sir.Sir.grid and nprocs = st.sir.Sir.nprocs in
+let whole_transfer (st : t) (bufs : buffers) (m_ref : Memory.t)
+    ~(base : string) ~(cell : int option) ~owners (dests : Pid_set.t) =
   let ci =
     match cell with Some ci -> ci | None -> Memory.rerr "unknown array %s" base
   in
-  let bufs = buffers_create () in
-  Memory.iter_cell m_ref.Memory.cells.(ci) (fun idx off ->
-      match Pid_set.first (Concrete.eplace_set grid owners idx) with
+  let c = m_ref.Memory.cells.(ci) in
+  let route = route st bufs in
+  Memory.iter_cell c (fun idx off ->
+      match Pid_set.first (owners idx) with
       | None -> ()
       | Some src ->
-          let entry =
-            (Array.to_list idx, Memory.read_off st.procs.(src).Memory.cells.(ci) off)
-          in
-          Pid_set.iter
-            (fun p ->
-              if p <> src then begin
-                st.transfers <- st.transfers + 1;
-                buffers_add bufs ~key:((src * nprocs) + p) entry
-              end)
-            dests);
-  buffers_flush st ~scalar_base:false ~base bufs
+          bufs.src <- src;
+          bufs.index <- idx;
+          bufs.value <- Memory.read_off st.procs.(src).Memory.cells.(ci) off;
+          Pid_set.iter route dests);
+  buffers_flush st bufs ~base ~addr:ci ~rank:(Memory.cell_rank c)
 
 (* Ship one placement instance of a block transfer: walk the crossed
    region exactly as {!Seq_interp} would (bounds evaluated at entry,
@@ -334,25 +415,18 @@ let whole_transfer (st : t) (m_ref : Memory.t) ~(base : string)
    (src, dst) pair.  The crossed indices are borrowed from the reference
    memory and restored afterwards, so the surrounding execution never
    observes the lookahead. *)
-let block_transfer (st : t) (m_ref : Memory.t) ~(data : datum)
-    ~(dests : Pid_set.t Eval.code) ~(crossed : crossed list) =
-  let nprocs = st.sir.Sir.nprocs in
-  let base, src_of, scalar_base =
-    match data with
-    | D_scalar { var; src; _ } -> (var, src, true)
-    | D_elem { base; src; _ } -> (base, src, false)
-  in
-  let bufs = buffers_create () in
+let block_transfer (st : t) (bufs : buffers) (m_ref : Memory.t)
+    ~(data : datum) ~(dests : Pid_set.t Eval.code) ~(crossed : crossed list) =
+  let route = route st bufs in
   let emit () =
-    let src = src_of m_ref in
-    let entry = datum_value st m_ref data src in
-    Pid_set.iter
-      (fun p ->
-        if p <> src then begin
-          st.transfers <- st.transfers + 1;
-          buffers_add bufs ~key:((src * nprocs) + p) entry
-        end)
-      (dests m_ref)
+    let src =
+      match data with D_scalar { src; _ } | D_elem { src; _ } -> src m_ref
+    in
+    let idx = datum_index m_ref data in
+    bufs.src <- src;
+    bufs.index <- idx;
+    bufs.value <- datum_read st data src idx;
+    Pid_set.iter route (dests m_ref)
   in
   (* A crossed index introduced by the merge pass is fresh — not a
      source loop index — so it may be unbound in memory: save what is
@@ -381,7 +455,14 @@ let block_transfer (st : t) (m_ref : Memory.t) ~(data : datum)
       | Some x -> Memory.set_slot m_ref slot x
       | None -> Memory.unbind_slot m_ref slot)
     saved;
-  buffers_flush st ~scalar_base ~base bufs
+  match data with
+  | D_scalar { var; slot; _ } ->
+      buffers_flush st bufs ~base:var ~addr:slot ~rank:0
+  | D_elem { base; cell = Some cell; rank; _ } ->
+      buffers_flush st bufs ~base ~addr:cell ~rank
+  | D_elem { cell = None; _ } ->
+      (* an unbound array fails its first read: nothing was buffered *)
+      ()
 
 (* Fold a reduction's partials along each combine line and write the
    total (and, for maxloc/minloc, the winner's location companions)
@@ -425,6 +506,14 @@ let combine_line (st : t) (r : Sir.reduce) ~rslot ~loc_slots members =
         loc_slots)
     members
 
+(* Has the block's prefix moved since it last shipped? *)
+let prefix_moved (current : int array) (last : int array) : bool =
+  let moved = ref false in
+  for k = 0 to Array.length current - 1 do
+    if current.(k) <> last.(k) then moved := true
+  done;
+  !moved
+
 (** Execute the lowered program in SPMD fashion.  [init] seeds the
     reference memory and every processor memory identically (initial
     data is assumed globally available, as the paper's benchmarks read
@@ -457,7 +546,8 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
       ?init procs c.Compiler.prog
   in
   let st = { sir; aggregate; reference; procs; transfers = 0; runtime } in
-  let table = resolve layout sir in
+  let table = resolve st layout in
+  let bufs = buffers_create () in
   (* reduction dirty flags, per accumulator slot: combine lazily on
      first consumption *)
   let dirty = Array.make (Memory.slot_count layout) false in
@@ -479,17 +569,17 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
     | Op_none -> ()
     | Op_elem { data; dests } -> elem_transfer st m_ref data (dests m_ref)
     | Op_whole { base; cell; owners; dests } ->
-        whole_transfer st m_ref ~base ~cell owners (dests m_ref)
+        whole_transfer st bufs m_ref ~base ~cell ~owners (dests m_ref)
     | Op_block ({ data; dests; crossed; prefix; current; last; _ } as b) ->
         (* ship the whole region once, at the first statement instance
            of each placement instance *)
         for k = 0 to Array.length prefix - 1 do
           current.(k) <- Value.to_int (Memory.get_slot m_ref prefix.(k))
         done;
-        if not (b.shipped && current = last) then begin
+        if (not b.shipped) || prefix_moved current last then begin
           Array.blit current 0 last 0 (Array.length current);
           b.shipped <- true;
-          block_transfer st m_ref ~data ~dests ~crossed
+          block_transfer st bufs m_ref ~data ~dests ~crossed
         end
   in
   let on_stmt (s : Ast.stmt) (m_ref : Memory.t) =
@@ -500,7 +590,8 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
     | None -> ()
     | Some r -> (
         (* 1. loop indices stay in lockstep on every processor (the SPMD
-           loop structure materializes them locally) *)
+           loop structure materializes them locally); a processor that
+           already holds the reference's value is skipped *)
         for k = 0 to Array.length r.mirror - 1 do
           let slot = r.mirror.(k) in
           let x = Memory.get_slot m_ref slot in
@@ -510,32 +601,21 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
         done;
         (* 2. reduction bookkeeping: combine partials before any
            consumer reads the accumulator; mark dirty on accumulation *)
-        Array.iter
-          (function Mark slot -> dirty.(slot) <- true | Combine i -> combine i)
-          r.red_steps;
+        for k = 0 to Array.length r.red_steps - 1 do
+          match r.red_steps.(k) with
+          | Mark slot -> dirty.(slot) <- true
+          | Combine i -> combine i
+        done;
         (* 3. the communications attached to this statement *)
-        Array.iter (comm_op m_ref) r.comms;
+        for k = 0 to Array.length r.comms - 1 do
+          comm_op m_ref r.comms.(k)
+        done;
         (* 4. execute on the processors the computes predicate selects *)
         match r.exec with
         | X_control ->
             (* control decisions follow the lockstep reference *)
             ()
-        | X_assign_scalar { slot; rhs; computes } ->
-            Pid_set.iter
-              (fun p ->
-                Recover.write_scalar st.runtime p ~slot (rhs st.procs.(p)))
-              (computes m_ref)
-        | X_assign_elem { base; cell; idx; rhs; computes } ->
-            Pid_set.iter
-              (fun p ->
-                let v = rhs st.procs.(p) in
-                (* addresses from the reference memory: subscript values
-                   are guaranteed available by the consumer rules *)
-                let idx = idx m_ref in
-                match cell with
-                | Some cell -> Recover.write_elem st.runtime p ~cell idx v
-                | None -> Memory.rerr "write of unbound array %s" base)
-              (computes m_ref)
+        | X_assign { computes; write } -> Pid_set.iter write (computes m_ref)
         | X_loop_head { slot; lo } ->
             let i0 = Value.I (lo m_ref) in
             for p = 0 to nprocs - 1 do
@@ -591,6 +671,7 @@ let validate ?(max_mismatches = 10) (st : t) : mismatch list =
         match v with
         | Sir.V_skip _ -> ()
         | Sir.V_owned (a, ep) ->
+            let owners = Concrete.eplace_set grid ep in
             let expected_cell = Memory.array_cell st.reference a in
             let cells = Array.map (fun m -> Memory.array_cell m a) st.procs in
             Memory.iter_cell expected_cell (fun idx off ->
@@ -603,15 +684,16 @@ let validate ?(max_mismatches = 10) (st : t) : mismatch list =
                         if not (Value.close got expected) then
                           record pid a (Array.to_list idx) got expected
                       end)
-                    (Concrete.eplace_set grid ep idx)
+                    (owners idx)
                 end)
         | Sir.V_line (a, ep) ->
+            let owners = Concrete.eplace_set grid ep in
             let expected_cell = Memory.array_cell st.reference a in
             let cells = Array.map (fun m -> Memory.array_cell m a) st.procs in
             Memory.iter_cell expected_cell (fun idx off ->
                 if !count < max_mismatches then begin
                   let expected = Memory.read_off expected_cell off in
-                  let line = Concrete.eplace_set grid ep idx in
+                  let line = owners idx in
                   let holds pid =
                     Value.close (Memory.read_off cells.(pid) off) expected
                   in

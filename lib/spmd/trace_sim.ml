@@ -61,21 +61,23 @@ let pp_result ppf (r : result) =
 (* One statement's pricing record, resolved once per run from the
    priced program: its arithmetic time, the enclosing loop indices it
    mirrors (outermost first, by name and by slot), its compiled computes
-   predicate ([None]: every processor), and the trace measured at its
-   instances — [counts.(lv)] is the number of distinct iteration
-   prefixes of length [lv] seen so far, [last] the latest index vector. *)
+   predicate ([None]: every processor) with the charge of one instance
+   to one processor's clock, and the trace measured at its instances —
+   [counts.(lv)] is the number of distinct iteration prefixes of length
+   [lv] seen so far, [last] the latest index vector. *)
 type stmt_rec = {
   cost : float;
   mirror : string list;
   slots : int array;
   computes : Pid_set.t Eval.code option;
+  charge : int -> unit;
   mutable execs : int;
   last : int array;
   counts : int array;  (** length = nest level + 1 *)
 }
 
-let stmt_rec_of model (l : Memory.layout) (sir : Sir.program) (s : Ast.stmt)
-    : stmt_rec =
+let stmt_rec_of model (l : Memory.layout) (sir : Sir.program)
+    (clocks : float array) (s : Ast.stmt) : stmt_rec =
   let mirror, computes =
     match Sir.stmt_ops sir s.Ast.sid with
     | Some { Sir.mirror; exec; _ } -> (
@@ -92,14 +94,16 @@ let stmt_rec_of model (l : Memory.layout) (sir : Sir.program) (s : Ast.stmt)
     | Some i -> i
     | None -> invalid_arg ("Trace_sim: no slot for " ^ v)
   in
+  let cost = Cost_model.compute model ~flops:(Eval.stmt_flops s) in
   {
-    cost = Cost_model.compute model ~flops:(Eval.stmt_flops s);
+    cost;
     mirror;
     slots = Array.of_list (List.map slot mirror);
     computes =
       (match computes with
       | Sir.P_all -> None
       | p -> Some (Concrete.pred l sir.Sir.grid p));
+    charge = (fun p -> clocks.(p) <- clocks.(p) +. cost);
     execs = 0;
     last = Array.make level 0;
     counts = Array.make (level + 1) 0;
@@ -133,7 +137,8 @@ let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats
   Ast.iter_program (fun s -> max_sid := max !max_sid s.Ast.sid) sir.Sir.source;
   let table : stmt_rec option array = Array.make (!max_sid + 1) None in
   Ast.iter_program
-    (fun s -> table.(s.Ast.sid) <- Some (stmt_rec_of model layout sir s))
+    (fun s ->
+      table.(s.Ast.sid) <- Some (stmt_rec_of model layout sir clocks s))
     sir.Sir.source;
   let record sid = if sid >= 0 && sid <= !max_sid then table.(sid) else None in
   let total_instances = ref 0 in
@@ -166,7 +171,7 @@ let run ?(model = Cost_model.sp2) ?init ?stats:(driver_stats : Phpf_driver.Stats
     | Some computes ->
         let set = computes m in
         if Pid_set.is_all set then all_offset := !all_offset +. t
-        else Pid_set.iter (fun p -> clocks.(p) <- clocks.(p) +. t) set;
+        else Pid_set.iter r.charge set;
         compute_total :=
           !compute_total +. (t *. float_of_int (Pid_set.count set))
   in

@@ -25,9 +25,11 @@
    The runtime's references come first: [Ast_eval] is the evaluator,
    the sequential interpreter and the Sir guard evaluation as a walk of
    the AST that looks every name up in memory at every access, and
-   [seed_list] is the list-based memory seeding.  The compiled forms
-   ({!Hpf_spmd.Eval}, {!Hpf_spmd.Seq_interp}, {!Hpf_spmd.Concrete},
-   {!Hpf_spmd.Init}) must agree with them bit for bit, errors
+   [seed_list] is the list-based memory seeding and [Msg_list] the
+   list-based message payload with its checksum and block-corruption
+   pick.  The compiled forms ({!Hpf_spmd.Eval}, {!Hpf_spmd.Seq_interp},
+   {!Hpf_spmd.Concrete}, {!Hpf_spmd.Init}, {!Hpf_spmd.Msg},
+   {!Hpf_spmd.Fault}) must agree with them bit for bit, errors
    included. *)
 
 open Hpf_lang
@@ -234,6 +236,76 @@ let resolved_vs_ast ?fuel ?init prog : string option =
   | Failed r, Failed w -> if r = w then None else Some (Fmt.str "%s vs %s" r w)
   | Finished _, Failed w -> Some ("only the AST walk failed: " ^ w)
   | Failed r, Finished _ -> Some ("only the resolved run failed: " ^ r)
+
+(* ------------------------------------------------------------------ *)
+(* The list-based message payload                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Payloads keyed by name with an index list per element, checksummed
+   by folding one integer list through [Init.mix]: the reference for
+   {!Hpf_spmd.Msg.checksum}'s streamed image of the flat, slot- and
+   cell-addressed payload, and for {!Hpf_spmd.Fault.corrupt_payload}'s
+   pick of the damaged block element. *)
+module Msg_list = struct
+  type payload =
+    | Scalar of { var : string; value : Value.t }
+    | Elem of { base : string; index : int list; value : Value.t }
+    | Block of {
+        base : string;
+        indices : int list list;  (** an empty vector writes the scalar *)
+        values : Value.t list;
+      }
+
+  let of_payload : Msg.payload -> payload = function
+    | Msg.Scalar { var; value; _ } -> Scalar { var; value }
+    | Msg.Elem { base; index; value; _ } ->
+        Elem { base; index = Array.to_list index; value }
+    | Msg.Block { base; rank; indices; values; _ } ->
+        Block
+          {
+            base;
+            indices =
+              List.init (Array.length values) (fun k ->
+                  Array.to_list (Array.sub indices (k * rank) rank));
+            values = Array.to_list values;
+          }
+
+  let value_bits = function
+    | Value.I n -> [ 1; n ]
+    | Value.R f ->
+        let b = Int64.bits_of_float f in
+        [ 2; Int64.to_int (Int64.shift_right_logical b 32); Int64.to_int b ]
+    | Value.B b -> [ 3; (if b then 1 else 0) ]
+
+  (* The integer sequence a checksum folds, after its seed. *)
+  let image (p : payload) : int list =
+    match p with
+    | Scalar { var; value } -> Init.hash_name var :: value_bits value
+    | Elem { base; index; value } ->
+        (Init.hash_name base :: index) @ value_bits value
+    | Block { base; indices; values } ->
+        let body =
+          List.concat_map
+            (fun (idx, v) -> (List.length idx :: idx) @ value_bits v)
+            (List.combine indices values)
+        in
+        Init.hash_name base :: List.length values :: body
+
+  let checksum (p : payload) : int = Init.mix 0x5EED (image p)
+
+  let value_bits_for_pick = function
+    | Value.I n -> [ n ]
+    | Value.R f ->
+        let b = Int64.bits_of_float f in
+        [ Int64.to_int (Int64.shift_right_logical b 32); Int64.to_int b ]
+    | Value.B b -> [ (if b then 1 else 0) ]
+
+  (* The element of a block that corruption damages ([-1]: none). *)
+  let block_pick (values : Value.t list) : int =
+    match values with
+    | [] -> -1
+    | v :: _ -> Init.mix 0xB10C (value_bits_for_pick v) mod List.length values
+end
 
 (* ------------------------------------------------------------------ *)
 (* The run-time chase of the mapping decisions                         *)

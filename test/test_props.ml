@@ -8,6 +8,8 @@
      and its reached-use table against the references in [Oracles];
    - interpreter determinism, and the resolved (slot-compiled)
      interpreter against the AST walk of [Oracles.Ast_eval];
+   - the message layer's streamed checksum and block-corruption pick
+     against the list-based payload of [Oracles.Msg_list];
    - the mapping-consistency guarantee of the paper's algorithm. *)
 
 open Hpf_lang
@@ -191,6 +193,107 @@ let prop_resolved_vs_ast_composed =
     (QCheck2.Gen.map (Prog_gen.compose 3) gen_checked_program)
     resolved_vs_ast
 
+(* Payloads of every kind, ranks 0 to 3, with ints, reals and bools at
+   their edges: negative and extreme ints, -0.0, NaN, infinities and
+   extreme magnitudes.  Nothing here compiles a program, so this group
+   is cheap under any seed. *)
+let gen_value : Hpf_spmd.Value.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let open Hpf_spmd in
+  oneof
+    [
+      map
+        (fun n -> Value.I n)
+        (oneof [ int; int_range (-9) 9; oneofl [ min_int; max_int; -1; 0 ] ]);
+      map
+        (fun f -> Value.R f)
+        (oneof
+           [
+             float;
+             oneofl
+               [
+                 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity;
+                 Float.max_float; -.Float.max_float; Float.min_float; 5e-324;
+                 -1.5e300;
+               ];
+           ]);
+      map (fun b -> Value.B b) bool;
+    ]
+
+let gen_payload : Hpf_spmd.Msg.payload QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let open Hpf_spmd in
+  let* name = string_size ~gen:(char_range 'a' 'z') (int_range 1 6) in
+  let* addr = int_range 0 40 in
+  let* rank = int_range 0 3 in
+  let sub = oneof [ int_range (-4) 70; int ] in
+  oneof
+    [
+      map
+        (fun value -> Msg.Scalar { var = name; slot = addr; value })
+        gen_value;
+      map2
+        (fun index value -> Msg.Elem { base = name; cell = addr; index; value })
+        (array_size (return rank) sub)
+        gen_value;
+      (let* n = int_range 0 12 in
+       let* indices = array_size (return (n * rank)) sub in
+       let* values = array_size (return n) gen_value in
+       return (Msg.Block { base = name; addr; rank; indices; values }));
+    ]
+
+let print_payload (p : Hpf_spmd.Msg.payload) : string =
+  let open Hpf_spmd in
+  let ints = Fmt.(array ~sep:(any ",") int) in
+  let value ppf v =
+    Fmt.pf ppf "%a[%a]" Value.pp v
+      Fmt.(list ~sep:(any ",") int)
+      (Oracles.Msg_list.value_bits v)
+  in
+  match p with
+  | Msg.Scalar { var; slot; value = v } ->
+      Fmt.str "Scalar %s@%d = %a" var slot value v
+  | Msg.Elem { base; cell; index; value = v } ->
+      Fmt.str "Elem %s@%d (%a) = %a" base cell ints index value v
+  | Msg.Block { base; addr; rank; indices; values } ->
+      Fmt.str "Block %s@%d rank %d (%a) = %a" base addr rank ints indices
+        Fmt.(array ~sep:(any "; ") value)
+        values
+
+let prop_msg_checksum =
+  QCheck2.Test.make ~name:"streamed checksum = list checksum" ~count:2000
+    ~print:print_payload gen_payload (fun p ->
+      Hpf_spmd.Msg.checksum p
+      = Oracles.Msg_list.checksum (Oracles.Msg_list.of_payload p))
+
+(* [Fault.corrupt_payload] leaves its argument alone and changes the
+   value image of exactly the element the list-based pick names: the
+   one value of a scalar or element payload, one element of a block. *)
+let prop_msg_corrupt_pick =
+  QCheck2.Test.make ~name:"block corruption damages the oracle's pick"
+    ~count:2000 ~print:print_payload gen_payload (fun p ->
+      let open Hpf_spmd in
+      let module L = Oracles.Msg_list in
+      let image q = L.image (L.of_payload q) in
+      let before = image p in
+      let damaged = Fault.corrupt_payload p in
+      let same a b = L.value_bits a = L.value_bits b in
+      image p = before
+      &&
+      match (p, damaged) with
+      | Msg.Scalar a, Msg.Scalar b ->
+          a.var = b.var && not (same a.value b.value)
+      | Msg.Elem a, Msg.Elem b ->
+          a.index = b.index && not (same a.value b.value)
+      | Msg.Block a, Msg.Block b ->
+          let pick = L.block_pick (Array.to_list a.values) in
+          a.indices = b.indices
+          && Array.length a.values = Array.length b.values
+          && List.for_all
+               (fun k -> same a.values.(k) b.values.(k) = (k <> pick))
+               (List.init (Array.length a.values) Fun.id)
+      | _ -> false)
+
 let prop_mapping_consistency =
   QCheck2.Test.make
     ~name:"mapping: reaching defs of any use share one mapping" ~count:100
@@ -324,6 +427,7 @@ let () =
         ] );
       ( "resolve",
         [ to_alco prop_resolved_vs_ast; to_alco prop_resolved_vs_ast_composed ] );
+      ("msg", [ to_alco prop_msg_checksum; to_alco prop_msg_corrupt_pick ]);
       ( "core",
         [
           to_alco prop_mapping_consistency;

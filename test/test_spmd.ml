@@ -2,7 +2,9 @@
    compiler's communication schedule must reproduce the sequential
    reference results for every benchmark and every optimization variant,
    on several machine sizes.  A negative control checks that the
-   validation actually detects missing communication. *)
+   validation actually detects missing communication, and an allocation
+   budget keeps the executor's per-instance path from allocating per
+   element again. *)
 
 open Hpf_lang
 open Phpf_core
@@ -218,6 +220,29 @@ let test_transfer_counts_scale () =
   check Alcotest.int "P=1: no transfers" 0 c1;
   check Alcotest.bool "P=8 >= P=4 > 0" true (c8 >= c4 && c4 > 0)
 
+(* The executor allocates per packet, not per element: payloads are
+   flat arrays addressed by slot and cell, checksums stream, guards
+   evaluate into their own buffers and the per-processor writes are
+   built once per run.  Minor-heap words are a deterministic count for a
+   given compiler, so a run of dgefa (n=32, P=8, default options) after
+   a warm-up run must stay within 100 words per statement instance
+   (~49 here; index lists, list checksums and fresh guard sets took
+   ~200). *)
+let test_alloc_budget () =
+  let c = Compiler.compile_exn (Dgefa.program ~n:32 ~p:8) in
+  let init = Init.init c.Compiler.prog in
+  let run () = ignore (Spmd_interp.run ~init c) in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  let instances = (fst (Trace_sim.run ~init c)).Trace_sim.stmt_instances in
+  let per = words /. float_of_int instances in
+  if per > 100.0 then
+    fail
+      (Fmt.str "%.0f words over %d statement instances: %.1f per instance > 100"
+         words instances per)
+
 let () =
   Alcotest.run "spmd"
     [
@@ -252,5 +277,6 @@ let () =
             test_missing_comm_detected;
           Alcotest.test_case "transfer counts scale" `Quick
             test_transfer_counts_scale;
+          Alcotest.test_case "allocation budget" `Quick test_alloc_budget;
         ] );
     ]
