@@ -3,7 +3,10 @@
     Used by communication placement ({!Hpf_comm.Vectorize}): a
     communication for a read reference can be hoisted out of a loop only
     when no write inside that loop produces values the read consumes
-    (a loop-carried or loop-independent true dependence).
+    (a loop-carried or loop-independent true dependence).  The writes
+    come from the nest's per-loop write index ({!Nest.writes_in}), built
+    once with the nest, so a query tests only the writes of the read's
+    base.
 
     The per-dimension test handles triangular nests: loop bounds are kept
     as affine forms over outer indices ([do j = k+1, n]), indices of
@@ -185,24 +188,19 @@ let may_conflict ?(shared_level = 0) (prog : Ast.program) (nest : Nest.t)
 
 (** Is there a possible flow of values from writes of [r.base] performed
     inside loop [li] to the read [r] (also inside [li])?  Used to decide
-    whether communication for [r] may be vectorized out of [li].  Loops
-    enclosing [li] contribute shared (un-renamed) indices. *)
+    whether communication for [r] may be vectorized out of that loop.
+    Loops enclosing [li] contribute shared (un-renamed) indices.  Only
+    the loop's writes of [r.base] are tested, from the nest's write index
+    in program order, stopping at the first that may conflict; any write
+    of a scalar base feeds the read. *)
 let write_feeds_read_in_loop (prog : Ast.program) (nest : Nest.t)
     (li : Nest.loop_info) (r : ref_ctx) : bool =
   let shared_level = li.Nest.level - 1 in
-  let found = ref false in
-  Ast.iter_stmts
-    (fun s ->
+  List.exists
+    (fun (s : Ast.stmt) ->
       match s.node with
-      | Assign (LArr (a, subs), _) when String.equal a r.base ->
-          if
-            may_conflict ~shared_level prog nest
-              { sid = s.sid; base = a; subs }
-              r
-          then found := true
-      | Assign (LVar v, _) when String.equal v r.base ->
-          (* scalar: any write to the same scalar feeds the read *)
-          found := true
-      | _ -> ())
-    li.Nest.loop.body;
-  !found
+      | Assign (LArr (a, subs), _) ->
+          may_conflict ~shared_level prog nest { sid = s.sid; base = a; subs } r
+      | Assign (LVar _, _) -> true
+      | If _ | Do _ | Exit _ | Cycle _ -> false)
+    (Nest.writes_in nest li r.base)

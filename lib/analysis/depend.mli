@@ -21,6 +21,9 @@ val may_conflict :
 
 (** Do writes of the read's array inside the loop possibly produce values
     the read consumes?  (If so, communication for the read cannot be
-    vectorized out of that loop.) *)
+    vectorized out of that loop.)  Answered from the nest's per-loop
+    write index ({!Nest.writes_in}): only the loop's writes of the read's
+    base are tested, in program order, up to the first possible
+    conflict; any write of a scalar base counts. *)
 val write_feeds_read_in_loop :
   Ast.program -> Nest.t -> Nest.loop_info -> ref_ctx -> bool

@@ -23,8 +23,8 @@ type t = {
   ssa : Ssa.t;
 }
 
-let make (prog : Ast.program) (ssa : Ssa.t) : t =
-  { prog; nest = Nest.build prog; ssa }
+let make (nest : Nest.t) (prog : Ast.program) (ssa : Ssa.t) : t =
+  { prog; nest; ssa }
 
 (* CFG nodes of the loop-head statements for loop [loop_sid]. *)
 let head_nodes (t : t) (loop_sid : Ast.stmt_id) : int list =

@@ -8,7 +8,8 @@ open Hpf_lang
 
 type t = { prog : Ast.program; nest : Nest.t; ssa : Ssa.t }
 
-val make : Ast.program -> Ssa.t -> t
+(** [make nest prog ssa]: [nest] is [prog]'s loop nest. *)
+val make : Nest.t -> Ast.program -> Ssa.t -> t
 
 (** Is the definition privatizable with respect to the given loop? *)
 val scalar_def_privatizable :

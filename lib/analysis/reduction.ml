@@ -108,31 +108,20 @@ let match_conditional (s : Ast.stmt) :
 (** Find reduction statements in a program.  A candidate is rejected when
     the accumulator is defined elsewhere inside the accumulating loop
     (the partial order would be observable). *)
-let analyze (prog : Ast.program) : red list =
-  let nest = Nest.build prog in
+let analyze (nest : Nest.t) (prog : Ast.program) : red list =
   let out = ref [] in
-  (* all scalar defs per loop, to reject multiply-defined accumulators *)
-  let defs_in_loop : (Ast.stmt_id * string, int) Hashtbl.t =
-    Hashtbl.create 64
+  (* an accumulator must be the loop's only scalar definition of its
+     variable *)
+  let single_def (li : Nest.loop_info) v =
+    match
+      List.filter
+        (fun (s : Ast.stmt) ->
+          match s.node with Assign (LVar _, _) -> true | _ -> false)
+        (Nest.writes_in nest li v)
+    with
+    | [ _ ] -> true
+    | _ -> false
   in
-  Ast.iter_program
-    (fun s ->
-      let def_var =
-        match s.node with Assign (LVar v, _) -> Some v | _ -> None
-      in
-      match def_var with
-      | None -> ()
-      | Some v ->
-          List.iter
-            (fun (li : Nest.loop_info) ->
-              let k = (li.loop_sid, v) in
-              Hashtbl.replace defs_in_loop k
-                (1
-                + match Hashtbl.find_opt defs_in_loop k with
-                  | Some n -> n
-                  | None -> 0))
-            (Nest.enclosing_loops nest s.sid))
-    prog;
   let conditional_updates : (Ast.stmt_id * string) list ref = ref [] in
   (* First collect conditional reductions so their inner assigns are not
      reported as plain candidates. *)
@@ -141,8 +130,7 @@ let analyze (prog : Ast.program) : red list =
       match match_conditional s with
       | Some (op, var, contrib, loc_vars) -> (
           match Nest.innermost_loop nest s.sid with
-          | Some li
-            when Hashtbl.find_opt defs_in_loop (li.loop_sid, var) = Some 1 ->
+          | Some li when single_def li var ->
               List.iter
                 (fun (st : Ast.stmt) ->
                   match st.node with
@@ -172,9 +160,7 @@ let analyze (prog : Ast.program) : red list =
           match match_plain v rhs with
           | Some (op, contrib) -> (
               match Nest.innermost_loop nest s.sid with
-              | Some li
-                when Hashtbl.find_opt defs_in_loop (li.loop_sid, v) = Some 1
-                ->
+              | Some li when single_def li v ->
                   out :=
                     {
                       var = v;

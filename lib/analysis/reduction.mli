@@ -20,8 +20,9 @@ type red = {
 }
 
 (** Find the reductions of a program (candidates whose accumulator is
-    written elsewhere in the loop are rejected). *)
-val analyze : Ast.program -> red list
+    written elsewhere in the loop are rejected).  [nest] is the
+    program's loop nest. *)
+val analyze : Nest.t -> Ast.program -> red list
 
 (** The reduction accumulated by a given statement, if any. *)
 val reduction_of_stmt : red list -> Ast.stmt_id -> red option

@@ -143,9 +143,9 @@ let create ?grid_override ?(options = default_options) (prog : Ast.program)
   let nest = Nest.build prog in
   let cfg = Cfg.build prog in
   let ssa = Ssa.build cfg in
-  let priv = Privatizable.make prog ssa in
+  let priv = Privatizable.make nest prog ssa in
   let env = Layout.resolve ?grid_override prog in
-  let reductions = Reduction.analyze prog in
+  let reductions = Reduction.analyze nest prog in
   {
     prog;
     nest;

@@ -289,7 +289,7 @@ let aggregation_plan (d : Decisions.t) (cm : Comm.t) :
   let sid = data.Aref.sid in
   if (not (Comm.vectorized cm)) || cm.Comm.kind = Comm.Reduce then None
   else
-    match Ast.find_stmt prog sid with
+    match Nest.find_stmt nest sid with
     | None -> None
     | Some s -> (
         let loops = Nest.enclosing_loops nest sid in
@@ -312,7 +312,7 @@ let aggregation_plan (d : Decisions.t) (cm : Comm.t) :
               | Some p -> (
                   p = top.Nest.loop_sid
                   ||
-                  match Ast.find_stmt prog p with
+                  match Nest.find_stmt nest p with
                   | Some { Ast.node = Ast.Do _; _ } -> chain_ok p
                   | _ -> false)
             in
@@ -399,7 +399,7 @@ let lower_comm (cx : ctx) ~(pos : int) (cm : Comm.t) :
       "cannot lower communication of %s(...) at s%d: subscripted reference \
        to an undeclared array"
       data.Aref.base sid;
-  match Ast.find_stmt prog sid with
+  match Nest.find_stmt d.Decisions.nest sid with
   | None ->
       if cx.strict then
         fail ~code:"E0802"
@@ -501,7 +501,7 @@ let lower_reductions (cx : ctx) :
                  outside the %d-dimensional grid"
                 red.Reduction.var rank;
             let acc_sids =
-              match Ast.find_stmt cx.prog red.Reduction.stmt_sid with
+              match Nest.find_stmt d.Decisions.nest red.Reduction.stmt_sid with
               | Some { node = Ast.If (_, t, e); sid; _ } ->
                   sid
                   :: List.map

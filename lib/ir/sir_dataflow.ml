@@ -18,8 +18,9 @@
     {!Phpf_verify.Sir_flow} wraps this module with the
     requirement-derivation ([E0612]) and diagnostic rendering that need
     the full compile record; {!Sir_opt} turns the classified ops into
-    deletions, re-running both fixpoints on a {!prepared} context after
-    each rewrite. *)
+    deletions: dead ones re-running both fixpoints on a {!prepared}
+    context after each rewrite, redundant ones decided against one
+    analysis ({!redundant_deletions}). *)
 
 open Hpf_lang
 open Hpf_mapping
@@ -666,6 +667,13 @@ type plan = {
   sid : Ast.stmt_id;  (** of the ops ([-1] without) *)
 }
 
+(* The backward transfer of a node's ops: the execution's alone
+   ([bwd_exec]), then the reduction, communication and mirror events
+   before it. *)
+let bwd_step (u : universe) (g : Sir_cfg.t) (ops : Sir.stmt_ops)
+    (bwd_exec : step option) : step option =
+  seq bwd_exec (live_step u (pre_live_events g ops))
+
 let plan_node (u : universe) (g : Sir_cfg.t) (i : int) : plan =
   let index =
     avail_step u
@@ -691,7 +699,7 @@ let plan_node (u : universe) (g : Sir_cfg.t) (i : int) : plan =
           seq index
             (seq pre (avail_step u (exec_events ops.Sir.sid ops.Sir.exec)));
         pre;
-        bwd = seq bwd_exec (live_step u (pre_live_events g ops));
+        bwd = bwd_step u g ops bwd_exec;
         bwd_exec;
         comms =
           List.map
@@ -825,6 +833,13 @@ let replan (ctx : prepared) (sid : Ast.stmt_id) : unit =
     (fun i -> ctx.p_plans.(i) <- plan_node ctx.p_universe ctx.p_cfg i)
     (Sir_cfg.nodes_of_sid ctx.p_cfg sid)
 
+let live_fixpoint (cfg : Sir_cfg.t) (u : universe)
+    (bwd : int -> step option) : Live.t Flow.result =
+  Live_engine.fixpoint ~cfg ~direction:Flow.Backward ~boundary:u.validated
+    ~init:(Bits.empty (Array.length u.names))
+    ~transfer:(fun i l ->
+      match bwd i with None -> l | Some step -> apply step l)
+
 let analyze (ctx : prepared) : summary =
   let cfg = ctx.p_cfg and u = ctx.p_universe in
   let plans = Array.copy ctx.p_plans in
@@ -836,12 +851,7 @@ let analyze (ctx : prepared) : summary =
         | Avail.Top, _ | _, None -> st
         | Avail.Facts s, Some step -> Avail.Facts (apply step s))
   in
-  let live =
-    Live_engine.fixpoint ~cfg ~direction:Flow.Backward ~boundary:u.validated
-      ~init:(Bits.empty (Array.length u.names))
-      ~transfer:(fun i l ->
-        match plans.(i).bwd with None -> l | Some step -> apply step l)
-  in
+  let live = live_fixpoint cfg u (fun i -> plans.(i).bwd) in
   let dead, redundant = classify cfg u plans avail live in
   { cfg; universe = u; plans; avail; live; dead; redundant }
 
@@ -893,6 +903,149 @@ let read_after (s : summary) (i : int) (base : string) : bool =
       let pl = s.plans.(i) in
       live_after pl.bwd_exec s.live.Flow.input.(i) b
       || List.exists (fun (o : op_plan) -> o.source = Some b) pl.comms
+
+(* ------------------------------------------------------------------ *)
+(* Redundant deletions from one analysis                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Deleting a transfer removes only its own additions: facts carry their
+   source op and only reference writes kill them, so every fact's bit
+   of the MUST fixpoint is independent of the others and the analysis
+   of the program without a set [S] of transfers is the analysis of the
+   original with [S]'s facts cleared.  A candidate therefore stays
+   redundant exactly while each fact it delivers keeps a cover, in its
+   node's original pre-state, whose source was not deleted — and the
+   lowest such cover is what [covers_of] would name after a re-analysis.
+   Deletions only shrink both fixpoints, so the one-at-a-time loop takes
+   the candidates in [redundant]'s order, each once, against the
+   deletions before it.
+
+   Liveness is a MAY analysis: deleting a transfer removes a read of
+   its source copy and can leave a later candidate dead, which the loop
+   then skips.  So once something was deleted, a candidate that nothing
+   later at its own node reads is tested against the program as it now
+   stands: at a reachable node the fixpoint is the least one, and a
+   name is live there exactly when a path reaches a read of it with no
+   overwrite in between — one search over the backward transfers of the
+   remaining ops (re-running the fixpoint after every deletion instead
+   grows quadratically with the program); at an unreachable node, which
+   the worklist visits only as its successors change, the liveness
+   fixpoint itself is re-run. *)
+let redundant_deletions (s : summary) : (Sir.comm_op * source list) list =
+  let u = s.universe and cfg = s.cfg in
+  let deleted = Hashtbl.create 16 in
+  let gone (op : Sir.comm_op) = Hashtbl.mem deleted op.Sir.uid in
+  let survives h =
+    match u.facts.(h).src with
+    | F_op uid -> not (Hashtbl.mem deleted uid)
+    | F_init | F_write _ -> true
+  in
+  let surviving_covers i (o : op_plan) : source list option =
+    match pre_state s i with
+    | None -> Some []
+    | Some st ->
+        let rec go acc = function
+          | [] -> Some (List.rev acc)
+          | f :: fs -> (
+              match
+                List.find_opt survives
+                  (Bits.elements (Bits.inter st u.covers.(f)))
+              with
+              | Some h -> go (u.facts.(h).src :: acc) fs
+              | None -> None)
+        in
+        go [] o.delivers
+  in
+  (* the backward transfers without the deleted ops *)
+  let bwd = Array.map (fun (pl : plan) -> pl.bwd) s.plans in
+  let seen = Array.make (Array.length bwd) 0 and stamp = ref 0 in
+  let live_out i b =
+    incr stamp;
+    let rec search = function
+      | [] -> false
+      | x :: rest when seen.(x) = !stamp -> search rest
+      | x :: rest -> (
+          seen.(x) <- !stamp;
+          if x = cfg.Sir_cfg.exit_ then Bits.mem u.validated b || search rest
+          else
+            match bwd.(x) with
+            | Some st when Bits.mem st.gen b -> true
+            | Some st when not (Bits.mem st.keep b) -> search rest
+            | _ -> search (List.rev_append (Sir_cfg.succs cfg x) rest))
+    in
+    search (Sir_cfg.succs cfg i)
+  in
+  let refixed = ref None in
+  let live_out_unreached i b =
+    let live =
+      match !refixed with
+      | Some l -> l
+      | None ->
+          let l = live_fixpoint cfg u (fun x -> bwd.(x)) in
+          refixed := Some l;
+          l
+    in
+    Bits.mem live.Flow.input.(i) b
+  in
+  (* [classify]'s W0606 test against the program as it now stands *)
+  let dead_now i (o : op_plan) : bool =
+    match o.source with
+    | None -> false
+    | Some _ when Hashtbl.length deleted = 0 -> false
+    | Some b ->
+        let pl = s.plans.(i) in
+        let rec later_reads = function
+          | [] -> false
+          | (x : op_plan) :: rest when x.op.Sir.uid = o.op.Sir.uid ->
+              List.exists
+                (fun (y : op_plan) -> y.source = Some b && not (gone y.op))
+                rest
+          | _ :: rest -> later_reads rest
+        in
+        let live_out =
+          match s.avail.Flow.input.(i) with
+          | Avail.Top -> live_out_unreached
+          | Avail.Facts _ -> live_out
+        in
+        not
+          (later_reads pl.comms
+          ||
+          match pl.bwd_exec with
+          | None -> live_out i b
+          | Some st ->
+              Bits.mem st.gen b || (Bits.mem st.keep b && live_out i b))
+  in
+  List.fold_left
+    (fun acc (sid, (op : Sir.comm_op)) ->
+      match instance_node cfg sid with
+      | None -> acc
+      | Some i -> (
+          match
+            List.find_opt
+              (fun (o : op_plan) -> o.op.Sir.uid = op.Sir.uid)
+              s.plans.(i).comms
+          with
+          | None -> acc
+          | Some o -> (
+              match surviving_covers i o with
+              | Some covers when not (dead_now i o) ->
+                  Hashtbl.replace deleted op.Sir.uid ();
+                  (match Sir_cfg.ops_at cfg i with
+                  | Some ops ->
+                      bwd.(i) <-
+                        bwd_step u cfg
+                          {
+                            ops with
+                            Sir.comms =
+                              List.filter (fun x -> not (gone x)) ops.Sir.comms;
+                          }
+                          s.plans.(i).bwd_exec
+                  | None -> ());
+                  refixed := None;
+                  (op, covers) :: acc
+              | _ -> acc)))
+    [] s.redundant
+  |> List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -17,9 +17,10 @@
       classified op is {e individually} deletable.
 
     The verifier renders these classes as warnings; the optimizer turns
-    them into deletions, re-running both fixpoints on a {!prepared}
-    context after each rewrite so mutually-covering transfers are never
-    both removed. *)
+    them into deletions: [dte] re-runs both fixpoints on a {!prepared}
+    context after each rewrite, [rte] replays its deletions against one
+    analysis ({!redundant_deletions}), so mutually-covering transfers
+    are never both removed. *)
 
 open Hpf_lang
 
@@ -168,7 +169,9 @@ val covered_at : summary -> int -> key:dkey -> need:Sir.dests -> bool
 
 (** Per delivered fact of op [uid] at node [i], the source of a fact in
     that state that makes it valid (the lowest id; [[]] when the node is
-    unreachable) — what an [rte] witness names. *)
+    unreachable) — what an [rte] witness names when the analysis is
+    re-run after every deletion, as the tests' reference loop does;
+    {!redundant_deletions} names the same covers from one analysis. *)
 val covers_of : summary -> int -> int -> source list
 
 (** Can a processor read its copy of [base] once the transfers at node
@@ -177,13 +180,30 @@ val covers_of : summary -> int -> int -> source list
     [i] holds exactly when not. *)
 val read_after : summary -> int -> string -> bool
 
+(** {2 Redundant deletions}
+
+    Deleting a transfer only clears its own facts from the MUST
+    fixpoint (facts carry their source op, and only writes kill them),
+    so [rte] decides every deletion against one analysis. *)
+
+(** The transfers the one-at-a-time [rte] loop deletes, in its order,
+    each with the covers its [W_redundant] witness names: [redundant]
+    is walked in schedule order, and a candidate is deleted when every
+    fact it delivers still has a cover in its node's pre-state whose
+    source is not an already deleted op (the witness names the
+    lowest-id such cover per fact) and it has not become dead — a
+    deletion removes a read of its source copy, so a candidate that
+    nothing later at its own node reads is re-checked against liveness
+    without the deleted ops.  Edits nothing. *)
+val redundant_deletions : summary -> (Sir.comm_op * source list) list
+
 (** {2 Prepared analyses}
 
-    A deletion loop re-runs both fixpoints after every single deletion
-    but builds the CFG, the interning table and the node plans once:
-    deleting an op can only remove facts and names, so the table of the
-    original program stays a superset, and only the touched statement's
-    plan changes. *)
+    [dte]'s deletion loop re-runs both fixpoints after every single
+    deletion (a deletion changes liveness) but builds the CFG, the
+    interning table and the node plans once: deleting an op can only
+    remove facts and names, so the table of the original program stays
+    a superset, and only the touched statement's plan changes. *)
 
 type prepared
 

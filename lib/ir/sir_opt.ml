@@ -14,10 +14,13 @@
     - [combine]: drop reduction-combine steps whose accumulator is
       provably clean on every path.
 
-    Soundness discipline: [dte]/[rte] delete {e one} op at a time and
-    re-run the fixpoints (on a {!Sir_dataflow.prepared} context) before
-    the next deletion, so mutually-covering transfers are never both
-    removed and the post-optimization [verify-flow] audit reports zero
+    Soundness discipline: [dte] deletes {e one} op at a time and re-runs
+    the fixpoints (on a {!Sir_dataflow.prepared} context) before the
+    next deletion; [rte] takes its deletions from one analysis, deleting
+    a candidate only while every fact it delivers keeps a cover that was
+    not deleted.  Both choose exactly what the one-at-a-time loop
+    chooses, so mutually-covering transfers are never both removed and
+    the post-optimization [verify-flow] audit reports zero
     [W0606]/[W0607] by construction.
     Every rewrite is recorded as a {!Sir.witness} in the program's
     [opt_applied] field: the edit script {!Phpf_verify.Sir_check}
@@ -159,26 +162,20 @@ let rewrites (ws : Sir.witness list) : int =
     0 ws
 
 (* ------------------------------------------------------------------ *)
-(* dte / rte: certified deletions, one at a time                       *)
+(* dte / rte: certified deletions                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Deleting a transfer changes both fixpoints (its facts disappear, its
-   source-copy read disappears), so the class is recomputed after every
-   deletion: two transfers that each cover the other are flagged
-   together but only one survives the loop.  The CFG, the interning
-   table and the node plans are prepared once; a deletion re-plans only
-   the statement it touched. *)
-let delete_classified
-    (select : Sir_dataflow.summary -> (Ast.stmt_id * Sir.comm_op) list)
-    (witness : Sir_dataflow.summary -> Ast.stmt_id -> Sir.comm_op -> Sir.witness)
-    (p : Sir.program) : Sir.witness list =
+(* A dead transfer's deletion removes a read of its source copy, which
+   can leave another transfer dead, so [dte] recomputes the class after
+   every deletion.  The CFG, the interning table and the node plans are
+   prepared once; a deletion re-plans only the statement it touched. *)
+let dte (p : Sir.program) : Sir.witness list =
   let ctx = Sir_dataflow.prepare p and e = lazy (editor p) in
   let rec go acc =
-    let s = Sir_dataflow.analyze ctx in
-    match select s with
+    match (Sir_dataflow.analyze ctx).Sir_dataflow.dead with
     | [] -> List.rev acc
-    | (sid, op) :: _ -> (
-        let w = witness s sid op in
+    | (_, op) :: _ -> (
+        let w = Sir.W_dead { uid = op.Sir.uid } in
         match edit (Lazy.force e) w with
         | None -> invalid_arg "Sir_opt: the analysis selected a deleted op"
         | Some ops ->
@@ -187,21 +184,18 @@ let delete_classified
   in
   go []
 
-let dte =
-  delete_classified
-    (fun s -> s.Sir_dataflow.dead)
-    (fun _ _ op -> Sir.W_dead { uid = op.Sir.uid })
-
-let rte =
-  delete_classified
-    (fun s -> s.Sir_dataflow.redundant)
-    (fun s sid op ->
-      let covers =
-        match Sir_dataflow.instance_node s.Sir_dataflow.cfg sid with
-        | Some i -> Sir_dataflow.covers_of s i op.Sir.uid
-        | None -> []
-      in
-      Sir.W_redundant { uid = op.Sir.uid; covers })
+(* A redundant transfer's deletion only clears its own facts, so every
+   [rte] deletion is decided against one analysis: two transfers that
+   each cover the other are both candidates, but the second loses its
+   cover when the first goes. *)
+let rte (p : Sir.program) : Sir.witness list =
+  let ws =
+    Sir_dataflow.redundant_deletions (Sir_dataflow.summarize p)
+    |> List.map (fun ((op : Sir.comm_op), covers) ->
+           Sir.W_redundant { uid = op.Sir.uid; covers })
+  in
+  edit_all p ws;
+  ws
 
 (* ------------------------------------------------------------------ *)
 (* merge: adjacent same-(src, dst) element transfers -> one block      *)

@@ -14,10 +14,13 @@
     [verify-flow] / [Sir_check] / [plan_check] audits and the property
     suite in [test_opt]):
 
-    - [dte]/[rte] delete one op at a time and re-run the
-      {!Sir_dataflow} fixpoints (on a context prepared once per pass)
-      before the next deletion, so mutually-covering transfers are
-      never both removed;
+    - [dte] deletes one op at a time and re-runs the {!Sir_dataflow}
+      fixpoints (on a context prepared once per pass) before the next
+      deletion, since a deletion changes liveness; [rte] decides every
+      deletion against one analysis ({!Sir_dataflow.redundant_deletions}),
+      since a deletion only clears its own facts: a candidate goes only
+      while each fact it delivers keeps a cover that was not deleted, so
+      mutually-covering transfers are never both removed;
     - [merge] preserves ship timing (the merged block's prefix is the
       statement's full mirror) and its region expands back to exactly
       the fused element keys under {!Sir_dataflow.facts_of_op};

@@ -183,6 +183,9 @@ let all_stmts (p : program) : stmt list =
   iter_program (fun s -> acc := s :: !acc) p;
   List.rev !acc
 
+(** The statement with id [sid], found by walking the whole program on
+    every call; a pass holding a {!Nest.t} reads its table instead
+    ({!Nest.find_stmt}). *)
 let find_stmt (p : program) (sid : stmt_id) : stmt option =
   let found = ref None in
   iter_program (fun s -> if s.sid = sid then found := Some s) p;

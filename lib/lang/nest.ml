@@ -3,7 +3,12 @@
     The paper's analyses constantly ask "what loops surround this
     statement, outermost first?" and "what is the nesting level of loop
     [l]?".  Nesting levels follow the paper's convention: the outermost
-    loop of a nest is level 1, level 0 denotes "outside all loops". *)
+    loop of a nest is level 1, level 0 denotes "outside all loops".
+
+    {!build} also indexes, in the same walk, every statement by id and
+    every loop's assignments by base, so statement lookups and the
+    dependence queries of communication placement ({!Hpf_analysis.Depend})
+    read a table instead of walking the program. *)
 
 open Ast
 
@@ -20,21 +25,36 @@ type t = {
   loops : loop_info list;  (** all loops in preorder *)
   parent : (stmt_id, stmt_id) Hashtbl.t;
       (** innermost enclosing structured statement (loop or if) *)
+  stmts : (stmt_id, stmt) Hashtbl.t;  (** every statement by id *)
+  writes : (stmt_id, (string, stmt list) Hashtbl.t) Hashtbl.t;
+      (** per loop: the assignments inside its body, nested loops
+          included, by assigned base, in program order *)
 }
 
 let build (p : program) : t =
   let enclosing = Hashtbl.create 64 in
   let parent = Hashtbl.create 64 in
+  let stmts = Hashtbl.create 64 in
+  let writes = Hashtbl.create 16 in
   let loops = ref [] in
-  let rec go ctx parent_sid stmts =
+  (* [ctx]: the enclosing loops innermost first, each with its write
+     table (filled in reverse program order, reversed below) *)
+  let rec go ctx parent_sid body =
     List.iter
       (fun s ->
-        Hashtbl.replace enclosing s.sid (List.rev ctx);
+        Hashtbl.replace enclosing s.sid (List.rev_map fst ctx);
+        Hashtbl.replace stmts s.sid s;
         (match parent_sid with
         | Some psid -> Hashtbl.replace parent s.sid psid
         | None -> ());
         match s.node with
-        | Assign _ | Exit _ | Cycle _ -> ()
+        | Assign ((LVar base | LArr (base, _)), _) ->
+            List.iter
+              (fun (_, tbl) ->
+                Hashtbl.replace tbl base
+                  (s :: Option.value ~default:[] (Hashtbl.find_opt tbl base)))
+              ctx
+        | Exit _ | Cycle _ -> ()
         | If (_, t, e) ->
             go ctx (Some s.sid) t;
             go ctx (Some s.sid) e
@@ -42,12 +62,17 @@ let build (p : program) : t =
             let info =
               { loop_sid = s.sid; loop = d; level = List.length ctx + 1 }
             in
+            let tbl = Hashtbl.create 8 in
+            Hashtbl.replace writes s.sid tbl;
             loops := info :: !loops;
-            go (info :: ctx) (Some s.sid) d.body)
-      stmts
+            go ((info, tbl) :: ctx) (Some s.sid) d.body)
+      body
   in
   go [] None p.body;
-  { enclosing; loops = List.rev !loops; parent }
+  Hashtbl.iter
+    (fun _ tbl -> Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl)
+    writes;
+  { enclosing; loops = List.rev !loops; parent; stmts; writes }
 
 (** Enclosing loops of a statement, outermost first. *)
 let enclosing_loops (t : t) (sid : stmt_id) : loop_info list =
@@ -103,3 +128,14 @@ let index_level (t : t) (sid : stmt_id) (v : string) : int =
     | _ :: tl -> go (n + 1) tl
   in
   go 1 (enclosing_loops t sid)
+
+(** The statement with id [sid]. *)
+let find_stmt (t : t) (sid : stmt_id) : stmt option =
+  Hashtbl.find_opt t.stmts sid
+
+(** The assignments to [base] inside loop [li] (nested loops included),
+    in program order. *)
+let writes_in (t : t) (li : loop_info) (base : string) : stmt list =
+  match Hashtbl.find_opt t.writes li.loop_sid with
+  | None -> []
+  | Some tbl -> Option.value ~default:[] (Hashtbl.find_opt tbl base)

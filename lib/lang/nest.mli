@@ -1,6 +1,8 @@
 (** Loop-nest structure: the enclosing-loop context of every statement.
     Nesting levels follow the paper's convention — the outermost loop of
-    a nest is level 1; level 0 means "outside all loops". *)
+    a nest is level 1; level 0 means "outside all loops".  The same walk
+    indexes every statement by id and every loop's assignments by base;
+    a built [t] is never mutated. *)
 
 open Ast
 
@@ -17,6 +19,10 @@ type t = {
   loops : loop_info list;  (** all loops, preorder *)
   parent : (stmt_id, stmt_id) Hashtbl.t;
       (** innermost enclosing structured statement *)
+  stmts : (stmt_id, stmt) Hashtbl.t;  (** every statement by id *)
+  writes : (stmt_id, (string, stmt list) Hashtbl.t) Hashtbl.t;
+      (** per loop: the assignments inside its body, nested loops
+          included, by assigned base, in program order *)
 }
 
 val build : program -> t
@@ -50,3 +56,11 @@ val is_enclosing_index : t -> stmt_id -> string -> bool
 
 (** Level of the enclosing loop with index [v] (0 when none). *)
 val index_level : t -> stmt_id -> string -> int
+
+(** The statement with the given id, from the table {!build} fills. *)
+val find_stmt : t -> stmt_id -> stmt option
+
+(** The assignments to [base] inside the loop, nested loops included, in
+    program order — what [Ast.iter_stmts] over the body visits, without
+    the walk. *)
+val writes_in : t -> loop_info -> string -> stmt list

@@ -27,21 +27,12 @@ let var_level (prog : Ast.program) (nest : Nest.t) ~(sid : Ast.stmt_id)
     if idx_level > 0 then idx_level
     else begin
       (* deepest enclosing loop containing an assignment to v *)
-      let loops = Nest.enclosing_loops nest sid in
-      let assigns_v (li : Nest.loop_info) =
-        let found = ref false in
-        Ast.iter_stmts
-          (fun s ->
-            match s.node with
-            | Assign (LVar x, _) when String.equal x v -> found := true
-            | Assign (LArr (x, _), _) when String.equal x v -> found := true
-            | _ -> ())
-          li.loop.body;
-        !found
-      in
       List.fold_left
-        (fun acc li -> if assigns_v li then max acc li.Nest.level else acc)
-        0 loops
+        (fun acc li ->
+          if Nest.writes_in nest li v <> [] then max acc li.Nest.level
+          else acc)
+        0
+        (Nest.enclosing_loops nest sid)
     end
   end
 

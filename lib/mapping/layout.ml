@@ -227,48 +227,66 @@ let resolve ?grid_override (prog : Ast.program) : env =
 (* Per-processor memory footprint                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A declaration's footprint, resolved once from its layout: [whole] is
+   the product of the extents no binding divides (1 for a scalar, 0 when
+   undeclared) and [divided] pairs each dimension a Mapped binding
+   divides (the first such binding) with that grid dimension and the
+   local count at each of its coordinates. *)
+type footprint = { whole : int; divided : (int * int array) list }
+
+let footprint (env : env) (name : string) : footprint =
+  match Ast.find_decl env.prog name with
+  | None -> { whole = 0; divided = [] }
+  | Some d when d.Ast.shape = [] -> { whole = 1; divided = [] }
+  | Some d ->
+      let l = layout_of env name in
+      let rec divider ad g =
+        if g = Array.length l.bindings then None
+        else
+          match l.bindings.(g) with
+          | Mapped m when m.array_dim = ad -> Some (g, m.fmt, m.nprocs)
+          | _ -> divider ad (g + 1)
+      in
+      List.fold_left
+        (fun (f, ad) bounds ->
+          let extent = Types.extent bounds in
+          match divider ad 0 with
+          | None -> ({ f with whole = f.whole * extent }, ad + 1)
+          | Some (g, fmt, nprocs) ->
+              let counts =
+                Array.init (Grid.extent env.grid g) (fun c ->
+                    max 1 (Dist.local_count fmt ~nprocs ~extent c))
+              in
+              ({ f with divided = (g, counts) :: f.divided }, ad + 1))
+        ({ whole = 1; divided = [] }, 0)
+        d.Ast.shape
+      |> fst
+
+let rec footprint_at coords acc = function
+  | [] -> acc
+  | (g, counts) :: rest -> footprint_at coords (acc * counts.(coords.(g))) rest
+
 (** Number of elements of [name] stored by the processor at [coords]
     under its resolved layout: mapped dimensions contribute their local
     counts, collapsed and replicated dimensions their full extents. *)
 let local_elems (env : env) (name : string) (coords : int array) : int =
-  match Ast.find_decl env.prog name with
-  | None -> 0
-  | Some d when d.Ast.shape = [] -> 1
-  | Some d ->
-      let l = layout_of env name in
-      (* local count of one array dimension: the Mapped binding dividing
-         it, or the full extent when none does *)
-      let local_of_dim (ad : int) (extent : int) : int =
-        let found = ref None in
-        Array.iteri
-          (fun g b ->
-            match b with
-            | Mapped m when m.array_dim = ad && !found = None ->
-                found :=
-                  Some
-                    (Dist.local_count m.fmt ~nprocs:m.nprocs ~extent
-                       coords.(g))
-            | _ -> ())
-          l.bindings;
-        match !found with Some n -> max 1 n | None -> extent
-      in
-      List.fold_left
-        (fun acc (i, bounds) -> acc * local_of_dim i (Types.extent bounds))
-        1
-        (List.mapi (fun i b -> (i, b)) d.Ast.shape)
+  let f = footprint env name in
+  footprint_at coords f.whole f.divided
 
 (** Per-processor memory footprint in elements: the maximum over
     processors of the sum of local element counts of every declared
-    variable. *)
+    variable, each declaration resolved once. *)
 let max_local_elems (env : env) : int =
-  let pids = List.init (Grid.size env.grid) Fun.id in
-  List.fold_left
-    (fun acc pid ->
-      let coords = Grid.coords env.grid pid in
-      let total =
-        List.fold_left
-          (fun t (d : Ast.decl) -> t + local_elems env d.Ast.dname coords)
-          0 env.prog.Ast.decls
-      in
-      max acc total)
-    0 pids
+  let fs =
+    List.map (fun (d : Ast.decl) -> footprint env d.Ast.dname) env.prog.decls
+  in
+  let rec sum coords t = function
+    | [] -> t
+    | f :: rest -> sum coords (t + footprint_at coords f.whole f.divided) rest
+  in
+  let best = ref 0 in
+  for pid = 0 to Grid.size env.grid - 1 do
+    let total = sum (Grid.coords env.grid pid) 0 fs in
+    if total > !best then best := total
+  done;
+  !best

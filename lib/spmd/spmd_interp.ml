@@ -515,9 +515,9 @@ let prefix_moved (current : int array) (last : int array) : bool =
   !moved
 
 (** Execute the lowered program in SPMD fashion.  [init] seeds the
-    reference memory and every processor memory identically (initial
-    data is assumed globally available, as the paper's benchmarks read
-    their input on every node).
+    reference memory, and every processor memory starts as a copy of it
+    (initial data is assumed globally available, as the paper's
+    benchmarks read their input on every node).
 
     The program is the compiler's recorded lowering unless [sir]
     overrides it; [aggregate] only picks the transport of its block
@@ -532,12 +532,10 @@ let run ?(init : (Memory.t -> unit) option) ?(faults = Fault.none)
      recovery rebuilds *)
   let layout = Concrete.layout sir in
   let reference = Memory.create_in layout in
-  let procs = Array.init nprocs (fun _ -> Memory.create_in layout) in
-  (match init with
-  | Some f ->
-      f reference;
-      Array.iter f procs
-  | None -> ());
+  Option.iter (fun f -> f reference) init;
+  (* seeded once: [init] is deterministic, so copying the seeded cells
+     gives every processor what applying it again would *)
+  let procs = Array.init nprocs (fun _ -> Memory.copy reference) in
   (* the supervisor either drives plan-based localized failover (plan
      attached by the recovery-plan pass, [init] re-applied to rebuilt
      memories) or snapshots the post-init state as checkpoint zero *)

@@ -30,9 +30,10 @@ type t = {
 }
 
 (** Execute the compiled program in SPMD fashion by interpreting its
-    lowered form.  [init] seeds the reference and every processor memory
-    identically.  Inter-processor copies travel as sequence-numbered,
-    checksummed packets through the {!Msg} layer; [faults] injects a
+    lowered form.  [init] (deterministic) seeds the reference once, and
+    every processor memory starts as a copy of it.  Inter-processor
+    copies travel as sequence-numbered, checksummed packets through the
+    {!Msg} layer; [faults] injects a
     deterministic fault campaign that {!Recover} detects and repairs
     (raising {!Recover.Unrecoverable} when its retry budget dies).
 

@@ -24,7 +24,7 @@ let check (c : Compiler.compiled) (diff : Vutil.diff) : Diag.t list =
   List.iter
     (fun (m : Comm.t) ->
       acc :=
-        (match Ast.find_stmt c.Compiler.prog m.Comm.data.Aref.sid with
+        (match Nest.find_stmt d.Decisions.nest m.Comm.data.Aref.sid with
         | Some s when Vutil.replicated_stmt d s ->
             Diag.errorf ~code:Codes.e_divergent
               "s%d executes on every processor but reads %a, which is not \

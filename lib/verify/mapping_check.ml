@@ -181,7 +181,7 @@ let check_array (c : Compiler.compiled) ((base, loop_sid) : string * int)
         "array privatization recorded for %s, which is not a declared array"
         base
       :: !acc;
-  (match Ast.find_stmt prog loop_sid with
+  (match Nest.find_stmt d.Decisions.nest loop_sid with
   | Some { Ast.node = Ast.Do _; _ } -> ()
   | _ ->
       acc :=
@@ -268,7 +268,7 @@ let check (c : Compiler.compiled) : Diag.t list =
   List.iter (fun (key, m) -> check_array c key m acc) (Decisions.array_mappings d);
   List.iter
     (fun (sid, _) ->
-      match Ast.find_stmt c.Compiler.prog sid with
+      match Nest.find_stmt d.Decisions.nest sid with
       | Some { Ast.node = Ast.If _; _ } -> ()
       | _ ->
           acc :=

@@ -70,7 +70,7 @@ let comm_diff (c : Compiler.compiled) : diff =
   let dangling, scheduled =
     List.partition
       (fun (cm : Comm.t) ->
-        Ast.find_stmt c.Compiler.prog cm.Comm.data.Aref.sid = None)
+        Nest.find_stmt d.Decisions.nest cm.Comm.data.Aref.sid = None)
       c.Compiler.comms
   in
   (* greedy multiset matching on the moved reference: an exact

@@ -20,7 +20,13 @@
    immediate dominators, and [ssa_build] and [reached_uses] the SSA
    construction that scans every (variable, node) pair and the
    per-query walk of the φ web, the references for
-   {!Hpf_analysis.Ssa.build} and its reached-use table.
+   {!Hpf_analysis.Ssa.build} and its reached-use table.  [Loop_walk]
+   answers the dependence query of communication placement by visiting
+   every statement of the loop body, the reference for the nest's write
+   index behind {!Hpf_analysis.Depend.write_feeds_read_in_loop}, and
+   [rte_loop] is [rte] deleting one transfer at a time with both
+   fixpoints re-run after each deletion, the reference for
+   {!Phpf_ir.Sir_dataflow.redundant_deletions}.
 
    The runtime's references come first: [Ast_eval] is the evaluator,
    the sequential interpreter and the Sir guard evaluation as a walk of
@@ -1061,3 +1067,126 @@ let ssa_vs_reference (g : Cfg.t) : (int, string) result =
                   Some (Fmt.str "%a: scalar and array disagree" (Ssa.pp_def built) d))
         built.Ssa.reached;
       match !diff with Some why -> Error why | None -> Ok !compared)
+
+(* ------------------------------------------------------------------ *)
+(* Dependence queries by walking the loop body                         *)
+(* ------------------------------------------------------------------ *)
+
+module Loop_walk = struct
+  (* Every statement of the loop visited and every write of the read's
+     base tested, with no early exit. *)
+  let write_feeds_read_in_loop (prog : Ast.program) (nest : Nest.t)
+      (li : Nest.loop_info) (r : Depend.ref_ctx) : bool =
+    let shared_level = li.Nest.level - 1 in
+    let found = ref false in
+    Ast.iter_stmts
+      (fun s ->
+        match s.Ast.node with
+        | Ast.Assign (Ast.LArr (a, subs), _) when a = r.Depend.base ->
+            if
+              Depend.may_conflict ~shared_level prog nest
+                { Depend.sid = s.Ast.sid; base = a; subs }
+                r
+            then found := true
+        | Ast.Assign (Ast.LVar v, _) when v = r.Depend.base ->
+            found := true
+        | _ -> ())
+      li.Nest.loop.Ast.body;
+    !found
+
+  (* Every read reference of every statement (array elements with their
+     subscripts, scalars without), each asked at every enclosing level
+     against [Depend]'s index: the first disagreement, or how many
+     queries agreed. *)
+  let index_vs_walk (prog : Ast.program) : (int, string) result =
+    let nest = Nest.build prog in
+    let asked = ref 0 and diff = ref None in
+    Ast.iter_program
+      (fun s ->
+        let reads = ref [] in
+        List.iter
+          (Ast.iter_expr (function
+            | Ast.Arr (a, subs) -> reads := (a, subs) :: !reads
+            | Ast.Var v -> reads := (v, []) :: !reads
+            | _ -> ()))
+          (Ast.own_exprs s);
+        List.iter
+          (fun (base, subs) ->
+            let r = { Depend.sid = s.Ast.sid; base; subs } in
+            List.iter
+              (fun (li : Nest.loop_info) ->
+                if !diff = None then begin
+                  incr asked;
+                  let got = Depend.write_feeds_read_in_loop prog nest li r
+                  and want = write_feeds_read_in_loop prog nest li r in
+                  if got <> want then
+                    diff :=
+                      Some
+                        (Fmt.str "s%d reading %s at level %d: index %b, walk %b"
+                           s.Ast.sid base li.Nest.level got want)
+                end)
+              (Nest.enclosing_loops nest s.Ast.sid))
+          (List.rev !reads))
+      prog;
+    match !diff with Some why -> Error why | None -> Ok !asked
+end
+
+(* ------------------------------------------------------------------ *)
+(* rte one deletion at a time                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Re-run both fixpoints after every deletion and delete the first op of
+   the recomputed redundant class, witnessed by [covers_of] on that
+   analysis. *)
+let rte_loop (p : Phpf_ir.Sir.program) : Phpf_ir.Sir.witness list =
+  let open Phpf_ir in
+  let ctx = Sir_dataflow.prepare p and e = Sir_opt.editor p in
+  let rec go acc =
+    let s = Sir_dataflow.analyze ctx in
+    match s.Sir_dataflow.redundant with
+    | [] -> List.rev acc
+    | (sid, (op : Sir.comm_op)) :: _ -> (
+        let covers =
+          match Sir_dataflow.instance_node s.Sir_dataflow.cfg sid with
+          | Some i -> Sir_dataflow.covers_of s i op.Sir.uid
+          | None -> []
+        in
+        let w = Sir.W_redundant { uid = op.Sir.uid; covers } in
+        match Sir_opt.edit e w with
+        | None -> invalid_arg "rte_loop: the analysis selected a deleted op"
+        | Some ops ->
+            Sir_dataflow.replan ctx ops.Sir.sid;
+            go (w :: acc))
+  in
+  go []
+
+(* [Sir_opt.rte] and [rte_loop] on copies of [sir]: the first difference
+   in witnesses or in the rewritten program, or the number of
+   deletions. *)
+let rte_vs_loop (sir : Phpf_ir.Sir.program) : (int, string) result =
+  let open Phpf_ir in
+  let copy () = { sir with Sir.stmts = Hashtbl.copy sir.Sir.stmts } in
+  let fast = copy () and slow = copy () in
+  let got = Sir_opt.rte fast and want = rte_loop slow in
+  let pp_w ppf = function
+    | Sir.W_redundant { uid; covers } ->
+        Fmt.pf ppf "u%d covered by [%a]" uid
+          Fmt.(
+            list ~sep:comma (fun ppf -> function
+              | Sir.F_init -> string ppf "init"
+              | Sir.F_op u -> pf ppf "u%d" u
+              | Sir.F_write s -> pf ppf "s%d" s))
+          covers
+    | _ -> Fmt.string ppf "not an rte witness"
+  in
+  let rec first_diff k = function
+    | x :: xs, y :: ys when x = y -> first_diff (k + 1) (xs, ys)
+    | x :: _, y :: _ -> Fmt.str "deletion %d: %a, loop %a" k pp_w x pp_w y
+    | x :: _, [] -> Fmt.str "deletion %d: %a, loop stops" k pp_w x
+    | [], y :: _ -> Fmt.str "stops at deletion %d, loop %a" k pp_w y
+    | [], [] -> "none"
+  in
+  if got <> want then Error ("witnesses differ at " ^ first_diff 0 (got, want))
+  else if Sir_pp.to_string fast <> Sir_pp.to_string slow then
+    Error "same witnesses, different programs"
+  else Ok (List.length got)

@@ -866,7 +866,7 @@ end
 
 let test_reduction_sum () =
   let prog = Sema.check (Hpf_benchmarks.Fig_examples.fig5 ()) in
-  match Reduction.analyze prog with
+  match Reduction.analyze (Nest.build prog) prog with
   | [ r ] ->
       check Alcotest.string "var" "s" r.Reduction.var;
       check Alcotest.bool "sum" true (r.Reduction.op = Reduction.Rsum);
@@ -875,7 +875,7 @@ let test_reduction_sum () =
 
 let test_reduction_maxloc () =
   let prog = Sema.check (Hpf_benchmarks.Dgefa.program ~n:8 ~p:2) in
-  let reds = Reduction.analyze prog in
+  let reds = Reduction.analyze (Nest.build prog) prog in
   match List.find_opt (fun r -> r.Reduction.conditional) reds with
   | Some r ->
       check Alcotest.string "var" "t" r.Reduction.var;
@@ -901,7 +901,7 @@ end
 |}
   in
   check Alcotest.int "accumulator clobbered" 0
-    (List.length (Reduction.analyze p))
+    (List.length (Reduction.analyze (Nest.build p) p))
 
 let test_reduction_product () =
   let p =
@@ -916,7 +916,7 @@ end do
 end
 |}
   in
-  match Reduction.analyze p with
+  match Reduction.analyze (Nest.build p) p with
   | [ r ] ->
       check Alcotest.bool "product" true (r.Reduction.op = Reduction.Rprod)
   | _ -> fail "one reduction"
@@ -1081,6 +1081,79 @@ end
   check Alcotest.bool "unwritten base does not" false
     (Depend.write_feeds_read_in_loop p nest loop r2)
 
+(* The write index behind [write_feeds_read_in_loop]: a loop records the
+   assignments of its nested loops too, grouped by base in program
+   order, and a query reads only the read's base. *)
+let test_write_index_nested () =
+  let p, nest =
+    dep_ctx
+      {|
+program t
+real a(12), b(12), x
+do k = 1, 3
+  x = b(k)
+  do i = 2, 10
+    a(i) = b(i) + x
+    b(i) = a(i - 1)
+  end do
+  a(1) = 0.0
+end do
+end
+|}
+  in
+  let outer, inner =
+    match nest.Nest.loops with
+    | [ o; i ] -> (o, i)
+    | _ -> fail "two loops"
+  in
+  let sids base li =
+    List.map (fun (s : Ast.stmt) -> s.Ast.sid) (Nest.writes_in nest li base)
+  in
+  let a_sid = sid_of_array_assign p "a" in
+  check (Alcotest.list Alcotest.int) "inner loop writes of a" [ a_sid ]
+    (sids "a" inner);
+  check Alcotest.int "outer loop sees the nested write and its own" 2
+    (List.length (sids "a" outer));
+  check Alcotest.int "program order" a_sid (List.hd (sids "a" outer));
+  check (Alcotest.list Alcotest.int) "x is written by the outer loop only" []
+    (sids "x" inner);
+  check Alcotest.int "x is written once in the outer loop" 1
+    (List.length (sids "x" outer));
+  (* reads at the inner assignment to a *)
+  let read_sid = a_sid in
+  let r = { Depend.sid = read_sid; base = "b"; subs = [ Ast.Var "i" ] } in
+  check Alcotest.bool "b written in the inner loop feeds b(i)" true
+    (Depend.write_feeds_read_in_loop p nest inner r);
+  let rx = { Depend.sid = read_sid; base = "x"; subs = [] } in
+  check Alcotest.bool "a scalar write in the outer loop feeds x" true
+    (Depend.write_feeds_read_in_loop p nest outer rx);
+  check Alcotest.bool "no write of x inside the inner loop" false
+    (Depend.write_feeds_read_in_loop p nest inner rx);
+  let rc = { Depend.sid = read_sid; base = "a"; subs = [ Ast.Int 12 ] } in
+  check Alcotest.bool "a(12) lies outside the writes a(2..10) and a(1)"
+    false
+    (Depend.write_feeds_read_in_loop p nest outer rc);
+  List.iter
+    (fun (li, r) ->
+      check Alcotest.bool "index = walk"
+        (Oracles.Loop_walk.write_feeds_read_in_loop p nest li r)
+        (Depend.write_feeds_read_in_loop p nest li r))
+    [ (inner, r); (outer, r); (outer, rx); (inner, rx); (outer, rc) ]
+
+(* The index against the body walk ([Oracles.Loop_walk]) for every read
+   reference at every enclosing level of every program of [programs]. *)
+let depend_matches_walk programs () =
+  let asked = ref 0 in
+  List.iter
+    (fun (name, p) ->
+      match Oracles.Loop_walk.index_vs_walk p with
+      | Ok n -> asked := !asked + n
+      | Error why -> fail (Fmt.str "%s: %s" name why))
+    (programs ());
+  check Alcotest.bool
+    (Fmt.str "asked %d dependence queries" !asked)
+    true (!asked > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Privatizable                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1088,7 +1161,7 @@ end
 let priv_ctx src =
   let p = parse src in
   let ssa = Ssa.build (Cfg.build p) in
-  (p, ssa, Privatizable.make p ssa)
+  (p, ssa, Privatizable.make (Nest.build p) p ssa)
 
 let def_of (p, ssa, _) v =
   let sid = sid_of_assign p v in
@@ -1205,8 +1278,8 @@ let test_priv_arrays_from_new () =
     Sema.check (Hpf_benchmarks.Appsp.program_2d ~n:8 ~niter:1 ~p1:2 ~p2:2)
   in
   let ssa = Ssa.build (Cfg.build prog) in
-  let pv = Privatizable.make prog ssa in
   let nest = Nest.build prog in
+  let pv = Privatizable.make nest prog ssa in
   let indep =
     List.find (fun li -> li.Nest.loop.Ast.independent) nest.Nest.loops
   in
@@ -1348,6 +1421,14 @@ let () =
           Alcotest.test_case "triangular shared index" `Quick
             test_depend_triangular_shared;
           Alcotest.test_case "write feeds read" `Quick test_write_feeds_read;
+          Alcotest.test_case "write index of nested loops" `Quick
+            test_write_index_nested;
+          Alcotest.test_case "index = walk on the examples" `Quick
+            (depend_matches_walk Prog_gen.examples);
+          Alcotest.test_case "index = walk on the bench kernels" `Quick
+            (depend_matches_walk bench_kernels);
+          Alcotest.test_case "index = walk on composed kernels" `Quick
+            (depend_matches_walk composed_kernels);
         ] );
       ( "privatizable",
         [

@@ -1,6 +1,7 @@
 (* Pass-manager tests: pipeline trace contents, per-flag pass gating,
-   recorded statistics, the after-hook, and the result-based compile
-   entry points. *)
+   recorded statistics, the after-hook, the result-based compile entry
+   points, and a scaling guard that reads each pass's allocation
+   through the after-hooks. *)
 
 open Hpf_lang
 open Phpf_core
@@ -226,6 +227,54 @@ let test_stats_counters () =
     (Stats.to_sorted_list st)
 
 (* ------------------------------------------------------------------ *)
+(* Scaling                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words each compile and verifier pass allocates, read between
+   consecutive after-hooks, over one compile and lint of [prog]. *)
+let pass_words (prog : Ast.program) : (string * float) list =
+  let out = ref [] and last = ref (Gc.minor_words ()) in
+  let mark name _ =
+    let now = Gc.minor_words () in
+    out := (name, now -. !last) :: !out;
+    last := now
+  in
+  let c =
+    match Compiler.compile_traced ~after:mark prog with
+    | Ok (c, _) -> c
+    | Error ds -> fail (Fmt.str "does not compile: %a" Diag.pp_list ds)
+  in
+  last := Gc.minor_words ();
+  (match Phpf_verify.Verifier.verify ~after:mark c with
+  | Ok _ -> ()
+  | Error ds -> fail (Fmt.str "verifier failed: %a" Diag.pp_list ds));
+  List.rev !out
+
+(* Compile plus lint of tomcatv's time step composed 16 and 32 times:
+   the layers whose cost used to grow quadratically with the program
+   (dependence queries that walked the loop body, rte re-running its
+   fixpoints after every deletion, statement lookups that walked the
+   program) allocate at most 2.5 times as much at twice the size. *)
+let test_linear_allocation () =
+  let tomcatv k =
+    Prog_gen.compose k (Hpf_benchmarks.Tomcatv.program ~n:66 ~niter:1 ~p:4)
+  in
+  let w16 = pass_words (tomcatv 16) and w32 = pass_words (tomcatv 32) in
+  List.iter
+    (fun pass ->
+      match (List.assoc_opt pass w16, List.assoc_opt pass w32) with
+      | Some a, Some b ->
+          if b > 2.5 *. a then
+            fail
+              (Fmt.str
+                 "%s allocates %.0f words at x16 and %.0f at x32 (x%.2f > 2.5)"
+                 pass a b (b /. a))
+      | _ -> fail (pass ^ " did not run"))
+    [
+      "scalar-map"; "comm-analysis"; "lower-spmd"; "sir-opt.rte"; "verify-comm";
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "driver"
@@ -266,5 +315,10 @@ let () =
           Alcotest.test_case "after-hook order" `Quick test_after_hook_order;
           Alcotest.test_case "compile returns Error" `Quick
             test_compile_error_result;
+        ] );
+      ( "scaling",
+        [
+          Alcotest.test_case "allocation linear from x16 to x32" `Quick
+            test_linear_allocation;
         ] );
     ]

@@ -497,6 +497,48 @@ end
      max is 5 *)
   check Alcotest.int "max over procs" 5 (Layout.max_local_elems env)
 
+(* [max_local_elems] walks the processors over each declaration's
+   footprint resolved once; the straightforward reading sums
+   [local_elems] over the declarations at every processor's
+   coordinates.  Both must agree on the examples and the bench kernels,
+   at machine sizes up to 1024 on 1-D and 2-D grids. *)
+let test_max_local_elems_per_processor () =
+  let kernels =
+    let open Hpf_benchmarks in
+    [
+      ("fig1", Fig_examples.fig1 ~n:64 ~p:4 ());
+      ("fig2", Fig_examples.fig2 ~n:32 ~np:4 ());
+      ("tomcatv", Tomcatv.program ~n:66 ~niter:1 ~p:4);
+      ("dgefa", Dgefa.program ~n:64 ~p:4);
+      ("appsp_2d", Appsp.program_2d ~n:18 ~niter:1 ~p1:2 ~p2:2);
+      ("appsp_1d", Appsp.program_1d ~n:8 ~niter:1 ~p:2);
+    ]
+  in
+  List.iter
+    (fun (name, prog) ->
+      let rank = Grid.rank (Layout.resolve prog).Layout.grid in
+      List.iter
+        (fun p ->
+          let env =
+            Layout.resolve ~grid_override:(Grid.factorize ~rank p) prog
+          in
+          let per_processor =
+            List.fold_left
+              (fun acc coords ->
+                max acc
+                  (List.fold_left
+                     (fun t (d : Ast.decl) ->
+                       t + Layout.local_elems env d.Ast.dname coords)
+                     0 prog.Ast.decls))
+              0
+              (Grid.all_coords env.Layout.grid)
+          in
+          check Alcotest.int
+            (Fmt.str "%s at P=%d" name p)
+            per_processor (Layout.max_local_elems env))
+        [ 1; 3; 4; 12; 64; 1024 ])
+    (Prog_gen.examples () @ kernels)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -551,6 +593,8 @@ let () =
           Alcotest.test_case "replicated full" `Quick
             test_local_elems_replicated_full;
           Alcotest.test_case "max over procs" `Quick test_max_local_elems;
+          Alcotest.test_case "max = per-processor sum" `Quick
+            test_max_local_elems_per_processor;
         ] );
       ( "align-level",
         [

@@ -298,6 +298,182 @@ let test_prepared_matches_fresh () =
     (Fmt.str "the loops deleted transfers (%d)" !total)
     true (!total > 0)
 
+(* ------ rte from one analysis = the one-at-a-time loop ------ *)
+
+(* [Sir_opt.rte] against [Oracles.rte_loop] on the examples, the bench
+   kernels and composed tomcatv, under every optimizing option set of
+   the serve workload: same witnesses, same program, both after [dte]
+   and with [rte] alone (dead transfers left in place). *)
+let test_rte_matches_loop () =
+  let total = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun (oname, options) ->
+          if options.Decisions.optimize then begin
+            let tag = name ^ "/" ^ oname in
+            let c =
+              match Compiler.compile ~options (prog ()) with
+              | Ok c -> c
+              | Error ds -> fail (Fmt.str "%s: %a" tag Diag.pp_list ds)
+            in
+            let lowered = Oracles.relower c in
+            let after_dte = copy lowered in
+            ignore (Sir_opt.dte after_dte);
+            List.iter
+              (fun (stage, sir) ->
+                match Oracles.rte_vs_loop sir with
+                | Ok k -> total := !total + k
+                | Error why -> fail (Fmt.str "%s (%s): %s" tag stage why))
+              [ ("after dte", after_dte); ("rte alone", lowered) ]
+          end)
+        Phpf_serve.Serve.workload_option_sets)
+    (List.map (fun (n, p) -> (n, fun () -> p)) (Prog_gen.examples ())
+    @ benchmarks
+    @ [
+        ( "tomcatv_x2",
+          fun () -> Prog_gen.compose 2 (Tomcatv.program ~n:66 ~niter:1 ~p:4) );
+        ( "tomcatv_x4",
+          fun () -> Prog_gen.compose 4 (Tomcatv.program ~n:66 ~niter:1 ~p:4) );
+      ]);
+  check Alcotest.bool
+    (Fmt.str "rte deleted transfers (%d)" !total)
+    true (!total > 0)
+
+(* A deletion can leave a later candidate dead.  Broadcasts of [b] feed
+   IF conditions, which read the reference copy, not a processor's own;
+   the first broadcast is covered by the guarded write [b = 1.0] above
+   it.  In [dead_after_rte_src] the second is covered by the
+   unconditional [b = 2.0]; nothing else reads [b] on a processor, so
+   the first broadcast is live only through its own next iteration and
+   the second only through the first on the next outer iteration.  In
+   [dead_unreached_src] the second sits after an EXIT, so it is never
+   reached, and [y = b] below it reads [b]; its CYCLE joins the loop,
+   and the liveness worklist visits that unreached code only while the
+   first broadcast keeps [b] live around the loop.  Both broadcasts are
+   redundant in one analysis; once the first goes, the second is dead,
+   and the one-at-a-time loop keeps it. *)
+let dead_after_rte_src =
+  {|
+program deadrte
+real b, x
+real a(4)
+!hpf$ processors p(2)
+!hpf$ distribute a(block) onto p
+do t = 1, 3
+  b = 1.0
+  do i = 1, 4
+    if (b > 0.0) then
+      a(i) = 1.0
+    end if
+  end do
+  b = 2.0
+  if (b > 1.0) then
+    x = 1.0
+  end if
+end do
+end
+|}
+
+let dead_unreached_src =
+  {|
+program deadunreach
+real b, x, y
+do t = 1, 3
+  b = 1.0
+  if (b > 0.0) then
+    x = 1.0
+  end if
+  if (x > 0.0) then
+    exit
+    if (b > 1.0) then
+      y = b
+      cycle
+    end if
+  end if
+end do
+end
+|}
+
+(* [src] lowered without its transfers and reduction steps, plus a
+   broadcast of [b] to the first processor (uids 1, 2, ... in program
+   order) at every IF whose condition reads [b]; the writes of [b] are
+   computed by [computes], in program order.  Returns the Sir and the
+   writes' statements. *)
+let broadcasts_of_b src (computes : Sir.pred list) =
+  let c = compiled_of "rte" (parse src) in
+  let sir = Oracles.relower c in
+  let writes = ref [] and ifs = ref [] in
+  Ast.iter_program
+    (fun s ->
+      match s.Ast.node with
+      | Ast.Assign (Ast.LVar "b", _) -> writes := s.Ast.sid :: !writes
+      | Ast.If (cond, _, _) when List.mem "b" (Ast.expr_vars cond) ->
+          ifs := s.Ast.sid :: !ifs
+      | _ -> ())
+    c.Compiler.prog;
+  let writes = List.rev !writes and ifs = List.rev !ifs in
+  let broadcast sid uid =
+    {
+      Sir.uid;
+      pos = uid;
+      cm =
+        {
+          Hpf_comm.Comm.data = Hpf_analysis.Aref.scalar sid "b";
+          kind = Hpf_comm.Comm.Broadcast;
+          stmt_level = 1;
+          placement_level = 1;
+          elems_per_instance = 1;
+          instances = 1;
+          group = None;
+          agg_vars = [];
+          scale = 1;
+          boundary_fraction = 1.0;
+        };
+      xfer =
+        Sir.Elem_xfer
+          {
+            data = Sir.X_scalar { var = "b"; owner = [| Sir.C_all |] };
+            dests = Sir.D_pred (Sir.P_place [| Sir.C_fixed 0 |]);
+          };
+    }
+  in
+  Hashtbl.filter_map_inplace
+    (fun sid (ops : Sir.stmt_ops) ->
+      Some
+        {
+          ops with
+          Sir.red_steps = [];
+          comms =
+            List.concat
+              (List.mapi
+                 (fun k x -> if x = sid then [ broadcast sid (k + 1) ] else [])
+                 ifs);
+          exec =
+            (match (List.assoc_opt sid (List.combine writes computes), ops.Sir.exec) with
+            | Some computes, Sir.Guarded_assign g ->
+                Sir.Guarded_assign { g with computes }
+            | _, exec -> exec);
+        })
+    sir.Sir.stmts;
+  (sir, writes)
+
+let test_rte_skips_newly_dead (src, computes) () =
+  let sir, writes = broadcasts_of_b src computes in
+  let s = Sir_dataflow.summarize (copy sir) in
+  check (Alcotest.list Alcotest.int) "both broadcasts redundant" [ 1; 2 ]
+    (List.map
+       (fun (_, (op : Sir.comm_op)) -> op.Sir.uid)
+       s.Sir_dataflow.redundant);
+  check Alcotest.int "neither dead" 0 (List.length s.Sir_dataflow.dead);
+  let want =
+    [ Sir.W_redundant { uid = 1; covers = [ Sir.F_write (List.hd writes) ] } ]
+  in
+  check Alcotest.bool "the loop deletes the first only" true
+    (Oracles.rte_loop (copy sir) = want);
+  check Alcotest.bool "rte deletes the first only" true
+    (Sir_opt.rte (copy sir) = want)
+
 (* ---------------------- unit: merge ---------------------- *)
 
 (* Two reads of the same shifted row differing only in a constant
@@ -638,6 +814,16 @@ let () =
             test_msg_stats_repeatable;
           Alcotest.test_case "prepared dte/rte = fresh summarize loop" `Quick
             test_prepared_matches_fresh;
+          Alcotest.test_case "rte one analysis = one-at-a-time loop" `Quick
+            test_rte_matches_loop;
+          Alcotest.test_case "rte keeps a transfer a deletion left dead"
+            `Quick
+            (test_rte_skips_newly_dead
+               ( dead_after_rte_src,
+                 [ Sir.P_place [| Sir.C_fixed 0 |]; Sir.P_all ] ));
+          Alcotest.test_case "... at an unreachable statement" `Quick
+            (test_rte_skips_newly_dead
+               (dead_unreached_src, [ Sir.P_place [| Sir.C_fixed 0 |] ]));
         ] );
       ( "oracle",
         List.map

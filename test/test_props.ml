@@ -10,6 +10,10 @@
      interpreter against the AST walk of [Oracles.Ast_eval];
    - the message layer's streamed checksum and block-corruption pick
      against the list-based payload of [Oracles.Msg_list];
+   - the nest's write index against the loop-body walk of
+     [Oracles.Loop_walk] for every dependence query;
+   - [rte]'s deletions decided from one analysis against the
+     one-at-a-time loop of [Oracles.rte_loop];
    - the mapping-consistency guarantee of the paper's algorithm. *)
 
 open Hpf_lang
@@ -294,6 +298,57 @@ let prop_msg_corrupt_pick =
                (List.init (Array.length a.values) Fun.id)
       | _ -> false)
 
+(* The write index answers every dependence query like the walk of the
+   loop body ([Oracles.Loop_walk]): every read reference, at every
+   enclosing level.  Nothing here compiles a program, so this group is
+   cheap under any seed. *)
+let depend_vs_walk p =
+  match Oracles.Loop_walk.index_vs_walk p with
+  | Ok _ -> true
+  | Error why -> QCheck2.Test.fail_report why
+
+let prop_depend_vs_walk =
+  QCheck2.Test.make ~name:"write index = walk on generated programs"
+    ~count:200
+    ~print:(fun p -> Pp.program_to_string p)
+    gen_checked_program depend_vs_walk
+
+let prop_depend_vs_walk_composed =
+  QCheck2.Test.make ~name:"write index = walk on composed programs"
+    ~count:60
+    ~print:(fun p -> Pp.program_to_string p)
+    (QCheck2.Gen.map (Prog_gen.compose 3) gen_checked_program)
+    depend_vs_walk
+
+(* [rte]'s one analysis deletes what the one-at-a-time loop deletes,
+   with the same witnesses, both after [dte] and alone (where dead
+   transfers stay in the program), under every optimizing option set of
+   the serve workload. *)
+let prop_rte_vs_loop =
+  QCheck2.Test.make ~name:"rte one analysis = loop on generated programs"
+    ~count:30
+    ~print:(fun p -> Pp.program_to_string p)
+    gen_checked_program
+    (fun p ->
+      let open Phpf_core in
+      let open Phpf_ir in
+      List.for_all
+        (fun (_, options) ->
+          let lowered = Oracles.relower (Compiler.compile_exn ~options p) in
+          let after_dte =
+            { lowered with Sir.stmts = Hashtbl.copy lowered.Sir.stmts }
+          in
+          ignore (Sir_opt.dte after_dte);
+          List.for_all
+            (fun sir ->
+              match Oracles.rte_vs_loop sir with
+              | Ok _ -> true
+              | Error why -> QCheck2.Test.fail_report why)
+            [ after_dte; lowered ])
+        (List.filter
+           (fun (_, o) -> o.Decisions.optimize)
+           Phpf_serve.Serve.workload_option_sets))
+
 let prop_mapping_consistency =
   QCheck2.Test.make
     ~name:"mapping: reaching defs of any use share one mapping" ~count:100
@@ -428,10 +483,13 @@ let () =
       ( "resolve",
         [ to_alco prop_resolved_vs_ast; to_alco prop_resolved_vs_ast_composed ] );
       ("msg", [ to_alco prop_msg_checksum; to_alco prop_msg_corrupt_pick ]);
+      ( "depend",
+        [ to_alco prop_depend_vs_walk; to_alco prop_depend_vs_walk_composed ] );
       ( "core",
         [
           to_alco prop_mapping_consistency;
           to_alco prop_spmd_matches_reference;
+          to_alco prop_rte_vs_loop;
           to_alco prop_compile_deterministic;
           to_alco prop_reports_render;
         ] );
