@@ -171,12 +171,16 @@ let analyze (prog : Ast.program) (nest : Nest.t) (oracle : oracle)
   let out = ref [] in
   Ast.iter_program
     (fun s ->
+      (* a statement that reads one reference twice needs it once *)
+      let emitted = ref [] in
       List.iter
         (fun (r, consumer) ->
           if moves r then
             match comm_for_ref prog nest oracle r consumer with
-            | Some c -> out := c :: !out
-            | None -> ())
+            | Some c when not (List.mem c !emitted) ->
+                emitted := c :: !emitted;
+                out := c :: !out
+            | Some _ | None -> ())
         (oracle.stmt_refs s))
     prog;
   (* reduction collectives *)

@@ -35,9 +35,11 @@ val classify :
 val comm_for_ref :
   Ast.program -> Nest.t -> oracle -> Aref.t -> consumer -> Comm.t option
 
-(** Analyze the whole program.  [red_group] gives the processor count a
-    reduction's combine spans (1 suppresses the collective; the default
-    0 means "the whole machine").  [elide_unwritten] (default false)
+(** Analyze the whole program: one descriptor per distinct read of a
+    statement (a reference read twice in one statement moves once).
+    [red_group] gives the processor count a reduction's combine spans
+    (1 suppresses the collective; the default 0 means "the whole
+    machine").  [elide_unwritten] (default false)
     skips movement of never-assigned bases: initial data is seeded
     identically on every processor, so such copies can never diverge and
     broadcasting them re-delivers what every destination already holds

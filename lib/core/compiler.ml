@@ -218,7 +218,10 @@ let passes : (Decisions.options, context) Pass.t list =
             | None -> ()
             | Some sir ->
                 let before = Phpf_ir.Sir.op_counts sir in
-                let rewrites = Phpf_ir.Sir_opt.apply pname sir in
+                let rewrites =
+                  Phpf_ir.Sir_opt.apply
+                    ~nest:(decisions_exn ctx).Decisions.nest pname sir
+                in
                 let after = Phpf_ir.Sir.op_counts sir in
                 Stats.set st "rewrites" rewrites;
                 (* census delta: op population change this pass *)

@@ -204,22 +204,6 @@ let flatten_guard (cx : ctx) (s : Ast.stmt) : Sir.pred =
 
 (* --- aggregability (lowering-time decision) ------------------------ *)
 
-(* Scalar names written anywhere inside the crossed region; anything
-   outside this set keeps its first-instance value for the whole
-   region. *)
-let written_in_region (top : Nest.loop_info) : (string, unit) Hashtbl.t =
-  let w = Hashtbl.create 16 in
-  Hashtbl.replace w top.Nest.loop.index ();
-  Ast.iter_stmts
-    (fun st ->
-      match st.Ast.node with
-      | Ast.Assign (Ast.LVar x, _) -> Hashtbl.replace w x ()
-      | Ast.Assign (Ast.LArr (a, _), _) -> Hashtbl.replace w a ()
-      | Ast.Do dl -> Hashtbl.replace w dl.index ()
-      | Ast.If _ | Ast.Exit _ | Ast.Cycle _ -> ())
-    top.Nest.loop.body;
-  w
-
 (* Is the owner set of [r] an exact function of loop indices and
    parameters?  Mirrors {!flatten_owner}'s recursion; every subscript
    met along the way must be affine in the consumer's enclosing indices,
@@ -328,8 +312,9 @@ let aggregation_plan (d : Decisions.t) (cm : Comm.t) :
                 top.Nest.loop.body;
               !ok
             in
-            let written = written_in_region top in
-            let stable v = not (Hashtbl.mem written v) in
+            (* a name nothing inside the crossed region writes keeps its
+               first-instance value for the whole region *)
+            let stable v = not (Nest.written_in nest top v) in
             (* crossed-loop bounds must evaluate to the same values
                during enumeration as at the real loop headers *)
             let bounds_ok =

@@ -4,9 +4,14 @@
     Two fixpoints over one {!Sir_cfg} graph through the generic {!Flow}
     engine: forward MUST availability of {e delivery facts} (which
     delivered copies are valid where) and backward MAY liveness of
-    per-processor copies (whose copies can still be read).  From those,
-    {!summarize} classifies the transfer ops the program could drop
-    without changing any observation:
+    per-processor copies (whose copies can still be read).  Each
+    transfer contributes exactly one delivery fact: a block keeps its
+    symbolic subscripts, and only the indices it walks in full whenever
+    it ships make it a section, matched by membership.  Liveness counts
+    an [IF] condition as a read on the processors that evaluate it, the
+    read [verify-flow] requires a transfer for, so [dte] keeps predicate
+    transfers.  From those, {!summarize} classifies the transfer ops the
+    program could drop without changing any observation:
 
     - {b dead} ([W0606]): the payload is overwritten or never read on
       any processor before the validity scope ends;
@@ -103,45 +108,30 @@ type dkey =
   | K_scalar of string
   | K_whole of string  (** every element of an array *)
   | K_elem of string * Ast.expr list
+  | K_section of string * Ast.expr list * Sir.loop_desc list
+      (** the elements [base(subs)] as each walked index runs over its
+          loop: a block that walks these loops in full whenever it
+          ships *)
 
-let key_base = function K_scalar b | K_whole b | K_elem (b, _) -> b
+let key_base = function
+  | K_scalar b | K_whole b | K_elem (b, _) | K_section (b, _, _) -> b
 
+(* A section mentions the names its subscripts and its walked bounds
+   read, not the walked indices it binds. *)
 let key_vars = function
   | K_scalar b | K_whole b -> [ b ]
   | K_elem (b, subs) -> b :: List.concat_map Ast.expr_vars subs
-
-let key_covers ~(have : dkey) ~(need : dkey) : bool =
-  match (have, need) with
-  | K_whole a, (K_whole b | K_elem (b, _)) -> a = b
-  | K_scalar a, K_scalar b -> a = b
-  | K_elem (a, s1), K_elem (b, s2) -> a = b && s1 = s2
-  | _ -> false
-
-(** Where a fact came from: the identical initial memories, a transfer
-    op (by uid), or a guarded write (the computing processors hold the
-    value they just produced). *)
-type source = Sir.fact_source = F_init | F_op of int | F_write of Ast.stmt_id
-
-type fact = { src : source; key : dkey; dests : Sir.dests }
-
-let key_of_xdata = function
-  | Sir.X_scalar { var; _ } -> K_scalar var
-  | Sir.X_elem { base; subs; _ } -> K_elem (base, subs)
-
-let fact_of_op (op : Sir.comm_op) : fact option =
-  match op.Sir.xfer with
-  | Sir.Elem_xfer { data; dests } | Sir.Block_xfer { data; dests; _ } ->
-      Some { src = F_op op.Sir.uid; key = key_of_xdata data; dests }
-  | Sir.Whole_xfer { base; dests; _ } ->
-      Some { src = F_op op.Sir.uid; key = K_whole base; dests }
-  | Sir.Reduce_xfer -> None
-
-let op_base (op : Sir.comm_op) : string option =
-  match op.Sir.xfer with
-  | Sir.Elem_xfer { data; _ } | Sir.Block_xfer { data; _ } ->
-      Some (key_base (key_of_xdata data))
-  | Sir.Whole_xfer { base; _ } -> Some base
-  | Sir.Reduce_xfer -> None
+  | K_section (b, subs, walked) ->
+      let bound v =
+        List.exists (fun (l : Sir.loop_desc) -> l.Sir.index = v) walked
+      in
+      (b
+      :: List.filter (fun v -> not (bound v))
+           (List.concat_map Ast.expr_vars subs))
+      @ List.concat_map
+          (fun (l : Sir.loop_desc) ->
+            List.concat_map Ast.expr_vars [ l.Sir.lo; l.Sir.hi; l.Sir.step ])
+          walked
 
 (* ------------------------------------------------------------------ *)
 (* Constant-offset expression arithmetic                               *)
@@ -158,18 +148,6 @@ let split_const (e : Ast.expr) : Ast.expr option * int =
   | Ast.Bin (Ast.Sub, b, Ast.Int c) -> (Some b, -c)
   | _ -> (Some e, 0)
 
-(** [e + k], rebuilt in the same [base + constant] normal form
-    {!split_const} reads — so offsetting an expression and splitting it
-    again round-trips structurally. *)
-let add_const (e : Ast.expr) (k : int) : Ast.expr =
-  match split_const e with
-  | None, c -> Ast.Int (c + k)
-  | Some b, c ->
-      let c = c + k in
-      if c = 0 then b
-      else if c > 0 then Ast.Bin (Ast.Add, b, Ast.Int c)
-      else Ast.Bin (Ast.Sub, b, Ast.Int (-c))
-
 (** Constant difference [e2 - e1] when both share the same symbolic
     part. *)
 let const_delta (e1 : Ast.expr) (e2 : Ast.expr) : int option =
@@ -178,72 +156,89 @@ let const_delta (e1 : Ast.expr) (e2 : Ast.expr) : int option =
   | (Some b1, c1), (Some b2, c2) when b1 = b2 -> Some (c2 - c1)
   | _ -> None
 
-let rec subst_var (v : string) (by : Ast.expr) (e : Ast.expr) : Ast.expr =
-  match e with
-  | Ast.Var x when x = v -> by
-  | Ast.Int _ | Ast.Real _ | Ast.Bool _ | Ast.Var _ -> e
-  | Ast.Arr (a, subs) -> Ast.Arr (a, List.map (subst_var v by) subs)
-  | Ast.Bin (op, a, b) -> Ast.Bin (op, subst_var v by a, subst_var v by b)
-  | Ast.Un (op, a) -> Ast.Un (op, subst_var v by a)
-  | Ast.Intrin (f, a, b) ->
-      Ast.Intrin (f, subst_var v by a, subst_var v by b)
+(* Does a walked loop reach [e]: is it [lo + k*step] within [lo, hi]?
+   The step must be a literal, and [e] and [hi] a constant away from
+   [lo]. *)
+let walks_to (l : Sir.loop_desc) (e : Ast.expr) : bool =
+  match (l.Sir.step, const_delta l.Sir.lo e, const_delta l.Sir.lo l.Sir.hi) with
+  | Ast.Int s, Some d, Some span when s <> 0 ->
+      d mod s = 0 && d / s >= 0 && d / s <= span / s
+  | _ -> false
 
-(* A crossed loop whose trip set is statically enumerable: the bounds
-   differ by a known constant and the step is a literal.  The walked
-   index values are then [lo; lo+step; ...; lo+span] {e symbolically} —
-   each a well-formed expression in the enclosing indices. *)
-let enumerate_crossed (l : Sir.loop_desc) : Ast.expr list option =
-  match (l.Sir.step, const_delta l.Sir.lo l.Sir.hi) with
-  | Ast.Int s, Some span when s <> 0 && span * s >= 0 && abs span <= 16 ->
-      let n = (abs span / abs s) + 1 in
-      Some (List.init n (fun k -> add_const l.Sir.lo (k * s)))
-  | _ -> None
+(* Membership of the element [need] in a section: each walked index
+   stands bare in exactly one subscript, whose counterpart it walks to,
+   and every other subscript matches structurally. *)
+let in_section (subs : Ast.expr list) (walked : Sir.loop_desc list)
+    (need : Ast.expr list) : bool =
+  let walker s =
+    List.find_opt (fun (l : Sir.loop_desc) -> s = Ast.Var l.Sir.index) walked
+  in
+  List.length subs = List.length need
+  && List.for_all
+       (fun (l : Sir.loop_desc) ->
+         List.mem (Ast.Var l.Sir.index) subs
+         && List.length
+              (List.filter
+                 (fun s -> List.mem l.Sir.index (Ast.expr_vars s))
+                 subs)
+            = 1)
+       walked
+  && List.for_all2
+       (fun s n -> match walker s with Some l -> walks_to l n | None -> s = n)
+       subs need
 
-(** The delivery facts of an op, with statically enumerable block
-    regions expanded into one element fact per walked index valuation
-    (capped; symbolic fall-back otherwise).  {!Sir_opt}'s element-merge
-    rewrite produces exactly such regions, and the expansion is what
-    keeps a merged block structurally comparable with the element keys
-    of the requirements and of un-merged twins. *)
-let facts_of_op (op : Sir.comm_op) : fact list =
+(** A key covers itself; a whole-array key covers every element and
+    section of its base, and a section the elements it walks to. *)
+let key_covers ~(have : dkey) ~(need : dkey) : bool =
+  have = need
+  ||
+  match (have, need) with
+  | K_whole a, (K_elem (b, _) | K_section (b, _, _)) -> a = b
+  | K_section (a, subs, walked), K_elem (b, need) ->
+      a = b && in_section subs walked need
+  | _ -> false
+
+(** Where a fact came from: the identical initial memories, a transfer
+    op (by uid), or a guarded write (the computing processors hold the
+    value they just produced). *)
+type source = Sir.fact_source = F_init | F_op of int | F_write of Ast.stmt_id
+
+type fact = { src : source; key : dkey; dests : Sir.dests }
+
+let key_of_xdata = function
+  | Sir.X_scalar { var; _ } -> K_scalar var
+  | Sir.X_elem { base; subs; _ } -> K_elem (base, subs)
+
+(** The one delivery fact of a transfer op at a statement whose
+    enclosing loop indices are [mirror].  A block's crossed index that
+    one of those loops binds stays symbolic: the fact names the element
+    of the current instance, which the block shipped at the first
+    instance of its placement.  Crossed indices the block walks in full
+    whenever it ships (a merged pair's synthetic index) make the fact a
+    section. *)
+let fact_of_op ~(mirror : string list) (op : Sir.comm_op) : fact option =
+  let fact key dests = Some { src = F_op op.Sir.uid; key; dests } in
   match op.Sir.xfer with
   | Sir.Block_xfer
       { data = Sir.X_elem { base; subs; _ }; dests; crossed; _ } -> (
-      let enumerated =
-        List.fold_left
-          (fun acc (l : Sir.loop_desc) ->
-            match (acc, enumerate_crossed l) with
-            | None, _ | _, None -> None
-            | Some sets, Some vals -> Some ((l.Sir.index, vals) :: sets))
-          (Some []) crossed
-      in
-      match enumerated with
-      | None | Some [] -> (
-          match fact_of_op op with None -> [] | Some f -> [ f ])
-      | Some sets ->
-          let subsets =
-            List.fold_left
-              (fun acc (v, vals) ->
-                List.concat_map
-                  (fun ss ->
-                    List.map
-                      (fun value -> List.map (subst_var v value) ss)
-                      vals)
-                  acc)
-              [ subs ] sets
-          in
-          if List.length subsets > 16 then
-            match fact_of_op op with None -> [] | Some f -> [ f ]
-          else
-            List.map
-              (fun ss ->
-                {
-                  src = F_op op.Sir.uid;
-                  key = K_elem (base, ss);
-                  dests;
-                })
-              subsets)
-  | _ -> ( match fact_of_op op with None -> [] | Some f -> [ f ])
+      match
+        List.filter
+          (fun (l : Sir.loop_desc) -> not (List.mem l.Sir.index mirror))
+          crossed
+      with
+      | [] -> fact (K_elem (base, subs)) dests
+      | walked -> fact (K_section (base, subs, walked)) dests)
+  | Sir.Elem_xfer { data; dests } | Sir.Block_xfer { data; dests; _ } ->
+      fact (key_of_xdata data) dests
+  | Sir.Whole_xfer { base; dests; _ } -> fact (K_whole base) dests
+  | Sir.Reduce_xfer -> None
+
+let op_base (op : Sir.comm_op) : string option =
+  match op.Sir.xfer with
+  | Sir.Elem_xfer { data; _ } | Sir.Block_xfer { data; _ } ->
+      Some (key_base (key_of_xdata data))
+  | Sir.Whole_xfer { base; _ } -> Some base
+  | Sir.Reduce_xfer -> None
 
 (** Facts from the identical initialization of every per-processor
     memory: each declared variable is valid everywhere until first
@@ -322,8 +317,9 @@ let pre_events (g : Sir_cfg.t) (ops : Sir.stmt_ops) : avail_event list =
               (fun v -> [ Kill_var v; write v ])
               (r.Sir.rvar :: r.Sir.loc_vars))
       ops.Sir.red_steps
-  @ List.concat_map
-      (fun op -> List.map (fun f -> Add f) (facts_of_op op))
+  @ List.filter_map
+      (fun op ->
+        Option.map (fun f -> Add f) (fact_of_op ~mirror:ops.Sir.mirror op))
       ops.Sir.comms
 
 let exec_events (sid : Ast.stmt_id) (exec : Sir.exec) : avail_event list =
@@ -346,17 +342,24 @@ let exec_events (sid : Ast.stmt_id) (exec : Sir.exec) : avail_event list =
         Add { src = F_write sid; key; dests = Sir.D_pred computes };
       ]
 
-(* Only four consumers ever read a {e per-processor} copy (everything
-   else — subscripts, bounds, conditions, owner coordinates — is
-   evaluated against the lockstep reference memory): the rhs of a
-   guarded assign, a reduction combine (the partials), a transfer (the
-   source copy) and the final validation of a non-skipped array.  The
-   backward events below are in backward order. *)
+(* Five consumers read a {e per-processor} copy (everything else —
+   subscripts, loop bounds, owner coordinates — is evaluated against
+   the lockstep reference memory): the rhs of a guarded assign, an IF
+   condition (on the processors that evaluate it), a reduction combine
+   (the partials), a transfer (the source copy) and the final
+   validation of a non-skipped array.  The backward events below are
+   in backward order. *)
 type live_event = Kill of string | Gen of string
 
-let exec_live_events (exec : Sir.exec) : live_event list =
+(* The execution's events at node [i], whose ops carry [exec]. *)
+let exec_live_events (g : Sir_cfg.t) (i : int) (exec : Sir.exec) :
+    live_event list =
   match exec with
-  | Sir.Control _ -> []
+  | Sir.Control _ -> (
+      match (Sir_cfg.node g i).Sir_cfg.kind with
+      | Sir_cfg.Branch { Ast.node = Ast.If (cond, _, _); _ } ->
+          List.map (fun v -> Gen v) (Ast.expr_vars cond)
+      | _ -> [])
   | Sir.Loop_head { index; _ } -> [ Kill index ]
   | Sir.Guarded_assign { lhs; rhs; computes } ->
       (* only an unconditional scalar write overwrites every copy; a
@@ -538,7 +541,7 @@ let intern (g : Sir_cfg.t) : universe =
           (pre_events g ops @ exec_events ops.Sir.sid ops.Sir.exec);
         List.iter
           (function Gen v -> names := v :: !names | Kill _ -> ())
-          (exec_live_events ops.Sir.exec @ pre_live_events g ops)
+          (exec_live_events g i ops.Sir.exec @ pre_live_events g ops)
   done;
   let facts = Array.of_list (List.sort_uniq compare !facts)
   and names = Array.of_list (List.sort_uniq compare !names) in
@@ -652,7 +655,7 @@ module Live_engine = Flow.Make (Live)
 
 type op_plan = {
   op : Sir.comm_op;
-  delivers : int list;  (** ids of {!facts_of_op} *)
+  delivers : int option;  (** id of {!fact_of_op} *)
   source : int option;  (** name id of the copy it reads ({!op_base}) *)
 }
 
@@ -693,7 +696,7 @@ let plan_node (u : universe) (g : Sir_cfg.t) (i : int) : plan =
       }
   | Some ops ->
       let pre = avail_step u (pre_events g ops) in
-      let bwd_exec = live_step u (exec_live_events ops.Sir.exec) in
+      let bwd_exec = live_step u (exec_live_events g i ops.Sir.exec) in
       {
         fwd =
           seq index
@@ -706,7 +709,9 @@ let plan_node (u : universe) (g : Sir_cfg.t) (i : int) : plan =
             (fun op ->
               {
                 op;
-                delivers = List.map (fact_id u) (facts_of_op op);
+                delivers =
+                  Option.map (fact_id u)
+                    (fact_of_op ~mirror:ops.Sir.mirror op);
                 source = Option.bind (op_base op) (name_id u);
               })
             ops.Sir.comms;
@@ -766,10 +771,10 @@ let classify (cfg : Sir_cfg.t) (u : universe) (plans : plan array)
       in
       List.iter
         (fun (o : op_plan) ->
-          if
-            o.delivers <> []
-            && List.for_all (fun f -> valid u.covers.(f)) o.delivers
-          then redundant := (pl.sid, o.op) :: !redundant)
+          match o.delivers with
+          | Some f when valid u.covers.(f) ->
+              redundant := (pl.sid, o.op) :: !redundant
+          | _ -> ())
         pl.comms;
       (* W0606: a transfer whose payload no processor reads again —
          walked backward from the live-out state through the execution
@@ -887,14 +892,11 @@ let covers_of (s : summary) (i : int) (uid : int) : source list =
       List.find_opt (fun (o : op_plan) -> o.op.Sir.uid = uid) s.plans.(i).comms
     )
   with
-  | None, _ | _, None -> []
-  | Some st, Some o ->
-      List.filter_map
-        (fun f ->
-          match Bits.elements (Bits.inter st s.universe.covers.(f)) with
-          | h :: _ -> Some s.universe.facts.(h).src
-          | [] -> None)
-        o.delivers
+  | Some st, Some { delivers = Some f; _ } -> (
+      match Bits.elements (Bits.inter st s.universe.covers.(f)) with
+      | h :: _ -> [ s.universe.facts.(h).src ]
+      | [] -> [])
+  | _ -> []
 
 let read_after (s : summary) (i : int) (base : string) : bool =
   match name_id s.universe base with
@@ -913,7 +915,7 @@ let read_after (s : summary) (i : int) (base : string) : bool =
    of the MUST fixpoint is independent of the others and the analysis
    of the program without a set [S] of transfers is the analysis of the
    original with [S]'s facts cleared.  A candidate therefore stays
-   redundant exactly while each fact it delivers keeps a cover, in its
+   redundant exactly while the fact it delivers keeps a cover, in its
    node's original pre-state, whose source was not deleted — and the
    lowest such cover is what [covers_of] would name after a re-analysis.
    Deletions only shrink both fixpoints, so the one-at-a-time loop takes
@@ -941,20 +943,12 @@ let redundant_deletions (s : summary) : (Sir.comm_op * source list) list =
     | F_init | F_write _ -> true
   in
   let surviving_covers i (o : op_plan) : source list option =
-    match pre_state s i with
-    | None -> Some []
-    | Some st ->
-        let rec go acc = function
-          | [] -> Some (List.rev acc)
-          | f :: fs -> (
-              match
-                List.find_opt survives
-                  (Bits.elements (Bits.inter st u.covers.(f)))
-              with
-              | Some h -> go (u.facts.(h).src :: acc) fs
-              | None -> None)
-        in
-        go [] o.delivers
+    match (pre_state s i, o.delivers) with
+    | None, _ | _, None -> Some []
+    | Some st, Some f ->
+        Option.map
+          (fun h -> [ u.facts.(h).src ])
+          (List.find_opt survives (Bits.elements (Bits.inter st u.covers.(f))))
   in
   (* the backward transfers without the deleted ops *)
   let bwd = Array.map (fun (pl : plan) -> pl.bwd) s.plans in
@@ -1051,11 +1045,21 @@ let redundant_deletions (s : summary) : (Sir.comm_op * source list) list =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let pp_walk ppf (l : Sir.loop_desc) =
+  Fmt.pf ppf "%s=%a:%a:%a" l.Sir.index Pp.pp_expr l.Sir.lo Pp.pp_expr
+    l.Sir.hi Pp.pp_expr l.Sir.step
+
 let pp_key ppf = function
   | K_scalar v -> Fmt.string ppf v
   | K_whole a -> Fmt.pf ppf "%s(*)" a
   | K_elem (b, subs) ->
       Fmt.pf ppf "%s(%a)" b Fmt.(list ~sep:(any ",") Pp.pp_expr) subs
+  | K_section (b, subs, walked) ->
+      Fmt.pf ppf "%s(%a)[%a]" b
+        Fmt.(list ~sep:(any ",") Pp.pp_expr)
+        subs
+        Fmt.(list ~sep:(any ",") pp_walk)
+        walked
 
 let pp_fact ppf (f : fact) =
   Fmt.pf ppf "%a@%a" pp_key f.key Sir_pp.pp_dests f.dests

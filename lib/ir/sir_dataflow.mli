@@ -40,6 +40,11 @@ val pred_is_all : Sir.pred -> bool
 val pred_covers : have:Sir.pred -> need:Sir.pred -> bool
 val dests_covers : have:Sir.dests -> need:Sir.dests -> bool
 
+(** The names an owner line's or a destination set's subscripts read. *)
+val place_vars : Sir.place -> string list
+
+val dests_vars : Sir.dests -> string list
+
 (** {2 Delivery facts (the forward MUST domain)} *)
 
 (** The moved datum of a delivery, as a syntactic key (subscripts are
@@ -50,11 +55,20 @@ type dkey =
   | K_scalar of string
   | K_whole of string  (** every element of an array *)
   | K_elem of string * Ast.expr list
+  | K_section of string * Ast.expr list * Sir.loop_desc list
+      (** the elements [base(subs)] as each walked index runs over its
+          loop: a block that walks these loops in full whenever it
+          ships (an affine section, not a list of elements) *)
 
 val key_base : dkey -> string
 
-(** A whole-array key covers every element of its base; element keys
-    require structural subscript equality. *)
+(** A whole-array key covers every element of its base.  A section
+    covers an element by membership: each walked index stands bare in
+    exactly one subscript, the element's subscript there is
+    [lo + k*step] within [[lo, hi]] (a constant away from [lo], with a
+    literal step), and every other subscript is structurally equal.
+    Element keys require structural subscript equality, and a section
+    is covered only by itself or its whole array. *)
 val key_covers : have:dkey -> need:dkey -> bool
 
 (** Provenance of a fact: the identical initial memories, a transfer op
@@ -63,30 +77,18 @@ type source = Sir.fact_source = F_init | F_op of int | F_write of Ast.stmt_id
 
 type fact = { src : source; key : dkey; dests : Sir.dests }
 
-(** The delivery fact a transfer op contributes ([None] for the
-    pricing-only [Reduce_xfer]). *)
-val fact_of_op : Sir.comm_op -> fact option
+(** The one delivery fact a transfer op contributes at a statement
+    whose enclosing loop indices are [mirror] ([None] for the
+    pricing-only [Reduce_xfer]).  A block keeps its symbolic subscripts:
+    a crossed index in [mirror] names the current instance's element,
+    and the crossed indices the block walks in full whenever it ships
+    (those not in [mirror]: a {!Sir_opt}-merged pair's synthetic index)
+    make the key a {!K_section}. *)
+val fact_of_op : mirror:string list -> Sir.comm_op -> fact option
 
-(** The facts of an op with statically enumerable block regions
-    expanded into one element fact per walked index valuation (what
-    keeps a {!Sir_opt}-merged block comparable with element keys);
-    symbolic fall-back to {!fact_of_op} otherwise. *)
-val facts_of_op : Sir.comm_op -> fact list
-
-(** {2 Constant-offset expression arithmetic} *)
-
-(** Normalize [e] into a symbolic part and a constant offset ([None] =
-    pure constant). *)
-val split_const : Ast.expr -> Ast.expr option * int
-
-(** [e + k], rebuilt so that offsetting and re-splitting round-trips
-    structurally. *)
-val add_const : Ast.expr -> int -> Ast.expr
-
-(** Constant difference [e2 - e1] when both share one symbolic part. *)
+(** Constant difference [e2 - e1] when both share one symbolic part
+    ([e + c] forms). *)
 val const_delta : Ast.expr -> Ast.expr -> int option
-
-val subst_var : string -> Ast.expr -> Ast.expr -> Ast.expr
 
 (** Base (array or scalar) whose copy a transfer op moves. *)
 val op_base : Sir.comm_op -> string option
@@ -107,9 +109,9 @@ val instance_node : Sir_cfg.t -> Ast.stmt_id -> int option
 (** {2 The lattices}
 
     Both domains are bitsets over ids interned once per program: every
-    fact a node can generate (initial, mirror, combine, transfer —
-    block regions expanded — loop-index and guarded-assign writes) and
-    every name a node can make live.  Ids follow [compare] order, so a
+    fact a node can generate (initial, mirror, combine, transfer — one
+    per op — loop-index and guarded-assign writes) and every name a
+    node can make live.  Ids follow [compare] order, so a
     state listed by ascending id is exactly the sorted fact or name
     list of the specification.  Each node's transfer is precomposed
     into one [(keep, gen)] word mask per direction, so a worklist visit
@@ -133,7 +135,11 @@ end
 
 module Live : sig
   type t
-  (** base names whose per-processor copies may be read downstream *)
+  (** base names whose per-processor copies may be read downstream: by
+      an assignment's right-hand side, an [IF] condition (at its
+      [Branch] node), a reduction combine, a transfer's source or the
+      final validation.  Loop bounds, left-hand subscripts and owner
+      coordinates read the reference memory. *)
 
   val equal : t -> t -> bool
   val join : t -> t -> t  (** MAY union *)
@@ -167,11 +173,12 @@ val removable : summary -> Sir.comm_op list
     and communication ops? *)
 val covered_at : summary -> int -> key:dkey -> need:Sir.dests -> bool
 
-(** Per delivered fact of op [uid] at node [i], the source of a fact in
+(** For the fact op [uid] delivers at node [i], the source of a fact in
     that state that makes it valid (the lowest id; [[]] when the node is
-    unreachable) — what an [rte] witness names when the analysis is
-    re-run after every deletion, as the tests' reference loop does;
-    {!redundant_deletions} names the same covers from one analysis. *)
+    unreachable or nothing covers it) — what an [rte] witness names
+    when the analysis is re-run after every deletion, as the tests'
+    reference loop does; {!redundant_deletions} names the same covers
+    from one analysis. *)
 val covers_of : summary -> int -> int -> source list
 
 (** Can a processor read its copy of [base] once the transfers at node
@@ -188,10 +195,10 @@ val read_after : summary -> int -> string -> bool
 
 (** The transfers the one-at-a-time [rte] loop deletes, in its order,
     each with the covers its [W_redundant] witness names: [redundant]
-    is walked in schedule order, and a candidate is deleted when every
+    is walked in schedule order, and a candidate is deleted when the
     fact it delivers still has a cover in its node's pre-state whose
     source is not an already deleted op (the witness names the
-    lowest-id such cover per fact) and it has not become dead — a
+    lowest-id such cover) and it has not become dead — a
     deletion removes a read of its source copy, so a candidate that
     nothing later at its own node reads is re-checked against liveness
     without the deleted ops.  Edits nothing. *)

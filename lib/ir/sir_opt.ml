@@ -17,7 +17,7 @@
     Soundness discipline: [dte] deletes {e one} op at a time and re-runs
     the fixpoints (on a {!Sir_dataflow.prepared} context) before the
     next deletion; [rte] takes its deletions from one analysis, deleting
-    a candidate only while every fact it delivers keeps a cover that was
+    a candidate only while the fact it delivers keeps a cover that was
     not deleted.  Both choose exactly what the one-at-a-time loop
     chooses, so mutually-covering transfers are never both removed and
     the post-optimization [verify-flow] audit reports zero
@@ -286,22 +286,6 @@ let merge (p : Sir.program) : Sir.witness list =
 (* hoist: drop prefix indices a block provably does not depend on      *)
 (* ------------------------------------------------------------------ *)
 
-let coord_vars = function
-  | Sir.C_all | Sir.C_fixed _ -> []
-  | Sir.C_affine { sub; _ } -> Ast.expr_vars sub
-
-let place_vars (pl : Sir.place) =
-  Array.to_list pl |> List.concat_map coord_vars
-
-let pred_vars = function
-  | Sir.P_all -> []
-  | Sir.P_place pl -> place_vars pl
-  | Sir.P_union pls -> List.concat_map place_vars pls
-
-let dests_vars = function
-  | Sir.D_all -> []
-  | Sir.D_pred pr -> pred_vars pr
-
 (* Every name whose reference-memory value the shipped region depends
    on: subscripts, owner coordinates, destination predicates and
    crossed bounds — minus the crossed indices, which the walk binds. *)
@@ -309,9 +293,9 @@ let block_free_vars ~(data : Sir.xdata) ~(dests : Sir.dests)
     ~(crossed : Sir.loop_desc list) : string list =
   let of_data =
     match data with
-    | Sir.X_scalar { owner; _ } -> place_vars owner
+    | Sir.X_scalar { owner; _ } -> Sir_dataflow.place_vars owner
     | Sir.X_elem { subs; owner; _ } ->
-        List.concat_map Ast.expr_vars subs @ place_vars owner
+        List.concat_map Ast.expr_vars subs @ Sir_dataflow.place_vars owner
   in
   let of_bounds =
     List.concat_map
@@ -321,40 +305,8 @@ let block_free_vars ~(data : Sir.xdata) ~(dests : Sir.dests)
       crossed
   in
   let bound = List.map (fun (l : Sir.loop_desc) -> l.Sir.index) crossed in
-  List.sort_uniq compare (of_data @ dests_vars dests @ of_bounds)
+  List.sort_uniq compare (of_data @ Sir_dataflow.dests_vars dests @ of_bounds)
   |> List.filter (fun v -> not (List.mem v bound))
-
-(* Names (re)defined inside a statement list: assignment targets and
-   the indices of nested loops. *)
-let rec written_in (stmts : Ast.stmt list) : string list =
-  List.concat_map
-    (fun (s : Ast.stmt) ->
-      match s.Ast.node with
-      | Ast.Assign (Ast.LVar v, _) -> [ v ]
-      | Ast.Assign (Ast.LArr (a, _), _) -> [ a ]
-      | Ast.If (_, t, e) -> written_in t @ written_in e
-      | Ast.Do d -> (d.Ast.index :: written_in d.Ast.body)
-      | Ast.Exit _ | Ast.Cycle _ -> [])
-    stmts
-
-(* Per statement, the DO loops enclosing it, innermost first. *)
-let enclosing_loops (prog : Ast.program) :
-    (Ast.stmt_id, Ast.do_loop list) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  let rec scan outer stmts =
-    List.iter
-      (fun (s : Ast.stmt) ->
-        Hashtbl.replace tbl s.Ast.sid outer;
-        match s.Ast.node with
-        | Ast.Do d -> scan (d :: outer) d.Ast.body
-        | Ast.If (_, t, e) ->
-            scan outer t;
-            scan outer e
-        | Ast.Assign _ | Ast.Exit _ | Ast.Cycle _ -> ())
-      stmts
-  in
-  scan [] prog.Ast.body;
-  tbl
 
 (* A prefix index [v] is droppable when nothing the block evaluates at
    ship time — payload addresses, owner line, destination set, crossed
@@ -363,15 +315,14 @@ let enclosing_loops (prog : Ast.program) :
    outer placement instance delivers the same copies.  The base itself
    must also stay unwritten inside the body of [v]'s loop — the
    innermost loop over [v] enclosing the anchor statement — or the
-   first-iteration payload would be stale for later reads. *)
-let hoist (p : Sir.program) : Sir.witness list =
-  let enclosing = enclosing_loops p.Sir.source in
+   first-iteration payload would be stale for later reads.  [nest] is
+   the compile's loop nest of [p.source]. *)
+let hoist ~(nest : Nest.t) (p : Sir.program) : Sir.witness list =
   let ws =
     Hashtbl.fold
       (fun sid (ops : Sir.stmt_ops) acc ->
-        let loops =
-          Option.value ~default:[] (Hashtbl.find_opt enclosing sid)
-        in
+        (* innermost first *)
+        let loops = List.rev (Nest.enclosing_loops nest sid) in
         List.fold_left
           (fun acc (op : Sir.comm_op) ->
             match op.Sir.xfer with
@@ -386,13 +337,14 @@ let hoist (p : Sir.program) : Sir.witness list =
                   (not (List.mem v free))
                   &&
                   match
-                    List.find_opt (fun (d : Ast.do_loop) -> d.Ast.index = v) loops
+                    List.find_opt
+                      (fun (li : Nest.loop_info) -> li.Nest.loop.Ast.index = v)
+                      loops
                   with
                   | None -> false
-                  | Some d ->
-                      let w = written_in d.Ast.body in
-                      (not (List.mem base w))
-                      && not (List.exists (fun x -> List.mem x w) free)
+                  | Some li ->
+                      let written = Nest.written_in nest li in
+                      (not (written base)) && not (List.exists written free)
                 in
                 let dropped = List.filter droppable prefix_vars in
                 if dropped = [] then acc
@@ -522,26 +474,27 @@ let combine (p : Sir.program) : Sir.witness list =
 (* The pipeline                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let passes : (string * string * (Sir.program -> Sir.witness list)) list =
+let passes :
+    (string * string * (Nest.t -> Sir.program -> Sir.witness list)) list =
   [
     ( "dte",
       "dead-transfer elimination (payload never read: W0606 as a \
        deletion)",
-      dte );
+      fun _ -> dte );
     ( "rte",
       "redundant-transfer elimination (dominating delivery: W0607 as a \
        deletion)",
-      rte );
+      fun _ -> rte );
     ( "merge",
       "fuse adjacent same-(src,dst) element transfers into one block",
-      merge );
+      fun _ -> merge );
     ( "hoist",
       "drop placement-prefix indices a block transfer does not depend \
        on",
-      hoist );
+      fun nest -> hoist ~nest );
     ( "combine",
       "drop reduction combines of provably clean accumulators",
-      combine );
+      fun _ -> combine );
   ]
 
 let pass_names = List.map (fun (n, _, _) -> n) passes
@@ -551,13 +504,13 @@ let descr_of (name : string) : string option =
     (fun (n, d, _) -> if n = name then Some d else None)
     passes
 
-let apply (name : string) (p : Sir.program) : int =
+let apply ~(nest : Nest.t) (name : string) (p : Sir.program) : int =
   match List.find_opt (fun (n, _, _) -> n = name) passes with
   | None -> invalid_arg (Fmt.str "Sir_opt.apply: unknown pass %s" name)
   | Some (_, _, f) ->
-      let ws = f p in
+      let ws = f nest p in
       p.Sir.opt_applied <- p.Sir.opt_applied @ ws;
       rewrites ws
 
-let run (p : Sir.program) : (string * int) list =
-  List.map (fun n -> (n, apply n p)) pass_names
+let run ~(nest : Nest.t) (p : Sir.program) : (string * int) list =
+  List.map (fun n -> (n, apply ~nest n p)) pass_names

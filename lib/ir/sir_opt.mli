@@ -19,11 +19,12 @@
       deletion, since a deletion changes liveness; [rte] decides every
       deletion against one analysis ({!Sir_dataflow.redundant_deletions}),
       since a deletion only clears its own facts: a candidate goes only
-      while each fact it delivers keeps a cover that was not deleted, so
+      while the fact it delivers keeps a cover that was not deleted, so
       mutually-covering transfers are never both removed;
     - [merge] preserves ship timing (the merged block's prefix is the
-      statement's full mirror) and its region expands back to exactly
-      the fused element keys under {!Sir_dataflow.facts_of_op};
+      statement's full mirror); its synthetic index is walked in full
+      whenever the block ships, so {!Sir_dataflow.fact_of_op} makes it
+      one section, which covers each fused element by membership;
     - [hoist] drops a prefix index only when nothing the block
       evaluates at ship time — payload addresses, owner line,
       destination set, crossed bounds, or the base's stored values —
@@ -44,13 +45,14 @@ val pass_names : string list
 val descr_of : string -> string option
 
 (** Run one pass by name and append its witnesses to [opt_applied];
-    returns the rewrite count.  @raise Invalid_argument on an unknown
-    name. *)
-val apply : string -> Sir.program -> int
+    returns the rewrite count.  [nest] is the compile's loop nest of the
+    program's source ([hoist] reads it).  @raise Invalid_argument on an
+    unknown name. *)
+val apply : nest:Nest.t -> string -> Sir.program -> int
 
 (** Run every pass in {!pass_names} order, returning
     [(pass, rewrite count)] per pass. *)
-val run : Sir.program -> (string * int) list
+val run : nest:Nest.t -> Sir.program -> (string * int) list
 
 (** The rewrite count of a witness list: deleted ops, fused pairs,
     dropped prefix indices, dropped combine steps and reduce ops. *)
@@ -76,13 +78,16 @@ val edit : editor -> Sir.witness -> Sir.stmt_ops option
 val dte : Sir.program -> Sir.witness list
 val rte : Sir.program -> Sir.witness list
 val merge : Sir.program -> Sir.witness list
-val hoist : Sir.program -> Sir.witness list
+
+(** [nest] is the compile's loop nest of the program's source: whether a
+    name is written inside a loop is read from it
+    ({!Hpf_lang.Nest.written_in}). *)
+val hoist : nest:Nest.t -> Sir.program -> Sir.witness list
 val combine : Sir.program -> Sir.witness list
 
 (**/**)
 
-(* test hooks *)
-val written_in : Ast.stmt list -> string list
+(* test hook *)
 val block_free_vars :
   data:Sir.xdata ->
   dests:Sir.dests ->

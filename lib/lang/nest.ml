@@ -6,9 +6,10 @@
     loop of a nest is level 1, level 0 denotes "outside all loops".
 
     {!build} also indexes, in the same walk, every statement by id and
-    every loop's assignments by base, so statement lookups and the
-    dependence queries of communication placement ({!Hpf_analysis.Depend})
-    read a table instead of walking the program. *)
+    every loop's assignments by base and nested loop indices, so
+    statement lookups, the dependence queries of communication placement
+    ({!Hpf_analysis.Depend}) and "is [x] written inside loop [l]" read a
+    table instead of walking the program. *)
 
 open Ast
 
@@ -29,13 +30,15 @@ type t = {
   writes : (stmt_id, (string, stmt list) Hashtbl.t) Hashtbl.t;
       (** per loop: the assignments inside its body, nested loops
           included, by assigned base, in program order *)
+  indices : (stmt_id, (string, unit) Hashtbl.t) Hashtbl.t;
+      (** per loop: its own index and those of the loops nested in it *)
 }
 
 let build (p : program) : t =
   let enclosing = Hashtbl.create 64 in
   let parent = Hashtbl.create 64 in
   let stmts = Hashtbl.create 64 in
-  let writes = Hashtbl.create 16 in
+  let writes = Hashtbl.create 16 and indices = Hashtbl.create 16 in
   let loops = ref [] in
   (* [ctx]: the enclosing loops innermost first, each with its write
      table (filled in reverse program order, reversed below) *)
@@ -62,8 +65,13 @@ let build (p : program) : t =
             let info =
               { loop_sid = s.sid; loop = d; level = List.length ctx + 1 }
             in
-            let tbl = Hashtbl.create 8 in
+            let tbl = Hashtbl.create 8 and own = Hashtbl.create 4 in
             Hashtbl.replace writes s.sid tbl;
+            Hashtbl.replace indices s.sid own;
+            List.iter
+              (fun (li, _) ->
+                Hashtbl.replace (Hashtbl.find indices li.loop_sid) d.index ())
+              ((info, tbl) :: ctx);
             loops := info :: !loops;
             go ((info, tbl) :: ctx) (Some s.sid) d.body)
       body
@@ -72,7 +80,7 @@ let build (p : program) : t =
   Hashtbl.iter
     (fun _ tbl -> Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl)
     writes;
-  { enclosing; loops = List.rev !loops; parent; stmts; writes }
+  { enclosing; loops = List.rev !loops; parent; stmts; writes; indices }
 
 (** Enclosing loops of a statement, outermost first. *)
 let enclosing_loops (t : t) (sid : stmt_id) : loop_info list =
@@ -139,3 +147,12 @@ let writes_in (t : t) (li : loop_info) (base : string) : stmt list =
   match Hashtbl.find_opt t.writes li.loop_sid with
   | None -> []
   | Some tbl -> Option.value ~default:[] (Hashtbl.find_opt tbl base)
+
+(** Is [x] written inside loop [li]: assigned in its body (nested loops
+    included), or the index of [li] or of a loop nested in it? *)
+let written_in (t : t) (li : loop_info) (x : string) : bool =
+  writes_in t li x <> []
+  ||
+  match Hashtbl.find_opt t.indices li.loop_sid with
+  | Some own -> Hashtbl.mem own x
+  | None -> false

@@ -1,8 +1,8 @@
 (** Loop-nest structure: the enclosing-loop context of every statement.
     Nesting levels follow the paper's convention — the outermost loop of
     a nest is level 1; level 0 means "outside all loops".  The same walk
-    indexes every statement by id and every loop's assignments by base;
-    a built [t] is never mutated. *)
+    indexes every statement by id and every loop's assignments by base
+    and nested loop indices; a built [t] is never mutated. *)
 
 open Ast
 
@@ -23,6 +23,8 @@ type t = {
   writes : (stmt_id, (string, stmt list) Hashtbl.t) Hashtbl.t;
       (** per loop: the assignments inside its body, nested loops
           included, by assigned base, in program order *)
+  indices : (stmt_id, (string, unit) Hashtbl.t) Hashtbl.t;
+      (** per loop: its own index and those of the loops nested in it *)
 }
 
 val build : program -> t
@@ -64,3 +66,8 @@ val find_stmt : t -> stmt_id -> stmt option
     program order — what [Ast.iter_stmts] over the body visits, without
     the walk. *)
 val writes_in : t -> loop_info -> string -> stmt list
+
+(** Is [x] written inside the loop: assigned in its body (nested loops
+    included), or the index of the loop or of a loop nested in it?
+    Answered from the tables {!build} fills. *)
+val written_in : t -> loop_info -> string -> bool

@@ -101,10 +101,11 @@ let pp_witness ppf = function
    needs its data valid at every destination where it fired (whatever
    fact provides it now — the cover it named may have been deleted
    since), a [dte] deletion needs its payload read by no processor
-   after its statement. *)
+   after its statement.  [ops] is that statement as the fresh lowering
+   had it before the edit. *)
 let witness_holds (s : Sir_dataflow.summary) (w : Sir.witness)
-    (sid : Ast.stmt_id) (op : Sir.comm_op) : bool =
-  match Sir_dataflow.instance_node s.Sir_dataflow.cfg sid with
+    (ops : Sir.stmt_ops) (op : Sir.comm_op) : bool =
+  match Sir_dataflow.instance_node s.Sir_dataflow.cfg ops.Sir.sid with
   | None -> false
   | Some i -> (
       match w with
@@ -112,14 +113,12 @@ let witness_holds (s : Sir_dataflow.summary) (w : Sir.witness)
           match Sir_dataflow.op_base op with
           | None -> false
           | Some b -> not (Sir_dataflow.read_after s i b))
-      | Sir.W_redundant _ ->
-          let facts = Sir_dataflow.facts_of_op op in
-          facts <> []
-          && List.for_all
-               (fun (f : Sir_dataflow.fact) ->
-                 Sir_dataflow.covered_at s i ~key:f.Sir_dataflow.key
-                   ~need:f.Sir_dataflow.dests)
-               facts
+      | Sir.W_redundant _ -> (
+          match Sir_dataflow.fact_of_op ~mirror:ops.Sir.mirror op with
+          | None -> false
+          | Some f ->
+              Sir_dataflow.covered_at s i ~key:f.Sir_dataflow.key
+                ~need:f.Sir_dataflow.dests)
       | Sir.W_merge _ | Sir.W_hoist _ | Sir.W_combine _ -> true)
 
 let check ?(flow = Sir_dataflow.summarize) (c : Compiler.compiled) :
@@ -153,7 +152,7 @@ let check ?(flow = Sir_dataflow.summarize) (c : Compiler.compiled) :
                       (fun (o : Sir.comm_op) -> o.Sir.uid = uid)
                       before.Sir.comms
                   in
-                  deletions := (w, before.Sir.sid, op) :: !deletions
+                  deletions := (w, before, op) :: !deletions
               | Sir.W_merge _ | Sir.W_hoist _ | Sir.W_combine _ -> ()))
         recorded.Sir.opt_applied;
       (* --- transfer-op set diff ------------------------------------ *)
@@ -212,14 +211,14 @@ let check ?(flow = Sir_dataflow.summarize) (c : Compiler.compiled) :
       if !deletions <> [] then begin
         let s = flow recorded in
         List.iter
-          (fun (w, sid, op) ->
-            if not (witness_holds s w sid op) then
+          (fun (w, (ops : Sir.stmt_ops), op) ->
+            if not (witness_holds s w ops op) then
               emit
                 (Diag.errorf ~code:Codes.e_sir_missing
                    "lowered program is missing a required %a: its %a \
                     does not hold (%s), so a consumer will read a stale \
                     operand"
-                   pp_key (op_key sid op) pp_witness w
+                   pp_key (op_key ops.Sir.sid op) pp_witness w
                    (match w with
                    | Sir.W_dead _ -> "a processor still reads the payload"
                    | _ ->

@@ -54,28 +54,20 @@ let req_key (prog : Ast.program) (r : Comm.t) : dkey =
     else K_scalar a.Aref.base
   else K_elem (a.Aref.base, a.Aref.subs)
 
+(* The processors that read the datum: the consumer's recorded guard,
+   an assignment's or a control statement's alike; every processor
+   evaluates a loop head's bounds. *)
 let req_need (g : Sir_cfg.t) (r : Comm.t) : Sir.dests =
   if r.Comm.kind = Comm.Broadcast then Sir.D_all
   else
-    let sid = r.Comm.data.Aref.sid in
-    match Sir.stmt_ops g.Sir_cfg.program sid with
-    | Some { exec = Sir.Guarded_assign { computes; _ }; _ } ->
+    match Sir.stmt_ops g.Sir_cfg.program r.Comm.data.Aref.sid with
+    | Some
+        {
+          exec = Sir.Guarded_assign { computes; _ } | Sir.Control { computes };
+          _;
+        } ->
         Sir.D_pred computes
-    | Some ops -> (
-        (* a consumer that is not a guarded assign (an [If] condition
-           or loop bound): fall back to the recorded twin's
-           destinations when one exists *)
-        match
-          List.find_opt
-            (fun op -> Aref.equal op.Sir.cm.Comm.data r.Comm.data)
-            ops.Sir.comms
-        with
-        | Some op -> (
-            match dests_of_xfer op.Sir.xfer with
-            | Some d -> d
-            | None -> Sir.D_all)
-        | None -> Sir.D_all)
-    | None -> Sir.D_all
+    | Some { exec = Sir.Loop_head _; _ } | None -> Sir.D_all
 
 (* Reductions are combined, not delivered to a consumer. *)
 let req_of (g : Sir_cfg.t) (r : Comm.t) : req option =

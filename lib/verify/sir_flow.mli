@@ -47,8 +47,10 @@ type req = {
 }
 
 (** What one descriptor requires at its consumer's instance node in
-    [cfg]; [None] for a [Reduce] combine or a statement with no
-    instance node. *)
+    [cfg]: its datum at the consumer's recorded computes guard (an
+    assignment's or a control statement's; every processor for a
+    broadcast or a loop head).  [None] for a [Reduce] combine or a
+    statement with no instance node. *)
 val req_of : Sir_cfg.t -> Comm.t -> req option
 
 (** The requirements the [E0612] audit checks: {!req_of} of every

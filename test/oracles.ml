@@ -540,6 +540,18 @@ module List_flow = struct
   let key_vars = function
     | Df.K_scalar b | Df.K_whole b -> [ b ]
     | Df.K_elem (b, subs) -> b :: List.concat_map Ast.expr_vars subs
+    | Df.K_section (b, subs, walked) ->
+        let bound =
+          List.map (fun (l : Sir.loop_desc) -> l.Sir.index) walked
+        in
+        (b
+        :: List.filter
+             (fun v -> not (List.mem v bound))
+             (List.concat_map Ast.expr_vars subs))
+        @ List.concat_map
+            (fun (l : Sir.loop_desc) ->
+              List.concat_map Ast.expr_vars [ l.Sir.lo; l.Sir.hi; l.Sir.step ])
+            walked
 
   module Avail = struct
     type t = Top | Facts of Df.fact list  (** sorted and deduplicated *)
@@ -595,8 +607,9 @@ module List_flow = struct
     in
     List.fold_left
       (fun st (op : Sir.comm_op) ->
-        if skip_op = Some op.Sir.uid then st
-        else List.fold_left (fun st f -> Avail.add f st) st (Df.facts_of_op op))
+        match Df.fact_of_op ~mirror:ops.Sir.mirror op with
+        | Some f when skip_op <> Some op.Sir.uid -> Avail.add f st
+        | _ -> st)
       st ops.Sir.comms
 
   let exec_effect sid (exec : Sir.exec) (st : Avail.t) : Avail.t =
@@ -657,10 +670,14 @@ module List_flow = struct
     | None -> live
     | Some ops ->
         let live =
-          match ops.Sir.exec with
-          | Sir.Control _ -> live
-          | Sir.Loop_head { index; _ } -> diff [ index ] live
-          | Sir.Guarded_assign { lhs; rhs; computes } ->
+          match (ops.Sir.exec, (Sir_cfg.node g i).Sir_cfg.kind) with
+          | Sir.Control _, Sir_cfg.Branch { Ast.node = Ast.If (cond, _, _); _ }
+            ->
+              (* the evaluating processors read the condition *)
+              union (Ast.expr_vars cond) live
+          | Sir.Control _, _ -> live
+          | Sir.Loop_head { index; _ }, _ -> diff [ index ] live
+          | Sir.Guarded_assign { lhs; rhs; computes }, _ ->
               let kills =
                 match lhs with
                 | Ast.LVar v when Df.pred_is_all computes -> [ v ]
@@ -718,18 +735,15 @@ module List_flow = struct
         | Some ops ->
             List.iter
               (fun (op : Sir.comm_op) ->
-                match Df.facts_of_op op with
-                | [] -> ()
-                | fs ->
+                match Df.fact_of_op ~mirror:ops.Sir.mirror op with
+                | None -> ()
+                | Some f ->
                     let st =
                       pre_exec cfg ops ~skip_op:op.Sir.uid avail.Flow.input.(i)
                     in
                     if
-                      List.for_all
-                        (fun (f : Df.fact) ->
-                          covered st ~excluding:op.Sir.uid ~key:f.Df.key
-                            ~need:f.Df.dests ())
-                        fs
+                      covered st ~excluding:op.Sir.uid ~key:f.Df.key
+                        ~need:f.Df.dests ()
                     then redundant := (ops.Sir.sid, op) :: !redundant)
               ops.Sir.comms)
       cfg.Sir_cfg.nodes;

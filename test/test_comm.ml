@@ -260,6 +260,32 @@ end
       check Alcotest.bool "broadcast" true (cm.Comm.kind = Comm.Broadcast))
     c.Phpf_core.Compiler.comms
 
+(* A statement that reads one reference twice needs it moved once: one
+   descriptor per distinct read of a statement. *)
+let test_repeated_read_one_comm () =
+  let c =
+    compile
+      {|
+program t
+parameter n = 16
+real b(16)
+real x
+!hpf$ processors p(4)
+!hpf$ distribute b(block) onto p
+do i = 1, n
+  x = b(i) + b(i)
+end do
+b(1) = x
+end
+|}
+  in
+  match c.Phpf_core.Compiler.comms with
+  | [ cm ] ->
+      check Alcotest.string "the read of b(i)" "b(i)"
+        (Fmt.str "%a" Pp.pp_expr
+           (Ast.Arr (cm.Comm.data.Aref.base, cm.Comm.data.Aref.subs)))
+  | l -> fail (Fmt.str "%d comms" (List.length l))
+
 let test_aligned_no_comm () =
   let c =
     compile
@@ -419,6 +445,8 @@ let () =
         [
           Alcotest.test_case "shift" `Quick test_shift_classified;
           Alcotest.test_case "broadcast" `Quick test_broadcast_classified;
+          Alcotest.test_case "repeated read, one comm" `Quick
+            test_repeated_read_one_comm;
           Alcotest.test_case "aligned no comm" `Quick test_aligned_no_comm;
           Alcotest.test_case "replicated operand" `Quick
             test_replicated_operand_no_comm;

@@ -312,6 +312,125 @@ let test_clean_programs_no_stale () =
         (List.exists Diag.is_error a.Sir_flow.findings))
     benchmarks
 
+(* ---------------- one delivery fact per transfer ---------------- *)
+
+let lint_errors ~options (c : Compiler.compiled) =
+  match Verifier.verify ~opts:options c with
+  | Ok (findings, _) -> List.filter Diag.is_error findings
+  | Error ds -> fail (Fmt.str "verifier failed: %a" Diag.pp_list ds)
+
+let default_and_no_opt =
+  [
+    ("default", Decisions.default_options);
+    ("no-opt", { Decisions.default_options with Decisions.optimize = false });
+  ]
+
+(* A program that validates clean must lint without an error, under the
+   default options and --no-opt alike. *)
+let lints_clean name src () =
+  List.iter
+    (fun (oname, options) ->
+      let c = Compiler.compile_exn ~options (parse src) in
+      check Alcotest.int
+        (Fmt.str "%s/%s validates clean" name oname)
+        0
+        (List.length (validate_with name c (sir_of name c)));
+      check
+        Alcotest.(list string)
+        (Fmt.str "%s/%s lints without an error" name oname)
+        []
+        (codes (lint_errors ~options c)))
+    default_and_no_opt
+
+(* A block vectorized over a small constant loop delivers the element of
+   the current iteration, which is what the loop's statement reads. *)
+let block_small_loop_src =
+  {|
+program enum
+real x
+real a(8), b(8)
+!hpf$ processors p(3)
+!hpf$ distribute a(block) onto p
+!hpf$ align b(i) with a(i)
+if (x > 0.0) then
+  b(1) = 1.0
+end if
+do i = 1, 8
+  x = x + b(i)
+end do
+end
+|}
+
+(* The processors that evaluate [if (x > 4.0)] read their own copy of
+   x, so the broadcast feeding it is live: dte keeps it, and the
+   transfer is not dead under --no-opt. *)
+let predicate_src =
+  {|
+program q
+real x, y
+real a(8)
+!hpf$ processors p(4)
+!hpf$ distribute a(block) onto p
+y = 0.0
+do i = 1, 8
+  a(i) = a(i) + 1.0
+  x = a(i)
+  if (x > 4.0) then
+    y = 1.0
+  end if
+  x = y
+end do
+a(1) = x
+end
+|}
+
+let test_predicate_transfer_live () =
+  lints_clean "q" predicate_src ();
+  let options = { Decisions.default_options with Decisions.optimize = false } in
+  let c = Compiler.compile_exn ~options (parse predicate_src) in
+  check Alcotest.int "no transfer is dead under --no-opt" 0
+    (List.length (analysis_of "q" c).Sir_flow.dead)
+
+(* test_opt's merge program: two element transfers of u(i+1, 1) and
+   u(i+1, 2) fuse into one block over a synthetic index, whose one fact
+   is a section; each read is covered by membership. *)
+let merge_src =
+  {|
+program m
+parameter n = 16
+real u(17,2), b(16)
+!hpf$ processors p(4)
+!hpf$ distribute b(block) onto p
+!hpf$ align u(i,*) with b(i)
+do i = 1, n
+  b(i) = u(i+1,1) + u(i+1,2)
+  u(i,1) = b(i) * 0.5
+  u(i,2) = b(i) * 2.0
+end do
+end
+|}
+
+let test_merged_block_covers () =
+  let options = Variants.selected in
+  let c = Compiler.compile_exn ~options (parse merge_src) in
+  let sir = sir_of "merge" c in
+  check Alcotest.int "merge fuses one pair" 1
+    (Sir_opt.apply ~nest:c.Compiler.decisions.Decisions.nest "merge" sir);
+  check Alcotest.bool "the fused block delivers a section" true
+    (List.exists
+       (fun (ops : Sir.stmt_ops) ->
+         List.exists
+           (fun op ->
+             match Sir_flow.fact_of_op ~mirror:ops.Sir.mirror op with
+             | Some { Sir_flow.key = Sir_flow.K_section _; _ } -> true
+             | _ -> false)
+           ops.Sir.comms)
+       (Sir.all_stmt_ops sir));
+  check Alcotest.(list string) "lints without an error after merge" []
+    (codes (lint_errors ~options c));
+  check Alcotest.int "the merged schedule validates clean" 0
+    (List.length (validate_with "merge" c sir))
+
 (* ---------------- corruption tests ---------------- *)
 
 (* Duplicating a transfer makes the copy redundant: the original's
@@ -646,6 +765,14 @@ let test_oracle_corrupted () =
         (with_sir c (delete_op sir op.Sir.uid)))
     (transfer_ops sir)
 
+(* The section a merged block delivers, against the list lattice. *)
+let test_oracle_merged () =
+  let c = Compiler.compile_exn ~options:Variants.selected (parse merge_src) in
+  check Alcotest.int "merge fuses one pair" 1
+    (Sir_opt.apply ~nest:c.Compiler.decisions.Decisions.nest "merge"
+       (sir_of "merge" c));
+  agree "merge after sir-opt.merge" c
+
 let prop_oracle_generated =
   QCheck2.Test.make ~name:"generated programs agree with the list lattice"
     ~count:40
@@ -680,6 +807,15 @@ let () =
           Alcotest.test_case "no stale reads on benchmarks" `Quick
             test_clean_programs_no_stale;
         ] );
+      ( "one-fact",
+        [
+          Alcotest.test_case "block over a small loop lints clean" `Quick
+            (lints_clean "enum" block_small_loop_src);
+          Alcotest.test_case "IF condition keeps its broadcast" `Quick
+            test_predicate_transfer_live;
+          Alcotest.test_case "merged block covers by membership" `Quick
+            test_merged_block_covers;
+        ] );
       ( "corruption",
         [
           Alcotest.test_case "W0607 duplicated transfer" `Quick
@@ -708,6 +844,7 @@ let () =
           Alcotest.test_case "tomcatv x2" `Quick
             (test_oracle_programs [ ("tomcatv_x2", tomcatv_x2) ]);
           Alcotest.test_case "corrupted fig1" `Quick test_oracle_corrupted;
+          Alcotest.test_case "merged block" `Quick test_oracle_merged;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 12075110 |])
             prop_oracle_generated;

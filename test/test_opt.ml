@@ -15,9 +15,10 @@
 
    Unit layer: crafted programs exercising merge, hoist (an unrelated
    earlier loop over the same index included) and combine
-   individually, plus the written_in / block_free_vars hooks.  The
-   measured-traffic regression pins Msg.stats as per-run state: two
-   identical runs in one process report identical counters. *)
+   individually, plus the nest's written-in query hoist reads and the
+   block_free_vars hook.  The measured-traffic regression pins
+   Msg.stats as per-run state: two identical runs in one process report
+   identical counters. *)
 
 open Hpf_lang
 open Phpf_core
@@ -79,7 +80,7 @@ let test_pipeline_fixpoint () =
           check Alcotest.int
             (Fmt.str "%s: second %s run rewrites nothing" name pass)
             0 k)
-        (Sir_opt.run sir))
+        (Sir_opt.run ~nest:c.Compiler.decisions.Decisions.nest sir))
     benchmarks
 
 (* ------------- (b) nothing removable survives the opt ------------- *)
@@ -340,19 +341,20 @@ let test_rte_matches_loop () =
     (Fmt.str "rte deleted transfers (%d)" !total)
     true (!total > 0)
 
-(* A deletion can leave a later candidate dead.  Broadcasts of [b] feed
-   IF conditions, which read the reference copy, not a processor's own;
-   the first broadcast is covered by the guarded write [b = 1.0] above
-   it.  In [dead_after_rte_src] the second is covered by the
-   unconditional [b = 2.0]; nothing else reads [b] on a processor, so
-   the first broadcast is live only through its own next iteration and
-   the second only through the first on the next outer iteration.  In
-   [dead_unreached_src] the second sits after an EXIT, so it is never
-   reached, and [y = b] below it reads [b]; its CYCLE joins the loop,
-   and the liveness worklist visits that unreached code only while the
-   first broadcast keeps [b] live around the loop.  Both broadcasts are
-   redundant in one analysis; once the first goes, the second is dead,
-   and the one-at-a-time loop keeps it. *)
+(* A deletion can leave a later candidate dead.  Broadcasts of [b] sit
+   at IFs whose conditions read only enclosing loop indices, which every
+   processor mirrors, so no statement reads [b] on a processor but the
+   broadcasts themselves (and [y = b] in the second program); the first
+   broadcast is covered by the guarded write [b = 1.0] above it.  In
+   [dead_after_rte_src] the second is covered by the unconditional
+   [b = 2.0]; the first broadcast is live only through its own next
+   iteration and the second only through the first on the next outer
+   iteration.  In [dead_unreached_src] the second sits after an EXIT,
+   so it is never reached, and [y = b] below it reads [b]; its CYCLE
+   joins the loop, and the liveness worklist visits that unreached code
+   only while the first broadcast keeps [b] live around the loop.  Both
+   broadcasts are redundant in one analysis; once the first goes, the
+   second is dead, and the one-at-a-time loop keeps it. *)
 let dead_after_rte_src =
   {|
 program deadrte
@@ -363,12 +365,12 @@ real a(4)
 do t = 1, 3
   b = 1.0
   do i = 1, 4
-    if (b > 0.0) then
+    if (i > 0) then
       a(i) = 1.0
     end if
   end do
   b = 2.0
-  if (b > 1.0) then
+  if (t > 1) then
     x = 1.0
   end if
 end do
@@ -381,12 +383,12 @@ program deadunreach
 real b, x, y
 do t = 1, 3
   b = 1.0
-  if (b > 0.0) then
+  if (t > 0) then
     x = 1.0
   end if
-  if (x > 0.0) then
+  if (t > 2) then
     exit
-    if (b > 1.0) then
+    if (t > 1) then
       y = b
       cycle
     end if
@@ -397,10 +399,10 @@ end
 
 (* [src] lowered without its transfers and reduction steps, plus a
    broadcast of [b] to the first processor (uids 1, 2, ... in program
-   order) at every IF whose condition reads [b]; the writes of [b] are
-   computed by [computes], in program order.  Returns the Sir and the
-   writes' statements. *)
-let broadcasts_of_b src (computes : Sir.pred list) =
+   order) at the IFs numbered [at] (0-based, program order); the writes
+   of [b] are computed by [computes], in program order.  Returns the Sir
+   and the writes' statements. *)
+let broadcasts_of_b src ~at (computes : Sir.pred list) =
   let c = compiled_of "rte" (parse src) in
   let sir = Oracles.relower c in
   let writes = ref [] and ifs = ref [] in
@@ -408,11 +410,11 @@ let broadcasts_of_b src (computes : Sir.pred list) =
     (fun s ->
       match s.Ast.node with
       | Ast.Assign (Ast.LVar "b", _) -> writes := s.Ast.sid :: !writes
-      | Ast.If (cond, _, _) when List.mem "b" (Ast.expr_vars cond) ->
-          ifs := s.Ast.sid :: !ifs
+      | Ast.If _ -> ifs := s.Ast.sid :: !ifs
       | _ -> ())
     c.Compiler.prog;
-  let writes = List.rev !writes and ifs = List.rev !ifs in
+  let writes = List.rev !writes
+  and ifs = List.filteri (fun k _ -> List.mem k at) (List.rev !ifs) in
   let broadcast sid uid =
     {
       Sir.uid;
@@ -458,8 +460,8 @@ let broadcasts_of_b src (computes : Sir.pred list) =
     sir.Sir.stmts;
   (sir, writes)
 
-let test_rte_skips_newly_dead (src, computes) () =
-  let sir, writes = broadcasts_of_b src computes in
+let test_rte_skips_newly_dead (src, at, computes) () =
+  let sir, writes = broadcasts_of_b src ~at computes in
   let s = Sir_dataflow.summarize (copy sir) in
   check (Alcotest.list Alcotest.int) "both broadcasts redundant" [ 1; 2 ]
     (List.map
@@ -601,7 +603,8 @@ let test_hoist_keeps_loadbearing_prefix () =
         (List.mem "it" prefix_vars);
       check Alcotest.int
         "hoist keeps the prefix of a rewritten base" 0
-        (Sir_opt.rewrites (Sir_opt.hoist sir))
+        (Sir_opt.rewrites
+           (Sir_opt.hoist ~nest:c.Compiler.decisions.Decisions.nest sir))
 
 let test_hoist_drops_redundant_prefix () =
   let c =
@@ -624,7 +627,8 @@ let test_hoist_drops_redundant_prefix () =
               { data; dests; crossed; prefix_vars = "it" :: prefix_vars };
         };
       check Alcotest.int "hoist drops the planted prefix index" 1
-        (Sir_opt.rewrites (Sir_opt.hoist sir));
+        (Sir_opt.rewrites
+           (Sir_opt.hoist ~nest:c.Compiler.decisions.Decisions.nest sir));
       let st =
         Spmd_interp.run ~init:(Init.init c.Compiler.prog) ~sir c
       in
@@ -739,6 +743,9 @@ let test_combine_drops_clean_duplicate () =
 
 (* ---------------------- unit: the hooks ---------------------- *)
 
+(* What [hoist] asks the nest: assignments under an IF and in a nested
+   loop, the loop's own index and nested ones count; a write after the
+   loop does not. *)
 let test_written_in () =
   let prog =
     parse
@@ -746,23 +753,36 @@ let test_written_in () =
 program w
 parameter n = 4
 real a(4), b(4)
-real x
+real x, y
 do i = 1, n
   if (x > 0.0) then
     a(i) = x
   end if
-  b(i) = x
+  do j = 1, n
+    b(j) = x
+  end do
 end do
 x = 1.0
+y = 2.0
 end
 |}
   in
-  let w = List.sort_uniq compare (Sir_opt.written_in prog.Ast.body) in
+  let nest = Nest.build prog in
+  let li =
+    match Nest.find_loop nest (List.hd prog.Ast.body).Ast.sid with
+    | Some li -> li
+    | None -> fail "no loop"
+  in
   List.iter
-    (fun v ->
-      check Alcotest.bool (v ^ " is written") true (List.mem v w))
-    [ "a"; "b"; "i"; "x" ];
-  check Alcotest.bool "n is not written" false (List.mem "n" w)
+    (fun (v, want) ->
+      check Alcotest.bool
+        (Fmt.str "%s %s written inside the i loop" v
+           (if want then "is" else "is not"))
+        want (Nest.written_in nest li v))
+    [
+      ("a", true); ("b", true); ("i", true); ("j", true); ("x", false);
+      ("y", false); ("n", false);
+    ]
 
 let test_block_free_vars () =
   let owner =
@@ -820,10 +840,13 @@ let () =
             `Quick
             (test_rte_skips_newly_dead
                ( dead_after_rte_src,
+                 [ 0; 1 ],
                  [ Sir.P_place [| Sir.C_fixed 0 |]; Sir.P_all ] ));
           Alcotest.test_case "... at an unreachable statement" `Quick
             (test_rte_skips_newly_dead
-               (dead_unreached_src, [ Sir.P_place [| Sir.C_fixed 0 |] ]));
+               ( dead_unreached_src,
+                 [ 0; 2 ],
+                 [ Sir.P_place [| Sir.C_fixed 0 |] ] ));
         ] );
       ( "oracle",
         List.map

@@ -14,6 +14,8 @@
      [Oracles.Loop_walk] for every dependence query;
    - [rte]'s deletions decided from one analysis against the
      one-at-a-time loop of [Oracles.rte_loop];
+   - lint agrees with execution: a program that validates clean lints
+     without an error;
    - the mapping-consistency guarantee of the paper's algorithm. *)
 
 open Hpf_lang
@@ -349,6 +351,45 @@ let prop_rte_vs_loop =
            (fun (_, o) -> o.Decisions.optimize)
            Phpf_serve.Serve.workload_option_sets))
 
+(* Lint agrees with execution: a generated program whose SPMD run
+   validates clean under the default options and --no-opt lints without
+   an error under the same options. *)
+let lint_agrees_with_validate p =
+  let open Phpf_core in
+  List.for_all
+    (fun options ->
+      let c = Compiler.compile_exn ~options p in
+      let st =
+        Hpf_spmd.Spmd_interp.run ~init:(Hpf_spmd.Init.init c.Compiler.prog) c
+      in
+      Hpf_spmd.Spmd_interp.validate st <> []
+      ||
+      match Phpf_verify.Verifier.verify ~opts:options c with
+      | Ok (findings, _) -> (
+          match List.filter Diag.is_error findings with
+          | [] -> true
+          | errs ->
+              QCheck2.Test.fail_reportf "validates clean, lints with %a"
+                Diag.pp_list errs)
+      | Error ds ->
+          QCheck2.Test.fail_reportf "verifier failed: %a" Diag.pp_list ds)
+    [
+      Decisions.default_options;
+      { Decisions.default_options with Decisions.optimize = false };
+    ]
+
+let prop_lint_agrees =
+  QCheck2.Test.make ~name:"validates clean => lints clean" ~count:100
+    ~print:(fun p -> Pp.program_to_string p)
+    gen_checked_program lint_agrees_with_validate
+
+let prop_lint_agrees_composed =
+  QCheck2.Test.make ~name:"validates clean => lints clean, composed"
+    ~count:30
+    ~print:(fun p -> Pp.program_to_string p)
+    (QCheck2.Gen.map (Prog_gen.compose 3) gen_checked_program)
+    lint_agrees_with_validate
+
 let prop_mapping_consistency =
   QCheck2.Test.make
     ~name:"mapping: reaching defs of any use share one mapping" ~count:100
@@ -485,6 +526,7 @@ let () =
       ("msg", [ to_alco prop_msg_checksum; to_alco prop_msg_corrupt_pick ]);
       ( "depend",
         [ to_alco prop_depend_vs_walk; to_alco prop_depend_vs_walk_composed ] );
+      ("lint", [ to_alco prop_lint_agrees; to_alco prop_lint_agrees_composed ]);
       ( "core",
         [
           to_alco prop_mapping_consistency;
