@@ -12,11 +12,26 @@
     so concurrent lookups from a pool of domains contend only when they
     hash to the same shard.  Values must be immutable (or never mutated
     after insertion) — the cache hands the same value to every domain
-    that hits. *)
+    that hits.
+
+    Each shard holds at most [capacity / shards] entries in a fixed ring
+    of slots and evicts by CLOCK (second chance): a hit sets the entry's
+    reference bit; an insert into a full shard moves the hand forward,
+    clearing the bits it passes, and replaces the first entry whose bit
+    was already clear.  A key that keeps being hit survives every sweep,
+    so the popular keys stay cached while one-off keys cycle through. *)
+
+(* One cached value and its CLOCK reference bit (clear on insertion). *)
+type 'a entry = { key : string; value : 'a; mutable referenced : bool }
 
 type 'a shard = {
   lock : Mutex.t;
-  tbl : (string, 'a) Hashtbl.t;
+  slot_of : (string, int) Hashtbl.t;  (** key -> its slot in [ring] *)
+  mutable ring : 'a entry array;
+      (** [[||]] until the first insert, then [shard_capacity] slots.
+          Slots [0 .. length slot_of - 1] are live: they fill in order,
+          and once all are live an eviction replaces one in place. *)
+  mutable hand : int;  (** the next slot an eviction examines *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -32,7 +47,9 @@ let create ?(shards = default_shards) ?(capacity = 4096) () : 'a t =
       Array.init shards (fun _ ->
           {
             lock = Mutex.create ();
-            tbl = Hashtbl.create 64;
+            slot_of = Hashtbl.create 64;
+            ring = [||];
+            hand = 0;
             hits = 0;
             misses = 0;
           });
@@ -55,17 +72,49 @@ let shard_of (t : 'a t) (k : string) : 'a shard =
 let find_opt (t : 'a t) (k : string) : 'a option =
   let s = shard_of t k in
   Mutex.lock s.lock;
-  let r = Hashtbl.find_opt s.tbl k in
-  (match r with None -> s.misses <- s.misses + 1 | Some _ -> s.hits <- s.hits + 1);
+  let r =
+    match Hashtbl.find_opt s.slot_of k with
+    | None ->
+        s.misses <- s.misses + 1;
+        None
+    | Some slot ->
+        let e = s.ring.(slot) in
+        e.referenced <- true;
+        s.hits <- s.hits + 1;
+        Some e.value
+  in
   Mutex.unlock s.lock;
   r
+
+(* The slot a new entry takes: the next free one while the ring fills,
+   then the first entry the hand reaches with its bit clear, clearing
+   the set bits it passes.  Call with the shard locked. *)
+let claim_slot (s : 'a shard) (capacity : int) : int =
+  let live = Hashtbl.length s.slot_of in
+  if live < capacity then live
+  else begin
+    while s.ring.(s.hand).referenced do
+      s.ring.(s.hand).referenced <- false;
+      s.hand <- (s.hand + 1) mod capacity
+    done;
+    let slot = s.hand in
+    Hashtbl.remove s.slot_of s.ring.(slot).key;
+    s.hand <- (slot + 1) mod capacity;
+    slot
+  end
 
 let add (t : 'a t) (k : string) (v : 'a) : bool =
   let s = shard_of t k in
   Mutex.lock s.lock;
-  if Hashtbl.length s.tbl >= t.shard_capacity then Hashtbl.reset s.tbl;
-  let inserted = not (Hashtbl.mem s.tbl k) in
-  if inserted then Hashtbl.add s.tbl k v;
+  let inserted = not (Hashtbl.mem s.slot_of k) in
+  if inserted then begin
+    let e = { key = k; value = v; referenced = false } in
+    (* the first insert sizes the ring; its unused slots alias [e] *)
+    if Array.length s.ring = 0 then s.ring <- Array.make t.shard_capacity e;
+    let slot = claim_slot s t.shard_capacity in
+    s.ring.(slot) <- e;
+    Hashtbl.replace s.slot_of k slot
+  end;
   Mutex.unlock s.lock;
   inserted
 
@@ -94,7 +143,7 @@ let counters (t : 'a t) : counters =
         {
           hits = acc.hits + s.hits;
           misses = acc.misses + s.misses;
-          entries = acc.entries + Hashtbl.length s.tbl;
+          entries = acc.entries + Hashtbl.length s.slot_of;
         }
       in
       Mutex.unlock s.lock;
@@ -113,7 +162,9 @@ let clear (t : 'a t) : unit =
   Array.iter
     (fun s ->
       Mutex.lock s.lock;
-      Hashtbl.reset s.tbl;
+      Hashtbl.reset s.slot_of;
+      s.ring <- [||];
+      s.hand <- 0;
       s.hits <- 0;
       s.misses <- 0;
       Mutex.unlock s.lock)

@@ -9,8 +9,15 @@
 
 type 'a t
 
-(** [create ?shards ?capacity ()] — [capacity] bounds the total entry
-    count (approximately; enforced per shard by epoch flush). *)
+(** [create ?shards ?capacity ()] — [shards] defaults to 16 and
+    [capacity] to 4096.  Each shard holds at most
+    [max 1 (capacity / shards)] entries, a hard bound, and evicts by
+    CLOCK (second chance) when an insert finds it full: a hit sets the
+    entry's reference bit, a new entry starts with it clear, and the
+    shard's hand moves round its slots clearing set bits until it
+    reaches an entry whose bit is clear, which the new entry replaces.
+    An entry hit since the hand last passed it is evicted only when
+    every other entry of its shard was hit since then too. *)
 val create : ?shards:int -> ?capacity:int -> unit -> 'a t
 
 (** Digest-hex key over the request components.  [options] must be a
@@ -19,11 +26,13 @@ val create : ?shards:int -> ?capacity:int -> unit -> 'a t
     [pass] names the pass or cached product. *)
 val key : source:string -> options:string -> grid:string -> pass:string -> string
 
-(** Lookup; counts a hit or a miss. *)
+(** Lookup; counts a hit or a miss, and a hit sets the entry's
+    reference bit. *)
 val find_opt : 'a t -> string -> 'a option
 
-(** Insert if absent (first insertion wins); [true] iff this call
-    inserted. *)
+(** Insert if absent (first insertion wins), evicting one entry of a
+    full shard; [true] iff this call inserted.  Adding a present key
+    leaves it and its reference bit alone. *)
 val add : 'a t -> string -> 'a -> bool
 
 (** [find_or_add t k f] returns the cached value for [k], computing it

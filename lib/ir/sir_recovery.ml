@@ -76,7 +76,7 @@ let is_p_union = function Sir.P_union _ -> true | Sir.P_all | Sir.P_place _ -> f
 
 let plan (p : Sir.program) : Sir.recovery_plan =
   let regions = region_map p.Sir.source in
-  (* guarded writers per datum, in statement-id (program) order *)
+  (* guarded writers per datum, latest first *)
   let writers : (string, (Ast.stmt_id * Sir.pred) list) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -88,7 +88,7 @@ let plan (p : Sir.program) : Sir.recovery_plan =
           let cur =
             Option.value ~default:[] (Hashtbl.find_opt writers base)
           in
-          Hashtbl.replace writers base (cur @ [ (so.Sir.sid, computes) ])
+          Hashtbl.replace writers base ((so.Sir.sid, computes) :: cur)
       | Sir.Control _ | Sir.Loop_head _ -> ())
     (Sir.all_stmt_ops p);
   (* reduction accumulators and location companions: combined values
@@ -103,7 +103,9 @@ let plan (p : Sir.program) : Sir.recovery_plan =
     List.concat_map
       (fun (d : Ast.decl) ->
         let name = d.Ast.dname in
-        let ws = Option.value ~default:[] (Hashtbl.find_opt writers name) in
+        let latest_first =
+          Option.value ~default:[] (Hashtbl.find_opt writers name)
+        in
         let baseline =
           {
             Sir.datum = name;
@@ -112,33 +114,39 @@ let plan (p : Sir.program) : Sir.recovery_plan =
           }
         in
         let replicated =
-          ws = []
+          latest_first = []
           || (not (Hashtbl.mem forced name))
-             && List.for_all (fun (_, g) -> is_p_all g) ws
+             && List.for_all (fun (_, g) -> is_p_all g) latest_first
         in
         if replicated then [ baseline ]
         else
-          (* group the writers by producing region, preserving program
-             order (regions are disjoint preorder subtrees) *)
-          let groups : (Ast.stmt_id * bool * (Ast.stmt_id * Sir.pred) list) list
-              =
+          (* group the writers by producing region, each group's writers
+             in program order, the groups in the order of their last
+             writers: the latest applicable entry wins at failure time,
+             so a region that writes again after another region's writes
+             must come after that region's entry *)
+          let by_region = Hashtbl.create 8 in
+          let regions_by_last_writer =
             List.fold_left
-              (fun acc ((sid, _) as w) ->
-                let region, under_if =
+              (fun order ((sid, _) as w) ->
+                let ((region, _) as reg) =
                   match Hashtbl.find_opt regions sid with
                   | Some r -> r
                   | None -> (sid, false)
                 in
-                match
-                  List.partition (fun (r, _, _) -> r = region) acc
-                with
-                | [ (r, u, ws) ], rest -> rest @ [ (r, u, ws @ [ w ]) ]
-                | _ -> acc @ [ (region, under_if, [ w ]) ])
-              [] ws
+                match Hashtbl.find_opt by_region region with
+                | Some ws ->
+                    Hashtbl.replace by_region region (w :: ws);
+                    order
+                | None ->
+                    Hashtbl.replace by_region region [ w ];
+                    reg :: order)
+              [] latest_first
           in
           baseline
           :: List.map
-               (fun (region, under_if, producers) ->
+               (fun (region, under_if) ->
+                 let producers = Hashtbl.find by_region region in
                  let source =
                    if
                      under_if
@@ -153,7 +161,7 @@ let plan (p : Sir.program) : Sir.recovery_plan =
                        }
                  in
                  { Sir.datum = name; from_region = Some region; source })
-               groups)
+               regions_by_last_writer)
       p.Sir.source.Ast.decls
   in
   {

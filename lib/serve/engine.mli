@@ -38,8 +38,9 @@ val cache_hit_rate : t -> float
 (** Merged pass-counter snapshot over the compiles whose results
     entered the cache ({!Phpf_driver.Stats.merge} aggregation): a
     domain that loses a race to compute the same fresh key adds to
-    {!computed_count} only, so the snapshot does not depend on the
-    domain count. *)
+    {!computed_count} only, so while nothing is evicted the snapshot
+    does not depend on the domain count.  A key recompiled after its
+    eviction enters the cache, and the snapshot, again. *)
 val stats_snapshot : t -> Stats.t
 
 (** Cache misses that actually ran the compiler. *)

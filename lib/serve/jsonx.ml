@@ -163,53 +163,59 @@ let parse_literal (p : parser_state) (lit : string) (v : t) : t =
     v)
   else fail p "invalid literal"
 
+(* The escape after a backslash, appended to [b] decoded. *)
+let add_escape (p : parser_state) (b : Buffer.t) : unit =
+  match peek p with
+  | Some '"' -> advance p; Buffer.add_char b '"'
+  | Some '\\' -> advance p; Buffer.add_char b '\\'
+  | Some '/' -> advance p; Buffer.add_char b '/'
+  | Some 'n' -> advance p; Buffer.add_char b '\n'
+  | Some 'r' -> advance p; Buffer.add_char b '\r'
+  | Some 't' -> advance p; Buffer.add_char b '\t'
+  | Some 'b' -> advance p; Buffer.add_char b '\b'
+  | Some 'f' -> advance p; Buffer.add_char b '\012'
+  | Some 'u' ->
+      advance p;
+      if p.pos + 4 > String.length p.src then fail p "truncated \\u escape";
+      let hex = String.sub p.src p.pos 4 in
+      let code =
+        try int_of_string ("0x" ^ hex)
+        with _ -> fail p "invalid \\u escape %s" hex
+      in
+      p.pos <- p.pos + 4;
+      (* UTF-8 encode the BMP code point; surrogate pairs are not
+         needed for the protocol (program text is ASCII) *)
+      if code < 0x80 then Buffer.add_char b (Char.chr code)
+      else if code < 0x800 then begin
+        Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+      end
+      else begin
+        Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+        Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+      end
+  | _ -> fail p "invalid escape"
+
+(* A request line is mostly program text, so each run of characters
+   that stand for themselves, up to the next quote or backslash, is
+   found in one scan and copied in one piece. *)
 let parse_string_body (p : parser_state) : string =
   expect p '"';
-  let b = Buffer.create 16 in
+  let b = Buffer.create 16 and n = String.length p.src in
   let rec go () =
-    match peek p with
-    | None -> fail p "unterminated string"
-    | Some '"' -> advance p
-    | Some '\\' -> (
-        advance p;
-        match peek p with
-        | Some '"' -> advance p; Buffer.add_char b '"'; go ()
-        | Some '\\' -> advance p; Buffer.add_char b '\\'; go ()
-        | Some '/' -> advance p; Buffer.add_char b '/'; go ()
-        | Some 'n' -> advance p; Buffer.add_char b '\n'; go ()
-        | Some 'r' -> advance p; Buffer.add_char b '\r'; go ()
-        | Some 't' -> advance p; Buffer.add_char b '\t'; go ()
-        | Some 'b' -> advance p; Buffer.add_char b '\b'; go ()
-        | Some 'f' -> advance p; Buffer.add_char b '\012'; go ()
-        | Some 'u' ->
-            advance p;
-            if p.pos + 4 > String.length p.src then
-              fail p "truncated \\u escape";
-            let hex = String.sub p.src p.pos 4 in
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> fail p "invalid \\u escape %s" hex
-            in
-            p.pos <- p.pos + 4;
-            (* UTF-8 encode the BMP code point; surrogate pairs are not
-               needed for the protocol (program text is ASCII) *)
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char b
-                (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end;
-            go ()
-        | _ -> fail p "invalid escape")
-    | Some c ->
-        advance p;
-        Buffer.add_char b c;
-        go ()
+    let start = p.pos in
+    while p.pos < n && p.src.[p.pos] <> '"' && p.src.[p.pos] <> '\\' do
+      advance p
+    done;
+    Buffer.add_substring b p.src start (p.pos - start);
+    if p.pos >= n then fail p "unterminated string";
+    let quote = p.src.[p.pos] = '"' in
+    advance p;
+    if not quote then begin
+      add_escape p b;
+      go ()
+    end
   in
   go ();
   Buffer.contents b

@@ -26,7 +26,9 @@
    index behind {!Hpf_analysis.Depend.write_feeds_read_in_loop}, and
    [rte_loop] is [rte] deleting one transfer at a time with both
    fixpoints re-run after each deletion, the reference for
-   {!Phpf_ir.Sir_dataflow.redundant_deletions}.
+   {!Phpf_ir.Sir_dataflow.redundant_deletions}.  [Clock_queue] is one
+   cache shard as the second-chance FIFO queue, the reference for the
+   slot ring and hand of {!Phpf_driver.Memo}'s CLOCK eviction.
 
    The runtime's references come first: [Ast_eval] is the evaluator,
    the sequential interpreter and the Sir guard evaluation as a walk of
@@ -1204,3 +1206,48 @@ let rte_vs_loop (sir : Phpf_ir.Sir.program) : (int, string) result =
   else if Sir_pp.to_string fast <> Sir_pp.to_string slow then
     Error "same witnesses, different programs"
   else Ok (List.length got)
+
+(* ------------------------------------------------------------------ *)
+(* One cache shard as a second-chance queue                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference for one {!Phpf_driver.Memo} shard, written as the FIFO
+   second-chance queue rather than a ring with a hand: entries in the
+   order an eviction examines them, each with its reference bit.  A hit
+   sets the bit; a new entry joins the back with its bit clear; an
+   insert into a full queue pops the front, sending an entry with its
+   bit set to the back with the bit cleared, until it pops one whose bit
+   was clear, which it drops. *)
+module Clock_queue = struct
+  type 'a t = { capacity : int; mutable queue : (string * 'a * bool) list }
+
+  let create capacity = { capacity; queue = [] }
+  let entries t = List.length t.queue
+
+  let find t k =
+    match List.find_opt (fun (k', _, _) -> k' = k) t.queue with
+    | None -> None
+    | Some (_, v, _) ->
+        t.queue <-
+          List.map
+            (fun ((k', v', _) as e) -> if k' = k then (k', v', true) else e)
+            t.queue;
+        Some v
+
+  let add t k v =
+    if List.exists (fun (k', _, _) -> k' = k) t.queue then false
+    else begin
+      let rec make_room = function
+        | (k', v', true) :: rest -> make_room (rest @ [ (k', v', false) ])
+        | (_, _, false) :: rest -> rest
+        | [] -> []
+      in
+      let kept =
+        if entries t < t.capacity then t.queue else make_room t.queue
+      in
+      t.queue <- kept @ [ (k, v, false) ];
+      true
+    end
+
+  let clear t = t.queue <- []
+end

@@ -12,6 +12,8 @@
      against the list-based payload of [Oracles.Msg_list];
    - the nest's write index against the loop-body walk of
      [Oracles.Loop_walk] for every dependence query;
+   - one CLOCK shard of the serve cache against the second-chance
+     queue of [Oracles.Clock_queue];
    - [rte]'s deletions decided from one analysis against the
      one-at-a-time loop of [Oracles.rte_loop];
    - lint agrees with execution: a program that validates clean lints
@@ -322,6 +324,73 @@ let prop_depend_vs_walk_composed =
     (QCheck2.Gen.map (Prog_gen.compose 3) gen_checked_program)
     depend_vs_walk
 
+(* Random find/add/clear sequences through a one-shard cache of [k]
+   entries and the second-chance queue [Oracles.Clock_queue]: every
+   lookup and every insert answers alike, and the shard holds what the
+   queue holds, never more than [k] entries.  An add stores its step
+   number, so a lost first insertion shows as a different value.
+   Nothing here compiles a program, so this group is cheap under any
+   seed. *)
+type memo_op = Find of int | Add of int | Clear
+
+let gen_memo_case : (int * memo_op list) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* k = int_range 1 6 in
+  let key = int_range 0 ((2 * k) + 2) in
+  let op =
+    frequency
+      [
+        (6, map (fun i -> Find i) key);
+        (4, map (fun i -> Add i) key);
+        (1, return Clear);
+      ]
+  in
+  let* ops = list_size (int_range 0 80) op in
+  return (k, ops)
+
+let print_memo_case (k, ops) =
+  Fmt.str "capacity %d: %a" k
+    Fmt.(
+      list ~sep:(any "; ") (fun ppf -> function
+        | Find i -> pf ppf "find %d" i
+        | Add i -> pf ppf "add %d" i
+        | Clear -> string ppf "clear"))
+    ops
+
+let prop_memo_vs_queue =
+  QCheck2.Test.make ~name:"one-shard cache = second-chance queue" ~count:1000
+    ~print:print_memo_case gen_memo_case (fun (k, ops) ->
+      let module Memo = Phpf_driver.Memo in
+      let module Q = Oracles.Clock_queue in
+      let m = Memo.create ~shards:1 ~capacity:k () and q = Q.create k in
+      let pp_found = Fmt.(option ~none:(any "miss") int) in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Find i ->
+              let got = Memo.find_opt m (string_of_int i)
+              and want = Q.find q (string_of_int i) in
+              if got <> want then
+                QCheck2.Test.fail_reportf
+                  "step %d, find %d: %a, the queue %a" step i pp_found got
+                  pp_found want
+          | Add i ->
+              let got = Memo.add m (string_of_int i) step
+              and want = Q.add q (string_of_int i) step in
+              if got <> want then
+                QCheck2.Test.fail_reportf
+                  "step %d, add %d: inserted %b, the queue %b" step i got want
+          | Clear ->
+              Memo.clear m;
+              Q.clear q);
+          let entries = (Memo.counters m).Memo.entries in
+          if entries <> Q.entries q || entries > k then
+            QCheck2.Test.fail_reportf
+              "step %d: %d entries, the queue holds %d" step entries
+              (Q.entries q))
+        ops;
+      true)
+
 (* [rte]'s one analysis deletes what the one-at-a-time loop deletes,
    with the same witnesses, both after [dte] and alone (where dead
    transfers stay in the program), under every optimizing option set of
@@ -526,6 +595,7 @@ let () =
       ("msg", [ to_alco prop_msg_checksum; to_alco prop_msg_corrupt_pick ]);
       ( "depend",
         [ to_alco prop_depend_vs_walk; to_alco prop_depend_vs_walk_composed ] );
+      ("memo", [ to_alco prop_memo_vs_queue ]);
       ("lint", [ to_alco prop_lint_agrees; to_alco prop_lint_agrees_composed ]);
       ( "core",
         [

@@ -1,7 +1,9 @@
 (* The serve subsystem: protocol parsing, the JSON codec, the domain
    pool, cache-key hygiene, and the headline determinism guarantee —
    a stress workload over 7 benchmarks × 3 option sets answered
-   bit-identically by a sequential run and an 8-domain run. *)
+   bit-identically by a sequential run and an 8-domain run, and the
+   example workload answered alike at 1 and 4 domains by a cache small
+   enough to evict on nearly every insert. *)
 
 open Hpf_lang
 open Phpf_serve
@@ -70,6 +72,38 @@ let test_jsonx_roundtrip () =
   match Jsonx.of_string_result "{\"a\":" with
   | Ok _ -> fail "truncated input must be rejected"
   | Error _ -> ()
+
+(* Every escape the parser knows decodes, alone, at either end of a
+   string and back to back; a string holding every byte survives print
+   then parse; and a string cut short or badly escaped is rejected. *)
+let test_jsonx_escapes () =
+  let decoded =
+    Jsonx.of_string
+      {|"a\"b\\c\/d\be\ff\ng\rh\ti\u0041\u00e9\u20ac\u0000j"|}
+  in
+  check
+    Alcotest.(option string)
+    "every escape decodes"
+    (Some "a\"b\\c/d\be\012f\ng\rh\ti\x41\xc3\xa9\xe2\x82\xac\x00j")
+    (Jsonx.to_str_opt decoded);
+  check
+    Alcotest.(option string)
+    "escapes at both ends and back to back" (Some "\n\t\\\"")
+    (Jsonx.to_str_opt (Jsonx.of_string {|"\n\t\\\""|}));
+  check Alcotest.(option string) "empty string" (Some "")
+    (Jsonx.to_str_opt (Jsonx.of_string {|""|}));
+  let every_byte = String.init 256 Char.chr in
+  check
+    Alcotest.(option string)
+    "every byte round-trips" (Some every_byte)
+    (Jsonx.to_str_opt
+       (Jsonx.of_string (Jsonx.to_string (Jsonx.Str every_byte))));
+  List.iter
+    (fun bad ->
+      match Jsonx.of_string_result bad with
+      | Ok _ -> fail ("accepted " ^ bad)
+      | Error _ -> ())
+    [ {|"abc|}; {|"abc\|}; {|"a\xb"|}; {|"\u12"|}; {|"\u12zz"|} ]
 
 (* A value shaped like a bench record: nested objects, arrays of
    scalars (one line), arrays of objects (one element per line), empty
@@ -447,6 +481,50 @@ let test_batch_output_domain_independent () =
     b.Serve.responses
 
 (* ------------------------------------------------------------------ *)
+(* Eviction under concurrency                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The example workload's 90 keys, each request sent twice in a row, on
+   a 16-entry cache: one entry per shard, so nearly every insert evicts.
+   At one domain the repeat always hits; at four the domains interleave
+   and evict each other's entries.  Eviction must never change an
+   answer, and the cache never holds more than its capacity.  Which
+   requests compute depends on the interleaving, so the computed count
+   and the merged stats are not compared across domain counts. *)
+let test_eviction_under_concurrency () =
+  let requests =
+    List.concat_map
+      (fun r -> [ r; r ])
+      (Serve.workload
+         ~programs:
+           (List.map
+              (fun (name, p) -> (name, Pp.program_to_string p))
+              (Prog_gen.examples ()))
+         ~n:90)
+  in
+  let run domains =
+    Serve.replay ~engine:(Engine.create ~cache_capacity:16 ()) ~domains
+      requests
+  in
+  let seq = run 1 and par = run 4 in
+  check Alcotest.int "sequential run answers everything" 180
+    seq.Serve.requests;
+  check Alcotest.int "no errors sequentially" 0 seq.Serve.errors;
+  check Alcotest.int "no errors on 4 domains" 0 par.Serve.errors;
+  check Alcotest.string "4-domain digest == sequential digest"
+    seq.Serve.digest par.Serve.digest;
+  List.iter
+    (fun (s : Serve.replay_summary) ->
+      let entries = s.Serve.cache.Phpf_driver.Memo.entries in
+      if entries > 16 then
+        fail
+          (Printf.sprintf "%d entries in a 16-entry cache at %d domains"
+             entries s.Serve.domains))
+    [ seq; par ];
+  check Alcotest.int "at one domain every repeat hits" 90
+    seq.Serve.cache.Phpf_driver.Memo.hits
+
+(* ------------------------------------------------------------------ *)
 (* The daemon                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -547,6 +625,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "jsonx roundtrip" `Quick test_jsonx_roundtrip;
+          Alcotest.test_case "jsonx escapes" `Quick test_jsonx_escapes;
           Alcotest.test_case "jsonx pretty" `Quick test_jsonx_pretty;
           Alcotest.test_case "request parsing" `Quick test_proto_requests;
           Alcotest.test_case "every knob round-trips" `Quick
@@ -582,6 +661,8 @@ let () =
         [
           Alcotest.test_case "8 domains bit-identical to sequential" `Slow
             test_stress_8_domains_bit_identical;
+          Alcotest.test_case "eviction at 1 and 4 domains" `Slow
+            test_eviction_under_concurrency;
         ] );
       ( "daemon",
         [
