@@ -200,44 +200,54 @@ let build (prog : Ast.program) : t =
 let tracked (g : t) (v : string) : bool =
   Ast.param_value g.prog v = None
 
-let filter_tracked g vs = List.filter (tracked g) vs
+(** The variables node [i] reads and writes, without building lists:
+    [read] gets each tracked variable its expressions read, once per
+    occurrence, and [write] each variable it writes.  An array-element
+    assignment writes the array name and also reads it (update
+    semantics); a loop's index is written whatever its name. *)
+let iter_vars (g : t) (i : int) ~(read : string -> unit)
+    ~(write : string -> unit) : unit =
+  let read v = if tracked g v then read v in
+  let expr =
+    Ast.iter_expr (function Ast.Var v -> read v | Ast.Arr (a, _) -> read a | _ -> ())
+  in
+  match g.nodes.(i).kind with
+  | Simple { node = Assign (LVar v, rhs); _ } ->
+      expr rhs;
+      if tracked g v then write v
+  | Simple { node = Assign (LArr (a, subs), rhs); _ } ->
+      read a;
+      expr rhs;
+      List.iter expr subs;
+      if tracked g a then write a
+  | Branch { node = If (c, _, _); _ } -> expr c
+  | Loop_init { node = Do d; _ } ->
+      expr d.lo;
+      write d.index
+  | Loop_head { node = Do d; _ } ->
+      read d.index;
+      expr d.hi;
+      expr d.step
+  | Loop_step { node = Do d; _ } ->
+      read d.index;
+      expr d.step;
+      write d.index
+  | Simple _ | Branch _ | Loop_init _ | Loop_head _ | Loop_step _
+  | Join _ | Entry | Exit_node ->
+      ()
 
 (** Variables defined (written) by a node.  An array-element assignment
     defines the array name (update semantics: it also {e uses} it). *)
 let defs (g : t) (i : int) : string list =
-  match g.nodes.(i).kind with
-  | Simple { node = Assign (LVar v, _); _ } -> filter_tracked g [ v ]
-  | Simple { node = Assign (LArr (a, _), _); _ } -> filter_tracked g [ a ]
-  | Loop_init { node = Do d; _ } | Loop_step { node = Do d; _ } ->
-      [ d.index ]
-  | Simple _ | Branch _ | Loop_head _ | Join _ | Entry | Exit_node -> []
-  | Loop_init _ | Loop_step _ -> []
+  let acc = ref [] in
+  iter_vars g i ~read:ignore ~write:(fun v -> acc := v :: !acc);
+  List.rev !acc
 
-(** Variables used (read) by a node. *)
+(** Variables used (read) by a node, sorted. *)
 let uses (g : t) (i : int) : string list =
-  let exprs_vars es =
-    List.concat_map Ast.expr_vars es
-    |> List.sort_uniq String.compare
-    |> filter_tracked g
-  in
-  match g.nodes.(i).kind with
-  | Simple { node = Assign (LVar _, rhs); _ } -> exprs_vars [ rhs ]
-  | Simple { node = Assign (LArr (a, subs), rhs); _ } ->
-      (* update semantics: old array value is read *)
-      List.sort_uniq String.compare (a :: List.concat_map Ast.expr_vars (rhs :: subs))
-      |> filter_tracked g
-  | Branch { node = If (c, _, _); _ } -> exprs_vars [ c ]
-  | Loop_init { node = Do d; _ } -> exprs_vars [ d.lo ]
-  | Loop_head { node = Do d; _ } ->
-      List.sort_uniq String.compare
-        (d.index :: (Ast.expr_vars d.hi @ Ast.expr_vars d.step))
-      |> filter_tracked g
-  | Loop_step { node = Do d; _ } ->
-      List.sort_uniq String.compare (d.index :: Ast.expr_vars d.step)
-      |> filter_tracked g
-  | Simple _ | Branch _ | Loop_init _ | Loop_head _ | Loop_step _
-  | Join _ | Entry | Exit_node ->
-      []
+  let acc = ref [] in
+  iter_vars g i ~read:(fun v -> acc := v :: !acc) ~write:ignore;
+  List.sort_uniq String.compare !acc
 
 (** All tracked variables appearing in the program (defs or uses). *)
 let variables (g : t) : string list =

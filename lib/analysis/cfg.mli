@@ -50,6 +50,12 @@ val build : Ast.program -> t
 (** Is the variable tracked by SSA (not a compile-time parameter)? *)
 val tracked : t -> string -> bool
 
+(** The variables a node reads and writes, as {!uses} and {!defs} list
+    them, without building lists: [read] once per occurrence, [write]
+    once per variable written. *)
+val iter_vars :
+  t -> int -> read:(string -> unit) -> write:(string -> unit) -> unit
+
 (** Variables written by a node (an array-element assignment defines —
     and also uses — the array name). *)
 val defs : t -> int -> string list

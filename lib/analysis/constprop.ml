@@ -131,6 +131,12 @@ let compute (ssa : Ssa.t) : t =
   let prog = g.Cfg.prog in
   let n = Array.length ssa.Ssa.defs in
   let values = Array.make n Top in
+  (* each real definition's right-hand side, parameters substituted *)
+  let rhs_of =
+    Array.map
+      (fun site -> Option.map (Ast.subst_params prog) (def_rhs g site))
+      ssa.Ssa.defs
+  in
   (* seed: entry defs are Bottom (uninitialized / external) *)
   Array.iteri
     (fun i site ->
@@ -151,10 +157,9 @@ let compute (ssa : Ssa.t) : t =
                   (fun acc (_, d) -> meet acc values.(d))
                   Top args
           | Ssa.Node_def { node; var = _ } -> (
-              match def_rhs g site with
+              match rhs_of.(i) with
               | None -> Bottom (* array def or unanalyzed *)
               | Some rhs ->
-                  let rhs = Ast.subst_params prog rhs in
                   let lookup x =
                     match Ssa.reaching_def_at ssa ~node ~var:x with
                     | Some d -> values.(d)

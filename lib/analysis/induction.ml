@@ -50,13 +50,14 @@ let analyze (ssa : Ssa.t) (cp : Constprop.t) : iv list =
   let prog = g.Cfg.prog in
   let dom = ssa.Ssa.dom in
   let out = ref [] in
-  Hashtbl.iter
-    (fun (node, var) phi_id ->
-      match head_loop g node with
-      | None -> ()
-      | Some (loop_stmt, d) when var <> d.index -> (
-          match ssa.Ssa.defs.(phi_id) with
-          | Ssa.Phi { args; _ } -> (
+  Array.iteri
+    (fun phi_id site ->
+      match site with
+      | Ssa.Entry_def _ | Ssa.Node_def _ -> ()
+      | Ssa.Phi { node; var; args } -> (
+          match head_loop g node with
+          | None -> ()
+          | Some (loop_stmt, d) when var <> d.index -> (
               (* classify args into init (forward edge) and step (back edge) *)
               let back, fwd =
                 List.partition
@@ -163,86 +164,97 @@ let analyze (ssa : Ssa.t) (cp : Constprop.t) : iv list =
                             | _ -> ()))
                   | _ -> ())
               | _ -> ())
-          | _ -> ())
-      | Some _ -> ())
-    ssa.Ssa.phi_at;
+          | Some _ -> ()))
+    ssa.Ssa.defs;
   List.sort compare !out
 
 (** Replace each recognized increment's rhs by the closed form, and every
     use of the variable inside the loop by the closed form as well (the
     paper: "the value of m is known to be i+1 via induction variable
     analysis", which is what lets [D(m)] be analyzed as [D(i+1)]).
-    Statement ids are preserved. *)
+    Statement ids are preserved; without an induction variable [prog]
+    itself is returned. *)
 let rewrite (prog : Ast.program) (ssa : Ssa.t) (ivs : iv list) : Ast.program
     =
-  let g = ssa.Ssa.cfg in
-  let by_incr = List.map (fun iv -> (iv.incr_sid, iv)) ivs in
-  (* substitute uses of iv variables in an expression evaluated at CFG
-     node [node] *)
-  let subst_uses node (e : Ast.expr) : Ast.expr =
-    let rec go (e : Ast.expr) : Ast.expr =
-      match e with
-      | Var v -> (
-          match
-            List.find_opt (fun iv -> String.equal iv.var v) ivs
-          with
-          | None -> e
-          | Some iv -> (
-              match Ssa.reaching_def_at ssa ~node ~var:v with
-              | Some d when d = iv.incr_def -> iv.closed_form
-              | Some d when d = iv.phi_def -> iv.closed_before
-              | Some _ | None -> e))
-      | Int _ | Real _ | Bool _ -> e
-      | Arr (a, subs) -> Arr (a, List.map go subs)
-      | Bin (op, a, b) -> Bin (op, go a, go b)
-      | Un (op, a) -> Un (op, go a)
-      | Intrin (op, a, b) -> Intrin (op, go a, go b)
+  if ivs = [] then prog
+  else
+    let g = ssa.Ssa.cfg in
+    let by_incr = List.map (fun iv -> (iv.incr_sid, iv)) ivs in
+    (* substitute uses of iv variables in an expression evaluated at CFG
+       node [node] *)
+    let subst_uses node (e : Ast.expr) : Ast.expr =
+      let rec go (e : Ast.expr) : Ast.expr =
+        match e with
+        | Var v -> (
+            match
+              List.find_opt (fun iv -> String.equal iv.var v) ivs
+            with
+            | None -> e
+            | Some iv -> (
+                match Ssa.reaching_def_at ssa ~node ~var:v with
+                | Some d when d = iv.incr_def -> iv.closed_form
+                | Some d when d = iv.phi_def -> iv.closed_before
+                | Some _ | None -> e))
+        | Int _ | Real _ | Bool _ -> e
+        | Arr (a, subs) -> Arr (a, List.map go subs)
+        | Bin (op, a, b) -> Bin (op, go a, go b)
+        | Un (op, a) -> Un (op, go a)
+        | Intrin (op, a, b) -> Intrin (op, go a, go b)
+      in
+      go e
     in
-    go e
-  in
-  (* the single CFG node evaluating the expressions of a Simple/Branch
-     statement *)
-  let eval_node (sid : Ast.stmt_id) : int option =
-    List.find_opt
-      (fun n ->
-        match (Cfg.node g n).kind with
-        | Cfg.Simple _ | Cfg.Branch _ -> true
-        | _ -> false)
-      (Cfg.nodes_of_sid g sid)
-  in
-  let rec stmt (s : Ast.stmt) : Ast.stmt =
-    match List.assoc_opt s.sid by_incr with
-    | Some iv -> { s with node = Assign (LVar iv.var, iv.closed_form) }
-    | None -> (
-        match s.node with
-        | Assign (lhs, rhs) -> (
-            match eval_node s.sid with
-            | None -> s
-            | Some node ->
-                let lhs =
-                  match lhs with
-                  | Ast.LVar _ -> lhs
-                  | Ast.LArr (a, subs) ->
-                      Ast.LArr (a, List.map (subst_uses node) subs)
-                in
-                { s with node = Assign (lhs, subst_uses node rhs) })
-        | If (c, t, e) ->
-            let c =
+    (* the single CFG node evaluating the expressions of a Simple/Branch
+       statement *)
+    let eval_node (sid : Ast.stmt_id) : int option =
+      List.find_opt
+        (fun n ->
+          match (Cfg.node g n).kind with
+          | Cfg.Simple _ | Cfg.Branch _ -> true
+          | _ -> false)
+        (Cfg.nodes_of_sid g sid)
+    in
+    let rec stmt (s : Ast.stmt) : Ast.stmt =
+      match List.assoc_opt s.sid by_incr with
+      | Some iv -> { s with node = Assign (LVar iv.var, iv.closed_form) }
+      | None -> (
+          match s.node with
+          | Assign (lhs, rhs) -> (
               match eval_node s.sid with
-              | Some node -> subst_uses node c
-              | None -> c
-            in
-            { s with node = If (c, List.map stmt t, List.map stmt e) }
-        | Do d -> { s with node = Do { d with body = List.map stmt d.body } }
-        | Exit _ | Cycle _ -> s)
-  in
-  { prog with body = List.map stmt prog.body }
+              | None -> s
+              | Some node ->
+                  let lhs =
+                    match lhs with
+                    | Ast.LVar _ -> lhs
+                    | Ast.LArr (a, subs) ->
+                        Ast.LArr (a, List.map (subst_uses node) subs)
+                  in
+                  { s with node = Assign (lhs, subst_uses node rhs) })
+          | If (c, t, e) ->
+              let c =
+                match eval_node s.sid with
+                | Some node -> subst_uses node c
+                | None -> c
+              in
+              { s with node = If (c, List.map stmt t, List.map stmt e) }
+          | Do d -> { s with node = Do { d with body = List.map stmt d.body } }
+          | Exit _ | Cycle _ -> s)
+    in
+    { prog with body = List.map stmt prog.body }
 
-(** Convenience: build SSA, recognize, rewrite; returns the rewritten
-    program and the recognized variables. *)
-let run (prog : Ast.program) : Ast.program * iv list =
+type result = {
+  prog : Ast.program;
+  ivs : iv list;
+  ssa : Ssa.t option;
+}
+
+(** Build SSA, recognize, rewrite.  Without an induction variable the
+    program comes back physically unchanged, with the SSA built on it,
+    so a later pass can reuse that SSA instead of building it again;
+    after a rewrite the SSA describes the old program and is dropped. *)
+let run (prog : Ast.program) : result =
   let g = Cfg.build prog in
   let ssa = Ssa.build g in
   let cp = Constprop.compute ssa in
-  let ivs = analyze ssa cp in
-  (rewrite prog ssa ivs, ivs)
+  match analyze ssa cp with
+  | [] -> { prog; ivs = []; ssa = Some ssa }
+  | ivs -> { prog = rewrite prog ssa ivs; ivs; ssa = None }

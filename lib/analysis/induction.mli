@@ -23,8 +23,16 @@ type iv = {
 val analyze : Ssa.t -> Constprop.t -> iv list
 
 (** Rewrite increments and uses to closed forms (statement ids
-    preserved). *)
+    preserved); the program itself when there is no variable. *)
 val rewrite : Ast.program -> Ssa.t -> iv list -> Ast.program
 
+type result = {
+  prog : Ast.program;  (** the rewritten program *)
+  ivs : iv list;
+  ssa : Ssa.t option;
+      (** with no induction variable, the SSA of [prog], which is then
+          the input physically unchanged; [None] after a rewrite *)
+}
+
 (** Build SSA, recognize, rewrite. *)
-val run : Ast.program -> Ast.program * iv list
+val run : Ast.program -> result

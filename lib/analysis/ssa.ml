@@ -12,7 +12,14 @@
     {!reaching_defs} implement that collapse, additionally reporting
     whether the value flowed across a loop back edge (needed by the
     privatizability test).  The reached uses of every scalar definition
-    are computed once, when the SSA is built. *)
+    are computed once, when the SSA is built.
+
+    The builder interns the program's variable names once, and keeps
+    every per-node table (the reaching definition of each use, the real
+    definitions, the φs) in flat arrays indexed by node, so neither
+    construction nor a query allocates or hashes a (node, name) key. *)
+
+open Hpf_lang
 
 type def_id = int
 
@@ -30,18 +37,24 @@ type def_site =
     a later iteration). *)
 type use_info = { use_node : int; use_var : string; back_edges : int list }
 
+(* Node [i]'s entries of a table lie at [start.(i)] to [start.(i+1) - 1]
+   of its def ids; a use, a real definition or a φ is known by its
+   definition, which names the variable. *)
+type tables = {
+  use_start : int array;
+  use_def : def_id array;
+      (** the definition reaching each use, -1 at an unreachable node *)
+  real_start : int array;
+  real_defs : def_id array;  (** the real definitions each node makes *)
+  phi_start : int array;
+  phis : def_id array;  (** the φs at each node, in variable order *)
+}
+
 type t = {
   cfg : Cfg.t;
   dom : Dom.t;
   defs : def_site array;
-  use_def : (int * string, def_id) Hashtbl.t;
-      (** (node, var) -> reaching definition at that use site *)
-  def_real_uses : (def_id, (int * string) list) Hashtbl.t;
-      (** real (non-φ) uses of each definition *)
-  def_phi_uses : (def_id, (def_id * int) list) Hashtbl.t;
-      (** φ-functions using each definition, with the incoming pred node *)
-  node_def : (int * string, def_id) Hashtbl.t;
-  phi_at : (int * string, def_id) Hashtbl.t;
+  tables : tables;
   reached : use_info list option array;
       (** reached uses of each scalar's definitions; [None] for arrays *)
 }
@@ -72,8 +85,70 @@ let is_back_edge (g : Cfg.t) ~(pred : int) ~(node : int) : bool =
 (* Reached uses                                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Int_set = Set.Make (Int)
-module Int_map = Map.Make (Int)
+(* Sorted int lists as sets; a union returns one of its arguments
+   whenever the other adds nothing, so merged answers share their
+   records. *)
+let rec subset a b =
+  match (a, b) with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | x :: xs, y :: ys -> if x = y then subset xs ys else x > y && subset a ys
+
+let rec union_sorted a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: xs, y :: ys ->
+      if x < y then x :: union_sorted xs b
+      else if y < x then y :: union_sorted a ys
+      else x :: union_sorted xs ys
+
+let union_ints a b =
+  if subset b a then a else if subset a b then b else union_sorted a b
+
+(* Two answers, each sorted by use node, merged; a node in both crosses
+   the union of their heads. *)
+let rec merge_uses (a : use_info list) (b : use_info list) : use_info list =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | u :: us, w :: ws ->
+      if u.use_node < w.use_node then u :: merge_uses us b
+      else if w.use_node < u.use_node then w :: merge_uses a ws
+      else
+        let crossed = union_ints u.back_edges w.back_edges in
+        (if crossed == u.back_edges then u
+         else if crossed == w.back_edges then w
+         else { u with back_edges = crossed })
+        :: merge_uses us ws
+
+(* [extra] added to the heads every use of [l] crossed. *)
+let add_crossed (extra : int list) (l : use_info list) : use_info list =
+  if extra = [] then l
+  else
+    List.map
+      (fun u ->
+        let crossed = union_ints extra u.back_edges in
+        if crossed == u.back_edges then u else { u with back_edges = crossed })
+      l
+
+(* A table over [0 .. n-1], entry [k] at [ids.(start.(k))] to
+   [ids.(start.(k+1) - 1)]. *)
+type csr = { start : int array; ids : int array }
+
+(* The CSR of [count k] entries per key, filled by [fill], which calls
+   [put k x] for every entry, in the order each key's entries should
+   keep. *)
+let csr ~(n : int) ~(count : (int -> unit) -> unit)
+    ~(fill : (int -> int -> unit) -> unit) : csr =
+  let start = Array.make (n + 1) 0 in
+  count (fun k -> start.(k + 1) <- start.(k + 1) + 1);
+  for k = 1 to n do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let ids = Array.make start.(n) 0 and next = Array.sub start 0 (max 1 n) in
+  fill (fun k x ->
+      ids.(next.(k)) <- x;
+      next.(k) <- next.(k) + 1);
+  { start; ids }
 
 (* The reached uses of every definition of a scalar, in one pass over
    the φ graph.  Its edges run from a definition to each φ it feeds,
@@ -84,122 +159,108 @@ module Int_map = Map.Make (Int)
    reaches collects all labels inside it, and an edge leaving it adds
    those and its own label to everything its target reaches.  Tarjan's
    algorithm finishes the components sinks first, so each one merges
-   finished answers; it runs on an explicit stack, since a φ chain is
-   as long as the program.  [scalar] selects the definitions answered:
-   arrays have the largest φ webs and nothing asks about them. *)
-let reached_table ~(cfg : Cfg.t) ~(defs : def_site array)
-    ~(def_real_uses : (def_id, (int * string) list) Hashtbl.t)
-    ~(def_phi_uses : (def_id, (def_id * int) list) Hashtbl.t)
-    ~(scalar : def_id -> bool) : use_info list option array =
-  let n = Array.length defs in
-  let uses d =
-    match Hashtbl.find_opt def_real_uses d with Some l -> l | None -> []
-  in
-  (* (target φ, crossed loop head or -1) *)
-  let edges =
-    Array.init n (fun d ->
-        match Hashtbl.find_opt def_phi_uses d with
-        | Some l when scalar d ->
-            List.map
-              (fun (phi, pred) ->
-                match defs.(phi) with
-                | Phi { node; _ } when is_back_edge cfg ~pred ~node ->
-                    (phi, node)
-                | Phi _ | Entry_def _ | Node_def _ -> (phi, -1))
-              l
-        | Some _ | None -> [])
-  in
+   finished answers; it runs on explicit stacks, since a φ chain is as
+   long as the program.  [uses] holds the nodes reading each
+   definition, ascending; [edges] the φs it feeds, and [label] each
+   edge's crossed loop head or -1.  Only the definitions [scalar]
+   selects are answered and have edges: arrays have the largest φ webs
+   and nothing asks about them. *)
+let reached_table ~(n : int) ~(scalar : def_id -> bool)
+    ~(var_of : def_id -> string) ~(uses : csr) ~(edges : csr)
+    ~(label : int array) : use_info list option array =
   let index = Array.make n (-1) and low = Array.make n 0 in
   let on_stack = Array.make n false and comp = Array.make n (-1) in
-  let comp_uses = Array.make n Int_map.empty in
-  let reached = Array.make n None in
-  let counter = ref 0 and n_comps = ref 0 and tarjan = ref [] in
-  let merge = Int_map.union (fun _ a b -> Some (Int_set.union a b)) in
-  let finish members =
+  let comp_uses = Array.make n [] and reached = Array.make n None in
+  (* [calls]: the walk's stack, [next.(d)] the next edge of [d] to
+     follow; [tarjan]: the component stack *)
+  let calls = Array.make n 0 and next = Array.make n 0 in
+  let tarjan = Array.make n 0 in
+  let n_calls = ref 0 and n_tarjan = ref 0 in
+  let counter = ref 0 and n_comps = ref 0 in
+  let finish ~(bottom : int) =
     let c = !n_comps in
     incr n_comps;
-    List.iter (fun d -> comp.(d) <- c) members;
-    let inner =
-      List.fold_left
-        (fun acc d ->
-          List.fold_left
-            (fun acc (w, h) ->
-              if comp.(w) = c && h >= 0 then Int_set.add h acc else acc)
-            acc edges.(d))
-        Int_set.empty members
-    in
+    for k = bottom to !n_tarjan - 1 do
+      comp.(tarjan.(k)) <- c
+    done;
+    let inner = ref [] in
+    for k = bottom to !n_tarjan - 1 do
+      let d = tarjan.(k) in
+      for e = edges.start.(d) to edges.start.(d + 1) - 1 do
+        if comp.(edges.ids.(e)) = c && label.(e) >= 0 then
+          inner := union_ints [ label.(e) ] !inner
+      done
+    done;
+    let inner = !inner and var = var_of tarjan.(bottom) in
     (* every answer merged below already holds [inner] *)
-    let own m d =
-      List.fold_left
-        (fun m (node, _) ->
-          Int_map.update node (function None -> Some inner | s -> s) m)
-        m (uses d)
-    in
-    let leaving m d =
-      List.fold_left
-        (fun m (w, h) ->
-          if comp.(w) = c then m
-          else
-            let extra = if h >= 0 then Int_set.add h inner else inner in
-            let downstream = comp_uses.(comp.(w)) in
-            merge m
-              (if Int_set.is_empty extra then downstream
-               else Int_map.map (Int_set.union extra) downstream))
-        m edges.(d)
-    in
-    let m =
-      List.fold_left (fun m d -> leaving (own m d) d) Int_map.empty members
-    in
-    comp_uses.(c) <- m;
-    let var =
-      match defs.(List.hd members) with
-      | Entry_def v | Node_def { var = v; _ } | Phi { var = v; _ } -> v
-    in
-    let answer =
-      Int_map.bindings m
-      |> List.map (fun (use_node, crossed) ->
-             { use_node; use_var = var; back_edges = Int_set.elements crossed })
-    in
-    List.iter (fun d -> reached.(d) <- Some answer) members
+    let answer = ref [] in
+    for k = bottom to !n_tarjan - 1 do
+      let d = tarjan.(k) in
+      let own = ref [] in
+      for j = uses.start.(d + 1) - 1 downto uses.start.(d) do
+        own :=
+          { use_node = uses.ids.(j); use_var = var; back_edges = inner }
+          :: !own
+      done;
+      answer := merge_uses !answer !own;
+      for e = edges.start.(d) to edges.start.(d + 1) - 1 do
+        let w = edges.ids.(e) in
+        if comp.(w) <> c then
+          let extra =
+            if label.(e) >= 0 then union_ints [ label.(e) ] inner else inner
+          in
+          answer := merge_uses !answer (add_crossed extra comp_uses.(comp.(w)))
+      done
+    done;
+    comp_uses.(c) <- !answer;
+    let some = Some !answer in
+    for k = bottom to !n_tarjan - 1 do
+      let d = tarjan.(k) in
+      reached.(d) <- some;
+      on_stack.(d) <- false
+    done;
+    n_tarjan := bottom
   in
-  let start d frames =
+  let start d =
     index.(d) <- !counter;
     low.(d) <- !counter;
     incr counter;
-    tarjan := d :: !tarjan;
+    tarjan.(!n_tarjan) <- d;
+    incr n_tarjan;
     on_stack.(d) <- true;
-    (d, ref edges.(d)) :: frames
+    next.(d) <- edges.start.(d);
+    calls.(!n_calls) <- d;
+    incr n_calls
   in
-  let rec run = function
-    | [] -> ()
-    | (v, rest) :: parents as frames -> (
-        match !rest with
-        | (w, _) :: tl ->
-            rest := tl;
-            if index.(w) < 0 then run (start w frames)
-            else begin
-              if on_stack.(w) then low.(v) <- min low.(v) index.(w);
-              run frames
-            end
-        | [] ->
-            if low.(v) = index.(v) then begin
-              let rec pop acc =
-                match !tarjan with
-                | w :: tl ->
-                    tarjan := tl;
-                    on_stack.(w) <- false;
-                    if w = v then w :: acc else pop (w :: acc)
-                | [] -> acc
-              in
-              finish (pop [])
-            end;
-            (match parents with
-            | (p, _) :: _ -> low.(p) <- min low.(p) low.(v)
-            | [] -> ());
-            run parents)
+  let run () =
+    while !n_calls > 0 do
+      let v = calls.(!n_calls - 1) in
+      if next.(v) < edges.start.(v + 1) then begin
+        let w = edges.ids.(next.(v)) in
+        next.(v) <- next.(v) + 1;
+        if index.(w) < 0 then start w
+        else if on_stack.(w) then low.(v) <- min low.(v) index.(w)
+      end
+      else begin
+        if low.(v) = index.(v) then begin
+          let bottom = ref (!n_tarjan - 1) in
+          while tarjan.(!bottom) <> v do
+            decr bottom
+          done;
+          finish ~bottom:!bottom
+        end;
+        decr n_calls;
+        if !n_calls > 0 then
+          let p = calls.(!n_calls - 1) in
+          low.(p) <- min low.(p) low.(v)
+      end
+    done
   in
   for d = 0 to n - 1 do
-    if scalar d && index.(d) < 0 then run (start d [])
+    if scalar d && index.(d) < 0 then begin
+      start d;
+      run ()
+    end
   done;
   reached
 
@@ -207,180 +268,294 @@ let reached_table ~(cfg : Cfg.t) ~(defs : def_site array)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Each node's defs and uses are read once, each variable's def sites
-   collected once, and the φs kept per node in variable order, so
-   placement and renaming touch only what a node mentions and the φs it
-   and its successors carry.  Def ids number the entry values, then the
-   real defs in node order, then the φs variable by variable in the
-   order their iterated frontier reaches them. *)
+(* A growable int array. *)
+type ints = { mutable a : int array; mutable len : int }
+
+let push_int (b : ints) (x : int) =
+  if b.len = Array.length b.a then begin
+    let grown = Array.make (max 16 (2 * b.len)) 0 in
+    Array.blit b.a 0 grown 0 b.len;
+    b.a <- grown
+  end;
+  b.a.(b.len) <- x;
+  b.len <- b.len + 1
+
+let contents (b : ints) = Array.sub b.a 0 b.len
+
+(* Each node's defs and uses are read once, as interned names in flat
+   tables; each variable's def sites are collected once, and the φs
+   kept per node in variable order, so placement and renaming touch
+   only what a node mentions and the φs it and its successors carry.
+   Def ids number the entry values, then the real defs in node order,
+   then the φs variable by variable in the order their iterated
+   frontier reaches them. *)
 let build (g : Cfg.t) : t =
   let dom = Dom.compute g in
   let n = Cfg.n_nodes g in
-  let reachable = Cfg.is_reachable g in
-  let node_defs = Array.init n (Cfg.defs g) in
-  let node_uses = Array.init n (Cfg.uses g) in
-  let var_ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let collect = List.iter (fun v -> Hashtbl.replace var_ids v 0) in
-  Array.iter collect node_defs;
-  Array.iter collect node_uses;
-  let vars =
-    Hashtbl.fold (fun v _ acc -> v :: acc) var_ids []
-    |> List.sort String.compare |> Array.of_list
+  let reachable i = dom.rpo_index.(i) >= 0 in
+  let prog = g.Cfg.prog in
+  (* intern every name a node reads or writes ({!Cfg.iter_vars}), in
+     order of appearance, into flat per-node tables, a node's uses
+     without repeats *)
+  let ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let names = ref [] and last_use = { a = [||]; len = 0 } in
+  let intern v =
+    match Hashtbl.find_opt ids v with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length ids in
+        Hashtbl.replace ids v k;
+        names := v :: !names;
+        push_int last_use (-1);
+        k
   in
-  Array.iteri (fun k v -> Hashtbl.replace var_ids v k) vars;
-  let node_uses =
-    Array.map (List.map (fun v -> (v, Hashtbl.find var_ids v))) node_uses
-  in
-  let defs_tbl : def_site list ref = ref [] in
-  let n_defs = ref 0 in
-  let new_def site =
-    let id = !n_defs in
-    incr n_defs;
-    defs_tbl := site :: !defs_tbl;
-    id
-  in
-  let node_def = Hashtbl.create 128 in
-  let phi_at = Hashtbl.create 64 in
-  (* entry defs for all variables *)
-  let entry_def = Array.map (fun v -> new_def (Entry_def v)) vars in
-  (* real defs, and each variable's def sites (reversed) *)
-  let real_defs = Array.make n [] in
-  let sites = Array.make (Array.length vars) [] in
+  let use_start = Array.make (n + 1) 0 and uses = { a = [||]; len = 0 } in
+  let def_start = Array.make (n + 1) 0 and defs_of = { a = [||]; len = 0 } in
+  let node = ref 0 in
+  let read v =
+    let k = intern v in
+    if last_use.a.(k) <> !node then begin
+      last_use.a.(k) <- !node;
+      push_int uses k
+    end
+  and write v = push_int defs_of (intern v) in
   for i = 0 to n - 1 do
-    if reachable.(i) then
-      List.iter
-        (fun v ->
-          let k = Hashtbl.find var_ids v in
-          let d = new_def (Node_def { node = i; var = v }) in
-          Hashtbl.replace node_def (i, v) d;
-          real_defs.(i) <- (k, d) :: real_defs.(i);
-          match sites.(k) with
-          | j :: _ when j = i -> ()
-          | l -> sites.(k) <- i :: l)
-        node_defs.(i)
+    node := i;
+    Cfg.iter_vars g i ~read ~write;
+    use_start.(i + 1) <- uses.len;
+    def_start.(i + 1) <- defs_of.len
   done;
-  let real_defs = Array.map List.rev real_defs in
+  (* the variables, sorted; [id] maps an interned name to its
+     variable *)
+  let name_of = Array.of_list (List.rev !names) in
+  let order = Array.init (Array.length name_of) Fun.id in
+  Array.sort (fun a b -> String.compare name_of.(a) name_of.(b)) order;
+  let vars = Array.map (fun k -> name_of.(k)) order in
+  let m = Array.length vars in
+  let id = Array.make m (-1) in
+  Array.iteri (fun v k -> id.(k) <- v) order;
+  let use_var = Array.init uses.len (fun j -> id.(uses.a.(j))) in
+  (* def ids: entry values are [0 .. m-1], then the real defs *)
+  let defs_rev = ref [] and def_var = { a = [||]; len = 0 } in
+  let new_def site v =
+    let d = def_var.len in
+    defs_rev := site :: !defs_rev;
+    push_int def_var v;
+    d
+  in
+  Array.iteri (fun v name -> ignore (new_def (Entry_def name) v)) vars;
+  (* real defs, and each variable's def sites (reversed) *)
+  let real_start = Array.make (n + 1) 0 and real = { a = [||]; len = 0 } in
+  let sites = Array.make m [] in
+  for i = 0 to n - 1 do
+    if reachable i then
+      for j = def_start.(i) to def_start.(i + 1) - 1 do
+        let v = id.(defs_of.a.(j)) in
+        push_int real (new_def (Node_def { node = i; var = vars.(v) }) v);
+        match sites.(v) with
+        | i' :: _ when i' = i -> ()
+        | l -> sites.(v) <- i :: l
+      done;
+    real_start.(i + 1) <- real.len
+  done;
+  let real_defs = contents real in
   (* φ placement: iterated dominance frontier of def sites (incl. entry);
-     the marks hold the variable they were set for *)
+     the marks hold the variable they were set for, and the worklist is
+     a FIFO over one array, since a node enters it once per variable *)
   let on_work = Array.make n (-1) and has_phi = Array.make n (-1) in
-  let phis = Array.make n [] in
+  let work = Array.make (max 1 n) 0 and tail = ref 0 in
+  let phis_rev = Array.make n [] and n_phis = ref 0 in
+  let enqueue v i =
+    if on_work.(i) <> v then begin
+      work.(!tail) <- i;
+      incr tail;
+      on_work.(i) <- v
+    end
+  in
+  let rec place v = function
+    | [] -> ()
+    | y :: ys ->
+        if has_phi.(y) <> v && reachable y then begin
+          has_phi.(y) <- v;
+          let d = new_def (Phi { node = y; var = vars.(v); args = [] }) v in
+          phis_rev.(y) <- d :: phis_rev.(y);
+          incr n_phis;
+          enqueue v y
+        end;
+        place v ys
+  in
+  let rec enqueue_sites v = function
+    | [] -> ()
+    | i :: is ->
+        enqueue_sites v is;
+        enqueue v i
+  in
+  for v = 0 to m - 1 do
+    tail := 0;
+    enqueue_sites v sites.(v);
+    (* entry node is also a def site (Entry_def) *)
+    enqueue v g.entry;
+    let head = ref 0 in
+    while !head < !tail do
+      let x = work.(!head) in
+      incr head;
+      place v dom.frontiers.(x)
+    done
+  done;
+  let phi_start = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    phi_start.(i + 1) <- phi_start.(i) + List.length phis_rev.(i)
+  done;
+  let phis = Array.make !n_phis 0 in
   Array.iteri
-    (fun k v ->
-      let work = Queue.create () in
-      let enqueue i =
-        if on_work.(i) <> k then begin
-          Queue.add i work;
-          on_work.(i) <- k
-        end
-      in
-      List.iter enqueue (List.rev sites.(k));
-      (* entry node is also a def site (Entry_def) *)
-      enqueue g.entry;
-      while not (Queue.is_empty work) do
-        let x = Queue.pop work in
-        List.iter
-          (fun y ->
-            if has_phi.(y) <> k && reachable.(y) then begin
-              has_phi.(y) <- k;
-              let d = new_def (Phi { node = y; var = v; args = [] }) in
-              Hashtbl.replace phi_at (y, v) d;
-              phis.(y) <- (k, d) :: phis.(y);
-              enqueue y
-            end)
-          dom.frontiers.(x)
-      done)
-    vars;
-  let phis = Array.map List.rev phis in
-  let defs = Array.of_list (List.rev !defs_tbl) in
-  (* renaming *)
-  let use_def = Hashtbl.create 256 in
-  let stacks = Array.map (fun d -> [ d ]) entry_def in
-  let top k = match stacks.(k) with d :: _ -> d | [] -> entry_def.(k) in
-  let push (k, d) = stacks.(k) <- d :: stacks.(k) in
-  let pop (k, _) =
-    match stacks.(k) with [] -> () | _ :: tl -> stacks.(k) <- tl
+    (fun i l ->
+      List.iteri (fun k d -> phis.(phi_start.(i + 1) - 1 - k) <- d) l)
+    phis_rev;
+  let defs = Array.of_list (List.rev !defs_rev) in
+  let def_var = contents def_var in
+  let n_defs = Array.length defs in
+  (* renaming: [cur.(v)] is the definition on top of [v]'s stack, and
+     [below.(d)] the one [d] covers while pushed *)
+  let cur = Array.init m Fun.id and below = Array.make n_defs (-1) in
+  let use_def = Array.make (Array.length use_var) (-1) in
+  let push d =
+    let v = def_var.(d) in
+    below.(d) <- cur.(v);
+    cur.(v) <- d
+  in
+  let pop d = cur.(def_var.(d)) <- below.(d) in
+  let rec fill_args i = function
+    | [] -> ()
+    | s :: succs ->
+        for j = phi_start.(s) to phi_start.(s + 1) - 1 do
+          match defs.(phis.(j)) with
+          | Phi p ->
+              if not (List.mem_assoc i p.args) then
+                p.args <- (i, cur.(def_var.(phis.(j)))) :: p.args
+          | Entry_def _ | Node_def _ -> assert false
+        done;
+        fill_args i succs
   in
   let rec rename (i : int) =
     (* φ defs first *)
-    List.iter push phis.(i);
+    for j = phi_start.(i) to phi_start.(i + 1) - 1 do
+      push phis.(j)
+    done;
     (* uses see pre-def values (after φ) *)
-    List.iter
-      (fun (v, k) -> Hashtbl.replace use_def (i, v) (top k))
-      node_uses.(i);
+    for j = use_start.(i) to use_start.(i + 1) - 1 do
+      use_def.(j) <- cur.(use_var.(j))
+    done;
     (* real defs *)
-    List.iter push real_defs.(i);
-    (* fill φ args of successors *)
-    List.iter
-      (fun s ->
-        List.iter
-          (fun (k, d) ->
-            match defs.(d) with
-            | Phi p ->
-                if not (List.mem_assoc i p.args) then
-                  p.args <- (i, top k) :: p.args
-            | Entry_def _ | Node_def _ -> assert false)
-          phis.(s))
-      (Cfg.node g i).succs;
+    for j = real_start.(i) to real_start.(i + 1) - 1 do
+      push real_defs.(j)
+    done;
+    fill_args i (Cfg.node g i).succs;
     (* recurse into dominator-tree children *)
     List.iter rename dom.children.(i);
-    List.iter pop real_defs.(i);
-    List.iter pop phis.(i)
+    for j = real_start.(i + 1) - 1 downto real_start.(i) do
+      pop real_defs.(j)
+    done;
+    for j = phi_start.(i + 1) - 1 downto phi_start.(i) do
+      pop phis.(j)
+    done
   in
   rename g.entry;
-  (* invert use_def into def -> uses, and collect φ arg uses *)
-  let def_real_uses = Hashtbl.create 128 in
-  let def_phi_uses = Hashtbl.create 128 in
-  Hashtbl.iter
-    (fun (node, var) d ->
-      let cur =
-        match Hashtbl.find_opt def_real_uses d with Some l -> l | None -> []
-      in
-      Hashtbl.replace def_real_uses d ((node, var) :: cur))
-    use_def;
-  Array.iteri
-    (fun phi_id site ->
-      match site with
-      | Phi { args; _ } ->
-          List.iter
-            (fun (pred, d) ->
-              let cur =
-                match Hashtbl.find_opt def_phi_uses d with
-                | Some l -> l
-                | None -> []
-              in
-              Hashtbl.replace def_phi_uses d ((phi_id, pred) :: cur))
-            args
-      | Entry_def _ | Node_def _ -> ())
-    defs;
-  let array_var = Array.map (Hpf_lang.Ast.is_array g.prog) vars in
-  let scalar d =
-    match defs.(d) with
-    | Entry_def v | Node_def { var = v; _ } | Phi { var = v; _ } ->
-        not array_var.(Hashtbl.find var_ids v)
+  (* the reached-use graph: real uses by definition, φ edges *)
+  let array_var = Array.map (Ast.is_array prog) vars in
+  let scalar d = not array_var.(def_var.(d)) in
+  let each_use f =
+    for i = 0 to n - 1 do
+      for j = use_start.(i) to use_start.(i + 1) - 1 do
+        let d = use_def.(j) in
+        if d >= 0 && scalar d then f d i
+      done
+    done
+  in
+  let uses_of =
+    csr ~n:n_defs
+      ~count:(fun put -> each_use (fun d _ -> put d))
+      ~fill:(fun put -> each_use put)
+  in
+  let each_edge f =
+    Array.iteri
+      (fun phi site ->
+        match site with
+        | Phi { node; args; _ } when scalar phi ->
+            List.iter (fun (pred, d) -> f d phi pred node) args
+        | Phi _ | Entry_def _ | Node_def _ -> ())
+      defs
+  in
+  let edge_csr entry =
+    csr ~n:n_defs
+      ~count:(fun put -> each_edge (fun d _ _ _ -> put d))
+      ~fill:(fun put ->
+        each_edge (fun d phi pred node -> put d (entry phi pred node)))
+  in
+  let edges = edge_csr (fun phi _ _ -> phi) in
+  let labels =
+    edge_csr (fun _ pred node -> if is_back_edge g ~pred ~node then node else -1)
   in
   {
     cfg = g;
     dom;
     defs;
-    use_def;
-    def_real_uses;
-    def_phi_uses;
-    node_def;
-    phi_at;
-    reached = reached_table ~cfg:g ~defs ~def_real_uses ~def_phi_uses ~scalar;
+    tables =
+      {
+        use_start;
+        use_def;
+        real_start;
+        real_defs;
+        phi_start;
+        phis;
+      };
+    reached =
+      reached_table ~n:n_defs ~scalar
+        ~var_of:(fun d -> vars.(def_var.(d)))
+        ~uses:uses_of ~edges ~label:labels.ids;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The definition of [var] among [ids.(j)], [j] up to [stop]. *)
+let rec find_in (t : t) (ids : def_id array) ~stop ~var j : def_id option =
+  if j >= stop then None
+  else
+    let d = ids.(j) in
+    if d >= 0 && String.equal (def_var t d) var then Some d
+    else find_in t ids ~stop ~var (j + 1)
+
+(* Node [node]'s entry for [var] in a per-node table. *)
+let find_at (t : t) (start : int array) ids ~node ~var : def_id option =
+  if node < 0 || node + 1 >= Array.length start then None
+  else find_in t ids ~stop:start.(node + 1) ~var start.(node)
+
 (** The SSA definition reaching the use of [var] at CFG node [node]. *)
 let reaching_def_at (t : t) ~(node : int) ~(var : string) : def_id option =
-  Hashtbl.find_opt t.use_def (node, var)
+  find_at t t.tables.use_start t.tables.use_def ~node ~var
 
 (** The real definition of [var] at [node], if that node defines it. *)
 let def_at (t : t) ~(node : int) ~(var : string) : def_id option =
-  Hashtbl.find_opt t.node_def (node, var)
+  find_at t t.tables.real_start t.tables.real_defs ~node ~var
+
+(** The φ-function for [var] at [node], if one was placed there. *)
+let phi_at (t : t) ~(node : int) ~(var : string) : def_id option =
+  find_at t t.tables.phi_start t.tables.phis ~node ~var
+
+(** Fold over every use of a reachable node, in node order, with the
+    definition reaching it. *)
+let fold_uses (t : t) (f : node:int -> var:string -> def_id -> 'a -> 'a)
+    (init : 'a) : 'a =
+  let { use_start; use_def; _ } = t.tables in
+  let acc = ref init in
+  for node = 0 to Array.length use_start - 2 do
+    for j = use_start.(node) to use_start.(node + 1) - 1 do
+      let d = use_def.(j) in
+      if d >= 0 then acc := f ~node ~var:(def_var t d) d !acc
+    done
+  done;
+  !acc
 
 (** All real uses transitively reached by definition [d] of a scalar
     through φ-functions, sorted; [Invalid_argument] for an array's. *)

@@ -10,7 +10,8 @@
     answers {!reached_uses} for every definition of a scalar up front:
     it condenses each scalar's φ graph into strongly connected
     components and merges their reached uses sinks first, so a query is
-    an array read. *)
+    an array read.  The builder interns the variable names once and
+    keeps every per-node table in flat arrays. *)
 
 type def_id = int
 
@@ -25,17 +26,15 @@ type def_site =
     carry the flow into a later iteration). *)
 type use_info = { use_node : int; use_var : string; back_edges : int list }
 
+(** The per-node tables: the definition reaching each use, the real
+    definitions and the φs of every node, over interned names. *)
+type tables
+
 type t = {
   cfg : Cfg.t;
   dom : Dom.t;
   defs : def_site array;
-  use_def : (int * string, def_id) Hashtbl.t;
-      (** (node, var) -> reaching definition at that use site *)
-  def_real_uses : (def_id, (int * string) list) Hashtbl.t;
-  def_phi_uses : (def_id, (def_id * int) list) Hashtbl.t;
-      (** φ-functions using each definition, with the incoming pred *)
-  node_def : (int * string, def_id) Hashtbl.t;
-  phi_at : (int * string, def_id) Hashtbl.t;
+  tables : tables;
   reached : use_info list option array;
       (** {!reached_uses} of each scalar's definitions, [None] for an
           array's; filled by {!build}, never changed afterwards *)
@@ -56,6 +55,13 @@ val reaching_def_at : t -> node:int -> var:string -> def_id option
 
 (** The real definition made by a node, if any. *)
 val def_at : t -> node:int -> var:string -> def_id option
+
+(** The φ-function placed for a variable at a node, if any. *)
+val phi_at : t -> node:int -> var:string -> def_id option
+
+(** Fold over every use of a reachable node with the definition reaching
+    it, in node order and, within a node, in variable order. *)
+val fold_uses : t -> (node:int -> var:string -> def_id -> 'a -> 'a) -> 'a -> 'a
 
 (** All real uses transitively reached by a definition of a scalar,
     sorted by use node: the union over every path through φ-functions,

@@ -64,8 +64,9 @@ let classify ~(producer : Ownership.spec) ~(consumer : Ownership.spec)
   end
 
 (** Communication (if any) required to bring [r]'s value to [consumer]. *)
-let comm_for_ref (prog : Ast.program) (nest : Nest.t) (oracle : oracle)
-    (r : Aref.t) (consumer : consumer) : Comm.t option =
+let comm_for_ref (deps : Depend.t) (oracle : oracle) (r : Aref.t)
+    (consumer : consumer) : Comm.t option =
+  let prog = deps.Depend.prog and nest = deps.Depend.nest in
   let p = oracle.owner_of r in
   let rels = Ownership.relate p consumer.spec in
   match classify ~producer:p ~consumer:consumer.spec rels with
@@ -75,7 +76,7 @@ let comm_for_ref (prog : Ast.program) (nest : Nest.t) (oracle : oracle)
         match consumer.cref with Some c -> c.Aref.subs | None -> []
       in
       let placement =
-        Vectorize.placement_level prog nest ~data:r ~consumer_subs
+        Vectorize.placement_level deps ~data:r ~consumer_subs
       in
       let stmt_level = Nest.level nest r.Aref.sid in
       (* along a shifted dimension only the boundary overlap moves: the
@@ -160,10 +161,11 @@ let written_bases (prog : Ast.program) : (string, unit) Hashtbl.t =
     [elide_unwritten] skips movement of never-assigned bases (see
     {!written_bases}); off by default — it reproduces phpf's verbatim
     schedule for the paper-faithful compiler versions. *)
-let analyze (prog : Ast.program) (nest : Nest.t) (oracle : oracle)
+let analyze (deps : Depend.t) (oracle : oracle)
     ?(reductions : Reduction.red list = [])
     ?(red_group : Reduction.red -> int = fun _ -> 0)
     ?(elide_unwritten = false) () : Comm.t list =
+  let prog = deps.Depend.prog and nest = deps.Depend.nest in
   let written = if elide_unwritten then written_bases prog else Hashtbl.create 0 in
   let moves (r : Aref.t) =
     (not elide_unwritten) || Hashtbl.mem written r.Aref.base
@@ -176,7 +178,7 @@ let analyze (prog : Ast.program) (nest : Nest.t) (oracle : oracle)
       List.iter
         (fun (r, consumer) ->
           if moves r then
-            match comm_for_ref prog nest oracle r consumer with
+            match comm_for_ref deps oracle r consumer with
             | Some c when not (List.mem c !emitted) ->
                 emitted := c :: !emitted;
                 out := c :: !out

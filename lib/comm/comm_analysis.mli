@@ -32,8 +32,7 @@ val classify :
   Comm.kind option
 
 (** Communication required to bring one reference to its consumer. *)
-val comm_for_ref :
-  Ast.program -> Nest.t -> oracle -> Aref.t -> consumer -> Comm.t option
+val comm_for_ref : Depend.t -> oracle -> Aref.t -> consumer -> Comm.t option
 
 (** Analyze the whole program: one descriptor per distinct read of a
     statement (a reference read twice in one statement moves once).
@@ -45,8 +44,7 @@ val comm_for_ref :
     broadcasting them re-delivers what every destination already holds
     (the fig1 [W0607] pattern at its source). *)
 val analyze :
-  Ast.program ->
-  Nest.t ->
+  Depend.t ->
   oracle ->
   ?reductions:Reduction.red list ->
   ?red_group:(Reduction.red -> int) ->

@@ -41,8 +41,9 @@ let subscript_constraint (prog : Ast.program) (nest : Nest.t)
     reference has subscripts [consumer_subs] (empty for scalars or the
     dummy replicated consumer).  Returns the loop level the communication
     sits just inside (0 = fully hoisted). *)
-let placement_level (prog : Ast.program) (nest : Nest.t) ~(data : Aref.t)
+let placement_level (deps : Depend.t) ~(data : Aref.t)
     ~(consumer_subs : Ast.expr list) : int =
+  let prog = deps.Depend.prog and nest = deps.Depend.nest in
   let sid = data.Aref.sid in
   let loops = Nest.enclosing_loops nest sid in
   let stmt_level = List.length loops in
@@ -62,7 +63,7 @@ let placement_level (prog : Ast.program) (nest : Nest.t) ~(data : Aref.t)
       match List.nth_opt loops (lv - 1) with
       | None -> lv
       | Some li ->
-          if Depend.write_feeds_read_in_loop prog nest li dref then lv
+          if Depend.write_feeds_read_in_loop deps li dref then lv
           else hoist (lv - 1)
     end
   in

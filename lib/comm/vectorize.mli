@@ -18,7 +18,7 @@ val subscript_constraint :
     with [consumer_subs]) sits just inside; 0 = hoisted out of every
     loop. *)
 val placement_level :
-  Ast.program -> Nest.t -> data:Aref.t -> consumer_subs:Ast.expr list -> int
+  Depend.t -> data:Aref.t -> consumer_subs:Ast.expr list -> int
 
 (** Message-aggregation index variables: the data's subscript indices
     minus [exclude]. *)

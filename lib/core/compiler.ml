@@ -8,8 +8,9 @@
       ({!Hpf_lang.Sema});
     + [induction] — induction-variable recognition and closed-form
       rewriting ({!Hpf_analysis.Induction});
-    + [decisions] — construction of SSA, privatizability information,
-      layouts and reduction records ({!Decisions.create});
+    + [decisions] — privatizability information, layouts, reduction
+      records and the dependence forms ({!Decisions.create}), over the
+      SSA [induction] built when it left the program unchanged;
     + [ctrl-priv] — control-flow privatization ({!Ctrl_priv});
     + [reduction-map] — reduction-accumulator mapping ({!Reduction_map});
     + [array-priv] — array privatization, full and partial
@@ -47,6 +48,9 @@ module Stats = Phpf_driver.Stats
 type context = {
   prog : Ast.program;
   ivs : Induction.iv list;
+  ssa : Ssa.t option;
+      (** the SSA of [prog] when induction left it unchanged; the
+          decisions pass reuses it *)
   decisions : Decisions.t option;  (** set by the decisions pass *)
   comms : Comm.t list;
   sir : Phpf_ir.Sir.program option;  (** set by lower-spmd *)
@@ -102,15 +106,15 @@ let passes : (Decisions.options, context) Pass.t list =
     Pass.make "induction"
       ~descr:"induction-variable recognition and closed-form rewriting"
       (fun (ctx : context) st ->
-        let prog, ivs = Induction.run ctx.prog in
+        let { Induction.prog; ivs; ssa } = Induction.run ctx.prog in
         Stats.set st "ivs.rewritten" (List.length ivs);
-        { ctx with prog; ivs });
+        { ctx with prog; ivs; ssa });
     Pass.make "decisions"
       ~descr:"SSA, privatizability, layouts and reduction records"
       (fun (ctx : context) st ->
         let d =
           Decisions.create ?grid_override:ctx.grid_override
-            ~options:ctx.options ctx.prog
+            ~options:ctx.options ?ssa:ctx.ssa ctx.prog
         in
         Stats.set st "grid.procs"
           (Hpf_mapping.Grid.size d.Decisions.env.Hpf_mapping.Layout.grid);
@@ -173,7 +177,7 @@ let passes : (Decisions.options, context) Pass.t list =
       (fun (ctx : context) st ->
         let d = decisions_exn ctx in
         let comms =
-          Comm_analysis.analyze ctx.prog d.Decisions.nest (Consumer.oracle d)
+          Comm_analysis.analyze d.Decisions.deps (Consumer.oracle d)
             ~reductions:d.Decisions.reductions
             ~red_group:(Reduction_map.combine_group d)
             ~elide_unwritten:ctx.options.Decisions.optimize ()
@@ -281,6 +285,7 @@ let compile_traced ?grid_override ?(options = Decisions.default_options)
     {
       prog = input;
       ivs = [];
+      ssa = None;
       decisions = None;
       comms = [];
       sir = None;

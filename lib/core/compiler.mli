@@ -24,6 +24,9 @@ open Hpf_comm
 type context = {
   prog : Ast.program;
   ivs : Induction.iv list;
+  ssa : Ssa.t option;
+      (** set by induction when it left [prog] unchanged: its SSA, which
+          the decisions pass reuses *)
   decisions : Decisions.t option;  (** set by the decisions pass *)
   comms : Comm.t list;
   sir : Phpf_ir.Sir.program option;  (** set by lower-spmd *)

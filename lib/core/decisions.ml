@@ -129,6 +129,7 @@ type tables = {
 type t = {
   prog : Ast.program;
   nest : Nest.t;
+  deps : Depend.t;
   ssa : Ssa.t;
   priv : Privatizable.t;
   env : Layout.env;
@@ -138,17 +139,26 @@ type t = {
   mutable frozen : bool;
 }
 
-let create ?grid_override ?(options = default_options) (prog : Ast.program)
-    : t =
+let create ?grid_override ?(options = default_options) ?ssa
+    (prog : Ast.program) : t =
   let nest = Nest.build prog in
-  let cfg = Cfg.build prog in
-  let ssa = Ssa.build cfg in
+  let deps = Depend.build prog nest in
+  (* Induction hands over its SSA when it left the program unchanged.
+     After a rewrite the CFG nodes carry the old statements, so
+     re-pointing the replaced uses would rebuild the CFG, and the SSA
+     is built afresh. *)
+  let ssa =
+    match ssa with
+    | Some (s : Ssa.t) when s.Ssa.cfg.Cfg.prog == prog -> s
+    | Some _ | None -> Ssa.build (Cfg.build prog)
+  in
   let priv = Privatizable.make nest prog ssa in
   let env = Layout.resolve ?grid_override prog in
   let reductions = Reduction.analyze nest prog in
   {
     prog;
     nest;
+    deps;
     ssa;
     priv;
     env;

@@ -71,6 +71,9 @@ type tables
 type t = {
   prog : Ast.program;
   nest : Nest.t;
+  deps : Depend.t;
+      (** the dependence forms over [nest], derived once for every
+          placement query of the compile *)
   ssa : Ssa.t;
   priv : Privatizable.t;
   env : Layout.env;
@@ -81,8 +84,11 @@ type t = {
 }
 
 (** Build the analysis state for a (checked, IV-rewritten) program:
-    SSA, privatizability, layouts, reduction records. *)
-val create : ?grid_override:int list -> ?options:options -> Ast.program -> t
+    SSA, privatizability, layouts, reduction records.  [ssa] is reused
+    when it was built on this very program (physically), as induction's
+    is when it rewrote nothing; otherwise the SSA is built here. *)
+val create :
+  ?grid_override:int list -> ?options:options -> ?ssa:Ssa.t -> Ast.program -> t
 
 (** {2 Freeze discipline} *)
 

@@ -157,6 +157,21 @@ let rec flatten_owner (cx : ctx) ?(as_def = false) ?(skip_dims = [])
           own
   end
 
+(* The members of a union guard that no other member strictly covers:
+   a strictly covered member selects a subset of its coverer's
+   processors at every instance, so the union is unchanged.  Exact
+   duplicates (one per co-owned reference) cover each other and stay,
+   and the order is kept. *)
+let drop_implied (places : Sir.place list) : Sir.place list =
+  let covers ~have ~need = Phpf_ir.Sir_dataflow.place_covers ~have ~need in
+  List.filter
+    (fun p ->
+      not
+        (List.exists
+           (fun q -> covers ~have:q ~need:p && not (covers ~have:p ~need:q))
+           places))
+    places
+
 (* Computation-partitioning guard of a statement — an assignment or a
    control statement — as a materialized predicate.  [G_union] flattens
    the sibling statements' owner lines, widening a sibling's loop
@@ -200,7 +215,7 @@ let flatten_guard (cx : ctx) (s : Ast.stmt) : Sir.pred =
                 | Decisions.G_union -> assert false (* filtered out *))
               sibs
           in
-          Sir.P_union places)
+          Sir.P_union (drop_implied places))
 
 (* --- aggregability (lowering-time decision) ------------------------ *)
 

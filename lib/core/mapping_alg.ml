@@ -116,7 +116,7 @@ let pick_best (d : Decisions.t) ~(def_sid : Ast.stmt_id)
    some rhs reference of [s]? *)
 let consumer_causes_inner_comm (d : Decisions.t) (s : Ast.stmt)
     ~(target : Aref.t) ~(priv_level : int) : bool =
-  let prog = d.Decisions.prog and nest = d.Decisions.nest in
+  let prog = d.Decisions.prog in
   let target_spec = Decisions.owner_spec d target in
   Consumer.classify_refs prog s
   |> List.exists (fun ((r : Aref.t), role) ->
@@ -127,7 +127,7 @@ let consumer_causes_inner_comm (d : Decisions.t) (s : Ast.stmt)
              if Ownership.no_comm rels then false
              else begin
                let placement =
-                 Vectorize.placement_level prog nest ~data:r
+                 Vectorize.placement_level d.Decisions.deps ~data:r
                    ~consumer_subs:target.Aref.subs
                in
                placement >= priv_level

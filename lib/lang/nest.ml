@@ -41,11 +41,13 @@ let build (p : program) : t =
   let writes = Hashtbl.create 16 and indices = Hashtbl.create 16 in
   let loops = ref [] in
   (* [ctx]: the enclosing loops innermost first, each with its write
-     table (filled in reverse program order, reversed below) *)
-  let rec go ctx parent_sid body =
+     table (filled in reverse program order, reversed below); [outer]:
+     the same loops outermost first, shared by the statements of one
+     body *)
+  let rec go ctx outer parent_sid body =
     List.iter
       (fun s ->
-        Hashtbl.replace enclosing s.sid (List.rev_map fst ctx);
+        Hashtbl.replace enclosing s.sid outer;
         Hashtbl.replace stmts s.sid s;
         (match parent_sid with
         | Some psid -> Hashtbl.replace parent s.sid psid
@@ -59,8 +61,9 @@ let build (p : program) : t =
               ctx
         | Exit _ | Cycle _ -> ()
         | If (_, t, e) ->
-            go ctx (Some s.sid) t;
-            go ctx (Some s.sid) e
+            let psid = Some s.sid in
+            go ctx outer psid t;
+            go ctx outer psid e
         | Do d ->
             let info =
               { loop_sid = s.sid; loop = d; level = List.length ctx + 1 }
@@ -73,10 +76,10 @@ let build (p : program) : t =
                 Hashtbl.replace (Hashtbl.find indices li.loop_sid) d.index ())
               ((info, tbl) :: ctx);
             loops := info :: !loops;
-            go ((info, tbl) :: ctx) (Some s.sid) d.body)
+            go ((info, tbl) :: ctx) (outer @ [ info ]) (Some s.sid) d.body)
       body
   in
-  go [] None p.body;
+  go [] [] None p.body;
   Hashtbl.iter
     (fun _ tbl -> Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl)
     writes;

@@ -11,36 +11,35 @@
     content-addressed cache.
 
     The engine owns a {!Phpf_driver.Memo} cache keyed
-    source⊕options⊕grid⊕action, and an aggregate {!Phpf_driver.Stats}
-    counter set merged from the pipeline trace of each compile whose
-    result entered the cache (the serve counterpart of
-    [phpfc compile --stats]). *)
+    source⊕options⊕grid⊕action.  Each cached result keeps the pass
+    counters of the compile that produced it (the serve counterpart of
+    [phpfc compile --stats]), so every outcome, hit or miss, carries
+    them, and a replay sums them over the request stream. *)
 
 open Hpf_lang
 open Phpf_core
 open Phpf_driver
 
-type t = {
-  cache : (bool * string) Memo.t;
-      (** payload cache: [ok] flag and rendered body *)
-  agg_lock : Mutex.t;
-  agg : Stats.t;  (** merged pass counters of cache-inserting computes *)
-  mutable computed : int;  (** cache misses that ran the compiler *)
-}
+(* A compile's pass counters: the names, sorted, and their values; the
+   names are the passes' string constants, shared by every compile. *)
+type counters = { names : string array; values : int array }
+
+(* A cached result: the [ok] flag, the rendered body and, when the
+   compiler ran to completion, its counters. *)
+type result = { r_ok : bool; r_body : string; r_counters : counters option }
+
+type t = { cache : result Memo.t }
 
 let create ?(cache_capacity = 4096) () =
-  {
-    cache = Memo.create ~capacity:cache_capacity ();
-    agg_lock = Mutex.create ();
-    agg = Stats.create ();
-    computed = 0;
-  }
+  { cache = Memo.create ~capacity:cache_capacity () }
 
 type outcome = {
   id : int;
   action : Proto.action;
+  key : string;
   ok : bool;
   body : string;  (** deterministic JSON object text *)
+  counters : counters option;
   cached : bool;
   elapsed_ms : float;
 }
@@ -48,18 +47,15 @@ type outcome = {
 let cache_counters (e : t) = Memo.counters e.cache
 let cache_hit_rate (e : t) = Memo.hit_rate e.cache
 
-(** Fresh merged snapshot of the aggregate pass counters. *)
-let stats_snapshot (e : t) : Stats.t =
-  Mutex.lock e.agg_lock;
-  let s = Stats.merge (Stats.create ()) e.agg in
-  Mutex.unlock e.agg_lock;
-  s
+let counters_of (s : Stats.t) : counters =
+  let kvs = Stats.to_sorted_list s in
+  {
+    names = Array.of_list (List.map fst kvs);
+    values = Array.of_list (List.map snd kvs);
+  }
 
-let computed_count (e : t) =
-  Mutex.lock e.agg_lock;
-  let n = e.computed in
-  Mutex.unlock e.agg_lock;
-  n
+let add_counters (into : Stats.t) (c : counters) : unit =
+  Array.iteri (fun k name -> Stats.add into name c.values.(k)) c.names
 
 (* ------------------------------------------------------------------ *)
 (* Payload builders                                                    *)
@@ -222,12 +218,14 @@ let cache_key (r : Proto.request) : string =
 let handle (e : t) (r : Proto.request) : outcome =
   let t0 = Unix.gettimeofday () in
   let key = cache_key r in
-  let finish ~cached (ok, body) =
+  let finish ~cached (v : result) =
     {
       id = r.Proto.id;
       action = r.Proto.action;
-      ok;
-      body;
+      key;
+      ok = v.r_ok;
+      body = v.r_body;
+      counters = v.r_counters;
       cached;
       elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
     }
@@ -236,17 +234,9 @@ let handle (e : t) (r : Proto.request) : outcome =
   | Some cached -> finish ~cached:true cached
   | None ->
       let ran = ref None in
-      let v = compute ran r in
+      let r_ok, r_body = compute ran r in
+      let v = { r_ok; r_body; r_counters = Option.map counters_of !ran } in
       (* first insertion wins: a racing domain that also computed this
-         key inserts an identical (deterministic) payload.  Only the
-         winner's counters enter the aggregate, so it does not depend
-         on the domain count; [computed] still counts every run. *)
-      let inserted = Memo.add e.cache key v in
-      Option.iter
-        (fun s ->
-          Mutex.lock e.agg_lock;
-          e.computed <- e.computed + 1;
-          if inserted then Stats.merge_into ~into:e.agg s;
-          Mutex.unlock e.agg_lock)
-        !ran;
+         key inserts an identical (deterministic) result *)
+      ignore (Memo.add e.cache key v);
       finish ~cached:false v

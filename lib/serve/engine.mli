@@ -14,14 +14,27 @@ type t
 
 val create : ?cache_capacity:int -> unit -> t
 
+(** The pass counters of one compile ({!Phpf_driver.Pipeline.total_stats}),
+    kept with its cached result in two arrays: the sorted counter names
+    and their values. *)
+type counters = private { names : string array; values : int array }
+
 type outcome = {
   id : int;
   action : Proto.action;
+  key : string;  (** the request's {!cache_key} *)
   ok : bool;  (** [false] = the payload is an error body with diags *)
   body : string;  (** deterministic JSON object text *)
+  counters : counters option;
+      (** the counters of the compile that produced [body], whether this
+          request ran it or hit its cached result; [None] when the
+          compiler did not run to completion *)
   cached : bool;
   elapsed_ms : float;
 }
+
+(** Add a compile's counters into a counter set. *)
+val add_counters : Stats.t -> counters -> unit
 
 (** Evaluate one request: cache lookup, else parse → compile → (verify
     | simulate), cache insert.  Never raises — every failure mode is an
@@ -32,16 +45,7 @@ val handle : t -> Proto.request -> outcome
     (source⊕options⊕grid⊕action). *)
 val cache_key : Proto.request -> string
 
+(** Cache hits and misses; every miss evaluates its request. *)
 val cache_counters : t -> Memo.counters
+
 val cache_hit_rate : t -> float
-
-(** Merged pass-counter snapshot over the compiles whose results
-    entered the cache ({!Phpf_driver.Stats.merge} aggregation): a
-    domain that loses a race to compute the same fresh key adds to
-    {!computed_count} only, so while nothing is evicted the snapshot
-    does not depend on the domain count.  A key recompiled after its
-    eviction enters the cache, and the snapshot, again. *)
-val stats_snapshot : t -> Stats.t
-
-(** Cache misses that actually ran the compiler. *)
-val computed_count : t -> int

@@ -184,12 +184,14 @@ type replay_summary = {
   throughput_rps : float;
   cache : Phpf_driver.Memo.counters;
   cache_hit_rate : float;
-  computed : int;  (** requests that actually ran the compiler *)
+  computed : int;  (** requests that missed the cache and so evaluated *)
   digest : string;
       (** MD5 over the concatenated result bodies in request order —
           equal digests ⇔ identical results, whatever the domain
           count *)
-  stats : Phpf_driver.Stats.t;  (** merged pass counters *)
+  stats : Phpf_driver.Stats.t;
+      (** pass counters summed over the request stream, each cache key
+          counted at its first request *)
 }
 
 let percentile (sorted : float array) (p : float) : float =
@@ -228,6 +230,18 @@ let replay ?(engine : Engine.t option) ~(domains : int)
          (String.concat "\x00"
             (List.map (fun o -> o.Engine.body) outcomes)))
   in
+  (* every outcome carries the counters of the compile behind it, so
+     the sum over first occurrences is a function of the requests, not
+     of which domain computed what or what the cache evicted *)
+  let stats = Phpf_driver.Stats.create () and seen = Hashtbl.create 64 in
+  List.iter
+    (fun (o : Engine.outcome) ->
+      if not (Hashtbl.mem seen o.Engine.key) then begin
+        Hashtbl.replace seen o.Engine.key ();
+        Option.iter (Engine.add_counters stats) o.Engine.counters
+      end)
+    outcomes;
+  let cache = Engine.cache_counters e in
   {
     requests = n;
     domains;
@@ -238,11 +252,11 @@ let replay ?(engine : Engine.t option) ~(domains : int)
     mean_ms;
     wall_s;
     throughput_rps = (if wall_s > 0.0 then float_of_int n /. wall_s else 0.0);
-    cache = Engine.cache_counters e;
+    cache;
     cache_hit_rate = Engine.cache_hit_rate e;
-    computed = Engine.computed_count e;
+    computed = cache.Phpf_driver.Memo.misses;
     digest;
-    stats = Engine.stats_snapshot e;
+    stats;
   }
 
 let summary_to_json ?(schema = "phpf-serve-replay/1")

@@ -57,10 +57,14 @@ type replay_summary = {
   throughput_rps : float;
   cache : Phpf_driver.Memo.counters;
   cache_hit_rate : float;
-  computed : int;  (** requests that actually ran the compiler *)
+  computed : int;
+      (** requests that missed the cache and so ran the compiler *)
   digest : string;
       (** MD5 over concatenated result bodies in request order *)
-  stats : Phpf_driver.Stats.t;  (** merged pass counters *)
+  stats : Phpf_driver.Stats.t;
+      (** pass counters summed over the request stream, each cache key
+          counted at its first request: the same at every domain count,
+          evictions or not *)
 }
 
 (** Run the requests over [domains] workers and summarize (fresh

@@ -62,7 +62,7 @@ type diff = {
 let comm_diff (c : Compiler.compiled) : diff =
   let d = c.Compiler.decisions in
   let required =
-    Comm_analysis.analyze c.Compiler.prog d.Decisions.nest (Consumer.oracle d)
+    Comm_analysis.analyze d.Decisions.deps (Consumer.oracle d)
       ~reductions:d.Decisions.reductions
       ~red_group:(Reduction_map.combine_group d)
       ~elide_unwritten:d.Decisions.options.Decisions.optimize ()

@@ -503,8 +503,7 @@ let flow_requirements (c : Compiler.compiled) (g : Phpf_ir.Sir_cfg.t) :
   let module Comm = Hpf_comm.Comm in
   let d = c.Compiler.decisions in
   let acknowledged =
-    Hpf_comm.Comm_analysis.analyze c.Compiler.prog d.Decisions.nest
-      (Consumer.oracle d) ~reductions:d.Decisions.reductions
+    Hpf_comm.Comm_analysis.analyze d.Decisions.deps (Consumer.oracle d) ~reductions:d.Decisions.reductions
       ~red_group:(Reduction_map.combine_group d)
       ~elide_unwritten:d.Decisions.options.Decisions.optimize ()
     |> List.filter (fun (r : Comm.t) ->
@@ -846,10 +845,15 @@ let dominators (cfg : Phpf_ir.Sir_cfg.t) : bool array array =
 (* The reached uses of one definition by walking the φ web from it,
    carrying the set of loop heads crossed so far: a (definition, set)
    state is skipped when a superset was already seen there, and each
-   use collects the union of the sets that arrive.  The reference for
+   use collects the union of the sets that arrive.  [real_uses d] are
+   the (node, name) uses [d] reaches directly, [phi_uses d] the
+   (φ, incoming pred) pairs it feeds.  The reference for
    {!Ssa.reached_uses}' table; unlike the table it answers arrays
    too. *)
-let reached_uses (t : Ssa.t) (d : Ssa.def_id) : Ssa.use_info list =
+let reached_walk (g : Cfg.t) (defs : Ssa.def_site array)
+    ~(real_uses : Ssa.def_id -> (int * string) list)
+    ~(phi_uses : Ssa.def_id -> (Ssa.def_id * int) list) (d : Ssa.def_id) :
+    Ssa.use_info list =
   let module S = Set.Make (Int) in
   let visited : (Ssa.def_id, S.t list) Hashtbl.t = Hashtbl.create 32 in
   let results : (int * string, S.t) Hashtbl.t = Hashtbl.create 32 in
@@ -867,17 +871,17 @@ let reached_uses (t : Ssa.t) (d : Ssa.def_id) : Ssa.use_info list =
             | None -> S.empty
           in
           Hashtbl.replace results (node, var) (S.union cur crossed))
-        (Option.value ~default:[] (Hashtbl.find_opt t.Ssa.def_real_uses d));
+        (real_uses d);
       List.iter
         (fun (phi_id, pred) ->
-          match Ssa.def_node t phi_id with
-          | Some phi_node ->
+          match defs.(phi_id) with
+          | Ssa.Phi { node = phi_node; _ } ->
               go phi_id
-                (if Ssa.is_back_edge t.Ssa.cfg ~pred ~node:phi_node then
+                (if Ssa.is_back_edge g ~pred ~node:phi_node then
                    S.add phi_node crossed
                  else crossed)
-          | None -> ())
-        (Option.value ~default:[] (Hashtbl.find_opt t.Ssa.def_phi_uses d))
+          | Ssa.Entry_def _ | Ssa.Node_def _ -> ())
+        (phi_uses d)
     end
   in
   go d S.empty;
@@ -887,14 +891,50 @@ let reached_uses (t : Ssa.t) (d : Ssa.def_id) : Ssa.use_info list =
     results []
   |> List.sort compare
 
+let add_to tbl k x =
+  Hashtbl.replace tbl k (x :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+
+(* Each definition's φ uses, (φ, incoming pred), from the φ args. *)
+let phi_uses_of (defs : Ssa.def_site array) :
+    (Ssa.def_id, (Ssa.def_id * int) list) Hashtbl.t =
+  let tbl = Hashtbl.create 128 in
+  Array.iteri
+    (fun phi_id site ->
+      match site with
+      | Ssa.Phi { args; _ } ->
+          List.iter (fun (pred, d) -> add_to tbl d (phi_id, pred)) args
+      | Ssa.Entry_def _ | Ssa.Node_def _ -> ())
+    defs;
+  tbl
+
+(* The walk over a built SSA, its uses inverted through the query
+   API. *)
+let reached_uses (t : Ssa.t) (d : Ssa.def_id) : Ssa.use_info list =
+  let real = Hashtbl.create 128 in
+  Ssa.fold_uses t (fun ~node ~var d () -> add_to real d (node, var)) ();
+  let phis = phi_uses_of t.Ssa.defs in
+  let find tbl d = Option.value ~default:[] (Hashtbl.find_opt tbl d) in
+  reached_walk t.Ssa.cfg t.Ssa.defs ~real_uses:(find real)
+    ~phi_uses:(find phis) d
+
+(* The SSA as the scanning builder below leaves it: its own tables,
+   keyed by (node, name). *)
+type ssa_ref = {
+  r_defs : Ssa.def_site array;
+  use_def : (int * string, Ssa.def_id) Hashtbl.t;
+  node_def : (int * string, Ssa.def_id) Hashtbl.t;
+  phi_at : (int * string, Ssa.def_id) Hashtbl.t;
+  r_reached : Ssa.use_info list option array;
+}
+
 (* Cytron et al.'s construction read literally: φ placement scans
    every node for every variable's definitions, renaming probes every
    variable for a φ at each node and at each successor, and the node
    defs and uses are recomputed wherever they are asked for.  The
-   reference for {!Ssa.build}: the def ids, the tables and the φ
-   arguments must come out identical, in order.  Its reached-use table
-   is filled by the walk above. *)
-let ssa_build (g : Cfg.t) : Ssa.t =
+   reference for {!Ssa.build}: the def ids, the φ arguments and every
+   query answer must come out identical.  Its reached-use table is
+   filled by the walk above. *)
+let ssa_build (g : Cfg.t) : ssa_ref =
   let dom = Dom.compute g in
   let n = Cfg.n_nodes g in
   let reachable = Cfg.is_reachable g in
@@ -997,67 +1037,80 @@ let ssa_build (g : Cfg.t) : Ssa.t =
     List.iter pop !pushed
   in
   rename g.Cfg.entry;
-  let def_real_uses = Hashtbl.create 128 and def_phi_uses = Hashtbl.create 128 in
-  let add tbl k x =
-    Hashtbl.replace tbl k
-      (x :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-  in
-  Hashtbl.iter (fun (node, var) d -> add def_real_uses d (node, var)) use_def;
-  Array.iteri
-    (fun phi_id site ->
-      match site with
-      | Ssa.Phi { args; _ } ->
-          List.iter (fun (pred, d) -> add def_phi_uses d (phi_id, pred)) args
-      | Ssa.Entry_def _ | Ssa.Node_def _ -> ())
-    defs;
-  let t =
-    {
-      Ssa.cfg = g;
-      dom;
-      defs;
-      use_def;
-      def_real_uses;
-      def_phi_uses;
-      node_def;
-      phi_at;
-      reached = [||];
-    }
+  let real = Hashtbl.create 128 in
+  Hashtbl.iter (fun (node, var) d -> add_to real d (node, var)) use_def;
+  let phis = phi_uses_of defs in
+  let find tbl d = Option.value ~default:[] (Hashtbl.find_opt tbl d) in
+  let var_of = function
+    | Ssa.Entry_def v | Ssa.Node_def { var = v; _ } | Ssa.Phi { var = v; _ }
+      ->
+        v
   in
   {
-    t with
-    Ssa.reached =
-      Array.init (Array.length defs) (fun d ->
-          if Ast.is_array g.Cfg.prog (Ssa.def_var t d) then None
-          else Some (reached_uses t d));
+    r_defs = defs;
+    use_def;
+    node_def;
+    phi_at;
+    r_reached =
+      Array.mapi
+        (fun d site ->
+          if Ast.is_array g.Cfg.prog (var_of site) then None
+          else
+            Some
+              (reached_walk g defs ~real_uses:(find real) ~phi_uses:(find phis)
+                 d))
+        defs;
   }
 
-(* [Ssa.build] against [ssa_build], then its table against the walk:
-   the first difference, if any.  The tables are compared as binding
-   lists in iteration order, so a change of insertion order shows.
-   Returns how many scalar definitions were compared otherwise. *)
-let ssa_vs_reference (g : Cfg.t) : (int, string) result =
-  let built = Ssa.build g and reference = ssa_build g in
-  let bindings h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] in
+(* A built SSA against [ssa_build] of its CFG, through the query API:
+   the def sites with their φ args, then for every node and every
+   variable (and one name the program never mentions) the reaching
+   definition, the real definition and the φ, the number of uses, and
+   every definition's reached uses against the walk.  The first
+   difference, if any; otherwise how many scalar definitions were
+   compared. *)
+let ssa_agrees (built : Ssa.t) : (int, string) result =
+  let g = built.Ssa.cfg in
+  let reference = ssa_build g in
+  let names = "no such name" :: Cfg.variables g in
+  let pp_def_opt = Fmt.(option ~none:(any "none") int) in
+  let query what lookup tbl =
+    let diff = ref None in
+    for node = 0 to Cfg.n_nodes g - 1 do
+      List.iter
+        (fun var ->
+          if !diff = None then
+            let got = lookup built ~node ~var
+            and want = Hashtbl.find_opt tbl (node, var) in
+            if got <> want then
+              diff :=
+                Some
+                  (Fmt.str "%s of %s at n%d: %a, the scanning builder %a" what
+                     var node pp_def_opt got pp_def_opt want))
+        names
+    done;
+    !diff
+  in
+  let n_uses = Ssa.fold_uses built (fun ~node:_ ~var:_ _ k -> k + 1) 0 in
   let first_diff =
-    List.find_opt
-      (fun (_, same) -> not (Lazy.force same))
+    List.find_map Lazy.force
       [
-        ("def sites and φ args", lazy (built.Ssa.defs = reference.Ssa.defs));
-        ("use_def", lazy (bindings built.Ssa.use_def = bindings reference.Ssa.use_def));
-        ( "def_real_uses",
-          lazy
-            (bindings built.Ssa.def_real_uses
-            = bindings reference.Ssa.def_real_uses) );
-        ( "def_phi_uses",
-          lazy
-            (bindings built.Ssa.def_phi_uses
-            = bindings reference.Ssa.def_phi_uses) );
-        ("node_def", lazy (bindings built.Ssa.node_def = bindings reference.Ssa.node_def));
-        ("phi_at", lazy (bindings built.Ssa.phi_at = bindings reference.Ssa.phi_at));
+        lazy
+          (if built.Ssa.defs = reference.r_defs then None
+           else Some "def sites and φ args differ from the scanning builder");
+        lazy (query "reaching_def_at" Ssa.reaching_def_at reference.use_def);
+        lazy (query "def_at" Ssa.def_at reference.node_def);
+        lazy (query "phi_at" Ssa.phi_at reference.phi_at);
+        lazy
+          (if n_uses = Hashtbl.length reference.use_def then None
+           else
+             Some
+               (Fmt.str "%d uses folded, the scanning builder has %d" n_uses
+                  (Hashtbl.length reference.use_def)));
       ]
   in
   match first_diff with
-  | Some (what, _) -> Error (what ^ " differ from the scanning builder")
+  | Some why -> Error why
   | None -> (
       let pp_uses =
         Fmt.(
@@ -1067,10 +1120,12 @@ let ssa_vs_reference (g : Cfg.t) : (int, string) result =
       in
       let compared = ref 0 and diff = ref None in
       Array.iteri
-        (fun d table ->
+        (fun d want ->
           if !diff = None then
-            match (table, reference.Ssa.reached.(d)) with
-            | Some got, Some want ->
+            match
+              (want, try Some (Ssa.reached_uses built d) with Invalid_argument _ -> None)
+            with
+            | Some want, Some got ->
                 incr compared;
                 if got <> want then
                   diff :=
@@ -1081,12 +1136,203 @@ let ssa_vs_reference (g : Cfg.t) : (int, string) result =
             | Some _, None | None, Some _ ->
                 diff :=
                   Some (Fmt.str "%a: scalar and array disagree" (Ssa.pp_def built) d))
-        built.Ssa.reached;
+        reference.r_reached;
       match !diff with Some why -> Error why | None -> Ok !compared)
+
+(* [Ssa.build] of [g] against the scanning builder. *)
+let ssa_vs_reference (g : Cfg.t) : (int, string) result =
+  ssa_agrees (Ssa.build g)
 
 (* ------------------------------------------------------------------ *)
 (* Dependence queries by walking the loop body                         *)
 (* ------------------------------------------------------------------ *)
+
+(* The dependence test as it derived every form per query: both
+   references' affine subscripts and every enclosing loop's bounds are
+   rebuilt by name at each call, and the write's indices below the
+   shared level renamed apart with a prime.  The reference for
+   {!Depend}'s forms derived once and numbered by level. *)
+module Depend_by_name = struct
+  type var_bounds = { lo : Affine.t option; hi : Affine.t option }
+
+  let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+
+  (* Bounds of each loop index around statement [sid], innermost first.
+     Each bound may reference outer indices (triangular loops). *)
+  let bounds_env (prog : Ast.program) (nest : Nest.t) (sid : Ast.stmt_id)
+      ~(rename : string -> string) ~(renamed_from : int) :
+      (string * var_bounds) list =
+    let loops = Nest.enclosing_loops nest sid in
+    List.mapi
+      (fun k (li : Nest.loop_info) ->
+        let outer =
+          List.filteri (fun k' _ -> k' < k) loops
+          |> List.map (fun (l : Nest.loop_info) -> l.Nest.loop.Ast.index)
+        in
+        let name_of v =
+          let pos = ref (-1) in
+          List.iteri (fun k' x -> if String.equal x v then pos := k') outer;
+          if !pos >= 0 && !pos >= renamed_from then rename v else v
+        in
+        let aff e =
+          match
+            Affine.of_expr
+              ~is_index:(fun v -> List.mem v outer)
+              ~const_of:(fun v -> Ast.param_value prog v)
+              e
+          with
+          | Some a ->
+              Some
+                {
+                  Affine.const = a.Affine.const;
+                  terms =
+                    List.map (fun (v, c) -> (name_of v, c)) a.Affine.terms;
+                }
+          | None -> None
+        in
+        let loop = li.Nest.loop in
+        let idx_name =
+          if k >= renamed_from then rename loop.Ast.index else loop.Ast.index
+        in
+        match Ast.const_int_opt prog loop.Ast.step with
+        | Some 1 -> (idx_name, { lo = aff loop.Ast.lo; hi = aff loop.Ast.hi })
+        | _ -> (idx_name, { lo = None; hi = None }))
+      loops
+
+  (* Interval of an affine form, substituting bounded variables from
+     the end of [env] (innermost) outward. *)
+  let interval (d : Affine.t) (env : (string * var_bounds) list) :
+      (int * int) option =
+    let rec subst (lo : Affine.t) (hi : Affine.t) = function
+      | [] ->
+          if Affine.is_constant lo && Affine.is_constant hi then
+            Some (lo.Affine.const, hi.Affine.const)
+          else None
+      | (v, b) :: rest -> (
+          let sub_one (f : Affine.t) ~(use_lo : bool) : Affine.t option =
+            let c = Affine.coeff f v in
+            if c = 0 then Some f
+            else
+              let bound = if c > 0 = use_lo then b.lo else b.hi in
+              match bound with
+              | None -> None
+              | Some bf ->
+                  let without =
+                    {
+                      Affine.const = f.Affine.const;
+                      terms =
+                        List.filter
+                          (fun (x, _) -> not (String.equal x v))
+                          f.Affine.terms;
+                    }
+                  in
+                  Some (Affine.add without (Affine.scale c bf))
+          in
+          match (sub_one lo ~use_lo:true, sub_one hi ~use_lo:false) with
+          | Some lo', Some hi' -> subst lo' hi' rest
+          | _ -> None)
+    in
+    subst d d (List.rev env)
+
+  let may_equal ~(env : (string * var_bounds) list) (f : Affine.t)
+      (g : Affine.t) : bool =
+    let d = Affine.sub f g in
+    if Affine.is_constant d then d.Affine.const = 0
+    else
+      let gc = List.fold_left gcd 0 (List.map snd d.Affine.terms) in
+      if gc <> 0 && d.Affine.const mod gc <> 0 then false
+      else
+        match interval d env with
+        | Some (lo, hi) -> lo <= 0 && 0 <= hi
+        | None -> true
+
+  let may_conflict ?(shared_level = 0) (prog : Ast.program) (nest : Nest.t)
+      (w : Depend.ref_ctx) (r : Depend.ref_ctx) : bool =
+    if not (String.equal w.Depend.base r.Depend.base) then false
+    else if List.length w.Depend.subs <> List.length r.Depend.subs then true
+    else
+      let rename v = v ^ "'" in
+      let w_indices = Nest.enclosing_indices nest w.Depend.sid in
+      let r_indices = Nest.enclosing_indices nest r.Depend.sid in
+      let w_aff sub =
+        match Affine.of_subscript prog ~indices:w_indices sub with
+        | Some a ->
+            Some
+              {
+                Affine.const = a.Affine.const;
+                terms =
+                  List.map
+                    (fun (v, c) ->
+                      let rec pos k = function
+                        | [] -> -1
+                        | x :: _ when String.equal x v -> k
+                        | _ :: tl -> pos (k + 1) tl
+                      in
+                      if pos 0 w_indices >= shared_level then (rename v, c)
+                      else (v, c))
+                    a.Affine.terms;
+              }
+        | None -> None
+      in
+      let r_aff sub = Affine.of_subscript prog ~indices:r_indices sub in
+      let env =
+        bounds_env prog nest r.Depend.sid ~rename ~renamed_from:max_int
+        @ bounds_env prog nest w.Depend.sid ~rename ~renamed_from:shared_level
+      in
+      List.for_all2
+        (fun ws rs ->
+          match (w_aff ws, r_aff rs) with
+          | Some fa, Some fb -> may_equal ~env fa fb
+          | _ -> true)
+        w.Depend.subs r.Depend.subs
+
+  (* Every array write of the program against every read reference of
+     every statement (array elements with their subscripts, scalars
+     without), at every shared level up to the two statements' common
+     depth: [Depend.may_conflict] on the forms of [Depend.build] against
+     this one.  The first disagreement, or how many pairs agreed. *)
+  let forms_vs_by_name (prog : Ast.program) : (int, string) result =
+    let nest = Nest.build prog in
+    let deps = Depend.build prog nest in
+    let writes = ref [] and reads = ref [] in
+    Ast.iter_program
+      (fun s ->
+        (match s.Ast.node with
+        | Ast.Assign (Ast.LArr (a, subs), _) ->
+            writes := { Depend.sid = s.Ast.sid; base = a; subs } :: !writes
+        | _ -> ());
+        List.iter
+          (Ast.iter_expr (function
+            | Ast.Arr (a, subs) ->
+                reads := { Depend.sid = s.Ast.sid; base = a; subs } :: !reads
+            | _ -> ()))
+          (Ast.own_exprs s))
+      prog;
+    let asked = ref 0 and diff = ref None in
+    List.iter
+      (fun (w : Depend.ref_ctx) ->
+        List.iter
+          (fun (r : Depend.ref_ctx) ->
+            if w.Depend.base = r.Depend.base then
+              for shared_level = 0 to Nest.common_level nest w.Depend.sid r.Depend.sid do
+                if !diff = None then begin
+                  incr asked;
+                  let got = Depend.may_conflict ~shared_level deps w r
+                  and want = may_conflict ~shared_level prog nest w r in
+                  if got <> want then
+                    diff :=
+                      Some
+                        (Fmt.str
+                           "write %s at s%d, read at s%d, shared level %d: \
+                            forms %b, by name %b"
+                           w.Depend.base w.Depend.sid r.Depend.sid shared_level
+                           got want)
+                end
+              done)
+          (List.rev !reads))
+      (List.rev !writes);
+    match !diff with Some why -> Error why | None -> Ok !asked
+end
 
 module Loop_walk = struct
   (* Every statement of the loop visited and every write of the read's
@@ -1100,7 +1346,7 @@ module Loop_walk = struct
         match s.Ast.node with
         | Ast.Assign (Ast.LArr (a, subs), _) when a = r.Depend.base ->
             if
-              Depend.may_conflict ~shared_level prog nest
+              Depend_by_name.may_conflict ~shared_level prog nest
                 { Depend.sid = s.Ast.sid; base = a; subs }
                 r
             then found := true
@@ -1116,6 +1362,7 @@ module Loop_walk = struct
      queries agreed. *)
   let index_vs_walk (prog : Ast.program) : (int, string) result =
     let nest = Nest.build prog in
+    let deps = Depend.build prog nest in
     let asked = ref 0 and diff = ref None in
     Ast.iter_program
       (fun s ->
@@ -1133,7 +1380,7 @@ module Loop_walk = struct
               (fun (li : Nest.loop_info) ->
                 if !diff = None then begin
                   incr asked;
-                  let got = Depend.write_feeds_read_in_loop prog nest li r
+                  let got = Depend.write_feeds_read_in_loop deps li r
                   and want = write_feeds_read_in_loop prog nest li r in
                   if got <> want then
                     diff :=

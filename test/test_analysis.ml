@@ -237,25 +237,24 @@ let test_ssa_unique_reaching_def () =
   let p = parse loop_src in
   let g = Cfg.build p in
   let ssa = Ssa.build g in
-  Hashtbl.iter
-    (fun (_, var) d ->
+  Ssa.fold_uses ssa
+    (fun ~node:_ ~var d () ->
       check Alcotest.string "var match" var (Ssa.def_var ssa d))
-    ssa.Ssa.use_def
+    ()
 
 let test_ssa_phi_at_loop_head () =
   let p = parse loop_src in
   let g = Cfg.build p in
   let ssa = Ssa.build g in
   let has_phi =
-    Hashtbl.fold
-      (fun (node, var) _ acc ->
-        acc
-        || var = "x"
-           &&
-           match (Cfg.node g node).Cfg.kind with
-           | Cfg.Loop_head _ -> true
-           | _ -> false)
-      ssa.Ssa.phi_at false
+    List.exists
+      (fun node ->
+        Ssa.phi_at ssa ~node ~var:"x" <> None
+        &&
+        match (Cfg.node g node).Cfg.kind with
+        | Cfg.Loop_head _ -> true
+        | _ -> false)
+      (List.init (Cfg.n_nodes g) Fun.id)
   in
   check Alcotest.bool "phi for x at head" true has_phi
 
@@ -604,7 +603,7 @@ let ssa_matches_reference programs () =
           match Oracles.ssa_vs_reference (Cfg.build p) with
           | Ok n -> compared := !compared + n
           | Error why -> fail (Fmt.str "%s (%s): %s" name stage why))
-        [ ("source", p); ("after induction", fst (Induction.run p)) ])
+        [ ("source", p); ("after induction", (Induction.run p).Induction.prog) ])
     (programs ());
   check Alcotest.bool
     (Fmt.str "compared %d scalar definitions" !compared)
@@ -764,7 +763,7 @@ end
 
 let test_induction_fig1 () =
   let prog = Sema.check (Hpf_benchmarks.Fig_examples.fig1 ()) in
-  let _, ivs = Induction.run prog in
+  let ivs = (Induction.run prog).Induction.ivs in
   match ivs with
   | [ iv ] ->
       check Alcotest.string "var" "m" iv.Induction.var;
@@ -776,7 +775,7 @@ let test_induction_fig1 () =
 
 let test_induction_rewrites_uses () =
   let prog = Sema.check (Hpf_benchmarks.Fig_examples.fig1 ()) in
-  let prog', _ = Induction.run prog in
+  let prog' = (Induction.run prog).Induction.prog in
   let ok = ref false in
   Ast.iter_program
     (fun s ->
@@ -802,7 +801,7 @@ end do
 end
 |}
   in
-  let _, ivs = Induction.run p in
+  let ivs = (Induction.run p).Induction.ivs in
   match ivs with
   | [ iv ] -> (
       check Alcotest.int "step -2" (-2) iv.Induction.step_const;
@@ -836,7 +835,7 @@ end do
 end
 |}
   in
-  let _, ivs = Induction.run p in
+  let ivs = (Induction.run p).Induction.ivs in
   check Alcotest.int "conditional increment rejected" 0 (List.length ivs)
 
 let test_induction_nonconst_step_not_recognized () =
@@ -857,7 +856,7 @@ end
   in
   (* w is constant-propagatable... the increment must be a literal or
      parameter constant in the source expression for our matcher *)
-  let _, ivs = Induction.run p in
+  let ivs = (Induction.run p).Induction.ivs in
   check Alcotest.int "non-literal step rejected" 0 (List.length ivs)
 
 (* ------------------------------------------------------------------ *)
@@ -944,7 +943,8 @@ end
   let sid = sid_of_array_assign p "a" in
   let w = { Depend.sid; base = "a"; subs = [ Ast.Var "i" ] } in
   let r = { Depend.sid; base = "a"; subs = [ Ast.Var "i" ] } in
-  check Alcotest.bool "a(i) vs a(i)" true (Depend.may_conflict p nest w r)
+  check Alcotest.bool "a(i) vs a(i)" true
+    (Depend.may_conflict (Depend.build p nest) w r)
 
 let test_depend_disjoint_constants () =
   let p, nest =
@@ -961,7 +961,8 @@ end
   let sid = sid_of_array_assign p "a" in
   let w = { Depend.sid; base = "a"; subs = [ Ast.Int 1 ] } in
   let r = { Depend.sid; base = "a"; subs = [ Ast.Int 2 ] } in
-  check Alcotest.bool "a(1) vs a(2)" false (Depend.may_conflict p nest w r)
+  check Alcotest.bool "a(1) vs a(2)" false
+    (Depend.may_conflict (Depend.build p nest) w r)
 
 let test_depend_gcd () =
   let p, nest =
@@ -986,7 +987,8 @@ end
       subs = [ Ast.Bin (Add, Bin (Mul, Int 2, Var "i"), Int 1) ];
     }
   in
-  check Alcotest.bool "even vs odd" false (Depend.may_conflict p nest w r)
+  check Alcotest.bool "even vs odd" false
+    (Depend.may_conflict (Depend.build p nest) w r)
 
 let test_depend_shift_overlap () =
   let p, nest =
@@ -1005,7 +1007,8 @@ end
   let r =
     { Depend.sid; base = "a"; subs = [ Ast.Bin (Sub, Var "i", Int 1) ] }
   in
-  check Alcotest.bool "a(i) vs a(i-1)" true (Depend.may_conflict p nest w r)
+  check Alcotest.bool "a(i) vs a(i-1)" true
+    (Depend.may_conflict (Depend.build p nest) w r)
 
 let test_depend_banerjee_out_of_range () =
   let p, nest =
@@ -1024,7 +1027,8 @@ end
   let r =
     { Depend.sid; base = "a"; subs = [ Ast.Bin (Add, Var "i", Int 15) ] }
   in
-  check Alcotest.bool "ranges disjoint" false (Depend.may_conflict p nest w r)
+  check Alcotest.bool "ranges disjoint" false
+    (Depend.may_conflict (Depend.build p nest) w r)
 
 let test_depend_triangular_shared () =
   let p, nest =
@@ -1047,9 +1051,9 @@ end
   let w = { Depend.sid; base = "a"; subs = [ Ast.Var "i"; Ast.Var "j" ] } in
   let r = { Depend.sid; base = "a"; subs = [ Ast.Var "i"; Ast.Var "k" ] } in
   check Alcotest.bool "shared k: no conflict" false
-    (Depend.may_conflict ~shared_level:1 p nest w r);
+    (Depend.may_conflict ~shared_level:1 (Depend.build p nest) w r);
   check Alcotest.bool "unshared k: conservative conflict" true
-    (Depend.may_conflict ~shared_level:0 p nest w r)
+    (Depend.may_conflict ~shared_level:0 (Depend.build p nest) w r)
 
 let test_write_feeds_read () =
   let p, nest =
@@ -1074,12 +1078,12 @@ end
     }
   in
   check Alcotest.bool "a written in loop feeds a(i-1)" true
-    (Depend.write_feeds_read_in_loop p nest loop r);
+    (Depend.write_feeds_read_in_loop (Depend.build p nest) loop r);
   let r2 =
     { Depend.sid = read_sid; base = "c"; subs = [ Ast.Var "i" ] }
   in
   check Alcotest.bool "unwritten base does not" false
-    (Depend.write_feeds_read_in_loop p nest loop r2)
+    (Depend.write_feeds_read_in_loop (Depend.build p nest) loop r2)
 
 (* The write index behind [write_feeds_read_in_loop]: a loop records the
    assignments of its nested loops too, grouped by base in program
@@ -1121,23 +1125,24 @@ end
     (List.length (sids "x" outer));
   (* reads at the inner assignment to a *)
   let read_sid = a_sid in
+  let deps = Depend.build p nest in
   let r = { Depend.sid = read_sid; base = "b"; subs = [ Ast.Var "i" ] } in
   check Alcotest.bool "b written in the inner loop feeds b(i)" true
-    (Depend.write_feeds_read_in_loop p nest inner r);
+    (Depend.write_feeds_read_in_loop deps inner r);
   let rx = { Depend.sid = read_sid; base = "x"; subs = [] } in
   check Alcotest.bool "a scalar write in the outer loop feeds x" true
-    (Depend.write_feeds_read_in_loop p nest outer rx);
+    (Depend.write_feeds_read_in_loop deps outer rx);
   check Alcotest.bool "no write of x inside the inner loop" false
-    (Depend.write_feeds_read_in_loop p nest inner rx);
+    (Depend.write_feeds_read_in_loop deps inner rx);
   let rc = { Depend.sid = read_sid; base = "a"; subs = [ Ast.Int 12 ] } in
   check Alcotest.bool "a(12) lies outside the writes a(2..10) and a(1)"
     false
-    (Depend.write_feeds_read_in_loop p nest outer rc);
+    (Depend.write_feeds_read_in_loop deps outer rc);
   List.iter
     (fun (li, r) ->
       check Alcotest.bool "index = walk"
         (Oracles.Loop_walk.write_feeds_read_in_loop p nest li r)
-        (Depend.write_feeds_read_in_loop p nest li r))
+        (Depend.write_feeds_read_in_loop deps li r))
     [ (inner, r); (outer, r); (outer, rx); (inner, rx); (outer, rc) ]
 
 (* The index against the body walk ([Oracles.Loop_walk]) for every read

@@ -82,7 +82,7 @@ let placement src ~base ~subs =
       | _ -> ())
     p;
   let data = { Aref.sid = !sid; base; subs } in
-  (p, nest, Vectorize.placement_level p nest ~data ~consumer_subs:[])
+  (p, nest, Vectorize.placement_level (Depend.build p nest) ~data ~consumer_subs:[])
 
 let test_placement_hoists_readonly () =
   let _, _, lv =

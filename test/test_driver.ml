@@ -278,6 +278,47 @@ let test_linear_allocation () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* One SSA per compile                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Induction leaves tomcatv composed 8 times unchanged (it has no
+   induction variable), so the decisions pass reuses its SSA instead of
+   building a second one: what decisions allocates besides (the nest,
+   the dependence forms, layouts, privatizability, reductions) is a
+   small part of what building the SSA takes. *)
+let test_decisions_reuses_ssa () =
+  let prog =
+    Prog_gen.compose 8 (Hpf_benchmarks.Tomcatv.program ~n:66 ~niter:1 ~p:4)
+  in
+  let w = pass_words prog in
+  let words pass =
+    match List.assoc_opt pass w with
+    | Some x -> x
+    | None -> fail (pass ^ " did not run")
+  in
+  let induction = words "induction" and decisions = words "decisions" in
+  if decisions > induction /. 4.0 then
+    fail
+      (Fmt.str
+         "decisions allocates %.0f words, induction %.0f (x%.2f > 0.25): a \
+          second SSA build?"
+         decisions induction (decisions /. induction))
+
+(* After a rewrite the decisions pass builds the SSA of the rewritten
+   program: on fig1 (one induction variable) the compiled record's SSA
+   is that of [c.prog] and agrees with the scanning builder's. *)
+let test_rewritten_program_ssa () =
+  let c = Compiler.compile_exn (Hpf_benchmarks.Fig_examples.fig1 ()) in
+  let ssa = c.Compiler.decisions.Decisions.ssa in
+  check Alcotest.int "fig1 has one induction variable" 1
+    (List.length c.Compiler.ivs);
+  check Alcotest.bool "the SSA is built on the rewritten program" true
+    (ssa.Hpf_analysis.Ssa.cfg.Hpf_analysis.Cfg.prog == c.Compiler.prog);
+  match Oracles.ssa_agrees ssa with
+  | Ok _ -> ()
+  | Error why -> fail why
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "driver"
@@ -323,5 +364,12 @@ let () =
         [
           Alcotest.test_case "allocation linear from x16 to x32" `Quick
             test_linear_allocation;
+        ] );
+      ( "one ssa",
+        [
+          Alcotest.test_case "decisions reuses induction's SSA" `Quick
+            test_decisions_reuses_ssa;
+          Alcotest.test_case "a rewritten program's SSA" `Quick
+            test_rewritten_program_ssa;
         ] );
     ]

@@ -123,9 +123,9 @@ let prop_ssa_uses_have_defs =
     gen_checked_program
     (fun p ->
       let ssa = Ssa.build (Cfg.build p) in
-      Hashtbl.fold
-        (fun (_, var) d acc -> acc && Ssa.def_var ssa d = var)
-        ssa.Ssa.use_def true)
+      Ssa.fold_uses ssa
+        (fun ~node:_ ~var d acc -> acc && Ssa.def_var ssa d = var)
+        true)
 
 let prop_ssa_phi_args_are_preds =
   QCheck2.Test.make ~name:"SSA: phi args correspond to reachable preds"
@@ -324,6 +324,28 @@ let prop_depend_vs_walk_composed =
     (QCheck2.Gen.map (Prog_gen.compose 3) gen_checked_program)
     depend_vs_walk
 
+(* The dependence test on forms derived once and numbered by level
+   answers like the test that derived them by name at every call
+   ([Oracles.Depend_by_name]): every array write against every read of
+   its base, at every shared level up to their common depth. *)
+let forms_vs_by_name p =
+  match Oracles.Depend_by_name.forms_vs_by_name p with
+  | Ok _ -> true
+  | Error why -> QCheck2.Test.fail_report why
+
+let prop_forms_vs_by_name =
+  QCheck2.Test.make ~name:"dependence forms = by name on generated programs"
+    ~count:100
+    ~print:(fun p -> Pp.program_to_string p)
+    gen_checked_program forms_vs_by_name
+
+let prop_forms_vs_by_name_composed =
+  QCheck2.Test.make ~name:"dependence forms = by name on composed programs"
+    ~count:30
+    ~print:(fun p -> Pp.program_to_string p)
+    (QCheck2.Gen.map (Prog_gen.compose 3) gen_checked_program)
+    forms_vs_by_name
+
 (* Random find/add/clear sequences through a one-shard cache of [k]
    entries and the second-chance queue [Oracles.Clock_queue]: every
    lookup and every insert answers alike, and the shard holds what the
@@ -469,8 +491,8 @@ let prop_mapping_consistency =
       let c = Compiler.compile_exn p in
       let d = c.Compiler.decisions in
       let ssa = d.Decisions.ssa in
-      Hashtbl.fold
-        (fun (node, var) _ acc ->
+      Ssa.fold_uses ssa
+        (fun ~node ~var _ acc ->
           acc
           &&
           let mappings =
@@ -481,7 +503,7 @@ let prop_mapping_consistency =
             |> List.sort_uniq compare
           in
           List.length mappings <= 1)
-        ssa.Ssa.use_def true)
+        true)
 
 (* Fault campaigns at scale are reproducible: the same (spec, seed) on
    fig1 at P=256 yields a bit-identical recovery report — injections,
@@ -594,7 +616,12 @@ let () =
         [ to_alco prop_resolved_vs_ast; to_alco prop_resolved_vs_ast_composed ] );
       ("msg", [ to_alco prop_msg_checksum; to_alco prop_msg_corrupt_pick ]);
       ( "depend",
-        [ to_alco prop_depend_vs_walk; to_alco prop_depend_vs_walk_composed ] );
+        [
+          to_alco prop_depend_vs_walk;
+          to_alco prop_depend_vs_walk_composed;
+          to_alco prop_forms_vs_by_name;
+          to_alco prop_forms_vs_by_name_composed;
+        ] );
       ("memo", [ to_alco prop_memo_vs_queue ]);
       ("lint", [ to_alco prop_lint_agrees; to_alco prop_lint_agrees_composed ]);
       ( "core",

@@ -462,8 +462,8 @@ let test_stress_8_domains_bit_identical () =
     (seq.Serve.cache_hit_rate > 0.6);
   check Alcotest.bool "aggregate stats are recorded" true
     (Phpf_driver.Stats.get seq.Serve.stats "program.stmts" > 0);
-  (* a domain that loses the race to compute a fresh key does not add
-     its counters to the aggregate *)
+  (* a key's counters count once, at its first request, whichever
+     domain computed it *)
   check
     Alcotest.(list (pair string int))
     "aggregate stats equal at 1 and 8 domains"
@@ -490,7 +490,8 @@ let test_batch_output_domain_independent () =
    and evict each other's entries.  Eviction must never change an
    answer, and the cache never holds more than its capacity.  Which
    requests compute depends on the interleaving, so the computed count
-   and the merged stats are not compared across domain counts. *)
+   is not compared across domain counts; the merged stats are, since
+   they are summed over the request stream. *)
 let test_eviction_under_concurrency () =
   let requests =
     List.concat_map
@@ -513,6 +514,11 @@ let test_eviction_under_concurrency () =
   check Alcotest.int "no errors on 4 domains" 0 par.Serve.errors;
   check Alcotest.string "4-domain digest == sequential digest"
     seq.Serve.digest par.Serve.digest;
+  check
+    Alcotest.(list (pair string int))
+    "merged stats equal at 1 and 4 domains"
+    (Phpf_driver.Stats.to_sorted_list seq.Serve.stats)
+    (Phpf_driver.Stats.to_sorted_list par.Serve.stats);
   List.iter
     (fun (s : Serve.replay_summary) ->
       let entries = s.Serve.cache.Phpf_driver.Memo.entries in
