@@ -27,31 +27,30 @@ let setup_logs verbose =
 (* The one diagnostic-rendering path shared by every command. *)
 let render_diags (ds : Diag.t list) = Fmt.epr "%a@?" Diag.pp_list ds
 
+(* A usage error: one diagnostic under [code], exit 1. *)
+let usage_error ~code fmt =
+  Fmt.kstr
+    (fun msg ->
+      render_diags [ Diag.error ~code msg ];
+      exit_usage)
+    fmt
+
 (* Run a command body; structured diagnostics from any phase (lexer,
    parser, sema, layout, pipeline) land here and nowhere else.  Runtime
-   failures — an interpreter error or a fault-injection campaign the
-   supervisor could not recover — are rendered the same way but exit
-   like a validation mismatch. *)
-let guarded (f : unit -> int) : int =
+   failures, mapped to diagnostics as serve maps them, are rendered the
+   same way but exit like a validation mismatch; an exhausted budget
+   names [fuel_flag] where the command has one. *)
+let guarded ?fuel_flag (f : unit -> int) : int =
   try f () with
   | Diag.Fatal ds ->
       render_diags ds;
       exit_compile_error
-  | Memory.Runtime_error { loc; sid = _; msg } ->
-      render_diags [ Diag.error ?loc ~code:"E0701" msg ];
-      exit_mismatch
-  | Seq_interp.Fuel_exhausted { loc; sid = _; budget } ->
-      render_diags
-        [
-          Diag.errorf ?loc ~code:"E0704"
-            "statement-instance budget exhausted after %d instances \
-             (raise it with --fuel)"
-            budget;
-        ];
-      exit_mismatch
-  | Recover.Unrecoverable ds ->
-      render_diags ds;
-      exit_mismatch
+  | exn -> (
+      match Spmd_interp.runtime_diags ?fuel_flag exn with
+      | Some ds ->
+          render_diags ds;
+          exit_mismatch
+      | None -> raise exn)
 
 (* Run the static verifier over a compiled program: findings on stderr
    (the shared renderer), the one-line summary on stdout, instrumentation
@@ -125,8 +124,7 @@ let topology_arg =
            tree) or $(b,torus) (2D torus: Manhattan hop distances and \
            bisection contention on congesting collectives).")
 
-(* Every boolean knob's flag comes from the one table in [Decisions];
-   -O and --opt are the two flags that are not a single knob's flip. *)
+(* Every compiler flag flips one knob of the table in [Decisions]. *)
 let opt_flags =
   let knob acc (k : Decisions.knob) =
     let flip flipped o =
@@ -139,35 +137,7 @@ let opt_flags =
     in
     Term.(const flip $ flag $ acc)
   in
-  let knobs =
-    List.fold_left knob (Term.const Decisions.default_options) Decisions.knobs
-  in
-  let olevel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "O" ] ~docv:"LEVEL"
-          ~doc:
-            "Optimization level: $(b,-O0) is $(b,--no-opt), any higher \
-             level the (default) full suite.")
-  in
-  let opt_passes =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "opt" ] ~docv:"PASS,..."
-          ~doc:
-            "Restrict the Sir optimizer suite to the named passes (see \
-             $(b,--list-passes) for the $(b,sir-opt.)$(i,PASS) names); \
-             they still run in canonical order.")
-  in
-  let mk o olevel opt_passes =
-    let o =
-      if olevel = Some 0 then { o with Decisions.optimize = false } else o
-    in
-    { o with Decisions.opt_passes }
-  in
-  Term.(const mk $ knobs $ olevel $ opt_passes)
+  List.fold_left knob (Term.const Decisions.default_options) Decisions.knobs
 
 (* ---------------- pipeline instrumentation flags ---------------- *)
 
@@ -237,16 +207,13 @@ let list_passes () =
 
 (* The --dump-after hook: after the named pass, print the (possibly
    rewritten) program and whatever decisions exist at that point; after
-   lower-spmd, print the lowered SPMD IR itself. *)
+   lower-spmd and each sir-opt pass, print the lowered SPMD IR itself. *)
 let dump_after_hook (which : string option) (name : string)
     (ctx : Compiler.context) : unit =
   if which = Some name then
     match (name, ctx.Compiler.sir) with
-    | "lower-spmd", Some sir ->
-        Fmt.pr "=== after %s ===@." name;
-        Fmt.pr "%a" Phpf_ir.Sir_pp.pp sir;
-        Fmt.pr "=== end %s ===@." name
-    | n, Some sir when String.length n > 8 && String.sub n 0 8 = "sir-opt." ->
+    | n, Some sir
+      when n = "lower-spmd" || String.starts_with ~prefix:"sir-opt." n ->
         Fmt.pr "=== after %s ===@." name;
         Fmt.pr "%a" Phpf_ir.Sir_pp.pp sir;
         Fmt.pr "=== end %s ===@." name
@@ -300,43 +267,25 @@ let compile_program ?after (co : common) =
 
 (* Run a compiling command: set up logging and, before doing any work,
    reject as E0501 usage errors (exit 1) an unknown --dump-after pass
-   ([extra] admits the verifier's passes where they run), an unknown
-   --opt selection, and a --dump-after pass the options switch off (it
-   would dump nothing).  [f] gets [co] with its selection normalized
-   and runs under the shared diagnostic guard. *)
-let run_compiling ?(extra = []) ?dump_after (co : common)
-    (f : common -> int) : int =
+   ([extra] admits the verifier's passes where they run) and a
+   --dump-after pass the options switch off (it would dump nothing).
+   [f] runs under the shared diagnostic guard. *)
+let run_compiling ?(extra = []) ?fuel_flag ?dump_after (co : common)
+    (f : unit -> int) : int =
   setup_logs co.verbose;
-  let usage fmt =
-    Fmt.kstr
-      (fun msg ->
-        render_diags [ Diag.error ~code:"E0501" msg ];
-        exit_usage)
-      fmt
-  in
+  let usage fmt = usage_error ~code:"E0501" fmt in
   let pipeline = Compiler.pass_names @ extra in
-  let selection =
-    match co.options.Decisions.opt_passes with
-    | None -> Ok None
-    | Some names ->
-        Result.map Option.some (Decisions.normalize_opt_passes names)
+  let switched_off p =
+    List.exists
+      Phpf_driver.Pass.(fun q -> q.name = p && not (q.enabled co.options))
+      Compiler.passes
   in
-  match (dump_after, selection) with
-  | Some p, _ when not (List.mem p pipeline) ->
+  match dump_after with
+  | Some p when not (List.mem p pipeline) ->
       usage "unknown pass %s (registered: %s)" p (String.concat ", " pipeline)
-  | _, Error msg -> usage "%s" msg
-  | _, Ok opt_passes -> (
-      let options = { co.options with Decisions.opt_passes } in
-      let switched_off p =
-        List.exists
-          Phpf_driver.Pass.(fun q -> q.name = p && not (q.enabled options))
-          Compiler.passes
-      in
-      match dump_after with
-      | Some p when switched_off p ->
-          usage "pass %s does not run under these options (nothing to dump)"
-            p
-      | _ -> guarded (fun () -> f { co with options }))
+  | Some p when switched_off p ->
+      usage "pass %s does not run under these options (nothing to dump)" p
+  | _ -> guarded ?fuel_flag f
 
 (* ---------------- commands ---------------- *)
 
@@ -351,7 +300,7 @@ let compile_cmd =
       run_compiling
         ~extra:(if verify then Phpf_verify.Verifier.pass_names else [])
         ?dump_after co
-      @@ fun co ->
+      @@ fun () ->
       let c, trace = compile_program ~after:(dump_after_hook dump_after) co in
       if annotate then Fmt.pr "%a@?" Report.pp_annotated c
       else Fmt.pr "%a@?" Report.pp_compiled c;
@@ -389,7 +338,7 @@ let compile_cmd =
 let lint_cmd =
   let run co strict time_passes stats dump_after =
     run_compiling ~extra:Phpf_verify.Verifier.pass_names ?dump_after co
-    @@ fun co ->
+    @@ fun () ->
     let c, _trace = compile_program co in
     run_verifier ~opts:co.options ~time_passes ~stats ~strict ?dump_after c
   in
@@ -440,7 +389,7 @@ let simulate_cmd =
   let run co stats faults fault_seed report_faults report_comm recovery_mode
       max_retries checkpoint_interval heartbeat_timeout no_aggregate fuel
       topology dump_after =
-    run_compiling ?dump_after co @@ fun co ->
+    run_compiling ~fuel_flag:"--fuel" ?dump_after co @@ fun () ->
     let model =
       Hpf_comm.Cost_model.with_topology Hpf_comm.Cost_model.sp2 topology
     in
@@ -642,7 +591,7 @@ let simulate_cmd =
 
 let validate_cmd =
   let run co no_aggregate =
-    run_compiling co @@ fun co ->
+    run_compiling co @@ fun () ->
     let c, _trace = compile_program co in
     let st =
       Spmd_interp.run
@@ -671,7 +620,7 @@ let validate_cmd =
 
 let sweep_cmd =
   let run co procs_list topology =
-    run_compiling co @@ fun co ->
+    run_compiling co @@ fun () ->
     let model =
       Hpf_comm.Cost_model.with_topology Hpf_comm.Cost_model.sp2 topology
     in
@@ -714,13 +663,7 @@ let sweep_cmd =
 let serve_cmd =
   let run socket batch replay_dir requests domains timing verbose =
     setup_logs verbose;
-    let usage_error fmt =
-      Fmt.kstr
-        (fun msg ->
-          render_diags [ Diag.error ~code:"E0901" msg ];
-          exit_usage)
-        fmt
-    in
+    let usage_error fmt = usage_error ~code:"E0901" fmt in
     let domains =
       match domains with
       | Some d when d >= 1 -> d

@@ -208,12 +208,7 @@ let passes : (Decisions.options, context) Pass.t list =
   @ List.map
       (fun pname ->
         Pass.make ("sir-opt." ^ pname)
-          ~enabled:(fun (o : Decisions.options) ->
-            o.Decisions.optimize
-            &&
-            match o.Decisions.opt_passes with
-            | None -> true
-            | Some ps -> List.mem pname ps)
+          ~enabled:(fun (o : Decisions.options) -> o.Decisions.optimize)
           ~descr:
             (Option.value ~default:"Sir optimizer pass"
                (Phpf_ir.Sir_opt.descr_of pname))

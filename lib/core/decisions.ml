@@ -84,11 +84,8 @@ type options = {
   optimize : bool;
       (** run the {!Phpf_ir.Sir_opt} pass suite after [lower-spmd] and
           elide compile-time-provable no-op transfers in the emitter;
-          on by default ([--no-opt] / [-O0] turn it off — the
-          paper-faithful phpf schedule) *)
-  opt_passes : string list option;
-      (** [Some names] restricts the suite to the named passes
-          ([--opt PASS,...]); [None] = all of them *)
+          on by default ([--no-opt] turns it off — the paper-faithful
+          phpf schedule) *)
 }
 
 (** Everything on: the paper's "Selected Alignment" compiler. *)
@@ -102,7 +99,6 @@ let default_options : options =
     privatize_control = true;
     auto_array_priv = false;
     optimize = true;
-    opt_passes = None;
   }
 
 (* The decision tables are immutable maps behind a single mutable cell:
@@ -641,27 +637,6 @@ let knobs : knob list =
     };
   ]
 
-(** The one reading of an optimizer pass selection: bare and
-    [sir-opt.]-prefixed names alike, returned in canonical order without
-    duplicates, so equivalent selections compare (and sign) equal. *)
-let normalize_opt_passes (names : string list) : (string list, string) result
-    =
-  let registered = Phpf_ir.Sir_opt.pass_names in
-  let prefix = "sir-opt." in
-  let bare n =
-    if String.starts_with ~prefix n then
-      String.sub n (String.length prefix)
-        (String.length n - String.length prefix)
-    else n
-  in
-  let names = List.map bare names in
-  match List.find_opt (fun n -> not (List.mem n registered)) names with
-  | Some n ->
-      Error
-        (Printf.sprintf "unknown pass %s (registered: %s)" n
-           (String.concat ", " (List.map (( ^ ) prefix) registered)))
-  | None -> Ok (List.filter (fun n -> List.mem n names) registered)
-
 (** Canonical one-line rendering of an option record, used as the
     options component of content-addressed cache keys
     ({!Phpf_driver.Memo.key}).  Two records have equal signatures iff
@@ -670,6 +645,3 @@ let normalize_opt_passes (names : string list) : (string list, string) result
 let options_signature (o : options) : string =
   String.concat ";"
     (List.map (fun k -> k.key ^ if k.get o then "=1" else "=0") knobs)
-  ^ ";opt_passes="
-  ^
-  match o.opt_passes with None -> "*" | Some ps -> String.concat "," ps

@@ -53,10 +53,7 @@ type options = {
   optimize : bool;
       (** run the {!Phpf_ir.Sir_opt} suite after [lower-spmd] and elide
           provably no-op transfers in the emitter; on by default
-          ([--no-opt] / [-O0] = the paper-faithful phpf schedule) *)
-  opt_passes : string list option;
-      (** restrict the suite to the named passes, kept in the canonical
-          form of {!normalize_opt_passes}; [None] = all *)
+          ([--no-opt] = the paper-faithful phpf schedule) *)
 }
 
 (** Everything on — the paper's "Selected Alignment" compiler. *)
@@ -207,8 +204,8 @@ val array_priv_summary : t -> string -> [ `Full | `Partial of int list | `None ]
 (** {2 One options path}
 
     The CLI flags, the serve request keys and the cache signature are
-    all derived from {!knobs}; a boolean option is declared there and
-    nowhere else. *)
+    all derived from {!knobs}; an option is declared there and nowhere
+    else. *)
 
 type knob = {
   key : string;  (** serve request key and cache-signature tag *)
@@ -218,14 +215,8 @@ type knob = {
   set : options -> bool -> options;
 }
 
-(** Every boolean field of {!options}, in record order. *)
+(** Every field of {!options} (all boolean), in record order. *)
 val knobs : knob list
-
-(** Read an optimizer pass selection: accepts bare ([rte]) and
-    [sir-opt.]-prefixed names and returns the passes in canonical
-    {!Phpf_ir.Sir_opt.pass_names} order without duplicates.  An unknown
-    name is [Error "unknown pass NAME (registered: sir-opt.dte, ...)"]. *)
-val normalize_opt_passes : string list -> (string list, string) result
 
 (** Canonical one-line rendering of an option record — the options
     component of content-addressed cache keys ({!Phpf_driver.Memo.key}).

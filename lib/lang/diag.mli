@@ -43,13 +43,15 @@
       payload is never read ([W0606]), a transfer of data already valid
       at every destination ([W0607]), a statically empty or subsumed
       guard predicate ([W0608])
-    - [E0701] runtime error during interpretation (bad subscript, fuel
-      exhaustion, uninitialised read), surfaced at the CLI boundary
+    - [E0701] runtime error during interpretation (bad subscript,
+      division by zero, uninitialised read), surfaced by phpfc and serve
     - [E0702] invalid fault-injection spec ([phpfc simulate --faults])
+      or runtime flag out of range ([--fuel], [--max-retries], ...)
     - [E0703] unrecoverable injected fault: the message runtime's retry
       budget was exhausted before delivery
     - [E0704] statement-instance budget exhausted ([phpfc simulate
-      --fuel]); the diagnostic carries the statement that ran out
+      --fuel], or the default budget of [validate], [sweep] and serve);
+      the diagnostic carries the statement that ran out
     - [E0801]-[E0806] strict SPMD lowering errors ([lower-spmd] pass):
       alignment chain deeper than the privatization bound or cyclic
       ([E0801]), communication anchored at a statement that does not

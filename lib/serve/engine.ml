@@ -200,14 +200,15 @@ let compute (ran : Stats.t option ref) (r : Proto.request) : bool * string =
                 simulate_body c result))
   with
   | Diag.Fatal ds -> error_body r.Proto.action ds
-  | Hpf_spmd.Memory.Runtime_error { loc; sid = _; msg } ->
-      error_body r.Proto.action [ Diag.error ?loc ~code:"E0701" msg ]
   | exn ->
       error_body r.Proto.action
-        [
-          Diag.errorf ~code:"E0902" "internal error evaluating request: %s"
-            (Printexc.to_string exn);
-        ]
+        (match Hpf_spmd.Spmd_interp.runtime_diags exn with
+        | Some ds -> ds
+        | None ->
+            [
+              Diag.errorf ~code:"E0902" "internal error evaluating request: %s"
+                (Printexc.to_string exn);
+            ])
 
 let cache_key (r : Proto.request) : string =
   Memo.key ~source:r.Proto.program

@@ -44,12 +44,10 @@ type reject = { rid : int option; reason : string }
 let code_malformed = "E0901"
 
 (* Option decoding folds over the knob table.  Unknown keys are
-   rejected (a typo silently compiling with default options would poison
-   determinism comparisons between clients), and the pass selection is
-   normalized, so equivalent selections share one cache key. *)
+   rejected: a typo silently compiling with default options would poison
+   determinism comparisons between clients. *)
 let known_option_keys =
   List.map (fun (k : Decisions.knob) -> k.Decisions.key) Decisions.knobs
-  @ [ "opt_passes" ]
 
 let options_of_json (j : Jsonx.t) : (Decisions.options, string) result =
   let ( let* ) = Result.bind in
@@ -77,23 +75,7 @@ let options_of_json (j : Jsonx.t) : (Decisions.options, string) result =
                       (Printf.sprintf "option %S must be a bool"
                          k.Decisions.key))
           in
-          let* o =
-            List.fold_left knob (Ok Decisions.default_options) Decisions.knobs
-          in
-          let* opt_passes =
-            match Jsonx.member "opt_passes" j with
-            | None | Some Jsonx.Null -> Ok None
-            | Some (Jsonx.List vs) -> (
-                let strs = List.filter_map Jsonx.to_str_opt vs in
-                if List.length strs <> List.length vs then
-                  Error "opt_passes must be a list of strings"
-                else
-                  match Decisions.normalize_opt_passes strs with
-                  | Ok ps -> Ok (Some ps)
-                  | Error m -> Error ("option \"opt_passes\": " ^ m))
-            | Some _ -> Error "opt_passes must be a list of strings"
-          in
-          Ok { o with Decisions.opt_passes })
+          List.fold_left knob (Ok Decisions.default_options) Decisions.knobs)
   | _ -> Error "options must be an object"
 
 let options_to_json (o : Decisions.options) : Jsonx.t =
@@ -101,13 +83,7 @@ let options_to_json (o : Decisions.options) : Jsonx.t =
     (List.map
        (fun (k : Decisions.knob) ->
          (k.Decisions.key, Jsonx.Bool (k.Decisions.get o)))
-       Decisions.knobs
-    @ [
-        ( "opt_passes",
-          match o.Decisions.opt_passes with
-          | None -> Jsonx.Null
-          | Some ps -> Jsonx.List (List.map (fun p -> Jsonx.Str p) ps) );
-      ])
+       Decisions.knobs)
 
 (** Parse one request line.  [default_id] numbers requests that carry
     no explicit ["id"] (the batch driver passes the line number). *)

@@ -37,6 +37,7 @@ let default_config = { fuel = default_fuel; on_stmt = None }
 let run_in ?(config = default_config) (m : Memory.t) (prog : Ast.program) :
     unit =
   let l = Memory.layout_of m in
+  (* a budget of N runs N instances: instance N+1 raises as it starts *)
   let fuel = ref config.fuel in
   let tick =
     let out_of_fuel (s : Ast.stmt) =
@@ -47,12 +48,12 @@ let run_in ?(config = default_config) (m : Memory.t) (prog : Ast.program) :
     match config.on_stmt with
     | None ->
         fun s ->
-          decr fuel;
-          if !fuel <= 0 then out_of_fuel s
+          if !fuel <= 0 then out_of_fuel s;
+          decr fuel
     | Some f ->
         fun s ->
-          decr fuel;
           if !fuel <= 0 then out_of_fuel s;
+          decr fuel;
           f s m
   in
   let slot v =

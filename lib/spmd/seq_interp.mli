@@ -9,10 +9,10 @@ open Hpf_lang
 exception Exit_loop of string option
 exception Cycle_loop of string option
 
-(** The statement-instance budget ran out: the program looped longer
+(** The statement-instance budget ran out: the program would run more
     than [config.fuel] instances.  Carries the location and id of the
-    statement about to execute, for a located [E0704] diagnostic at the
-    CLI boundary. *)
+    statement about to execute (instance [config.fuel + 1]), for a
+    located [E0704] diagnostic at the CLI boundary. *)
 exception
   Fuel_exhausted of {
     loc : Loc.t option;

@@ -705,3 +705,19 @@ let validate ?(max_mismatches = 10) (st : t) : mismatch list =
                 end))
     st.sir.Sir.validate_plan;
   List.rev !out
+
+let runtime_diags ?fuel_flag (exn : exn) : Diag.t list option =
+  match exn with
+  | Memory.Runtime_error { loc; sid = _; msg } ->
+      Some [ Diag.error ?loc ~code:"E0701" msg ]
+  | Seq_interp.Fuel_exhausted { loc; sid = _; budget } ->
+      Some
+        [
+          Diag.errorf ?loc ~code:"E0704"
+            "statement-instance budget exhausted after %d instances%s" budget
+            (match fuel_flag with
+            | Some f -> " (raise it with " ^ f ^ ")"
+            | None -> "");
+        ]
+  | Recover.Unrecoverable ds -> Some ds
+  | _ -> None

@@ -90,3 +90,9 @@ val pp_mismatch : Format.formatter -> mismatch -> unit
     processor on each element's owner line must hold the reference
     value. *)
 val validate : ?max_mismatches:int -> t -> mismatch list
+
+(** The diagnostics of a failed run, shared by phpfc and serve: a
+    located [E0701] or [E0704] (advising [fuel_flag], the caller's flag
+    that raises the budget) or {!Recover.Unrecoverable}'s own; [None]
+    for any other exception. *)
+val runtime_diags : ?fuel_flag:string -> exn -> Hpf_lang.Diag.t list option

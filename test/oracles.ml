@@ -89,11 +89,11 @@ module Ast_eval = struct
     (match init with Some f -> f m | None -> ());
     let fuel = ref config.Seq_interp.fuel in
     let tick (s : Ast.stmt) =
-      decr fuel;
       if !fuel <= 0 then
         raise
           (Seq_interp.Fuel_exhausted
              { loc = s.Ast.loc; sid = s.Ast.sid; budget = config.Seq_interp.fuel });
+      decr fuel;
       match config.Seq_interp.on_stmt with Some f -> f s m | None -> ()
     in
     let rec stmts ss = List.iter stmt ss

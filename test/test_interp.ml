@@ -285,6 +285,37 @@ end
       check Alcotest.int "exhausted budget is reported" 1000 budget
   | _ -> fail "fuel must run out"
 
+(* A budget of N runs exactly N statement instances: a straight-line
+   program of k statements completes on k, and on any smaller budget b
+   fails as statement b + 1 starts, in the interpreter and the AST walk
+   alike. *)
+let test_interp_fuel_exact () =
+  let k = 5 in
+  let p =
+    parse
+      ("program t\ninteger c\n"
+      ^ String.concat "" (List.init k (Fmt.str "c = %d\n"))
+      ^ "end\n")
+  in
+  List.iter
+    (fun (name, run) ->
+      for budget = 0 to k do
+        match run ~config:{ Seq_interp.fuel = budget; on_stmt = None } p with
+        | (_ : Memory.t) ->
+            check Alcotest.int (name ^ ": completes only on k") k budget
+        | exception Seq_interp.Fuel_exhausted { sid; _ } ->
+            check Alcotest.bool (name ^ ": fails only below k") true
+              (budget < k);
+            check Alcotest.int
+              (Fmt.str "%s: budget %d fails at statement %d" name budget
+                 (budget + 1))
+              (List.nth p.Ast.body budget).Ast.sid sid
+      done)
+    [
+      ("resolved", fun ~config p -> Seq_interp.run ~config p);
+      ("AST walk", fun ~config p -> Oracles.Ast_eval.run ~config p);
+    ]
+
 let test_interp_on_stmt_counts () =
   let p =
     parse
@@ -547,6 +578,8 @@ let () =
           Alcotest.test_case "named exit" `Quick test_interp_named_exit;
           Alcotest.test_case "small gauss" `Quick test_interp_gauss_small;
           Alcotest.test_case "fuel" `Quick test_interp_fuel;
+          Alcotest.test_case "fuel runs exactly N instances" `Quick
+            test_interp_fuel_exact;
           Alcotest.test_case "on_stmt counts" `Quick
             test_interp_on_stmt_counts;
           Alcotest.test_case "init seeding" `Quick test_interp_init_seeding;

@@ -164,6 +164,41 @@ let test_oracle_on_optimized (name, prog) () =
            (Sir_flow.check (with_sir c (delete_op sir op.Sir.uid)))))
     (transfer_ops sir)
 
+(* ------------- (e) each pass alone on every example ------------- *)
+
+(* Each pass applied by itself to a fresh lowering of each example, the
+   recovery plan attached as the compiler attaches it after the suite:
+   verify-sir checks the pass's witnesses without its predecessors'
+   edits, and no checker may report an error; the result must also
+   validate against the sequential reference. *)
+let test_each_pass_alone () =
+  List.iter
+    (fun (name, prog) ->
+      let c = compiled_of name prog in
+      List.iter
+        (fun pass ->
+          let what = Fmt.str "%s, %s alone" name pass in
+          let sir = Oracles.relower c in
+          ignore
+            (Sir_opt.apply ~nest:c.Compiler.decisions.Decisions.nest pass sir);
+          sir.Sir.recovery <- Some (Sir_recovery.plan sir);
+          let c = with_sir c sir in
+          (match Verifier.verify ~opts:Decisions.default_options c with
+          | Error ds -> fail (Fmt.str "%s: %a" what Diag.pp_list ds)
+          | Ok (findings, _) ->
+              check
+                Alcotest.(list string)
+                (what ^ ": no verifier error") []
+                (List.map (Fmt.str "%a" Diag.pp) (Verifier.errors findings)));
+          match
+            Spmd_interp.validate
+              (Spmd_interp.run ~init:(Init.init c.Compiler.prog) c)
+          with
+          | [] -> ()
+          | m :: _ -> fail (Fmt.str "%s: %a" what Spmd_interp.pp_mismatch m))
+        Sir_opt.pass_names)
+    (Prog_gen.examples ())
+
 (* -------- (d) crash@0 failover on the optimized TOMCATV -------- *)
 
 let mem_equal (a : Memory.t) (b : Memory.t) =
@@ -847,6 +882,8 @@ let () =
                ( dead_unreached_src,
                  [ 0; 2 ],
                  [ Sir.P_place [| Sir.C_fixed 0 |] ] ));
+          Alcotest.test_case "each pass alone: lint-clean, validates" `Quick
+            test_each_pass_alone;
         ] );
       ( "oracle",
         List.map

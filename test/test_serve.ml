@@ -237,51 +237,9 @@ let test_proto_knobs () =
       check Alcotest.bool "unknown option named" true
         (contains m "unknown option \"optimise\"")
 
-(* opt_passes goes through [Decisions.normalize_opt_passes], as
-   [phpfc --opt] does: equivalent selections decode to one value and so
-   share one cache key, and an unknown pass is rejected with the list of
-   registered ones. *)
-let test_proto_opt_passes () =
-  let decode sel =
-    Proto.options_of_json
-      (Jsonx.of_string (Fmt.str "{\"opt_passes\": %s}" sel))
-  in
-  let key sel =
-    match decode sel with
-    | Ok options ->
-        Engine.cache_key
-          { Proto.id = 1; action = Proto.Compile; program = "x"; grid = None;
-            options }
-    | Error m -> fail (sel ^ ": " ^ m)
-  in
-  let same a b =
-    check Alcotest.bool (Fmt.str "%s decodes like %s" a b) true
-      (decode a = decode b);
-    check Alcotest.string (Fmt.str "%s keys like %s" a b) (key a) (key b)
-  in
-  same "[\"sir-opt.rte\"]" "[\"rte\"]";
-  same "[\"rte\", \"rte\"]" "[\"rte\"]";
-  same "[\"rte\", \"dte\"]" "[\"dte\", \"rte\"]";
-  check Alcotest.bool "canonical order" true
-    (decode "[\"rte\", \"dte\"]"
-    = Ok { Decisions.default_options with opt_passes = Some [ "dte"; "rte" ] });
-  check Alcotest.bool "a selection is not the full suite" true
-    (key "[\"rte\"]" <> key "null");
-  match decode "[\"bogus\"]" with
-  | Ok _ -> fail "unknown pass accepted"
-  | Error m ->
-      check Alcotest.bool "names the unknown pass" true (contains m "bogus");
-      check Alcotest.bool "lists the registered passes" true
-        (contains m
-           (String.concat ", "
-              (List.map (( ^ ) "sir-opt.") Phpf_ir.Sir_opt.pass_names)))
-
 (* Different options never share a cache entry: the signature is
-   injective over every knob setting and several pass selections. *)
+   injective over every knob setting. *)
 let test_options_signature_injective () =
-  let selections =
-    [ None; Some []; Some [ "rte" ]; Some Phpf_ir.Sir_opt.pass_names ]
-  in
   let settings =
     List.fold_left
       (fun acc (k : Decisions.knob) ->
@@ -290,17 +248,11 @@ let test_options_signature_injective () =
           acc)
       [ Decisions.default_options ] Decisions.knobs
   in
-  let all =
-    List.concat_map
-      (fun o ->
-        List.map (fun opt_passes -> { o with Decisions.opt_passes }) selections)
-      settings
-  in
   let sigs =
-    List.sort_uniq compare (List.map Decisions.options_signature all)
+    List.sort_uniq compare (List.map Decisions.options_signature settings)
   in
   check Alcotest.int "one signature per record"
-    (4 * (1 lsl List.length Decisions.knobs))
+    (1 lsl List.length Decisions.knobs)
     (List.length sigs)
 
 (* ------------------------------------------------------------------ *)
@@ -409,6 +361,31 @@ let test_simulate_prices_compiled_sir () =
     (Some (Jsonx.float_to_string r.Hpf_spmd.Trace_sim.comm_time))
     (Option.map Jsonx.float_to_string
        (Option.bind (Jsonx.member "comm_time" body) Jsonx.to_float_opt))
+
+(* Pins serve's E0701 answer to a failed run, now routed through
+   [Spmd_interp.runtime_diags], the mapping phpfc shares: the located
+   diagnostic phpfc simulate prints.  The budget and unrecoverable-fault
+   cases of that mapping are unit-tested in test_spmd. *)
+let test_simulate_runtime_error () =
+  let src =
+    "program oob\nreal a(10)\n!hpf$ processors p(2)\n\
+     !hpf$ distribute a(block) onto p\n\
+     do i = 1, 20\n  a(i) = 1.0\nend do\nend program\n"
+  in
+  let body =
+    Jsonx.of_string
+      (body_of (Engine.create ()) (req ~action:Proto.Simulate src))
+  in
+  let diag =
+    match Jsonx.member "diags" body with
+    | Some (Jsonx.List [ d ]) -> d
+    | _ -> fail ("expected one diagnostic: " ^ Jsonx.to_string body)
+  in
+  let field k = Option.bind (Jsonx.member k diag) Jsonx.to_str_opt in
+  check Alcotest.(option string) "code" (Some "E0701") (field "code");
+  check Alcotest.(option string) "loc" (Some "<request>:6:3") (field "loc");
+  check Alcotest.(option string) "message"
+    (Some "subscript 11 out of bounds 1:10") (field "message")
 
 (* ------------------------------------------------------------------ *)
 (* Batch driver semantics                                              *)
@@ -636,8 +613,6 @@ let () =
           Alcotest.test_case "request parsing" `Quick test_proto_requests;
           Alcotest.test_case "every knob round-trips" `Quick
             test_proto_knobs;
-          Alcotest.test_case "opt_passes normalized" `Quick
-            test_proto_opt_passes;
           Alcotest.test_case "options signature injective" `Quick
             test_options_signature_injective;
         ] );
@@ -656,6 +631,8 @@ let () =
         [
           Alcotest.test_case "prices the compiled Sir" `Quick
             test_simulate_prices_compiled_sir;
+          Alcotest.test_case "run failure is a located diagnostic" `Quick
+            test_simulate_runtime_error;
         ] );
       ( "batch",
         [

@@ -243,6 +243,47 @@ let test_alloc_budget () =
       (Fmt.str "%.0f words over %d statement instances: %.1f per instance > 100"
          words instances per)
 
+(* The one mapping from failed runs to diagnostics, which phpfc and
+   serve share, on constructed exceptions: located E0701 and E0704 (the
+   budget hint only when the caller names a flag), an unrecoverable
+   campaign's own diagnostics, and nothing for any other exception. *)
+let test_runtime_diags () =
+  let loc = Loc.make ~file:"f.hpfk" ~line:3 ~col:5 in
+  let one ?fuel_flag exn =
+    match Spmd_interp.runtime_diags ?fuel_flag exn with
+    | Some [ d ] -> d
+    | _ -> fail (Printexc.to_string exn ^ ": expected one diagnostic")
+  in
+  let located code (d : Diag.t) =
+    check Alcotest.string "code" code d.Diag.code;
+    check Alcotest.bool "located" true (d.Diag.loc = Some loc);
+    d.Diag.message
+  in
+  let fuel = Seq_interp.Fuel_exhausted { loc = Some loc; sid = 2; budget = 7 } in
+  check Alcotest.string "E0704 with the flag"
+    "statement-instance budget exhausted after 7 instances (raise it with \
+     --fuel)"
+    (located "E0704" (one ~fuel_flag:"--fuel" fuel));
+  check Alcotest.string "E0704 without a flag"
+    "statement-instance budget exhausted after 7 instances"
+    (located "E0704" (one fuel));
+  check Alcotest.string "E0701" "zero loop step"
+    (located "E0701"
+       (one
+          (Memory.Runtime_error
+             { loc = Some loc; sid = Some 2; msg = "zero loop step" })));
+  let ds =
+    [ Diag.error ~code:"E0703" "lost"; Diag.note ~code:"E0703" "why" ]
+  in
+  check Alcotest.bool "Unrecoverable keeps its diagnostics" true
+    (Spmd_interp.runtime_diags (Recover.Unrecoverable ds) = Some ds);
+  List.iter
+    (fun exn ->
+      check Alcotest.bool (Printexc.to_string exn ^ " is not a run failure")
+        true
+        (Spmd_interp.runtime_diags exn = None))
+    [ Not_found; Failure "x"; Diag.Fatal ds; Invalid_argument "y" ]
+
 let () =
   Alcotest.run "spmd"
     [
@@ -278,5 +319,7 @@ let () =
           Alcotest.test_case "transfer counts scale" `Quick
             test_transfer_counts_scale;
           Alcotest.test_case "allocation budget" `Quick test_alloc_budget;
+          Alcotest.test_case "runtime failure diagnostics" `Quick
+            test_runtime_diags;
         ] );
     ]
