@@ -1,11 +1,12 @@
 (** Sparse constant propagation over SSA definitions.
 
-    A straightforward worklist evaluation on the three-level lattice
-    [Top] (undetermined) / [Const v] / [Bottom] (varying).  Program
-    parameters are folded in by {!Hpf_lang.Ast.subst_params} before
-    evaluation.  Used to resolve loop bounds and the initial values of
-    induction variables (paper §2.1: the closed form of [m] in Fig. 1
-    needs [m]'s value on loop entry). *)
+    A worklist evaluation on the three-level lattice [Top]
+    (undetermined) / [Const v] / [Bottom] (varying): a definition is
+    evaluated once, and again only when a definition it reads changed.
+    A program parameter evaluates to its value.  Used to resolve loop
+    bounds and the initial values of induction variables (paper §2.1:
+    the closed form of [m] in Fig. 1 needs [m]'s value on loop
+    entry). *)
 
 open Hpf_lang
 
@@ -13,11 +14,14 @@ type value = VInt of int | VReal of float | VBool of bool
 
 type lattice = Top | Const of value | Bottom
 
+(* Constants are compared with [compare], so a NaN constant meets
+   itself: the meet is idempotent, which makes the fixpoint independent
+   of the evaluation order. *)
 let meet a b =
   match (a, b) with
   | Top, x | x, Top -> x
   | Bottom, _ | _, Bottom -> Bottom
-  | Const x, Const y -> if x = y then a else Bottom
+  | Const x, Const y -> if compare x y = 0 then a else Bottom
 
 let pp_value ppf = function
   | VInt n -> Fmt.int ppf n
@@ -129,51 +133,85 @@ let def_rhs (g : Cfg.t) (site : Ssa.def_site) : Ast.expr option =
 let compute (ssa : Ssa.t) : t =
   let g = ssa.Ssa.cfg in
   let prog = g.Cfg.prog in
-  let n = Array.length ssa.Ssa.defs in
+  let defs = ssa.Ssa.defs in
+  let n = Array.length defs in
   let values = Array.make n Top in
-  (* each real definition's right-hand side, parameters substituted *)
-  let rhs_of =
-    Array.map
-      (fun site -> Option.map (Ast.subst_params prog) (def_rhs g site))
-      ssa.Ssa.defs
-  in
-  (* seed: entry defs are Bottom (uninitialized / external) *)
-  Array.iteri
-    (fun i site ->
-      match site with Ssa.Entry_def _ -> values.(i) <- Bottom | _ -> ())
-    ssa.Ssa.defs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iteri
-      (fun i site ->
-        let v' =
-          match site with
-          | Ssa.Entry_def _ -> Bottom
-          | Ssa.Phi { args; _ } ->
-              if args = [] then Bottom
-              else
-                List.fold_left
-                  (fun acc (_, d) -> meet acc values.(d))
-                  Top args
-          | Ssa.Node_def { node; var = _ } -> (
-              match rhs_of.(i) with
-              | None -> Bottom (* array def or unanalyzed *)
-              | Some rhs ->
-                  let lookup x =
+  let rhs_of = Array.map (def_rhs g) defs in
+  let eval i =
+    match defs.(i) with
+    | Ssa.Entry_def _ -> Bottom (* uninitialized / external *)
+    | Ssa.Phi { args; _ } ->
+        if args = [] then Bottom
+        else List.fold_left (fun acc (_, d) -> meet acc values.(d)) Top args
+    | Ssa.Node_def { node; var = _ } -> (
+        match rhs_of.(i) with
+        | None -> Bottom (* array def or unanalyzed *)
+        | Some rhs ->
+            eval_expr
+              (fun x ->
+                (* a program parameter is its value *)
+                match Ast.param_value prog x with
+                | Some v -> Const (VInt v)
+                | None -> (
                     match Ssa.reaching_def_at ssa ~node ~var:x with
                     | Some d -> values.(d)
-                    | None -> Bottom
-                  in
-                  eval_expr lookup rhs)
-        in
-        (* only move down the lattice *)
-        let v' = meet values.(i) v' in
-        if v' <> values.(i) then begin
-          values.(i) <- v';
-          changed := true
-        end)
-      ssa.Ssa.defs
+                    | None -> Bottom))
+              rhs)
+  in
+  (* The definitions that read each one, [readers.(start.(d))] up to
+     [readers.(start.(d + 1) - 1)]: the φs it is an argument of, and the
+     right-hand side at each node where it reaches a use (a node defines
+     one scalar at most). *)
+  let rhs_at = Array.make (Cfg.n_nodes g) (-1) in
+  Array.iteri
+    (fun i site ->
+      match (site, rhs_of.(i)) with
+      | Ssa.Node_def { node; _ }, Some _ -> rhs_at.(node) <- i
+      | _ -> ())
+    defs;
+  let iter_reads f =
+    Array.iteri
+      (fun i site ->
+        match site with
+        | Ssa.Phi { args; _ } -> List.iter (fun (_, d) -> f d i) args
+        | Ssa.Entry_def _ | Ssa.Node_def _ -> ())
+      defs;
+    Ssa.fold_uses ssa
+      (fun ~node ~var:_ d () -> if rhs_at.(node) >= 0 then f d rhs_at.(node))
+      ()
+  in
+  let start = Array.make (n + 1) 0 in
+  iter_reads (fun d _ -> start.(d + 1) <- start.(d + 1) + 1);
+  for d = 0 to n - 1 do
+    start.(d + 1) <- start.(d + 1) + start.(d)
+  done;
+  let readers = Array.make start.(n) 0 and next = Array.sub start 0 n in
+  iter_reads (fun d r ->
+      readers.(next.(d)) <- r;
+      next.(d) <- next.(d) + 1);
+  (* a FIFO of the definitions to evaluate, each in it at most once:
+     first all of them in order, then the readers of each change *)
+  let queue = Array.init n Fun.id and queued = Array.make n true in
+  let head = ref 0 and size = ref n in
+  while !size > 0 do
+    let i = queue.(!head) in
+    head := (!head + 1) mod n;
+    decr size;
+    queued.(i) <- false;
+    (* only move down the lattice *)
+    let v' = meet values.(i) (eval i) in
+    if compare v' values.(i) <> 0 then begin
+      values.(i) <- v';
+      for k = start.(i) to start.(i + 1) - 1 do
+        let r = readers.(k) in
+        (* a reader at the bottom stays there *)
+        if not (queued.(r) || values.(r) = Bottom) then begin
+          queued.(r) <- true;
+          queue.((!head + !size) mod n) <- r;
+          incr size
+        end
+      done
+    end
   done;
   { ssa; values }
 

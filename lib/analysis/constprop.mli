@@ -1,5 +1,6 @@
 (** Sparse constant propagation over SSA definitions (three-level
-    lattice, optimistic worklist).  Resolves loop bounds and induction
+    lattice, optimistic worklist: a definition is re-evaluated only when
+    a definition it reads changed).  Resolves loop bounds and induction
     variables' initial values. *)
 
 open Hpf_lang
@@ -8,6 +9,7 @@ type value = VInt of int | VReal of float | VBool of bool
 
 type lattice = Top | Const of value | Bottom
 
+(** Constants compare with [compare] (a NaN constant meets itself). *)
 val meet : lattice -> lattice -> lattice
 val pp_value : Format.formatter -> value -> unit
 

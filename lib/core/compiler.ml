@@ -54,6 +54,10 @@ type context = {
   decisions : Decisions.t option;  (** set by the decisions pass *)
   comms : Comm.t list;
   sir : Phpf_ir.Sir.program option;  (** set by lower-spmd *)
+  flow : Phpf_ir.Sir_dataflow.summary option;
+      (** the dataflow analysis of [sir] as it stands, left by the last
+          sir-opt pass for the next one; a pass that edits [sir] drops
+          it.  Not kept in {!compiled}. *)
   grid_override : int list option;
   options : Decisions.options;
 }
@@ -213,13 +217,14 @@ let passes : (Decisions.options, context) Pass.t list =
             (Option.value ~default:"Sir optimizer pass"
                (Phpf_ir.Sir_opt.descr_of pname))
           (fun (ctx : context) st ->
-            (match ctx.sir with
-            | None -> ()
+            match ctx.sir with
+            | None -> ctx
             | Some sir ->
                 let before = Phpf_ir.Sir.op_counts sir in
-                let rewrites =
+                let rewrites, flow =
                   Phpf_ir.Sir_opt.apply
-                    ~nest:(decisions_exn ctx).Decisions.nest pname sir
+                    ~nest:(decisions_exn ctx).Decisions.nest ?flow:ctx.flow
+                    pname sir
                 in
                 let after = Phpf_ir.Sir.op_counts sir in
                 Stats.set st "rewrites" rewrites;
@@ -235,8 +240,8 @@ let passes : (Decisions.options, context) Pass.t list =
                   - before.Phpf_ir.Sir.block_xfers);
                 Stats.set st "delta.reduce-ops"
                   (after.Phpf_ir.Sir.reduce_ops
-                  - before.Phpf_ir.Sir.reduce_ops));
-            ctx))
+                  - before.Phpf_ir.Sir.reduce_ops);
+                { ctx with flow }))
       Phpf_ir.Sir_opt.pass_names
   @ [
     Pass.make "recovery-plan"
@@ -284,6 +289,7 @@ let compile_traced ?grid_override ?(options = Decisions.default_options)
       decisions = None;
       comms = [];
       sir = None;
+      flow = None;
       grid_override;
       options;
     }

@@ -30,6 +30,10 @@ type context = {
   decisions : Decisions.t option;  (** set by the decisions pass *)
   comms : Comm.t list;
   sir : Phpf_ir.Sir.program option;  (** set by lower-spmd *)
+  flow : Phpf_ir.Sir_dataflow.summary option;
+      (** the dataflow analysis of [sir] as it stands, left by the last
+          sir-opt pass for the next one; a pass that edits [sir] drops
+          it.  Not kept in {!compiled}. *)
   grid_override : int list option;
   options : Decisions.options;
 }

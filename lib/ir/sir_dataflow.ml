@@ -25,7 +25,8 @@
     the full compile record; {!Sir_opt} turns the classified ops into
     deletions: dead ones re-running both fixpoints on a {!prepared}
     context after each rewrite, redundant ones decided against one
-    analysis ({!redundant_deletions}). *)
+    analysis ({!redundant_deletions}) — the last one the dead-op loop
+    ran, which its passes share. *)
 
 open Hpf_lang
 open Hpf_mapping
@@ -205,6 +206,18 @@ type source = Sir.fact_source = F_init | F_op of int | F_write of Ast.stmt_id
 
 type fact = { src : source; key : dkey; dests : Sir.dests }
 
+(* [compare] on facts, deciding on the source's integer where the
+   sources differ ([F_init < F_op < F_write], then uid or sid, as
+   [compare] orders them): only facts of one source, a statement's few
+   writes, reach the structural comparison of keys and destinations. *)
+let compare_fact (a : fact) (b : fact) : int =
+  match (a.src, b.src) with
+  | F_op x, F_op y when x <> y -> Int.compare x y
+  | F_write x, F_write y when x <> y -> Int.compare x y
+  | F_init, (F_op _ | F_write _) | F_op _, F_write _ -> -1
+  | F_op _, F_init | F_write _, (F_init | F_op _) -> 1
+  | _ -> compare a b
+
 let key_of_xdata = function
   | Sir.X_scalar { var; _ } -> K_scalar var
   | Sir.X_elem { base; subs; _ } -> K_elem (base, subs)
@@ -254,7 +267,7 @@ let initial_facts (p : Sir.program) : fact list =
         dests = Sir.D_all;
       })
     p.Sir.source.Ast.decls
-  |> List.sort_uniq compare
+  |> List.sort_uniq compare_fact
 
 (** Arrays the final validation reads (a [V_skip] array is dead at
     exit: its privatized values are never compared). *)
@@ -264,7 +277,7 @@ let validated_arrays (p : Sir.program) : string list =
       | Sir.V_owned (a, _) | Sir.V_line (a, _) -> Some a
       | Sir.V_skip _ -> None)
     p.Sir.validate_plan
-  |> List.sort_uniq compare
+  |> List.sort_uniq String.compare
 
 let instance_node (g : Sir_cfg.t) (sid : Ast.stmt_id) : int option =
   List.find_opt
@@ -400,6 +413,8 @@ module Bits = struct
 
   (* only while the set is being built *)
   let set (s : t) i = s.(i / bpw) <- s.(i / bpw) lor (1 lsl (i mod bpw))
+  let remove (s : t) i = s.(i / bpw) <- s.(i / bpw) land lnot (1 lsl (i mod bpw))
+  let add_all (s : t) (m : t) = Array.iteri (fun w x -> s.(w) <- s.(w) lor x) m
 
   let equal (a : t) (b : t) =
     let rec go w = w < 0 || (a.(w) = b.(w) && go (w - 1)) in
@@ -454,11 +469,10 @@ let build_step (n : int) ~(kill : 'e -> Bits.t option)
       (fun e ->
         (match kill e with
         | Some m ->
-            Array.iteri
-              (fun w x ->
-                keep.(w) <- keep.(w) land lnot x;
-                gen.(w) <- gen.(w) land lnot x)
-              m
+            for w = 0 to Array.length m - 1 do
+              keep.(w) <- keep.(w) land lnot m.(w);
+              gen.(w) <- gen.(w) land lnot m.(w)
+            done
         | None -> ());
         match add e with Some i -> Bits.set gen i | None -> ())
       events;
@@ -494,7 +508,7 @@ let fact_id (u : universe) (f : fact) : int =
     if lo >= hi then invalid_arg "Sir_dataflow: fact outside the universe"
     else
       let mid = (lo + hi) / 2 in
-      let c = compare f u.facts.(mid) in
+      let c = compare_fact f u.facts.(mid) in
       if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
   in
   go 0 (Array.length u.facts)
@@ -543,53 +557,100 @@ let intern (g : Sir_cfg.t) : universe =
           (function Gen v -> names := v :: !names | Kill _ -> ())
           (exec_live_events g i ops.Sir.exec @ pre_live_events g ops)
   done;
-  let facts = Array.of_list (List.sort_uniq compare !facts)
-  and names = Array.of_list (List.sort_uniq compare !names) in
+  let facts = Array.of_list (List.sort_uniq compare_fact !facts)
+  and names = Array.of_list (List.sort_uniq String.compare !names) in
   let nf = Array.length facts and nn = Array.length names in
-  let mask_of tbl x =
+  (* Facts with one key and one destination set mention the same names,
+     copy the same base and cover, or are covered by, the same facts:
+     each such class is decided once. *)
+  let class_ids = Hashtbl.create 64 and reps = ref [] in
+  let cls =
+    Array.mapi
+      (fun i f ->
+        let k = (f.key, f.dests) in
+        match Hashtbl.find_opt class_ids k with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length class_ids in
+            Hashtbl.add class_ids k c;
+            reps := i :: !reps;
+            c)
+      facts
+  in
+  let reps = Array.of_list (List.rev !reps) in
+  let members = Array.map (fun _ -> Bits.empty nf) reps in
+  Array.iteri (fun i c -> Bits.set members.(c) i) cls;
+  let mentions = Hashtbl.create 64 and copies = Hashtbl.create 64 in
+  let mark tbl x c =
     match Hashtbl.find_opt tbl x with
+    | Some m -> Bits.add_all m members.(c)
+    | None -> Hashtbl.replace tbl x (Array.copy members.(c))
+  in
+  (* the classes of each key, and of each base's whole-array and
+     section keys: a key is covered only by itself, its base's whole
+     array and, for an element, its base's sections *)
+  let by_key = Hashtbl.create 64
+  and wholes = Hashtbl.create 16
+  and sections = Hashtbl.create 16 in
+  let push tbl x c =
+    Hashtbl.replace tbl x
+      (c :: Option.value ~default:[] (Hashtbl.find_opt tbl x))
+  in
+  let classes tbl x = Option.value ~default:[] (Hashtbl.find_opt tbl x) in
+  Array.iteri
+    (fun c i ->
+      let f = facts.(i) in
+      List.iter (fun x -> mark mentions x c) (key_vars f.key @ dests_vars f.dests);
+      mark copies (key_base f.key) c;
+      push by_key f.key c;
+      match f.key with
+      | K_whole b -> push wholes b c
+      | K_section (b, _, _) -> push sections b c
+      | K_scalar _ | K_elem _ -> ())
+    reps;
+  (* the facts that make a class's facts valid, once per class *)
+  let covering = Array.make (Array.length reps) None in
+  let covering_of c =
+    match covering.(c) with
     | Some m -> m
     | None ->
-        let m = Bits.empty nf in
-        Hashtbl.replace tbl x m;
+        let need = facts.(reps.(c)) and m = Bits.empty nf in
+        let cover h =
+          let have = facts.(reps.(h)) in
+          if
+            key_covers ~have:have.key ~need:need.key
+            && dests_covers ~have:have.dests ~need:need.dests
+          then Bits.add_all m members.(h)
+        in
+        List.iter cover (classes by_key need.key);
+        (match need.key with
+        | K_scalar _ | K_whole _ -> ()
+        | K_section (b, _, _) -> List.iter cover (classes wholes b)
+        | K_elem (b, _) ->
+            List.iter cover (classes wholes b);
+            List.iter cover (classes sections b));
+        covering.(c) <- Some m;
         m
   in
-  let mentions = Hashtbl.create 64 and copies = Hashtbl.create 64 in
-  (* the ids of each datum base, ascending: coverage never crosses
-     bases *)
-  let same_base = Hashtbl.create 64 in
-  for i = nf - 1 downto 0 do
-    let f = facts.(i) in
-    List.iter
-      (fun x -> Bits.set (mask_of mentions x) i)
-      (key_vars f.key @ dests_vars f.dests);
-    let b = key_base f.key in
-    Bits.set (mask_of copies b) i;
-    Hashtbl.replace same_base b
-      (i :: Option.value ~default:[] (Hashtbl.find_opt same_base b))
-  done;
-  let covers = Array.make nf [||] in
-  Hashtbl.iter
-    (fun _ ids ->
-      List.iter
-        (fun i ->
-          let f = facts.(i) in
-          match f.src with
-          | F_op _ ->
-              let m = Bits.empty nf in
-              List.iter
-                (fun h ->
-                  let have = facts.(h) in
-                  if
-                    have.src <> f.src
-                    && key_covers ~have:have.key ~need:f.key
-                    && dests_covers ~have:have.dests ~need:f.dests
-                  then Bits.set m h)
-                ids;
-              covers.(i) <- m
-          | F_init | F_write _ -> ())
-        ids)
-    same_base;
+  (* an op's own facts, adjacent in source order, never cover it *)
+  let covers =
+    Array.mapi
+      (fun i f ->
+        match f.src with
+        | F_init | F_write _ -> [||]
+        | F_op _ ->
+            let m = Array.copy (covering_of cls.(i)) in
+            let rec clear_src j step =
+              if j >= 0 && j < nf && facts.(j).src = f.src then begin
+                Bits.remove m j;
+                clear_src (j + step) step
+              end
+            in
+            clear_src i 1;
+            clear_src (i - 1) (-1);
+            m)
+      facts
+  in
   let name_ids = Hashtbl.create (max 16 nn) in
   Array.iteri (fun i v -> Hashtbl.replace name_ids v i) names;
   let u =
@@ -832,6 +893,9 @@ let prepare (sir : Sir.program) : prepared =
     p_universe = u;
     p_plans = Array.init (Sir_cfg.n_nodes cfg) (plan_node u cfg);
   }
+
+let resume (s : summary) : prepared =
+  { p_cfg = s.cfg; p_universe = s.universe; p_plans = Array.copy s.plans }
 
 let replan (ctx : prepared) (sid : Ast.stmt_id) : unit =
   List.iter

@@ -20,7 +20,10 @@
     them into deletions: [dte] re-runs both fixpoints on a {!prepared}
     context after each rewrite, [rte] replays its deletions against one
     analysis ({!redundant_deletions}), so mutually-covering transfers
-    are never both removed. *)
+    are never both removed.  The optimizer's passes share one analysis
+    of the program as it stands ({!Sir_opt.apply}): [dte]'s last round,
+    the one that found nothing dead, is the summary [rte] decides from.
+    The verifier analyzes the recorded program afresh. *)
 
 open Hpf_lang
 
@@ -113,9 +116,14 @@ val instance_node : Sir_cfg.t -> Ast.stmt_id -> int option
     per op — loop-index and guarded-assign writes) and every name a
     node can make live.  Ids follow [compare] order, so a
     state listed by ascending id is exactly the sorted fact or name
-    list of the specification.  Each node's transfer is precomposed
-    into one [(keep, gen)] word mask per direction, so a worklist visit
-    costs one pass over the words. *)
+    list of the specification; facts are sorted and looked up by their
+    source's integer first, and compared structurally only within one
+    source.  Coverage reads only a fact's key and destinations, so it
+    is decided once per class of facts sharing both, among the classes
+    of the same key, the base's whole array and, for an element, the
+    base's sections.  Each node's transfer is precomposed into one
+    [(keep, gen)] word mask per direction, so a worklist visit costs
+    one pass over the words. *)
 
 (** The interning table of one program: built eagerly by {!prepare} and
     never mutated afterwards. *)
@@ -210,13 +218,20 @@ val redundant_deletions : summary -> (Sir.comm_op * source list) list
     deletion (a deletion changes liveness) but builds the CFG, the
     interning table and the node plans once: deleting an op can only
     remove facts and names, so the table of the original program stays
-    a superset, and only the touched statement's plan changes. *)
+    a superset, and only the touched statement's plan changes.  Ids
+    follow [compare] order in both tables, so every state, class and
+    cover (the lowest id) read from the superset is the one a fresh
+    analysis of the edited program gives. *)
 
 type prepared
 
 (** Build the CFG, intern the program's facts and names, and plan every
     node. *)
 val prepare : Sir.program -> prepared
+
+(** A prepared context over a summary's CFG, interning table and node
+    plans, to go on deleting from the program the summary analyzed. *)
+val resume : summary -> prepared
 
 (** Re-plan the nodes of a statement after ops were deleted from its
     [comms] (the only rewrite a prepared context supports). *)

@@ -21,7 +21,10 @@
     not deleted.  Both choose exactly what the one-at-a-time loop
     chooses, so mutually-covering transfers are never both removed and
     the post-optimization [verify-flow] audit reports zero
-    [W0606]/[W0607] by construction.
+    [W0606]/[W0607] by construction.  The passes share one analysis of
+    the program as it stands: a pass that needs one takes it from the
+    pass before or builds it, hands on the analysis of the program it
+    leaves, and a pass that edits without analyzing drops it.
     Every rewrite is recorded as a {!Sir.witness} in the program's
     [opt_applied] field: the edit script {!Phpf_verify.Sir_check}
     replays on a fresh lowering, and the evidence it checks the
@@ -165,37 +168,48 @@ let rewrites (ws : Sir.witness list) : int =
 (* dte / rte: certified deletions                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The analysis of the program as it stands, from the pass before when
+   it left one. *)
+let analysis ?flow (p : Sir.program) : Sir_dataflow.summary =
+  match flow with Some s -> s | None -> Sir_dataflow.summarize p
+
 (* A dead transfer's deletion removes a read of its source copy, which
    can leave another transfer dead, so [dte] recomputes the class after
    every deletion.  The CFG, the interning table and the node plans are
-   prepared once; a deletion re-plans only the statement it touched. *)
-let dte (p : Sir.program) : Sir.witness list =
-  let ctx = Sir_dataflow.prepare p and e = lazy (editor p) in
-  let rec go acc =
-    match (Sir_dataflow.analyze ctx).Sir_dataflow.dead with
-    | [] -> List.rev acc
+   prepared once; a deletion re-plans only the statement it touched.
+   The last round, the one that found nothing dead, is the analysis of
+   the program [dte] leaves. *)
+let dte ?flow (p : Sir.program) : Sir.witness list * Sir_dataflow.summary =
+  let first = analysis ?flow p and e = lazy (editor p) in
+  let ctx = lazy (Sir_dataflow.resume first) in
+  let rec go acc (s : Sir_dataflow.summary) =
+    match s.Sir_dataflow.dead with
+    | [] -> (List.rev acc, s)
     | (_, op) :: _ -> (
         let w = Sir.W_dead { uid = op.Sir.uid } in
         match edit (Lazy.force e) w with
         | None -> invalid_arg "Sir_opt: the analysis selected a deleted op"
         | Some ops ->
+            let ctx = Lazy.force ctx in
             Sir_dataflow.replan ctx ops.Sir.sid;
-            go (w :: acc))
+            go (w :: acc) (Sir_dataflow.analyze ctx))
   in
-  go []
+  go [] first
 
 (* A redundant transfer's deletion only clears its own facts, so every
    [rte] deletion is decided against one analysis: two transfers that
    each cover the other are both candidates, but the second loses its
    cover when the first goes. *)
-let rte (p : Sir.program) : Sir.witness list =
+let rte ?flow (p : Sir.program) :
+    Sir.witness list * Sir_dataflow.summary option =
+  let s = analysis ?flow p in
   let ws =
-    Sir_dataflow.redundant_deletions (Sir_dataflow.summarize p)
+    Sir_dataflow.redundant_deletions s
     |> List.map (fun ((op : Sir.comm_op), covers) ->
            Sir.W_redundant { uid = op.Sir.uid; covers })
   in
   edit_all p ws;
-  ws
+  (ws, if ws = [] then Some s else None)
 
 (* ------------------------------------------------------------------ *)
 (* merge: adjacent same-(src, dst) element transfers -> one block      *)
@@ -474,27 +488,42 @@ let combine (p : Sir.program) : Sir.witness list =
 (* The pipeline                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Each pass takes the analysis of the program as it stands, when the
+   pass before left one, and returns the analysis of the program it
+   leaves, when it has one: a pass that edits nothing keeps the one it
+   was given, and one that edits without analyzing drops it. *)
+let keeping flow (ws : Sir.witness list) =
+  (ws, if ws = [] then flow else None)
+
 let passes :
-    (string * string * (Nest.t -> Sir.program -> Sir.witness list)) list =
+    (string
+    * string
+    * (Nest.t ->
+      Sir_dataflow.summary option ->
+      Sir.program ->
+      Sir.witness list * Sir_dataflow.summary option))
+    list =
   [
     ( "dte",
       "dead-transfer elimination (payload never read: W0606 as a \
        deletion)",
-      fun _ -> dte );
+      fun _ flow p ->
+        let ws, s = dte ?flow p in
+        (ws, Some s) );
     ( "rte",
       "redundant-transfer elimination (dominating delivery: W0607 as a \
        deletion)",
-      fun _ -> rte );
+      fun _ flow p -> rte ?flow p );
     ( "merge",
       "fuse adjacent same-(src,dst) element transfers into one block",
-      fun _ -> merge );
+      fun _ flow p -> keeping flow (merge p) );
     ( "hoist",
       "drop placement-prefix indices a block transfer does not depend \
        on",
-      fun nest -> hoist ~nest );
+      fun nest flow p -> keeping flow (hoist ~nest p) );
     ( "combine",
       "drop reduction combines of provably clean accumulators",
-      fun _ -> combine );
+      fun _ flow p -> keeping flow (combine p) );
   ]
 
 let pass_names = List.map (fun (n, _, _) -> n) passes
@@ -504,13 +533,19 @@ let descr_of (name : string) : string option =
     (fun (n, d, _) -> if n = name then Some d else None)
     passes
 
-let apply ~(nest : Nest.t) (name : string) (p : Sir.program) : int =
+let apply ~(nest : Nest.t) ?flow (name : string) (p : Sir.program) :
+    int * Sir_dataflow.summary option =
   match List.find_opt (fun (n, _, _) -> n = name) passes with
   | None -> invalid_arg (Fmt.str "Sir_opt.apply: unknown pass %s" name)
   | Some (_, _, f) ->
-      let ws = f nest p in
+      let ws, flow = f nest flow p in
       p.Sir.opt_applied <- p.Sir.opt_applied @ ws;
-      rewrites ws
+      (rewrites ws, flow)
 
 let run ~(nest : Nest.t) (p : Sir.program) : (string * int) list =
-  List.map (fun n -> (n, apply ~nest n p)) pass_names
+  List.fold_left_map
+    (fun flow n ->
+      let k, flow = apply ~nest ?flow n p in
+      (flow, (n, k)))
+    None pass_names
+  |> snd

@@ -21,6 +21,14 @@
       since a deletion only clears its own facts: a candidate goes only
       while the fact it delivers keeps a cover that was not deleted, so
       mutually-covering transfers are never both removed;
+    - the passes share one analysis of the program as it stands
+      ({!apply}'s [flow]): the first pass that needs it builds it, each
+      hands on the analysis of the program it leaves, and any pass that
+      edits without analyzing drops it.  [dte]'s last round, the one
+      that found nothing dead, is what [rte] decides from: its
+      interning table, prepared before [dte]'s deletions, is a superset
+      of a fresh one with ids in the same order, so [rte]'s witnesses,
+      covers included, are those of a fresh analysis;
     - [merge] preserves ship timing (the merged block's prefix is the
       statement's full mirror); its synthetic index is walked in full
       whenever the block ships, so {!Sir_dataflow.fact_of_op} makes it
@@ -45,13 +53,21 @@ val pass_names : string list
 val descr_of : string -> string option
 
 (** Run one pass by name and append its witnesses to [opt_applied];
-    returns the rewrite count.  [nest] is the compile's loop nest of the
-    program's source ([hoist] reads it).  @raise Invalid_argument on an
-    unknown name. *)
-val apply : nest:Nest.t -> string -> Sir.program -> int
+    returns the rewrite count and the {!Sir_dataflow} analysis of the
+    program as the pass leaves it, when it has one.  [flow] is the
+    analysis of the program as it stands, when the pass before left one:
+    [dte] and [rte] decide from it instead of analyzing again.  [nest] is
+    the compile's loop nest of the program's source ([hoist] reads it).
+    @raise Invalid_argument on an unknown name. *)
+val apply :
+  nest:Nest.t ->
+  ?flow:Sir_dataflow.summary ->
+  string ->
+  Sir.program ->
+  int * Sir_dataflow.summary option
 
-(** Run every pass in {!pass_names} order, returning
-    [(pass, rewrite count)] per pass. *)
+(** Run every pass in {!pass_names} order, each handing the next the
+    analysis it leaves, returning [(pass, rewrite count)] per pass. *)
 val run : nest:Nest.t -> Sir.program -> (string * int) list
 
 (** The rewrite count of a witness list: deleted ops, fused pairs,
@@ -73,10 +89,24 @@ val edit : editor -> Sir.witness -> Sir.stmt_ops option
 
 (** {2 Individual passes}
 
-    Exposed for tests; these do {e not} record into [opt_applied]. *)
+    Exposed for tests; these do {e not} record into [opt_applied].
+    [flow] is, as for {!apply}, the analysis of the program as it
+    stands; without it the pass analyzes the program itself. *)
 
-val dte : Sir.program -> Sir.witness list
-val rte : Sir.program -> Sir.witness list
+(** Also returns the analysis of the program it leaves: its last round,
+    the one that found nothing dead. *)
+val dte :
+  ?flow:Sir_dataflow.summary ->
+  Sir.program ->
+  Sir.witness list * Sir_dataflow.summary
+
+(** Also returns the analysis it decided from when it deleted nothing,
+    [None] otherwise. *)
+val rte :
+  ?flow:Sir_dataflow.summary ->
+  Sir.program ->
+  Sir.witness list * Sir_dataflow.summary option
+
 val merge : Sir.program -> Sir.witness list
 
 (** [nest] is the compile's loop nest of the program's source: whether a

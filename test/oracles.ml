@@ -23,7 +23,9 @@
    {!Hpf_analysis.Ssa.build} and its reached-use table.  [Loop_walk]
    answers the dependence query of communication placement by visiting
    every statement of the loop body, the reference for the nest's write
-   index behind {!Hpf_analysis.Depend.write_feeds_read_in_loop}, and
+   index behind {!Hpf_analysis.Depend.write_feeds_read_in_loop},
+   [constprop_rounds] re-evaluates every definition on every round, the
+   reference for {!Hpf_analysis.Constprop.compute}'s worklist, and
    [rte_loop] is [rte] deleting one transfer at a time with both
    fixpoints re-run after each deletion, the reference for
    {!Phpf_ir.Sir_dataflow.redundant_deletions}.  [Clock_queue] is one
@@ -1144,6 +1146,92 @@ let ssa_vs_reference (g : Cfg.t) : (int, string) result =
   ssa_agrees (Ssa.build g)
 
 (* ------------------------------------------------------------------ *)
+(* Constant propagation by rounds                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every definition re-evaluated on every round until a round changes
+   nothing, each variable of a right-hand side looked up through the
+   SSA at every evaluation. *)
+let constprop_rounds (ssa : Ssa.t) : Constprop.lattice array =
+  let g = ssa.Ssa.cfg in
+  let rhs_of =
+    Array.map
+      (function
+        | Ssa.Node_def { node; var } -> (
+            match (Cfg.node g node).Cfg.kind with
+            | Cfg.Simple { Ast.node = Ast.Assign (Ast.LVar v, rhs); _ }
+              when v = var ->
+                Some (Ast.subst_params g.Cfg.prog rhs)
+            | Cfg.Loop_init { Ast.node = Ast.Do d; _ } when d.Ast.index = var ->
+                Some (Ast.subst_params g.Cfg.prog d.Ast.lo)
+            | Cfg.Loop_step { Ast.node = Ast.Do d; _ } when d.Ast.index = var ->
+                Some
+                  (Ast.subst_params g.Cfg.prog
+                     (Ast.Bin (Ast.Add, Ast.Var d.Ast.index, d.Ast.step)))
+            | _ -> None)
+        | Ssa.Entry_def _ | Ssa.Phi _ -> None)
+      ssa.Ssa.defs
+  in
+  let values =
+    Array.map
+      (function Ssa.Entry_def _ -> Constprop.Bottom | _ -> Constprop.Top)
+      ssa.Ssa.defs
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun i site ->
+        let v' =
+          match site with
+          | Ssa.Entry_def _ -> Constprop.Bottom
+          | Ssa.Phi { args; _ } ->
+              if args = [] then Constprop.Bottom
+              else
+                List.fold_left
+                  (fun acc (_, d) -> Constprop.meet acc values.(d))
+                  Constprop.Top args
+          | Ssa.Node_def { node; var = _ } -> (
+              match rhs_of.(i) with
+              | None -> Constprop.Bottom
+              | Some rhs ->
+                  Constprop.eval_expr
+                    (fun x ->
+                      match Ssa.reaching_def_at ssa ~node ~var:x with
+                      | Some d -> values.(d)
+                      | None -> Constprop.Bottom)
+                    rhs)
+        in
+        let v' = Constprop.meet values.(i) v' in
+        if compare v' values.(i) <> 0 then begin
+          values.(i) <- v';
+          changed := true
+        end)
+      ssa.Ssa.defs
+  done;
+  values
+
+(* [Constprop.compute] against [constprop_rounds]: the first definition
+   whose lattice value differs, or how many definitions were compared. *)
+let constprop_agrees (ssa : Ssa.t) : (int, string) result =
+  let got = (Constprop.compute ssa).Constprop.values
+  and want = constprop_rounds ssa in
+  let pp ppf = function
+    | Constprop.Top -> Fmt.string ppf "top"
+    | Constprop.Bottom -> Fmt.string ppf "bottom"
+    | Constprop.Const v -> Constprop.pp_value ppf v
+  in
+  let rec first d =
+    if d >= Array.length want then Ok d
+    else if compare got.(d) want.(d) <> 0 then
+      Error
+        (Fmt.str "%a: worklist %a, rounds %a" (Ssa.pp_def ssa) d pp got.(d) pp
+           want.(d))
+    else first (d + 1)
+  in
+  first 0
+
+(* ------------------------------------------------------------------ *)
 (* Dependence queries by walking the loop body                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1430,7 +1518,7 @@ let rte_vs_loop (sir : Phpf_ir.Sir.program) : (int, string) result =
   let open Phpf_ir in
   let copy () = { sir with Sir.stmts = Hashtbl.copy sir.Sir.stmts } in
   let fast = copy () and slow = copy () in
-  let got = Sir_opt.rte fast and want = rte_loop slow in
+  let got = fst (Sir_opt.rte fast) and want = rte_loop slow in
   let pp_w ppf = function
     | Sir.W_redundant { uid; covers } ->
         Fmt.pf ppf "u%d covered by [%a]" uid

@@ -757,6 +757,30 @@ end
   check (Alcotest.option Alcotest.int) "a = 7 at merge" (Some 7)
     (Constprop.const_int_at cp ~node ~var:"a")
 
+(* The worklist against the round-robin evaluation
+   ([Oracles.constprop_rounds]): the same lattice value for every
+   definition of every program of [programs], before and after the
+   induction rewrite. *)
+let constprop_matches_rounds programs () =
+  let compared = ref 0 in
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun (stage, p) ->
+          match Oracles.constprop_agrees (Ssa.build (Cfg.build p)) with
+          | Ok n -> compared := !compared + n
+          | Error why -> fail (Fmt.str "%s (%s): %s" name stage why))
+        [ ("source", p); ("after induction", (Induction.run p).Induction.prog) ])
+    (programs ());
+  check Alcotest.bool
+    (Fmt.str "compared %d definitions" !compared)
+    true (!compared > 0)
+
+let composed_x8 () =
+  List.filter
+    (fun (n, _) -> String.ends_with ~suffix:" x8" n)
+    (composed_kernels ())
+
 (* ------------------------------------------------------------------ *)
 (* Induction variables                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1393,6 +1417,12 @@ let () =
             test_constprop_merge_bottom;
           Alcotest.test_case "same both branches" `Quick
             test_constprop_same_both_branches;
+          Alcotest.test_case "= rounds on the examples" `Quick
+            (constprop_matches_rounds Prog_gen.examples);
+          Alcotest.test_case "= rounds on the bench kernels" `Quick
+            (constprop_matches_rounds bench_kernels);
+          Alcotest.test_case "= rounds on kernels composed x8" `Quick
+            (constprop_matches_rounds composed_x8);
         ] );
       ( "induction",
         [

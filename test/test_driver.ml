@@ -255,8 +255,9 @@ let pass_words (prog : Ast.program) : (string * float) list =
    (dependence queries that walked the loop body, rte re-running its
    fixpoints after every deletion, statement lookups that walked the
    program, hoist walking the time-step loop per prefix index, the
-   recovery plan appending each datum's writers one at a time) allocate
-   at most 2.5 times as much at twice the size. *)
+   recovery plan appending each datum's writers one at a time, the
+   dataflow core comparing every transfer's fact with every fact of its
+   base) allocate at most 2.5 times as much at twice the size. *)
 let test_linear_allocation () =
   let tomcatv k =
     Prog_gen.compose k (Hpf_benchmarks.Tomcatv.program ~n:66 ~niter:1 ~p:4)
@@ -273,8 +274,9 @@ let test_linear_allocation () =
                  pass a b (b /. a))
       | _ -> fail (pass ^ " did not run"))
     [
-      "scalar-map"; "comm-analysis"; "lower-spmd"; "sir-opt.rte";
-      "sir-opt.hoist"; "recovery-plan"; "verify-comm";
+      "scalar-map"; "comm-analysis"; "lower-spmd"; "sir-opt.dte";
+      "sir-opt.rte"; "sir-opt.hoist"; "recovery-plan"; "verify-comm";
+      "verify-sir"; "verify-flow";
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -317,6 +319,31 @@ let test_rewritten_program_ssa () =
   match Oracles.ssa_agrees ssa with
   | Ok _ -> ()
   | Error why -> fail why
+
+(* ------------------------------------------------------------------ *)
+(* One dataflow analysis per compile                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The sir-opt passes share one analysis of the program as it stands:
+   on tomcatv composed 8 times dte analyzes the lowered program and
+   deletes nothing, so rte decides from the analysis dte leaves instead
+   of preparing and running its own. *)
+let test_rte_reuses_analysis () =
+  let prog =
+    Prog_gen.compose 8 (Hpf_benchmarks.Tomcatv.program ~n:66 ~niter:1 ~p:4)
+  in
+  let w = pass_words prog in
+  let words pass =
+    match List.assoc_opt pass w with
+    | Some x -> x
+    | None -> fail (pass ^ " did not run")
+  in
+  let dte = words "sir-opt.dte" and rte = words "sir-opt.rte" in
+  if rte > dte /. 5.0 then
+    fail
+      (Fmt.str
+         "rte allocates %.0f words, dte %.0f (x%.2f > 0.2): a second analysis?"
+         rte dte (rte /. dte))
 
 (* ------------------------------------------------------------------ *)
 
@@ -371,5 +398,10 @@ let () =
             test_decisions_reuses_ssa;
           Alcotest.test_case "a rewritten program's SSA" `Quick
             test_rewritten_program_ssa;
+        ] );
+      ( "one analysis",
+        [
+          Alcotest.test_case "rte decides from dte's analysis" `Quick
+            test_rte_reuses_analysis;
         ] );
     ]

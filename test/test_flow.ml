@@ -415,7 +415,7 @@ let test_merged_block_covers () =
   let c = Compiler.compile_exn ~options (parse merge_src) in
   let sir = sir_of "merge" c in
   check Alcotest.int "merge fuses one pair" 1
-    (Sir_opt.apply ~nest:c.Compiler.decisions.Decisions.nest "merge" sir);
+    (fst (Sir_opt.apply ~nest:c.Compiler.decisions.Decisions.nest "merge" sir));
   check Alcotest.bool "the fused block delivers a section" true
     (List.exists
        (fun (ops : Sir.stmt_ops) ->
@@ -665,6 +665,7 @@ let bench_kernels =
   ]
 
 let tomcatv_x2 () = Prog_gen.compose 2 (Tomcatv.program ~n:66 ~niter:1 ~p:4)
+let tomcatv_x4 () = Prog_gen.compose 4 (Tomcatv.program ~n:66 ~niter:1 ~p:4)
 
 (* Every node's four states, rendered. *)
 let render_states pp_avail pp_live n (avail : _ Flow.result)
@@ -769,8 +770,9 @@ let test_oracle_corrupted () =
 let test_oracle_merged () =
   let c = Compiler.compile_exn ~options:Variants.selected (parse merge_src) in
   check Alcotest.int "merge fuses one pair" 1
-    (Sir_opt.apply ~nest:c.Compiler.decisions.Decisions.nest "merge"
-       (sir_of "merge" c));
+    (fst
+       (Sir_opt.apply ~nest:c.Compiler.decisions.Decisions.nest "merge"
+          (sir_of "merge" c)));
   agree "merge after sir-opt.merge" c
 
 let prop_oracle_generated =
@@ -843,6 +845,8 @@ let () =
             (test_oracle_programs bench_kernels);
           Alcotest.test_case "tomcatv x2" `Quick
             (test_oracle_programs [ ("tomcatv_x2", tomcatv_x2) ]);
+          Alcotest.test_case "tomcatv x4" `Quick
+            (test_oracle_programs [ ("tomcatv_x4", tomcatv_x4) ]);
           Alcotest.test_case "corrupted fig1" `Quick test_oracle_corrupted;
           Alcotest.test_case "merged block" `Quick test_oracle_merged;
           QCheck_alcotest.to_alcotest

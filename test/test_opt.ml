@@ -311,8 +311,8 @@ let test_prepared_matches_fresh () =
           (* the schedule as lowered, before any rewrite *)
           let lowered = Oracles.relower c in
           let prepared = copy lowered and fresh = copy lowered in
-          let k_dte = Sir_opt.rewrites (Sir_opt.dte prepared) in
-          let k_rte = Sir_opt.rewrites (Sir_opt.rte prepared) in
+          let k_dte = Sir_opt.rewrites (fst (Sir_opt.dte prepared)) in
+          let k_rte = Sir_opt.rewrites (fst (Sir_opt.rte prepared)) in
           total := !total + k_dte + k_rte;
           check Alcotest.int (tag ^ ": dte deletions") k_dte
             (fresh_loop (fun s -> s.Sir_dataflow.dead) fresh);
@@ -375,6 +375,116 @@ let test_rte_matches_loop () =
   check Alcotest.bool
     (Fmt.str "rte deleted transfers (%d)" !total)
     true (!total > 0)
+
+(* ---- rte from the analysis dte leaves = rte from a fresh one ---- *)
+
+(* Append a broadcast of a loop index [v] to the transfers of the first
+   statement that mirrors [v] and after whose transfers no processor
+   reads its copy of [v] before the next mirror refreshes it: the
+   broadcast is dead.  [false] when the program has no such statement or
+   no transfer to model the op on. *)
+let inject_dead (sir : Sir.program) : bool =
+  let s = Sir_dataflow.summarize sir in
+  let ops = Sir.all_stmt_ops sir in
+  let target =
+    List.find_map
+      (fun (o : Sir.stmt_ops) ->
+        match Sir_dataflow.instance_node s.Sir_dataflow.cfg o.Sir.sid with
+        | None -> None
+        | Some i ->
+            List.find_map
+              (fun v ->
+                if Sir_dataflow.read_after s i v then None else Some (o, v))
+              o.Sir.mirror)
+      ops
+  and anchor =
+    List.find_map
+      (fun (o : Sir.stmt_ops) -> List.nth_opt o.Sir.comms 0)
+      ops
+  in
+  match (target, anchor) with
+  | Some (o, v), Some anchor ->
+      let uid =
+        1
+        + List.fold_left
+            (fun m (o : Sir.stmt_ops) ->
+              List.fold_left
+                (fun m (op : Sir.comm_op) -> max m op.Sir.uid)
+                m o.Sir.comms)
+            0 ops
+      in
+      let dead =
+        {
+          anchor with
+          Sir.uid;
+          pos = uid;
+          xfer =
+            Sir.Elem_xfer
+              {
+                data = Sir.X_scalar { var = v; owner = [| Sir.C_all |] };
+                dests = Sir.D_all;
+              };
+        }
+      in
+      Hashtbl.replace sir.Sir.stmts o.Sir.sid
+        { o with Sir.comms = o.Sir.comms @ [ dead ] };
+      true
+  | _ -> false
+
+let pp_witness ppf = function
+  | Sir.W_dead { uid } -> Fmt.pf ppf "dead u%d" uid
+  | Sir.W_redundant { uid; covers } ->
+      Fmt.pf ppf "u%d covered by [%a]" uid
+        Fmt.(
+          list ~sep:comma (fun ppf -> function
+            | Sir.F_init -> string ppf "init"
+            | Sir.F_op u -> pf ppf "u%d" u
+            | Sir.F_write s -> pf ppf "s%d" s))
+        covers
+  | _ -> Fmt.string ppf "another rewrite"
+
+(* dte deletes the injected transfer, re-planning the analysis it
+   prepared before the deletion, and leaves its last round; rte decides
+   from that analysis exactly what it decides from a fresh one of the
+   program dte left: the same witnesses, covers included, and the same
+   program. *)
+let test_shared_analysis_matches_fresh () =
+  let injected = ref 0 and dte_total = ref 0 and rte_total = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      let c = compiled_of name (prog ()) in
+      let lowered = Oracles.relower c in
+      if inject_dead lowered then begin
+        incr injected;
+        let shared = copy lowered and fresh = copy lowered in
+        let dead, flow = Sir_opt.dte shared in
+        check Alcotest.bool (name ^ ": dte deletes the injected transfer")
+          true
+          (dead <> [] && List.length (fst (Sir_opt.dte fresh)) = List.length dead);
+        dte_total := !dte_total + List.length dead;
+        let render ws = List.map (Fmt.str "%a" pp_witness) ws in
+        let got = fst (Sir_opt.rte ~flow shared)
+        and want = fst (Sir_opt.rte fresh) in
+        rte_total := !rte_total + List.length got;
+        check
+          Alcotest.(list string)
+          (name ^ ": rte witnesses from the shared analysis")
+          (render want) (render got);
+        check Alcotest.string
+          (name ^ ": the same program")
+          (Sir_pp.to_string fresh) (Sir_pp.to_string shared)
+      end)
+    (List.map (fun (n, p) -> (n, fun () -> p)) (Prog_gen.examples ())
+    @ benchmarks
+    @ [
+        ( "tomcatv_x2",
+          fun () -> Prog_gen.compose 2 (Tomcatv.program ~n:66 ~niter:1 ~p:4) );
+      ]);
+  check Alcotest.bool
+    (Fmt.str "%d programs injected, dte deleted %d, rte deleted %d" !injected
+       !dte_total !rte_total)
+    true
+    (!injected > 0 && !dte_total > 0 && !rte_total > 0)
 
 (* A deletion can leave a later candidate dead.  Broadcasts of [b] sit
    at IFs whose conditions read only enclosing loop indices, which every
@@ -509,7 +619,7 @@ let test_rte_skips_newly_dead (src, at, computes) () =
   check Alcotest.bool "the loop deletes the first only" true
     (Oracles.rte_loop (copy sir) = want);
   check Alcotest.bool "rte deletes the first only" true
-    (Sir_opt.rte (copy sir) = want)
+    (fst (Sir_opt.rte (copy sir)) = want)
 
 (* ---------------------- unit: merge ---------------------- *)
 
@@ -871,6 +981,8 @@ let () =
             test_prepared_matches_fresh;
           Alcotest.test_case "rte one analysis = one-at-a-time loop" `Quick
             test_rte_matches_loop;
+          Alcotest.test_case "rte from dte's analysis = from a fresh one"
+            `Quick test_shared_analysis_matches_fresh;
           Alcotest.test_case "rte keeps a transfer a deletion left dead"
             `Quick
             (test_rte_skips_newly_dead

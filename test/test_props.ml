@@ -147,12 +147,19 @@ let prop_ssa_phi_args_are_preds =
         ssa.Ssa.defs)
 
 (* The builder against the scanning one and the reached-use table
-   against the walk ([Oracles.ssa_vs_reference]).  Nothing here
-   compiles a program, so this group is cheap under any seed. *)
+   against the walk ([Oracles.ssa_agrees]), and on the same SSA the
+   constant-propagation worklist against the round-robin evaluation
+   ([Oracles.constprop_agrees]): identical lattice values for every
+   definition.  Nothing here compiles a program, so this group is cheap
+   under any seed. *)
 let ssa_vs_reference p =
-  match Oracles.ssa_vs_reference (Cfg.build p) with
-  | Ok _ -> true
+  let ssa = Ssa.build (Cfg.build p) in
+  match Oracles.ssa_agrees ssa with
   | Error why -> QCheck2.Test.fail_report why
+  | Ok _ -> (
+      match Oracles.constprop_agrees ssa with
+      | Ok _ -> true
+      | Error why -> QCheck2.Test.fail_report ("constprop: " ^ why))
 
 let prop_ssa_vs_reference =
   QCheck2.Test.make ~name:"SSA = reference on generated programs" ~count:300
